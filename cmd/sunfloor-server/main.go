@@ -42,6 +42,16 @@ import (
 	"sunfloor3d/internal/server"
 )
 
+// Connection timeouts of the daemon. A client has readHeaderTimeout to send
+// a request's headers and idleTimeout to start the next request on a
+// keep-alive connection; a slower client is disconnected instead of holding
+// the connection forever. There is deliberately no write timeout: a ?wait=1
+// or /stream response lasts as long as its synthesis.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -49,6 +59,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sunfloor-server: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// newHTTPServer returns the daemon's HTTP server for handler h with the given
+// header and idle timeouts (run passes readHeaderTimeout and idleTimeout).
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }
 
 // run is the whole daemon lifecycle: parse flags, listen, serve until ctx is
@@ -85,7 +101,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- net.
 		return err
 	}
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv, readHeaderTimeout, idleTimeout)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

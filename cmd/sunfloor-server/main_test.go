@@ -85,6 +85,43 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
+// TestSlowHeaderConnectionClosed checks that the daemon's HTTP server closes
+// a connection whose client sends only part of a request header, so slow or
+// hostile clients cannot pin connections. It uses a short header timeout;
+// run builds the same server with readHeaderTimeout.
+func TestSlowHeaderConnectionClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	srv := newHTTPServer(handler, 200*time.Millisecond, time.Minute)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: sunfloor\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The server must hang up on its own, long before this deadline.
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection with a partial header still open after %v", time.Since(start))
+	}
+}
+
 func TestDaemonBadFlags(t *testing.T) {
 	var stderr bytes.Buffer
 	if err := run(context.Background(), []string{"-bogus"}, &stderr, nil); err == nil {

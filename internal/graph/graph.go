@@ -2,8 +2,8 @@
 // flow: weighted directed graphs, shortest paths (Dijkstra), reachability,
 // cycle detection (for deadlock-freedom checks on channel dependency graphs)
 // and balanced k-way min-cut partitioning (recursive bisection with
-// Fiduccia–Mattheyses refinement), which implements the "min-cut partitions"
-// steps of Algorithms 1 and 2 of the paper.
+// Kernighan–Lin style swap refinement), which implements the "min-cut
+// partitions" steps of Algorithms 1 and 2 of the paper.
 package graph
 
 import (
@@ -206,6 +206,44 @@ func (g *Graph) HasCycle() bool {
 		return false
 	}
 	for u := 0; u < g.n; u++ {
+		if color[u] == white && visit(u) {
+			return true
+		}
+	}
+	return false
+}
+
+// HasCycleFrom reports whether a cycle is reachable from any of the given
+// root vertices. When a batch of edges is added to an acyclic graph, every
+// new cycle passes through a new edge and therefore through its head, so
+// HasCycleFrom(heads of the batch) equals HasCycle() while visiting only
+// what the new edges can reach. The router's deadlock check relies on this.
+func (g *Graph) HasCycleFrom(roots []int) bool {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := make([]uint8, g.n)
+	var visit func(u int) bool
+	visit = func(u int) bool {
+		color[u] = grey
+		//determlint:ordered cycle existence is a property of the edge set; the boolean result is identical for every visit order
+		for v := range g.adj[u] {
+			switch color[v] {
+			case grey:
+				return true
+			case white:
+				if visit(v) {
+					return true
+				}
+			}
+		}
+		color[u] = black
+		return false
+	}
+	for _, u := range roots {
+		g.check(u)
 		if color[u] == white && visit(u) {
 			return true
 		}

@@ -145,6 +145,47 @@ func TestHasCycle(t *testing.T) {
 	}
 }
 
+// TestHasCycleFromMatchesHasCycle checks the property the router's deadlock
+// check relies on: after a batch of edges is added to a DAG, a cycle search
+// from the heads of the genuinely new edges agrees with a whole-graph
+// HasCycle.
+func TestHasCycleFromMatchesHasCycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	outcomes := map[bool]int{}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(30)
+		g := New(n)
+		// A random DAG: edges only run forward in a random topological order.
+		rank := rng.Perm(n)
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if rank[u] < rank[v] {
+				g.AddEdge(u, v, 1)
+			}
+		}
+		if g.HasCycle() {
+			t.Fatalf("trial %d: the generated DAG has a cycle", trial)
+		}
+		var heads []int
+		for e := rng.Intn(4); e >= 0; e-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v || g.HasEdge(u, v) {
+				continue
+			}
+			g.AddEdge(u, v, 1)
+			heads = append(heads, v)
+		}
+		got, want := g.HasCycleFrom(heads), g.HasCycle()
+		if got != want {
+			t.Fatalf("trial %d: HasCycleFrom(%v) = %v, HasCycle() = %v", trial, heads, got, want)
+		}
+		outcomes[want]++
+	}
+	if outcomes[true] == 0 || outcomes[false] == 0 {
+		t.Fatalf("the trials never exercised both outcomes: %v", outcomes)
+	}
+}
+
 func TestConnectedComponents(t *testing.T) {
 	g := New(6)
 	g.AddEdge(0, 1, 1)

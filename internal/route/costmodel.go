@@ -36,17 +36,20 @@ type costModel struct {
 	dist    []float64
 	prev    []int
 	settled []bool
-	// Commit scratch space, reused across commits.
-	dirtyRow []bool
-	dirtyCol []bool
-	boundary []bool
+	// Commit scratch space, reused across commits: the rows and columns to
+	// refresh, and per layer boundary the number of links the commit opened
+	// across it and whether that moved it across an ILL threshold.
+	dirtyRow  []bool
+	dirtyCol  []bool
+	crossings []int
+	boundary  []bool
 }
 
 // newCostModel computes the initial geometry and arc states for every switch
 // pair. This is the only full O(S^2) pass of a run; everything after is
 // incremental.
 func newCostModel(r *router) *costModel {
-	m := &costModel{r: r, boundary: make([]bool, len(r.ill))}
+	m := &costModel{r: r, crossings: make([]int, len(r.ill)), boundary: make([]bool, len(r.ill))}
 	for len(m.state) < r.top.NumSwitches() {
 		m.grow()
 	}
@@ -128,7 +131,10 @@ func (m *costModel) shrink() {
 // the given new links: every arc leaving a switch whose output ports grew,
 // every arc entering a switch whose input ports grew (this includes the new
 // links themselves, whose existence flag flipped), and every arc crossing a
-// layer boundary whose inter-layer-link count changed.
+// layer boundary whose inter-layer-link count the commit moved across one of
+// arcState's two thresholds, MaxILL-SoftILLMargin and MaxILL. arcState reads
+// the count only through those two comparisons and counts only grow within a
+// run, so a boundary that crossed neither leaves every arc over it unchanged.
 //
 // Refreshing only row i / column j per grown port relies on the port-opening
 // marginal (noclib.SwitchPortMarginalMW) depending only on its own port
@@ -139,19 +145,19 @@ func (m *costModel) shrink() {
 // column of every grown switch must be refreshed here.
 func (m *costModel) applyCommit(opened [][2]int) {
 	t := m.r.top
-	dirtyRow, dirtyCol, boundary := m.dirtyRow, m.dirtyCol, m.boundary
+	dirtyRow, dirtyCol, crossings, boundary := m.dirtyRow, m.dirtyCol, m.crossings, m.boundary
 	for i := range dirtyRow {
 		dirtyRow[i] = false
 		dirtyCol[i] = false
 	}
-	for b := range boundary {
-		boundary[b] = false
+	for b := range crossings {
+		crossings[b] = 0
 	}
-	anyBoundary := false
+	cfg := m.r.cfg
 	for _, l := range opened {
 		dirtyRow[l[0]] = true
 		dirtyCol[l[1]] = true
-		if m.r.cfg.MaxILL <= 0 {
+		if cfg.MaxILL <= 0 {
 			continue // arc costs ignore ILL occupancy when unconstrained
 		}
 		lo, hi := t.Switches[l[0]].Layer, t.Switches[l[1]].Layer
@@ -159,11 +165,18 @@ func (m *costModel) applyCommit(opened [][2]int) {
 			lo, hi = hi, lo
 		}
 		for b := lo; b < hi; b++ {
-			if b >= 0 && b < len(boundary) {
-				boundary[b] = true
-				anyBoundary = true
+			if b >= 0 && b < len(crossings) {
+				crossings[b]++
 			}
 		}
+	}
+	anyBoundary := false
+	soft := cfg.MaxILL - cfg.SoftILLMargin
+	for b, n := range crossings {
+		now := m.r.ill[b]
+		before := now - n
+		boundary[b] = before < cfg.MaxILL && now >= cfg.MaxILL || before < soft && now >= soft
+		anyBoundary = anyBoundary || boundary[b]
 	}
 	for i := 0; i < m.n; i++ {
 		if !dirtyRow[i] {

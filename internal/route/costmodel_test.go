@@ -1,11 +1,11 @@
 package route
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"sunfloor3d/internal/geom"
 	"sunfloor3d/internal/graph"
 	"sunfloor3d/internal/model"
 	"sunfloor3d/internal/noclib"
@@ -168,9 +168,13 @@ func randomRoutedCase(t *testing.T, rng *rand.Rand) *topology.Topology {
 
 // TestCostModelMatchesRebuild routes randomized topologies with the
 // incremental cost model and, between every commit, cross-checks each cached
-// arc against a from-scratch arcCost evaluation (what the FullRebuild
-// reference graph would contain). This pins the incremental invalidation
-// logic to the ground truth of Algorithm 3's CHECK_CONSTRAINTS.
+// arc, and the full-rebuild reference graph, against a from-scratch
+// evaluation of Algorithm 3's CHECK_CONSTRAINTS over bookkeeping derived from
+// the topology alone (see referenceArcCost). The router's own link, port and
+// marginal caches never enter the reference, so a stale cache cannot hide
+// behind an identical stale read on both sides. Costs must match exactly:
+// the cached and the rebuilt evaluation share one code path, and a ULP of
+// difference could flip a Dijkstra tie.
 func TestCostModelMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -192,6 +196,7 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 		sampleBWs := []float64{0, 120, 975.5}
 		verify := func(stage string) {
 			n := top.NumSwitches()
+			book := deriveBookkeeping(top)
 			cg := r.buildCostGraph(sampleBWs[1], nil)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
@@ -199,20 +204,19 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 						continue
 					}
 					for _, bw := range sampleBWs {
-						want := r.arcCost(i, j, bw, r.softInf)
-						got := r.cost.cost(i, j, bw)
-						if !costsClose(got, want) {
-							t.Fatalf("trial %d, %s: arc (%d,%d) bw=%v: incremental %v, rebuilt %v",
+						want := referenceArcCost(r, book, i, j, bw)
+						if got := r.cost.cost(i, j, bw); got != want {
+							t.Fatalf("trial %d, %s: arc (%d,%d) bw=%v: incremental %v, reference %v",
 								trial, stage, i, j, bw, got, want)
 						}
 					}
 					// The reference graph must agree too (missing edge = Infinity).
-					want := r.arcCost(i, j, sampleBWs[1], r.softInf)
+					want := referenceArcCost(r, book, i, j, sampleBWs[1])
 					got := graph.Infinity
 					if cg.HasEdge(i, j) {
 						got = cg.Weight(i, j)
 					}
-					if !costsClose(got, want) {
+					if got != want {
 						t.Fatalf("trial %d, %s: reference graph arc (%d,%d): %v want %v",
 							trial, stage, i, j, got, want)
 					}
@@ -243,16 +247,97 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 	}
 }
 
-// costsClose compares arc costs with a relative tolerance (the incremental
-// model's state+slope*bw split rounds differently from the monolithic
-// arcCost evaluation).
-func costsClose(a, b float64) bool {
-	if a >= graph.Infinity || b >= graph.Infinity {
-		return a >= graph.Infinity && b >= graph.Infinity
+// bookkeeping is the router state that arc costs depend on, derived from a
+// topology's core attachments and committed routes alone.
+type bookkeeping struct {
+	// link holds every directed switch-to-switch link some route uses.
+	link map[[2]int]bool
+	// in and out count each switch's ports: one per attached core plus one
+	// per distinct link.
+	in, out []int
+	// ill[b] counts the core attachments and links crossing the boundary
+	// between layers b and b+1.
+	ill []int
+}
+
+func deriveBookkeeping(top *topology.Topology) bookkeeping {
+	n := top.NumSwitches()
+	layers := top.Design.NumLayers()
+	for _, s := range top.Switches {
+		if s.Layer+1 > layers {
+			layers = s.Layer + 1
+		}
 	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-9*math.Max(scale, 1)
+	b := bookkeeping{link: make(map[[2]int]bool), in: make([]int, n), out: make([]int, n), ill: make([]int, layers)}
+	cross := func(la, lb int) {
+		if la > lb {
+			la, lb = lb, la
+		}
+		for l := la; l < lb; l++ {
+			b.ill[l]++
+		}
+	}
+	for c, s := range top.CoreAttach {
+		b.in[s]++
+		b.out[s]++
+		cross(top.Design.Cores[c].Layer, top.Switches[s].Layer)
+	}
+	for _, rt := range top.Routes {
+		for k := 1; k < len(rt.Switches); k++ {
+			from, to := rt.Switches[k-1], rt.Switches[k]
+			if b.link[[2]int{from, to}] {
+				continue
+			}
+			b.link[[2]int{from, to}] = true
+			b.out[from]++
+			b.in[to]++
+			cross(top.Switches[from].Layer, top.Switches[to].Layer)
+		}
+	}
+	return b
+}
+
+// referenceArcCost evaluates the arc (i, j) for a flow of bandwidth bw from
+// first principles: Algorithm 3's CHECK_CONSTRAINTS thresholds over the
+// derived bookkeeping, the port-opening marginals straight from
+// noclib.SwitchPortMarginalMW and the geometry from the switch positions.
+// Only the final combination goes through the router's evalArc formula.
+func referenceArcCost(r *router, b bookkeeping, i, j int, bw float64) float64 {
+	t, cfg := r.top, r.cfg
+	li, lj := t.Switches[i].Layer, t.Switches[j].Layer
+	span := li - lj
+	if span < 0 {
+		span = -span
+	}
+	st := arcState{exists: b.link[[2]int{i, j}]}
+	if span > 0 && cfg.AdjacentLayersOnly && span >= 2 {
+		return graph.Infinity
+	}
+	if span > 0 && cfg.MaxILL > 0 && !st.exists {
+		cur := 0
+		for l := min(li, lj); l < max(li, lj); l++ {
+			cur = max(cur, b.ill[l])
+		}
+		if cur >= cfg.MaxILL {
+			return graph.Infinity
+		}
+		st.soft = cur >= cfg.MaxILL-cfg.SoftILLMargin
+	}
+	if !st.exists && cfg.MaxSwitchSize > 0 {
+		out, in := b.out[i]+1, b.in[j]+1
+		if out > cfg.MaxSwitchSize || in > cfg.MaxSwitchSize {
+			return graph.Infinity
+		}
+		soft := cfg.MaxSwitchSize - cfg.SoftSwitchMargin
+		st.soft = st.soft || out > soft || in > soft
+	}
+	if !st.exists {
+		st.openJ = t.Lib.SwitchPortMarginalMW(b.in[j], t.FreqMHz)
+		st.openI = t.Lib.SwitchPortMarginalMW(b.out[i], t.FreqMHz)
+	}
+	planar := geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
+	latency := 1 + float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
+	return r.evalArc(st, planar, span, latency, wireFactor(t.Lib, bw), bw, r.softInf)
 }
 
 // TestIncrementalRoutingStaysDeadlockFree re-runs the deadlock test pattern

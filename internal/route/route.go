@@ -91,20 +91,27 @@ type router struct {
 	top *topology.Topology
 	cfg Config
 
-	// linkBW[from][to] is the bandwidth already committed to the directed
-	// physical link between two switches (only links that exist are present).
-	linkBW map[[2]int]float64
+	// link[from][to] reports whether the directed physical link between two
+	// switches exists, that is, carries a committed route.
+	link [][]bool
 	// ill[b] is the number of physical links crossing the boundary between
 	// layers b and b+1 (switch-to-switch and core-to-switch).
 	ill []int
-	// inPorts/outPorts track current switch sizes.
-	inPorts, outPorts []int
+	// inPorts/outPorts track current switch sizes, and inMarginal/
+	// outMarginal the power of opening one more port of each kind
+	// (noclib.SwitchPortMarginalMW of the current count).
+	inPorts, outPorts       []int
+	inMarginal, outMarginal []float64
 	// cdg is the channel dependency graph: one vertex per directed
 	// switch-to-switch link, an edge when some flow uses two links in
 	// sequence.
 	cdg      *graph.Graph
 	linkIdx  map[[2]int]int
 	deadlock int
+	// tails and heads (the CDG edges a path adds) and opened (the links a
+	// commit opens) are per-attempt scratch lists.
+	tails, heads []int
+	opened       [][2]int
 	// softInf is the SOFT_INF penalty of Algorithm 3, fixed for the whole
 	// run (it depends only on the design, library, frequency and weights).
 	softInf float64
@@ -171,9 +178,14 @@ func (r *router) init() {
 	if layers > 1 {
 		r.ill = make([]int, layers-1)
 	}
-	r.inPorts = make([]int, t.NumSwitches())
-	r.outPorts = make([]int, t.NumSwitches())
-	r.linkBW = make(map[[2]int]float64)
+	n := t.NumSwitches()
+	r.inPorts, r.outPorts = make([]int, n), make([]int, n)
+	r.inMarginal, r.outMarginal = make([]float64, n), make([]float64, n)
+	cells := make([]bool, n*n)
+	r.link = make([][]bool, n)
+	for i := range r.link {
+		r.link[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	}
 	r.linkIdx = make(map[[2]int]int)
 	r.cdg = graph.New(0)
 
@@ -182,6 +194,9 @@ func (r *router) init() {
 		r.outPorts[sw]++
 		r.addBoundaryCrossings(t.Design.Cores[c].Layer, t.Switches[sw].Layer, 1)
 	}
+	for s := range t.Switches {
+		r.updateMarginals(s, s)
+	}
 	for f := range t.Routes {
 		t.Routes[f] = topology.Route{Flow: f}
 	}
@@ -189,6 +204,41 @@ func (r *router) init() {
 	if !r.cfg.FullRebuild {
 		r.cost = newCostModel(r)
 	}
+}
+
+// addSwitch extends the per-switch bookkeeping with one switch that has no
+// ports and no links.
+func (r *router) addSwitch() {
+	n := len(r.link)
+	r.inPorts = append(r.inPorts, 0)
+	r.outPorts = append(r.outPorts, 0)
+	r.inMarginal = append(r.inMarginal, 0)
+	r.outMarginal = append(r.outMarginal, 0)
+	r.updateMarginals(n, n)
+	for i := range r.link {
+		r.link[i] = append(r.link[i], false)
+	}
+	r.link = append(r.link, make([]bool, n+1))
+}
+
+// dropSwitches truncates the per-switch bookkeeping to the first n switches.
+func (r *router) dropSwitches(n int) {
+	r.inPorts = r.inPorts[:n]
+	r.outPorts = r.outPorts[:n]
+	r.inMarginal = r.inMarginal[:n]
+	r.outMarginal = r.outMarginal[:n]
+	r.link = r.link[:n]
+	for i := range r.link {
+		r.link[i] = r.link[i][:n]
+	}
+}
+
+// updateMarginals recomputes the cached port-opening marginals of the output
+// ports of switch out and the input ports of switch in.
+func (r *router) updateMarginals(out, in int) {
+	lib, f := r.top.Lib, r.top.FreqMHz
+	r.outMarginal[out] = lib.SwitchPortMarginalMW(r.outPorts[out], f)
+	r.inMarginal[in] = lib.SwitchPortMarginalMW(r.inPorts[in], f)
 }
 
 // addBoundaryCrossings adds delta to every adjacent-layer boundary crossed
@@ -278,10 +328,7 @@ func (r *router) arcState(i, j int) arcState {
 	if span < 0 {
 		span = -span
 	}
-	var st arcState
-	if _, ok := r.linkBW[[2]int{i, j}]; ok {
-		st.exists = true
-	}
+	st := arcState{exists: r.link[i][j]}
 
 	if span > 0 {
 		// Hard constraint: adjacency and max_ill.
@@ -314,8 +361,8 @@ func (r *router) arcState(i, j int) arcState {
 		// port on j and a new output port on i. The closed-form marginal
 		// depends only on its own dimension's count, so a commit that grows
 		// the other dimension of i or j cannot silently invalidate this arc.
-		st.openJ = t.Lib.SwitchPortMarginalMW(r.inPorts[j], t.FreqMHz)
-		st.openI = t.Lib.SwitchPortMarginalMW(r.outPorts[i], t.FreqMHz)
+		st.openJ = r.inMarginal[j]
+		st.openI = r.outMarginal[i]
 	}
 	return st
 }
@@ -439,23 +486,23 @@ func (r *router) deadlockArc(path []int) *[2]int {
 	if len(path) < 3 {
 		return nil // a single link cannot create a new dependency
 	}
-	type added struct {
-		from, to int
-	}
-	var newEdges []added
+	tails, heads := r.tails[:0], r.heads[:0]
 	for i := 2; i < len(path); i++ {
 		a := r.ensureLinkVertex(path[i-2], path[i-1])
 		b := r.ensureLinkVertex(path[i-1], path[i])
 		if !r.cdg.HasEdge(a, b) {
 			r.cdg.AddEdge(a, b, 1)
-			newEdges = append(newEdges, added{a, b})
+			tails, heads = append(tails, a), append(heads, b)
 		}
 	}
-	if !r.cdg.HasCycle() {
+	r.tails, r.heads = tails, heads
+	// The CDG of the committed routes is acyclic before every check, so any
+	// cycle now passes through a new edge and is reachable from its head.
+	if !r.cdg.HasCycleFrom(heads) {
 		return nil
 	}
-	for _, e := range newEdges {
-		r.cdg.RemoveEdge(e.from, e.to)
+	for e, a := range tails {
+		r.cdg.RemoveEdge(a, heads[e])
 	}
 	// Forbid the middle arc of the path; re-routing around it usually breaks
 	// the cycle while keeping source and destination reachable.
@@ -480,18 +527,19 @@ func (r *router) ensureLinkVertex(i, j int) int {
 // bookkeeping, then refreshes the cost-graph arcs those updates invalidated.
 func (r *router) commit(f int, path []int) {
 	t := r.top
-	bw := t.Design.Flows[f].BandwidthMBps
-	var opened [][2]int
+	opened := r.opened[:0]
 	for i := 1; i < len(path); i++ {
-		key := [2]int{path[i-1], path[i]}
-		if _, exists := r.linkBW[key]; !exists {
-			r.outPorts[path[i-1]]++
-			r.inPorts[path[i]]++
-			r.addBoundaryCrossings(t.Switches[path[i-1]].Layer, t.Switches[path[i]].Layer, 1)
-			opened = append(opened, key)
+		from, to := path[i-1], path[i]
+		if !r.link[from][to] {
+			r.link[from][to] = true
+			r.outPorts[from]++
+			r.inPorts[to]++
+			r.updateMarginals(from, to)
+			r.addBoundaryCrossings(t.Switches[from].Layer, t.Switches[to].Layer, 1)
+			opened = append(opened, [2]int{from, to})
 		}
-		r.linkBW[key] += bw
 	}
+	r.opened = opened
 	t.SetRoute(f, path)
 	if r.cost != nil && len(opened) > 0 {
 		r.cost.applyCommit(opened)
@@ -525,8 +573,7 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 		X: (t.Switches[src].Pos.X + t.Switches[dst].Pos.X) / 2,
 		Y: (t.Switches[src].Pos.Y + t.Switches[dst].Pos.Y) / 2,
 	}
-	r.inPorts = append(r.inPorts, 0)
-	r.outPorts = append(r.outPorts, 0)
+	r.addSwitch()
 	if r.cost != nil {
 		r.cost.grow()
 	}
@@ -546,8 +593,7 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 	// linkIdx entries must go so a future switch reusing this ID starts from
 	// a clean link identity.
 	t.Switches = t.Switches[:id]
-	r.inPorts = r.inPorts[:id]
-	r.outPorts = r.outPorts[:id]
+	r.dropSwitches(id)
 	//determlint:ordered deletes of distinct keys commute and the loop reads nothing but the key; the surviving map content is order-independent
 	for key := range r.linkIdx {
 		if key[0] == id || key[1] == id {
