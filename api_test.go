@@ -110,50 +110,6 @@ func TestSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestPartitionCacheByteIdentical checks the acceptance contract of the
-// sweep-wide partition cache: runs with the cache enabled and disabled — at
-// any parallelism — serialise to byte-identical JSON, and the enabled run
-// actually reuses partitions across the swept frequencies.
-func TestPartitionCacheByteIdentical(t *testing.T) {
-	d := apiDesign(t)
-	ctx := context.Background()
-	common := []sunfloor3d.Option{
-		sunfloor3d.WithFrequenciesMHz(400, 600, 800),
-		sunfloor3d.WithMaxILL(10),
-	}
-	run := func(opts ...sunfloor3d.Option) *sunfloor3d.Result {
-		t.Helper()
-		res, err := sunfloor3d.Synthesize(ctx, d, append(append([]sunfloor3d.Option{}, common...), opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	on := run(sunfloor3d.WithPartitionCache(true))
-	off := run(sunfloor3d.WithPartitionCache(false))
-	onPar := run(sunfloor3d.WithPartitionCache(true), sunfloor3d.WithParallelism(8))
-
-	if on.Cache.Hits == 0 {
-		t.Error("cache-enabled multi-frequency sweep reported no hits")
-	}
-	if off.Cache.Hits != 0 {
-		t.Errorf("cache-disabled run reported %d hits", off.Cache.Hits)
-	}
-	onJSON, err := json.Marshal(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*sunfloor3d.Result{"cache off": off, "cache on parallel": onPar} {
-		j, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(onJSON, j) {
-			t.Fatalf("%s result differs from cache-on serial:\non:    %s\nother: %s", name, onJSON, j)
-		}
-	}
-}
-
 // TestRouteStatsAndTiming checks that every evaluated point carries its
 // router statistics and wall-clock duration.
 func TestRouteStatsAndTiming(t *testing.T) {

@@ -13,12 +13,8 @@ package sunfloor3d_test
 // cmd/sunfloor-bench without -quick for the complete sweeps.
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"testing"
 
-	"sunfloor3d"
 	"sunfloor3d/internal/bench"
 	"sunfloor3d/internal/experiments"
 	"sunfloor3d/internal/graph"
@@ -277,190 +273,7 @@ func BenchmarkFig23MeshComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepHotPath measures the multi-frequency synthesis sweep before
-// and after the hot-path overhaul of PR 2: the baseline recomputes every
-// partition per frequency and rebuilds the router's full O(S^2) cost graph
-// per flow and retry, the optimized run uses the sweep-wide partition cache
-// and the incremental cost graph. Besides the usual ns/op it reports the
-// geometric-mean speedup across the benchmark suite and records the
-// per-design numbers to BENCH_PR2.json (the CI smoke step runs it with
-// -benchtime=1x).
-func BenchmarkSweepHotPath(b *testing.B) {
-	suite := []string{"D_26_media", "D_36_4", "D_36_8"}
-	var results []sunfloor3d.SweepBenchmark
-	for i := 0; i < b.N; i++ {
-		results = results[:0]
-		for _, name := range suite {
-			r, err := sunfloor3d.RunSweepBenchmark(name, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results = append(results, r)
-		}
-	}
-	logSpeedup := 0.0
-	for _, r := range results {
-		logSpeedup += math.Log(r.Speedup)
-	}
-	speedup := math.Exp(logSpeedup / float64(len(results)))
-	b.ReportMetric(speedup, "speedup")
-	out := struct {
-		Description string                      `json:"description"`
-		Speedup     float64                     `json:"geomean_speedup"`
-		Sweeps      []sunfloor3d.SweepBenchmark `json:"sweeps"`
-	}{
-		Description: "Multi-frequency synthesis sweep: baseline (per-frequency partitioning, " +
-			"full per-flow cost-graph rebuilds) vs optimized (sweep-wide partition cache, " +
-			"incremental cost graph). Regenerate with: go test -bench=Sweep -benchtime=1x",
-		Speedup: speedup,
-		Sweeps:  results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR2.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- Simulator benchmarks (PR 4) -----------------------------------------
-//
-// BenchmarkSimSweep is the before/after record of the execution-core rewrite:
-// it times sweep-mode simulation (one run per valid design point, the
-// WithSimulation workload) for every profile on a small (D_26_media) and a
-// large (D_36_4) paper benchmark, plus the zero-load oracle, against the
-// retained reference engine, and writes the results to BENCH_PR4.json. Every
-// timed pair is preceded by a byte-level Stats comparison between the two
-// engines, so the benchmark fails — it does not just report a number — if
-// the optimized core ever drifts from reference mode. The CI smoke step runs
-// it with -benchtime=1x.
-func BenchmarkSimSweep(b *testing.B) {
-	type combo struct {
-		name    string
-		profile sunfloor3d.SimProfile
-	}
-	combos := []combo{
-		{"D_26_media", sunfloor3d.SimUniform},
-		{"D_36_4", sunfloor3d.SimUniform},
-		{"D_26_media", sunfloor3d.SimBursty},
-		{"D_36_4", sunfloor3d.SimBursty},
-		{"D_26_media", sunfloor3d.SimHotspot},
-		{"D_36_4", sunfloor3d.SimHotspot},
-	}
-	zeroLoad := []string{"D_26_media", "D_36_4"}
-
-	var sims []sunfloor3d.SimBenchmark
-	var oracles []sunfloor3d.ZeroLoadBenchmark
-	for i := 0; i < b.N; i++ {
-		sims = sims[:0]
-		oracles = oracles[:0]
-		for _, c := range combos {
-			r, err := sunfloor3d.RunSimBenchmark(c.name, c.profile, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sims = append(sims, r)
-		}
-		for _, name := range zeroLoad {
-			r, err := sunfloor3d.RunZeroLoadBenchmark(name, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			oracles = append(oracles, r)
-		}
-	}
-
-	// The headline number is the geometric-mean speedup over the uniform
-	// sweep-simulation benchmarks (the acceptance metric of the rewrite);
-	// the other profiles and the oracle are recorded alongside.
-	logSum, n := 0.0, 0
-	for _, r := range sims {
-		if r.Profile == "uniform" {
-			logSum += math.Log(r.Speedup)
-			n++
-		}
-	}
-	speedup := math.Exp(logSum / float64(n))
-	b.ReportMetric(speedup, "speedup")
-
-	out := struct {
-		Description string                         `json:"description"`
-		Speedup     float64                        `json:"geomean_speedup"`
-		Sims        []sunfloor3d.SimBenchmark      `json:"sweep_simulation"`
-		ZeroLoad    []sunfloor3d.ZeroLoadBenchmark `json:"zero_load_oracle"`
-	}{
-		Description: "Sweep-mode flit-level simulation: baseline (reference engine: per-packet " +
-			"allocation, slice queues, map routing lookups, dense cycle scans, full stats) vs " +
-			"optimized (arena packets, ring-buffer VCs, dense routing with per-hop output " +
-			"caching, active-set scheduling, summary stats). geomean_speedup covers the " +
-			"uniform-profile sweeps; engines are verified byte-identical before timing. " +
-			"Regenerate with: go test -bench=SimSweep -benchtime=1x",
-		Speedup:  speedup,
-		Sims:     sims,
-		ZeroLoad: oracles,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR4.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkExplorer measures the N-dimensional design-space explorer of PR 8
-// against brute-force enumeration of the same space: a 3-axis sweep
-// (frequency x link width x switch count) on three paper benchmarks, pruned
-// via duplicate-cell elimination and analytic branch-and-bound floors. Each
-// timed pair is preceded by a byte-level comparison of the Pareto fronts and
-// best points, so the benchmark fails — it does not just report a number —
-// if pruning ever changes the outcome. Besides ns/op it reports the
-// geometric-mean throughput speedup and the mean pruning rate, and records
-// the per-design numbers to BENCH_PR8.json (the CI smoke step runs it with
-// -benchtime=1x).
-func BenchmarkExplorer(b *testing.B) {
-	suite := []string{"D_26_media", "D_36_4", "D_36_8"}
-	var results []sunfloor3d.ExplorerBenchmark
-	for i := 0; i < b.N; i++ {
-		results = results[:0]
-		for _, name := range suite {
-			r, err := sunfloor3d.RunExplorerBenchmark(name, 1, sunfloor3d.Space{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			results = append(results, r)
-		}
-	}
-	logSpeedup, rate := 0.0, 0.0
-	for _, r := range results {
-		logSpeedup += math.Log(r.Speedup)
-		rate += r.PruningRate
-	}
-	speedup := math.Exp(logSpeedup / float64(len(results)))
-	b.ReportMetric(speedup, "speedup")
-	b.ReportMetric(rate/float64(len(results)), "pruning_rate")
-	out := struct {
-		Description  string                         `json:"description"`
-		Speedup      float64                        `json:"geomean_speedup"`
-		Explorations []sunfloor3d.ExplorerBenchmark `json:"explorations"`
-	}{
-		Description: "N-dimensional design-space exploration: brute force (every (frequency, " +
-			"link width, switch count) point evaluated) vs pruned (duplicate (vcs, link width) " +
-			"cells eliminated, switch counts cut by analytic power/latency floors). Pareto " +
-			"fronts and best points are verified byte-identical before reporting. " +
-			"Regenerate with: go test -bench=Explorer -benchtime=1x",
-		Speedup:      speedup,
-		Explorations: results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR8.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
+// --- Simulator benchmarks -----------------------------------------------
 
 // bestTopologyFor synthesizes the named benchmark with default options and
 // returns the best point's topology (benchmark setup, excluded from timing).
@@ -681,62 +494,5 @@ func BenchmarkSwitchPositionLP(b *testing.B) {
 		if err := place.OptimizeSwitchPositions(top); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFidelityLadder measures the PR 10 fidelity ladder on the paper
-// suite: a WithSpace+WithSimulation baseline that simulates every valid
-// point of the frequency sweep against a triaged run where the analytic
-// M/D/1 contention estimate cuts the Pareto band and only band members are
-// simulated. RunFidelityLadderBenchmark gates every pair on byte-identical
-// Pareto fronts and best points before timing is reported, so a triage bug
-// fails the benchmark rather than skewing a number. Besides ns/op it
-// reports the geometric-mean speedup and the mean front recall, and records
-// the per-design numbers to BENCH_PR10.json (the CI smoke step runs it with
-// -benchtime=1x).
-func BenchmarkFidelityLadder(b *testing.B) {
-	suite := []string{"D_26_media", "D_35_bot", "D_36_4"}
-	var results []sunfloor3d.FidelityLadderBenchmark
-	for i := 0; i < b.N; i++ {
-		results = results[:0]
-		for _, name := range suite {
-			r, err := sunfloor3d.RunFidelityLadderBenchmark(name, 1, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results = append(results, r)
-		}
-	}
-	logSpeedup, recall := 0.0, 0.0
-	for _, r := range results {
-		logSpeedup += math.Log(r.Speedup)
-		recall += r.Recall
-	}
-	speedup := math.Exp(logSpeedup / float64(len(results)))
-	b.ReportMetric(speedup, "speedup")
-	b.ReportMetric(recall/float64(len(results)), "recall")
-	out := struct {
-		Description string                               `json:"description"`
-		Speedup     float64                              `json:"geomean_speedup"`
-		Recall      float64                              `json:"mean_recall"`
-		Ladders     []sunfloor3d.FidelityLadderBenchmark `json:"ladders"`
-	}{
-		Description: "Fidelity ladder: WithSpace+WithSimulation with full flit-level simulation of " +
-			"every valid design point vs estimate-triaged simulation of the Pareto band only " +
-			"(analytic M/D/1 contention estimate over committed routes, band 0.05, converged " +
-			"48k-cycle simulations, 64-bit links). Pareto fronts and best points are verified " +
-			"byte-identical before reporting; the reference front for recall uses a 10% " +
-			"epsilon-indicator margin against single-seed simulator noise. " +
-			"Regenerate with: go test -bench=FidelityLadder -benchtime=1x",
-		Speedup: speedup,
-		Recall:  recall / float64(len(results)),
-		Ladders: results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR10.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

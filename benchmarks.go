@@ -1,17 +1,8 @@
 package sunfloor3d
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"sync"
-	"time"
-
 	"sunfloor3d/internal/bench"
 	"sunfloor3d/internal/mesh"
-	"sunfloor3d/internal/sim"
-	"sunfloor3d/internal/synth"
-	"sunfloor3d/internal/topology"
 )
 
 // Benchmark is one design of the paper's synthetic benchmark suite, in both
@@ -54,485 +45,6 @@ func BenchmarkByName(name string, seed int64) (Benchmark, error) {
 	return benchmarkFromInternal(b), nil
 }
 
-// SweepBenchmark reports the timing of one multi-frequency synthesis sweep
-// in two configurations of the hot path. The baseline reproduces the
-// pre-optimization engine: every frequency recomputes its PG/SPG/LPG min-cut
-// partitions and the router rebuilds its full O(S^2) arc-cost graph for every
-// flow and deadlock retry. The optimized run is the production configuration:
-// a sweep-wide partition cache shared across frequencies plus the
-// incrementally maintained cost graph.
-type SweepBenchmark struct {
-	// Benchmark is the name of the design (e.g. "D_26_media").
-	Benchmark string `json:"benchmark"`
-	// FrequenciesMHz is the swept frequency list.
-	FrequenciesMHz []float64 `json:"frequencies_mhz"`
-	// Points is the number of design points the sweep explored.
-	Points int `json:"points"`
-	// BaselineMS and OptimizedMS are the wall-clock times of the two runs.
-	BaselineMS  float64 `json:"baseline_ms"`
-	OptimizedMS float64 `json:"optimized_ms"`
-	// Speedup is BaselineMS / OptimizedMS.
-	Speedup float64 `json:"speedup"`
-	// CacheHits and CacheMisses report the partition-cache activity of the
-	// optimized run.
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-}
-
-// DefaultSweepFrequenciesMHz is the frequency sweep used by RunSweepBenchmark
-// when the caller passes none: the paper's 400 MHz - 1 GHz operating range in
-// 100 MHz steps.
-func DefaultSweepFrequenciesMHz() []float64 {
-	return []float64{400, 500, 600, 700, 800, 900, 1000}
-}
-
-// RunSweepBenchmark times the full frequency x switch-count sweep on the
-// named benchmark design in the baseline and optimized hot-path
-// configurations and returns both timings. Both runs are serial, so the
-// speedup isolates the algorithmic effect (partition cache + incremental
-// cost graph) from scheduling noise. go test -bench=Sweep records the
-// results of the standard suite to BENCH_PR2.json.
-//
-//determlint:wallclock measured wall-clock time is the benchmark's product; the synthesis Results it times are produced deterministically elsewhere
-func RunSweepBenchmark(name string, seed int64, freqs ...float64) (SweepBenchmark, error) {
-	bm, err := bench.ByName(name, seed)
-	if err != nil {
-		return SweepBenchmark{}, err
-	}
-	if len(freqs) == 0 {
-		freqs = DefaultSweepFrequenciesMHz()
-	}
-	opt := synth.DefaultOptions()
-	opt.FrequenciesMHz = freqs
-
-	baseline := opt
-	baseline.DisablePartitionCache = true
-	baseline.FullRebuildRouter = true
-	start := time.Now()
-	baseRes, err := synth.Synthesize(bm.Graph3D, baseline)
-	if err != nil {
-		return SweepBenchmark{}, fmt.Errorf("baseline sweep: %w", err)
-	}
-	baseMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	start = time.Now()
-	optRes, err := synth.Synthesize(bm.Graph3D, opt)
-	if err != nil {
-		return SweepBenchmark{}, fmt.Errorf("optimized sweep: %w", err)
-	}
-	optMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	if len(optRes.Points) != len(baseRes.Points) {
-		return SweepBenchmark{}, fmt.Errorf("sweep size diverged: %d baseline vs %d optimized points",
-			len(baseRes.Points), len(optRes.Points))
-	}
-	out := SweepBenchmark{
-		Benchmark:      name,
-		FrequenciesMHz: freqs,
-		Points:         len(optRes.Points),
-		BaselineMS:     baseMS,
-		OptimizedMS:    optMS,
-		CacheHits:      optRes.Cache.Hits,
-		CacheMisses:    optRes.Cache.Misses,
-	}
-	if optMS > 0 {
-		out.Speedup = baseMS / optMS
-	}
-	return out, nil
-}
-
-// SimBenchmark reports the timing of sweep-mode simulation — one simulator
-// run per valid design point of a synthesis sweep, the workload of
-// WithSimulation — in two configurations of the execution core. The baseline
-// is the retained pre-optimization engine (SimConfig.Reference): per-packet
-// heap allocation, slice queues, map routing lookups and dense cycle scans.
-// The optimized run is the production configuration: arena packets,
-// ring-buffer VCs, dense routing tables with per-hop output caching,
-// active-set scheduling and SimStatsSummary collection. Both engines produce
-// byte-identical full Stats; RunSimBenchmark verifies that before timing and
-// fails on any divergence.
-type SimBenchmark struct {
-	// Benchmark is the name of the design (e.g. "D_26_media").
-	Benchmark string `json:"benchmark"`
-	// Profile is the injection profile simulated.
-	Profile string `json:"profile"`
-	// Points is the number of valid design points simulated.
-	Points int `json:"points"`
-	// CyclesSimulated and FlitsDelivered total the optimized run's work.
-	CyclesSimulated int64 `json:"cycles_simulated"`
-	FlitsDelivered  int64 `json:"flits_delivered"`
-	// BaselineMS and OptimizedMS are the wall-clock times of the two runs.
-	BaselineMS  float64 `json:"baseline_ms"`
-	OptimizedMS float64 `json:"optimized_ms"`
-	// Speedup is BaselineMS / OptimizedMS.
-	Speedup float64 `json:"speedup"`
-	// FlitsPerSecond is the optimized engine's delivered-flit throughput.
-	FlitsPerSecond float64 `json:"flits_per_second"`
-}
-
-// validTopologies synthesizes the named benchmark with default options and
-// returns the topology of every valid design point — the set WithSimulation
-// would simulate. Synthesis is deterministic, so the result is memoized per
-// (name, seed): BenchmarkSimSweep calls this once per profile and once for
-// the zero-load oracle, and only the first call pays for the sweep. The
-// topologies are treated as read-only by every caller.
-func validTopologies(name string, seed int64) ([]*topology.Topology, error) {
-	key := fmt.Sprintf("%s/%d", name, seed)
-	simBenchTopos.mu.Lock()
-	defer simBenchTopos.mu.Unlock()
-	if tops, ok := simBenchTopos.m[key]; ok {
-		return tops, nil
-	}
-	bm, err := bench.ByName(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := synth.Synthesize(bm.Graph3D, synth.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	var tops []*topology.Topology
-	for i := range res.Points {
-		if res.Points[i].Valid && res.Points[i].Topology != nil {
-			tops = append(tops, res.Points[i].Topology)
-		}
-	}
-	if len(tops) == 0 {
-		return nil, fmt.Errorf("benchmark %s: no valid design points", name)
-	}
-	if simBenchTopos.m == nil {
-		simBenchTopos.m = make(map[string][]*topology.Topology)
-	}
-	simBenchTopos.m[key] = tops
-	return tops, nil
-}
-
-var simBenchTopos struct {
-	mu sync.Mutex
-	m  map[string][]*topology.Topology
-}
-
-// RunSimBenchmark times sweep-mode simulation of the named benchmark under
-// the given profile in the baseline (reference engine, full stats) and
-// optimized (production engine, summary stats) configurations. Before
-// timing, every design point is simulated once per engine at full stats
-// level and the results are compared byte for byte; a mismatch is an error,
-// never a number in the report. go test -bench=Sim records the standard
-// suite to BENCH_PR4.json.
-//
-//determlint:wallclock measured wall-clock time is the benchmark's product; the simulation Stats it times are verified byte-identical before timing
-func RunSimBenchmark(name string, profile SimProfile, seed int64) (SimBenchmark, error) {
-	tops, err := validTopologies(name, seed)
-	if err != nil {
-		return SimBenchmark{}, err
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Profile = profile
-
-	refCfg := cfg
-	refCfg.Reference = true
-
-	// Correctness gate: the engines must agree exactly on every point.
-	for i, top := range tops {
-		ref, err := sim.Run(top, refCfg)
-		if err != nil {
-			return SimBenchmark{}, fmt.Errorf("point %d reference run: %w", i, err)
-		}
-		opt, err := sim.Run(top, cfg)
-		if err != nil {
-			return SimBenchmark{}, fmt.Errorf("point %d optimized run: %w", i, err)
-		}
-		rj, err := json.Marshal(ref)
-		if err != nil {
-			return SimBenchmark{}, err
-		}
-		oj, err := json.Marshal(opt)
-		if err != nil {
-			return SimBenchmark{}, err
-		}
-		if !bytes.Equal(rj, oj) {
-			return SimBenchmark{}, fmt.Errorf("%s/%s point %d: optimized stats diverged from reference mode",
-				name, profile, i)
-		}
-	}
-
-	start := time.Now()
-	for _, top := range tops {
-		if _, err := sim.Run(top, refCfg); err != nil {
-			return SimBenchmark{}, err
-		}
-	}
-	baseMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	optCfg := cfg
-	optCfg.StatsLevel = sim.StatsSummary
-	var cycles, flits int64
-	start = time.Now()
-	for _, top := range tops {
-		st, err := sim.Run(top, optCfg)
-		if err != nil {
-			return SimBenchmark{}, err
-		}
-		cycles += st.Cycles
-		flits += st.FlitsDelivered
-	}
-	optDur := time.Since(start)
-	optMS := float64(optDur.Microseconds()) / 1e3
-
-	out := SimBenchmark{
-		Benchmark:       name,
-		Profile:         profile.String(),
-		Points:          len(tops),
-		CyclesSimulated: cycles,
-		FlitsDelivered:  flits,
-		BaselineMS:      baseMS,
-		OptimizedMS:     optMS,
-	}
-	if optMS > 0 {
-		out.Speedup = baseMS / optMS
-	}
-	if s := optDur.Seconds(); s > 0 {
-		out.FlitsPerSecond = float64(flits) / s
-	}
-	return out, nil
-}
-
-// ZeroLoadBenchmark reports the timing of the zero-load latency oracle —
-// every flow simulated in isolation — with the reused-network optimized path
-// against the reference engine's one-full-rebuild-per-flow loop.
-type ZeroLoadBenchmark struct {
-	// Benchmark is the name of the design.
-	Benchmark string `json:"benchmark"`
-	// Points is the number of valid design points the oracle ran on; Flows
-	// totals the per-flow single-packet simulations.
-	Points int `json:"points"`
-	Flows  int `json:"flows"`
-	// BaselineMS and OptimizedMS are the wall-clock times of the two runs.
-	BaselineMS  float64 `json:"baseline_ms"`
-	OptimizedMS float64 `json:"optimized_ms"`
-	// Speedup is BaselineMS / OptimizedMS.
-	Speedup float64 `json:"speedup"`
-}
-
-// RunZeroLoadBenchmark times ZeroLoadLatencies over every valid design point
-// of the named benchmark in both engine configurations, verifying that the
-// latency vectors agree exactly before timing.
-//
-//determlint:wallclock measured wall-clock time is the benchmark's product; the latency vectors it times are verified equal before timing
-func RunZeroLoadBenchmark(name string, seed int64) (ZeroLoadBenchmark, error) {
-	tops, err := validTopologies(name, seed)
-	if err != nil {
-		return ZeroLoadBenchmark{}, err
-	}
-	cfg := sim.DefaultConfig()
-	refCfg := cfg
-	refCfg.Reference = true
-
-	flows := 0
-	for i, top := range tops {
-		ref, err := sim.ZeroLoadLatencies(top, refCfg)
-		if err != nil {
-			return ZeroLoadBenchmark{}, fmt.Errorf("point %d reference oracle: %w", i, err)
-		}
-		opt, err := sim.ZeroLoadLatencies(top, cfg)
-		if err != nil {
-			return ZeroLoadBenchmark{}, fmt.Errorf("point %d optimized oracle: %w", i, err)
-		}
-		for f := range opt {
-			if opt[f] != ref[f] {
-				return ZeroLoadBenchmark{}, fmt.Errorf("%s point %d flow %d: zero-load latency diverged from reference mode",
-					name, i, f)
-			}
-		}
-		flows += len(opt)
-	}
-
-	start := time.Now()
-	for _, top := range tops {
-		if _, err := sim.ZeroLoadLatencies(top, refCfg); err != nil {
-			return ZeroLoadBenchmark{}, err
-		}
-	}
-	baseMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	start = time.Now()
-	for _, top := range tops {
-		if _, err := sim.ZeroLoadLatencies(top, cfg); err != nil {
-			return ZeroLoadBenchmark{}, err
-		}
-	}
-	optMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	out := ZeroLoadBenchmark{
-		Benchmark:   name,
-		Points:      len(tops),
-		Flows:       flows,
-		BaselineMS:  baseMS,
-		OptimizedMS: optMS,
-	}
-	if optMS > 0 {
-		out.Speedup = baseMS / optMS
-	}
-	return out, nil
-}
-
-// ExplorerBenchmark reports the timing of one N-dimensional design-space
-// exploration in the pruned (production) and brute-force (NoPrune)
-// configurations. Both runs enumerate the same points; the pruned run skips
-// provably dominated regions via duplicate-cell elimination and analytic
-// branch-and-bound floors. Exactness is a gate, not an assumption:
-// RunExplorerBenchmark fails when the pruned run's Pareto front or best point
-// differ from the brute-force run by a single byte.
-type ExplorerBenchmark struct {
-	// Benchmark is the name of the design (e.g. "D_26_media").
-	Benchmark string `json:"benchmark"`
-	// Axes names the explored dimensions (name x value count).
-	Axes []string `json:"axes"`
-	// Cells is the number of (frequency, vcs, link width) exploration cells;
-	// Points the total number of design points either run reports.
-	Cells  int `json:"cells"`
-	Points int `json:"points"`
-	// PrunedPoints is how many of those the pruned run skipped as stubs, and
-	// PruningRate the fraction PrunedPoints/Points.
-	PrunedPoints int     `json:"pruned_points"`
-	PruningRate  float64 `json:"pruning_rate"`
-	// BruteMS and PrunedMS are the wall-clock times of the two runs.
-	BruteMS  float64 `json:"brute_ms"`
-	PrunedMS float64 `json:"pruned_ms"`
-	// Speedup is BruteMS / PrunedMS.
-	Speedup float64 `json:"speedup"`
-	// BrutePointsPerSec and PrunedPointsPerSec are the exploration
-	// throughputs (total points over wall-clock time) of the two runs.
-	BrutePointsPerSec  float64 `json:"brute_points_per_sec"`
-	PrunedPointsPerSec float64 `json:"pruned_points_per_sec"`
-}
-
-// DefaultExplorerSpace is the 3-axis space RunExplorerBenchmark sweeps when
-// the caller passes a zero Space: three frequencies crossed with twelve link
-// widths, with the full switch-count range spelled as an explicit axis.
-func DefaultExplorerSpace() Space {
-	return Space{Axes: []Axis{
-		{Name: AxisFreqMHz, Values: []float64{400, 600, 800}},
-		{Name: AxisLinkWidthBits, Values: []float64{8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512}},
-		{Name: AxisSwitchCount, Values: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
-	}}
-}
-
-// RunExplorerBenchmark times the N-dimensional explorer on the named
-// benchmark design against the brute-force enumeration of the same space,
-// after verifying that pruning changed nothing: the Pareto fronts and best
-// points of the two runs must serialise byte-identically. Both runs are
-// serial, so the speedup isolates the pruning effect from scheduling noise.
-// go test -bench=Explorer records the standard suite to BENCH_PR8.json.
-//
-//determlint:wallclock measured wall-clock time is the benchmark's product; the exploration Results it times are produced deterministically elsewhere
-func RunExplorerBenchmark(name string, seed int64, space Space) (ExplorerBenchmark, error) {
-	bm, err := bench.ByName(name, seed)
-	if err != nil {
-		return ExplorerBenchmark{}, err
-	}
-	if len(space.Axes) == 0 {
-		space = DefaultExplorerSpace()
-	}
-	sp := Space{NoPrune: space.NoPrune, Axes: append([]Axis(nil), space.Axes...)}
-	for i, a := range sp.Axes {
-		// The default switch-count axis spans 12 counts; trim it to the
-		// design's core count so one default suits every suite member.
-		if a.Name == AxisSwitchCount {
-			var vals []float64
-			for _, v := range a.Values {
-				if int(v) <= bm.Graph3D.NumCores() {
-					vals = append(vals, v)
-				}
-			}
-			sp.Axes[i].Values = vals
-		}
-	}
-
-	opt := synth.DefaultOptions()
-	opt.Space = &sp
-	if err := opt.Validate(); err != nil {
-		return ExplorerBenchmark{}, err
-	}
-	cells := sp.NumCells(opt)
-
-	brute := opt
-	bsp := sp
-	bsp.NoPrune = true
-	brute.Space = &bsp
-	start := time.Now()
-	bruteRes, err := synth.Synthesize(bm.Graph3D, brute)
-	if err != nil {
-		return ExplorerBenchmark{}, fmt.Errorf("brute-force exploration: %w", err)
-	}
-	bruteMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	start = time.Now()
-	prunedRes, err := synth.Synthesize(bm.Graph3D, opt)
-	if err != nil {
-		return ExplorerBenchmark{}, fmt.Errorf("pruned exploration: %w", err)
-	}
-	prunedMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	// Exactness gate: identical point counts, byte-identical fronts and best
-	// points. A pruning bug is an error here, never a number in the report.
-	if len(prunedRes.Points) != len(bruteRes.Points) {
-		return ExplorerBenchmark{}, fmt.Errorf("exploration size diverged: %d brute vs %d pruned points",
-			len(bruteRes.Points), len(prunedRes.Points))
-	}
-	pf, err := json.Marshal(resultFromInternal(prunedRes).ParetoFront())
-	if err != nil {
-		return ExplorerBenchmark{}, err
-	}
-	bf, err := json.Marshal(resultFromInternal(bruteRes).ParetoFront())
-	if err != nil {
-		return ExplorerBenchmark{}, err
-	}
-	if !bytes.Equal(pf, bf) {
-		return ExplorerBenchmark{}, fmt.Errorf("%s: pruned Pareto front diverged from brute force", name)
-	}
-	pb, err := json.Marshal(resultFromInternal(prunedRes).Best())
-	if err != nil {
-		return ExplorerBenchmark{}, err
-	}
-	bb, err := json.Marshal(resultFromInternal(bruteRes).Best())
-	if err != nil {
-		return ExplorerBenchmark{}, err
-	}
-	if !bytes.Equal(pb, bb) {
-		return ExplorerBenchmark{}, fmt.Errorf("%s: pruned best point diverged from brute force", name)
-	}
-
-	prunedCount := 0
-	for _, p := range prunedRes.Points {
-		if p.Pruned {
-			prunedCount++
-		}
-	}
-	out := ExplorerBenchmark{
-		Benchmark:    name,
-		Cells:        cells,
-		Points:       len(prunedRes.Points),
-		PrunedPoints: prunedCount,
-		BruteMS:      bruteMS,
-		PrunedMS:     prunedMS,
-	}
-	for _, a := range sp.Axes {
-		out.Axes = append(out.Axes, fmt.Sprintf("%s x%d", a.Name, len(a.Values)))
-	}
-	if out.Points > 0 {
-		out.PruningRate = float64(prunedCount) / float64(out.Points)
-	}
-	if prunedMS > 0 {
-		out.Speedup = bruteMS / prunedMS
-		out.PrunedPointsPerSec = float64(out.Points) / (prunedMS / 1e3)
-	}
-	if bruteMS > 0 {
-		out.BrutePointsPerSec = float64(out.Points) / (bruteMS / 1e3)
-	}
-	return out, nil
-}
-
 // MeshBaseline maps the design onto a regular mesh NoC (one mesh per layer,
 // vertical links between vertically adjacent nodes), prunes unused links,
 // and returns its evaluation. It is the standard-topology baseline the
@@ -565,238 +77,4 @@ func BuildMeshBaseline(d *Design) (*MeshBaseline, error) {
 		RemovedLinks: res.RemovedLinks,
 		topo:         t,
 	}, nil
-}
-
-// FidelityLadderBenchmark reports one design's walk up the fidelity ladder
-// over an explorer space sweep (frequency x layer-count cells, switch-count
-// interiors): a WithSpace+WithSimulation baseline that simulates every valid
-// point against a triaged run where the analytic contention estimate cuts
-// the Pareto band and only band members are simulated. Correctness is a
-// gate, not an assumption: RunFidelityLadderBenchmark fails unless the
-// triaged run's Pareto front and best point serialise byte-identically to
-// the baseline's (triage markers and the estimate annotation normalised
-// away), so the recorded speedup can never be bought with a wrong answer.
-type FidelityLadderBenchmark struct {
-	// Benchmark is the name of the design (e.g. "D_26_media").
-	Benchmark string `json:"benchmark"`
-	// Band is the WithSimBand fraction the triaged run used.
-	Band float64 `json:"band"`
-	// Points is the number of design points either run reports; Valid the
-	// number that passed every constraint (the triage candidates).
-	Points int `json:"points"`
-	Valid  int `json:"valid"`
-	// Simulated and Skipped split the valid points by triage decision.
-	Simulated int `json:"simulated"`
-	Skipped   int `json:"skipped"`
-	// FrontSize is the size of the reference Pareto front measured on the
-	// full run's (power, simulated latency) coordinates with a 10%
-	// epsilon-indicator margin on latency, which keeps single-seed
-	// simulator noise from minting spurious front points.
-	FrontSize int `json:"front_size"`
-	// Recall is the fraction of the reference front the triaged run
-	// simulated; Precision the fraction of simulated points that are on the
-	// reference front.
-	Recall    float64 `json:"recall"`
-	Precision float64 `json:"precision"`
-	// FullMS and TriagedMS are the wall-clock times of the two runs;
-	// Speedup is FullMS / TriagedMS.
-	FullMS    float64 `json:"full_ms"`
-	TriagedMS float64 `json:"triaged_ms"`
-	Speedup   float64 `json:"speedup"`
-}
-
-// stripTriage returns a copy of the points with the triage markers and the
-// contention annotation cleared, so full-sim and triaged runs can be
-// compared byte for byte: those are the only serialised fields the ladder
-// is allowed to add.
-func stripTriage(pts []DesignPoint) []DesignPoint {
-	out := append([]DesignPoint(nil), pts...)
-	for i := range out {
-		out[i].SimTriage = ""
-		out[i].Contention = nil
-	}
-	return out
-}
-
-// RunFidelityLadderBenchmark times the fidelity ladder on the named
-// benchmark design over an explorer space sweep — all three library
-// operating frequencies crossed with two layer-count folds, each cell an
-// entire switch-count interior. The baseline arm is WithSpace+WithSimulation
-// on every point: every valid point of every computed cell goes through the
-// flit-level simulator. The ladder arm adds WithContention+WithSimBand
-// (band <= 0 uses the default 0.1), so the estimate triages each cell and
-// only band members are simulated. Both runs are serial and share every
-// other option, so the speedup isolates the ladder. Before any number is
-// reported, the triaged run's Pareto front and best point are verified
-// byte-identical to the baseline's.
-// go test -bench=FidelityLadder records the standard suite to BENCH_PR10.json.
-//
-//determlint:wallclock measured wall-clock time is the benchmark's product; the synthesis Results it times are produced deterministically elsewhere
-func RunFidelityLadderBenchmark(name string, seed int64, band float64) (FidelityLadderBenchmark, error) {
-	bm, err := bench.ByName(name, seed)
-	if err != nil {
-		return FidelityLadderBenchmark{}, err
-	}
-	if band <= 0 {
-		band = 0.05
-	}
-	// DefaultConfig is a smoke-test fidelity; the ladder's whole point is
-	// the cost of simulation at converged statistics, so the benchmark runs
-	// every simulation long enough for the averages to settle.
-	simCfg := sim.DefaultConfig()
-	simCfg.Cycles = 32000
-	simCfg.DrainCycles = 16000
-
-	// The baseline arm is the sweep the ladder replaces: the explorer space
-	// over all three library operating frequencies, NoPrune so that every
-	// valid point of every cell really goes through the flit-level
-	// simulator. The ladder arm enumerates the same (frequency x
-	// switch-count) sweep through the classic engine, where the triage band
-	// is cut globally across the whole sweep, attaches the contention
-	// estimate to every valid point, and simulates only the band. Both arms
-	// run at the 64-bit link operating point, where the estimator works in
-	// its validated low-to-moderate-utilization regime. The gate below
-	// verifies the two arms serialise the same Pareto front and best point
-	// before any number is reported.
-	full := synth.DefaultOptions()
-	full.Space = &synth.Space{NoPrune: true, Axes: []synth.Axis{
-		{Name: synth.AxisFreqMHz, Values: []float64{400, 600, 800}},
-	}}
-	full.Lib.LinkWidthBits = 64
-	full.Sim = &simCfg
-	if err := full.Validate(); err != nil {
-		return FidelityLadderBenchmark{}, err
-	}
-	triaged := full
-	triaged.Space = nil
-	triaged.FrequenciesMHz = []float64{400, 600, 800}
-	// The explorer never applies the LPOnBest refinement (it would break
-	// cell-level byte-exactness), so the classic arm must not either or the
-	// byte-identity gate below would compare refined against unrefined.
-	triaged.LPOnBest = false
-	triaged.Contend = true
-	triaged.SimBand = band
-	if err := triaged.Validate(); err != nil {
-		return FidelityLadderBenchmark{}, err
-	}
-
-	start := time.Now()
-	fullRes, err := synth.Synthesize(bm.Graph3D, full)
-	if err != nil {
-		return FidelityLadderBenchmark{}, fmt.Errorf("full-simulation run: %w", err)
-	}
-	fullMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	start = time.Now()
-	triagedRes, err := synth.Synthesize(bm.Graph3D, triaged)
-	if err != nil {
-		return FidelityLadderBenchmark{}, fmt.Errorf("triaged run: %w", err)
-	}
-	triagedMS := float64(time.Since(start).Microseconds()) / 1e3
-
-	// Exactness gate: identical point counts, byte-identical Pareto fronts
-	// and best points once the triage markers are normalised away.
-	if len(triagedRes.Points) != len(fullRes.Points) {
-		return FidelityLadderBenchmark{}, fmt.Errorf("sweep size diverged: %d full vs %d triaged points",
-			len(fullRes.Points), len(triagedRes.Points))
-	}
-	tf, err := json.Marshal(stripTriage(resultFromInternal(triagedRes).ParetoFront()))
-	if err != nil {
-		return FidelityLadderBenchmark{}, err
-	}
-	ff, err := json.Marshal(stripTriage(resultFromInternal(fullRes).ParetoFront()))
-	if err != nil {
-		return FidelityLadderBenchmark{}, err
-	}
-	if !bytes.Equal(tf, ff) {
-		return FidelityLadderBenchmark{}, fmt.Errorf("%s: triaged Pareto front diverged from the full-simulation front", name)
-	}
-	fb := resultFromInternal(fullRes).Best()
-	tb := resultFromInternal(triagedRes).Best()
-	if (fb == nil) != (tb == nil) {
-		return FidelityLadderBenchmark{}, fmt.Errorf("%s: only one run found a best point", name)
-	}
-	if fb != nil {
-		fj, err := json.Marshal(stripTriage([]DesignPoint{*fb}))
-		if err != nil {
-			return FidelityLadderBenchmark{}, err
-		}
-		tj, err := json.Marshal(stripTriage([]DesignPoint{*tb}))
-		if err != nil {
-			return FidelityLadderBenchmark{}, err
-		}
-		if !bytes.Equal(fj, tj) {
-			return FidelityLadderBenchmark{}, fmt.Errorf("%s: triaged best point diverged from the full-simulation best", name)
-		}
-	}
-
-	// The reference front: valid points of the full run that are
-	// non-dominated on (power, simulated average latency) — the coordinates
-	// only full simulation can measure — under an epsilon-indicator margin.
-	// A single-seed flit simulation resolves latency only up to arbitration
-	// noise, so a point whose entire claim to the front is a latency win
-	// within that noise against a strictly cheaper point is a measurement
-	// artifact, not a true front point: it is excluded when some cheaper
-	// point sits within refEps of its latency.
-	const refEps = 0.10
-	type coord struct{ p, l float64 }
-	coords := map[int]coord{}
-	for i, p := range fullRes.Points {
-		if p.Valid && p.Sim != nil {
-			coords[i] = coord{p.Metrics.Power.TotalMW(), p.Sim.AvgLatencyCycles}
-		}
-	}
-	front := map[int]bool{}
-	for i, ci := range coords { //determlint:ordered front membership of each point is decided against the full set, independent of visit order
-		dominated := false
-		for j, cj := range coords { //determlint:ordered dominance against any refuting point is order-independent; break only short-circuits
-			if i == j {
-				continue
-			}
-			// j refutes i's front membership either by being strictly
-			// cheaper with latency within noise of i's, or by being no more
-			// expensive and faster by more than noise.
-			if (cj.p < ci.p && cj.l <= ci.l*(1+refEps)) ||
-				(cj.p <= ci.p && cj.l*(1+refEps) <= ci.l) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front[i] = true
-		}
-	}
-
-	out := FidelityLadderBenchmark{
-		Benchmark: name,
-		Band:      band,
-		Points:    len(triagedRes.Points),
-		FrontSize: len(front),
-		FullMS:    fullMS,
-		TriagedMS: triagedMS,
-	}
-	hit := 0
-	for i, p := range triagedRes.Points {
-		switch p.SimTriage {
-		case "sim":
-			out.Valid++
-			out.Simulated++
-			if front[i] {
-				hit++
-			}
-		case "skip":
-			out.Valid++
-			out.Skipped++
-		}
-	}
-	if len(front) > 0 {
-		out.Recall = float64(hit) / float64(len(front))
-	}
-	if out.Simulated > 0 {
-		out.Precision = float64(hit) / float64(out.Simulated)
-	}
-	if triagedMS > 0 {
-		out.Speedup = fullMS / triagedMS
-	}
-	return out, nil
 }

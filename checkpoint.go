@@ -28,9 +28,10 @@ type checkpointRecord struct {
 // an append-only JSON-lines file of checkpointRecord entries. Each finished
 // cell is appended as one line in a single write, so a crash can at worst
 // leave one torn trailing line, which the loader skips; everything before it
-// is replayed on resume. Records from other shards of the same request can
-// be concatenated into the file (plain `cat`) and are restored identically,
-// which is what makes shard merges exact.
+// is replayed on resume, and the resumed run's first append starts a new
+// line so its record is not glued onto the fragment. Records from other
+// shards of the same request can be concatenated into the file (plain `cat`)
+// and are restored identically, which is what makes shard merges exact.
 type checkpointFile struct {
 	f *os.File
 	// w is the append target: c.f in production, injectable in tests so the
@@ -38,6 +39,9 @@ type checkpointFile struct {
 	w     io.Writer
 	fp    string
 	cells map[int][]synth.DesignPoint
+	// torn reports that the file does not end in a newline (a record torn
+	// by a killed writer), so the next append must start a new line.
+	torn bool
 }
 
 // openCheckpoint loads (or creates) the checkpoint at path for the request
@@ -78,6 +82,7 @@ func openCheckpoint(path, fingerprint string) (*checkpointFile, error) {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("sunfloor3d: reading checkpoint %s: %w", path, err)
 		}
+		ck.torn = len(data) > 0 && data[len(data)-1] != '\n'
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("sunfloor3d: reading checkpoint %s: %w", path, err)
 	}
@@ -110,9 +115,14 @@ func (c *checkpointFile) append(cell int, pts []synth.DesignPoint) error {
 	if err != nil {
 		return fmt.Errorf("sunfloor3d: encoding checkpoint cell %d: %w", cell, err)
 	}
-	if _, err := c.w.Write(append(data, '\n')); err != nil {
+	line := append(data, '\n')
+	if c.torn {
+		line = append([]byte{'\n'}, line...)
+	}
+	if _, err := c.w.Write(line); err != nil {
 		return fmt.Errorf("sunfloor3d: writing checkpoint cell %d: %w", cell, err)
 	}
+	c.torn = false
 	return nil
 }
 

@@ -31,18 +31,17 @@
 // the PG/SPG/LPG graphs and their min-cut partitions depend only on the
 // communication graph and the partitioning parameters, so each is computed
 // once and shared read-only across all swept frequencies and workers
-// (WithPartitionCache toggles this; results are bit-identical either way,
-// and Result.Cache reports the hit/miss counts). Inside the router, the
+// (Result.Cache reports the hit/miss counts). Inside the router, the
 // per-flow arc-cost graph of Algorithm 3 is maintained incrementally: each
 // arc cost splits into a geometry-only bandwidth slope plus a state term
 // that a committed path invalidates only for the arcs whose port counts,
 // inter-layer-link occupancy or link existence it changed, and deadlock
 // retries overlay forbidden arcs on the shortest-path search instead of
 // rebuilding anything. Every DesignPoint records its router statistics
-// (Route) and wall-clock build time (Elapsed). BenchmarkSweepHotPath
-// ("go test -bench=Sweep -benchtime=1x") compares this hot path against the
-// original recompute-everything configuration and records the speedups to
-// BENCH_PR2.json.
+// (Route) and wall-clock build time (Elapsed). The repository's benchmark,
+// `bash perf/run.sh` (see perf/README.md), times the sweep end to end and
+// per layer; BENCH_PR2.json is frozen history of the hot path's original
+// speed-up that nothing regenerates.
 //
 // # Flit-level simulation
 //
@@ -88,12 +87,12 @@
 // network fast-forwards to the next injector event). A steady-state cycle
 // performs no heap allocation, and SimConfig.StatsLevel (SimStatsSummary)
 // skips the per-link/per-switch tables a sweep discards. The
-// pre-optimization engine is retained behind SimConfig.Reference; the two
-// cores are verified byte-identical by equivalence tests over the golden
-// corpus and deadlock fixtures and by the FuzzSimDeterminism harness, and
-// BenchmarkSimSweep ("go test -bench=SimSweep -benchtime=1x") records the
-// before/after timings to BENCH_PR4.json. DesignPoint.SimElapsed reports
-// each point's simulation wall time.
+// pre-optimization engine is retained behind SimConfig.Reference only as an
+// equivalence oracle: the two cores are verified byte-identical by
+// equivalence tests over the golden corpus and deadlock fixtures and by the
+// FuzzSimDeterminism harness. `bash perf/run.sh --workload sim` times the
+// simulator; BENCH_PR4.json is frozen history that nothing regenerates.
+// DesignPoint.SimElapsed reports each point's simulation wall time.
 //
 // # The fidelity ladder
 //
@@ -130,10 +129,10 @@
 // alias. With WithSpace the band is cut per exploration cell, which keeps
 // checkpointed and sharded cells final and exactly mergeable, and the
 // estimated latency doubles as the branch-and-bound witness coordinate so
-// pruning stays exact for the triage band. BenchmarkFidelityLadder
-// ("go test -bench=FidelityLadder -benchtime=1x") gates the triaged sweep
-// on byte-identical fronts and best points against a full-simulation
-// baseline and records speedup, precision and recall to BENCH_PR10.json.
+// pruning stays exact for the triage band. The property suite checks that
+// a banded run's Pareto front and best point serialise the same as the
+// full-simulation run; BENCH_PR10.json is frozen history of the ladder's
+// original speed-up that nothing regenerates.
 //
 // # Generating and loading custom workloads
 //
@@ -189,19 +188,19 @@
 // merged file restores the union. Shard results are partial and are never
 // stored in the content-addressed cache. The CLI exposes the same surface
 // as -axis name=v1,v2,... (repeatable), -no-prune, -checkpoint and
-// -shard i/n; the server accepts the space as options.space.
-// BenchmarkExplorer ("go test -bench=Explorer -benchtime=1x") verifies
-// front/best byte-identity between pruned and brute-force runs and records
-// the speedups to BENCH_PR8.json.
+// -shard i/n; the server accepts the space as options.space. Tests check
+// front/best byte-identity between pruned and brute-force runs, and
+// `bash perf/run.sh --workload signoff` times an exploration; BENCH_PR8.json
+// is frozen history of the pruning speed-up that nothing regenerates.
 //
 // # Synthesis as a service
 //
 // Every synthesis request has a canonical content address:
 // Fingerprint(design, opts...) returns a versioned SHA-256 over the
 // communication graph and every result-affecting option. Execution knobs —
-// parallelism, progress callbacks, the partition cache, scheduler wiring —
-// are excluded from the hash, which is sound because the engine's
-// determinism guarantee makes them invisible in the serialised result.
+// parallelism, progress callbacks, scheduler wiring — are excluded from the
+// hash, which is sound because the engine's determinism guarantee makes them
+// invisible in the serialised result.
 // Result.MarshalStable and ReadResult convert a Result to and from that
 // canonical serialisation (the WriteJSON bytes, byte-stable across runs).
 // Together they back internal/memo, the content-addressed design-point

@@ -42,12 +42,26 @@ func points(t *testing.T, pts []sunfloor3d.DesignPoint) []byte {
 
 // TestExplorerExactAgainstBruteForce is the core acceptance check: the
 // pruned explorer's Pareto front and best point are byte-identical to the
-// brute-force (NoPrune) enumeration of the same 3-axis space, while at
-// least one point was actually pruned.
+// brute-force (NoPrune) enumeration of the same space, while at least one
+// point was actually pruned. It runs the 3-axis space on the hand-written
+// API design and a 3 x 12 x 12 frequency x link width x switch count space
+// on the paper's D_26_media.
 func TestExplorerExactAgainstBruteForce(t *testing.T) {
-	d := apiDesign(t)
+	media, err := sunfloor3d.BenchmarkByName("D_26_media", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mediaSpace := sunfloor3d.Space{Axes: []sunfloor3d.Axis{
+		{Name: sunfloor3d.AxisFreqMHz, Values: []float64{400, 600, 800}},
+		{Name: sunfloor3d.AxisLinkWidthBits, Values: []float64{8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512}},
+		{Name: sunfloor3d.AxisSwitchCount, Values: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+	}}
+	t.Run("api_design", func(t *testing.T) { checkExplorerExact(t, apiDesign(t), exploreSpace3()) })
+	t.Run("D_26_media", func(t *testing.T) { checkExplorerExact(t, media.Graph3D, mediaSpace) })
+}
+
+func checkExplorerExact(t *testing.T, d *sunfloor3d.Design, sp sunfloor3d.Space) {
 	ctx := context.Background()
-	sp := exploreSpace3()
 
 	pruned, err := sunfloor3d.Synthesize(ctx, d,
 		sunfloor3d.WithSpace(sp), sunfloor3d.WithParallelism(4))
@@ -73,6 +87,9 @@ func TestExplorerExactAgainstBruteForce(t *testing.T) {
 	}
 	if nPruned == 0 {
 		t.Fatal("no point was pruned on a 3-axis space with duplicate cells")
+	}
+	if len(exhaustive.ParetoFront()) == 0 {
+		t.Fatal("brute force found no valid point: nothing to compare")
 	}
 
 	if pf, bf := points(t, pruned.ParetoFront()), points(t, exhaustive.ParetoFront()); !bytes.Equal(pf, bf) {
@@ -354,6 +371,56 @@ func TestExplorerCheckpointTornMiddleLine(t *testing.T) {
 	}
 	if !bytes.Equal(stable(t, live), stable(t, resumed)) {
 		t.Error("result resumed over a torn middle line differs from the uninterrupted run")
+	}
+}
+
+// TestExplorerCheckpointTornTail: a checkpoint whose last record was torn
+// by a killed writer (no trailing newline) must resume by recomputing just
+// that cell, and the resumed run's records must start on a new line, so a
+// second resume restores everything and computes no point at all.
+func TestExplorerCheckpointTornTail(t *testing.T) {
+	d := apiDesign(t)
+	ctx := context.Background()
+	ckpt := filepath.Join(t.TempDir(), "explore.ckpt")
+	sp := exploreSpace3()
+	sp.NoPrune = true
+
+	live, err := sunfloor3d.Synthesize(ctx, d, sunfloor3d.WithSpace(sp), sunfloor3d.WithCheckpoint(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.TrimSuffix(data, []byte("\n"))
+	last := bytes.LastIndexByte(body, '\n') + 1
+	if err := os.WriteFile(ckpt, body[:last+(len(body)-last)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := func() int {
+		t.Helper()
+		computed := 0
+		res, err := sunfloor3d.Synthesize(ctx, d, sunfloor3d.WithSpace(sp), sunfloor3d.WithCheckpoint(ckpt),
+			sunfloor3d.WithProgress(func(ev sunfloor3d.Event) {
+				if ev.Point.Elapsed > 0 {
+					computed++
+				}
+			}))
+		if err != nil {
+			t.Fatalf("resume over torn tail: %v", err)
+		}
+		if !bytes.Equal(stable(t, live), stable(t, res)) {
+			t.Error("result resumed over a torn tail differs from the uninterrupted run")
+		}
+		return computed
+	}
+	if n := resume(); n == 0 {
+		t.Fatal("first resume computed no point: the torn cell was not recomputed")
+	}
+	if n := resume(); n != 0 {
+		t.Errorf("second resume computed %d points, want 0: the first resume's record was lost", n)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // and by the CLI's -cache-dir mode.
 //
 // Execution knobs that are proven not to change the serialised Result —
-// WithParallelism, WithProgress, WithPartitionCache, WithScheduler,
-// WithFairShareWeight — do not influence the fingerprint, so a cache filled
-// by a heavily parallel server run answers a serial CLI run and vice versa.
+// WithParallelism, WithProgress, WithScheduler, WithFairShareWeight — do
+// not influence the fingerprint, so a cache filled by a heavily parallel
+// server run answers a serial CLI run and vice versa.
 // The options are validated the same way NewEngine validates them.
 func Fingerprint(d *Design, opts ...Option) (string, error) {
 	cfg := defaultConfig()

@@ -6,12 +6,12 @@
 //
 // The cache is sound because synthesis is deterministic: for equal
 // (CommGraph, Options) inputs the engine produces byte-identical serialised
-// Results regardless of parallelism, partition caching, progress callbacks or
-// the scheduler used (enforced since PR 2, property-tested since PR 5). The
-// key therefore covers exactly the inputs the serialised Result depends on
-// and deliberately excludes the execution knobs that are proven not to change
-// it (Parallelism, Progress, DisablePartitionCache, FullRebuildRouter,
-// Scheduler, Weight, and the simulator's Reference/StatsLevel switches).
+// Results regardless of parallelism, progress callbacks or the scheduler used
+// (enforced since PR 2, property-tested since PR 5). The key therefore covers
+// exactly the inputs the serialised Result depends on and deliberately
+// excludes the execution knobs that are proven not to change it (Parallelism,
+// Progress, Scheduler, Weight, and the simulator's StatsLevel switch and its
+// Reference switch, which selects the equivalence-oracle engine).
 package memo
 
 import (
@@ -43,14 +43,12 @@ const Version = "sunfloor3d-memo/v4"
 // option added without being hashed here or justified below fails the lint
 // and the test, so it can never silently poison the content-addressed cache.
 var executionKnobs = map[string]string{
-	"Parallelism":           "worker count never changes Result bytes (serial==parallel property, PR 1; re-asserted by the PR 5 harness)",
-	"Scheduler":             "a contended shared scheduler is byte-identical to a serial run (scheduler equivalence tests, PR 6)",
-	"Weight":                "fair-share weight only reorders slot grants, which the pre-assigned point indices make result-neutral (PR 6)",
-	"Progress":              "progress callbacks observe the sweep; results are assembled independently of callback presence or speed (PR 1)",
-	"DisablePartitionCache": "cached and uncached partition runs are byte-identical (cache equivalence tests, PR 2)",
-	"FullRebuildRouter":     "incremental and full-rebuild routers share evalArc and are bit-identical (equivalence tests, PR 3)",
-	"Sim.StatsLevel":        "stats level only controls which per-resource rows are materialised; serialised Results exclude Sim stats entirely",
-	"Sim.Reference":         "reference and production simulator engines produce byte-identical Stats (equivalence suite + FuzzSimDeterminism, PR 4)",
+	"Parallelism":    "worker count never changes Result bytes (serial==parallel property, PR 1; re-asserted by the PR 5 harness)",
+	"Scheduler":      "a contended shared scheduler is byte-identical to a serial run (scheduler equivalence tests, PR 6)",
+	"Weight":         "fair-share weight only reorders slot grants, which the pre-assigned point indices make result-neutral (PR 6)",
+	"Progress":       "progress callbacks observe the sweep; results are assembled independently of callback presence or speed (PR 1)",
+	"Sim.StatsLevel": "stats level only controls which per-resource rows are materialised; serialised Results exclude Sim stats entirely",
+	"Sim.Reference":  "reference and production simulator engines produce byte-identical Stats (equivalence suite + FuzzSimDeterminism, PR 4)",
 }
 
 // Key returns the canonical content hash of a synthesis request as a

@@ -83,8 +83,6 @@ func TestKeyIgnoresExecutionKnobs(t *testing.T) {
 	mod := base
 	mod.Parallelism = 16
 	mod.Progress = func(synth.Event) {}
-	mod.DisablePartitionCache = true
-	mod.FullRebuildRouter = true
 	mod.Scheduler = synth.NewScheduler(4)
 	mod.Weight = 7
 	if k := Key(g, mod); k != ref {

@@ -296,7 +296,7 @@ type AxisRequest struct {
 }
 
 // maxRequestBody bounds the accepted request size (specs are text; even
-// hundreds of cores stay far below this).
+// hundreds of cores stay far below this). A larger body is answered 413.
 const maxRequestBody = 8 << 20
 
 // generatedDesign builds (or recalls) the design of a generator string.
@@ -458,7 +458,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing request body: %v", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Sprintf("parsing request body: %v", err))
 		return
 	}
 	design, opts, err := s.parseRequest(&req)

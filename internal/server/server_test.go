@@ -378,6 +378,27 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestServerOversizedBody: a body one byte over the 8 MiB request limit is
+// answered 413 with a JSON error body, not a generic 400 parse error.
+func TestServerOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	const limit = 8 << 20 // the server's request-body bound
+	prefix, suffix := `{"cores_spec":"`, `"}`
+	body := prefix + strings.Repeat("x", limit+1-len(prefix)-len(suffix)) + suffix
+	resp := submit(t, ts, body, true)
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d (%.200s), want 413", resp.StatusCode, b)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
+		t.Fatalf("error body %q not of the {error} shape", b)
+	}
+}
+
 // TestServerFaultOptionsRoundTrip: a request with sparing and fault options
 // returns exactly the bytes the in-process facade produces for the same
 // configuration, survivability reports included.

@@ -24,8 +24,8 @@
 // ports without a waiting head flit cost one comparison per cycle, and a
 // fully drained network fast-forwards the clock to the next injector event.
 // A steady-state cycle performs no heap allocation. The pre-optimization
-// stepper is retained behind Config.Reference as the equivalence oracle and
-// benchmark baseline; both engines produce byte-identical Stats.
+// stepper is retained behind Config.Reference only as the equivalence
+// oracle; both engines produce byte-identical Stats.
 package sim
 
 import "fmt"
@@ -150,8 +150,9 @@ type Config struct {
 	// the production engine: pointer-based packets allocated per injection,
 	// slice-backed queues, map-based routing lookups and a dense cycle loop
 	// that scans every NI, switch and port every cycle. Both engines produce
-	// byte-identical Stats; the switch exists for the equivalence tests and
-	// the before/after benchmarks (BENCH_PR4.json) only.
+	// byte-identical Stats; the switch exists only so the equivalence tests
+	// and FuzzSimDeterminism can compare the production engine against this
+	// oracle.
 	Reference bool
 }
 

@@ -11,11 +11,10 @@ import (
 // packets allocated per injection, slice-backed VC queues advanced with
 // q = q[1:], map-based output lookups and a dense cycle loop that scans every
 // NI, switch and output port every cycle. It is selected with
-// Config.Reference and exists for two reasons: as the oracle of the
-// equivalence tests (the optimized engine must produce byte-identical Stats)
-// and as the baseline of the before/after simulator benchmarks
-// (BENCH_PR4.json). It must not be "improved"; any behavioural change here
-// invalidates both uses.
+// Config.Reference and exists only as the oracle of the equivalence tests
+// and FuzzSimDeterminism: the optimized engine must produce byte-identical
+// Stats. It must not be "improved"; any behavioural change here invalidates
+// that use.
 
 // refPacket is one in-flight packet of the reference engine.
 type refPacket struct {

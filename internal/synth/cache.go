@@ -17,12 +17,10 @@ import (
 // per-entry sync.Once: distinct keys compute in parallel, concurrent requests
 // for the same key block until the first computation lands. The partitioner
 // is deterministic, so a cached result is exactly what a fresh computation
-// would return and serial, parallel, cached and uncached runs all produce
-// byte-identical results.
+// would return and serial and parallel runs produce byte-identical results.
 type partitionCache struct {
-	g       *model.CommGraph
-	par     partition.Params
-	enabled bool
+	g   *model.CommGraph
+	par partition.Params
 
 	mu           sync.Mutex
 	graphs       map[float64]*graphEntry // theta (0 = plain PG) -> PG or SPG
@@ -66,16 +64,14 @@ type lpgAssignEntry struct {
 type CacheStats struct {
 	// Hits is the number of lookups answered from the cache.
 	Hits int
-	// Misses is the number of lookups that had to compute their entry (with
-	// the cache disabled, every lookup is a miss).
+	// Misses is the number of lookups that had to compute their entry.
 	Misses int
 }
 
-func newPartitionCache(g *model.CommGraph, par partition.Params, enabled bool) *partitionCache {
+func newPartitionCache(g *model.CommGraph, par partition.Params) *partitionCache {
 	return &partitionCache{
 		g:          g,
 		par:        par,
-		enabled:    enabled,
 		graphs:     make(map[float64]*graphEntry),
 		assigns:    make(map[assignKey]*assignEntry),
 		lpgAssigns: make(map[assignKey]*lpgAssignEntry),
@@ -118,9 +114,6 @@ func (c *partitionCache) pgInner(theta float64) (*graph.Graph, bool) {
 		base, _ := c.pgInner(0)
 		return partition.BuildSPGFrom(base, c.g, theta, c.par.ThetaMax)
 	}
-	if !c.enabled {
-		return build(), false
-	}
 	c.mu.Lock()
 	e, ok := c.graphs[theta]
 	if !ok {
@@ -133,15 +126,9 @@ func (c *partitionCache) pgInner(theta float64) (*graph.Graph, bool) {
 }
 
 // coreAssignment returns the k-way partition of the given whole-design PG
-// (theta 0) or SPG (theta > 0). pg must be the graph c.pg(theta) returns; it
-// is passed in so that the disabled-cache path partitions a graph the sweep
-// built once per frequency (the pre-cache behaviour) instead of rebuilding it
-// per design point. The returned slice is shared: callers must not mutate it.
+// (theta 0) or SPG (theta > 0). pg must be the graph c.pg(theta) returns.
+// The returned slice is shared: callers must not mutate it.
 func (c *partitionCache) coreAssignment(pg *graph.Graph, theta float64, k int) []int {
-	if !c.enabled {
-		c.count(false)
-		return partition.PartitionCores(pg, k)
-	}
 	key := assignKey{theta: theta, k: k}
 	c.mu.Lock()
 	e, ok := c.assigns[key]
@@ -159,10 +146,6 @@ func (c *partitionCache) coreAssignment(pg *graph.Graph, theta float64, k int) [
 // counts the (single) miss; every other call is a hit, so the stats are
 // deterministic regardless of which goroutine wins the once.
 func (c *partitionCache) layerGraphs() []partition.LPG {
-	if !c.enabled {
-		c.count(false)
-		return partition.BuildLPGs(c.g, c.par)
-	}
 	c.mu.Lock()
 	first := !c.lpgRequested
 	c.lpgRequested = true
@@ -175,10 +158,6 @@ func (c *partitionCache) layerGraphs() []partition.LPG {
 // lpgAssignment returns the np-way partition of one layer's LPG as a core ->
 // block map. The returned map is shared: callers must not mutate it.
 func (c *partitionCache) lpgAssignment(layerIdx int, l partition.LPG, np int) map[int]int {
-	if !c.enabled {
-		c.count(false)
-		return partition.PartitionLPG(l, np)
-	}
 	key := assignKey{theta: float64(layerIdx), k: np}
 	c.mu.Lock()
 	e, ok := c.lpgAssigns[key]

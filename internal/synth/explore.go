@@ -73,7 +73,7 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 		variants = make([]graphVariant, len(lcVals))
 		for i, lc := range lcVals {
 			fg := foldLayers(g, lc)
-			variants[i] = graphVariant{g: fg, cache: newPartitionCache(fg, opt.Partition, !opt.DisablePartitionCache)}
+			variants[i] = graphVariant{g: fg, cache: newPartitionCache(fg, opt.Partition)}
 		}
 	}
 

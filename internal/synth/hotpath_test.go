@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sunfloor3d/internal/geom"
+	"sunfloor3d/internal/route"
 	"sunfloor3d/internal/topology"
 )
 
@@ -20,22 +21,19 @@ func stripTimings(res *Result) {
 }
 
 // TestPartitionCacheEquivalence checks the core contract of the sweep-wide
-// partition cache: cached, uncached, serial and parallel runs all return
-// identical design points (the partitioner is deterministic, so sharing a
-// computed partition across frequencies must not change anything).
+// partition cache: a three-frequency sweep that shares one cache returns the
+// same design points as three single-frequency sweeps with a fresh cache
+// each, serial or parallel, while computing fewer partitions than they do
+// (the partitioner is deterministic, so sharing a computed partition across
+// frequencies must not change anything). LPOnBest is off so that every point
+// depends on its own frequency only, not on which point of the run wins.
 func TestPartitionCacheEquivalence(t *testing.T) {
 	g := smallDesign(t)
 	base := DefaultOptions()
+	base.LPOnBest = false
 	base.FrequenciesMHz = []float64{400, 600, 800}
 
-	cached := base
-	cachedRes, err := Synthesize(g, cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached := base
-	uncached.DisablePartitionCache = true
-	uncachedRes, err := Synthesize(g, uncached)
+	sharedRes, err := Synthesize(g, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,71 +43,120 @@ func TestPartitionCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if cachedRes.Cache.Hits == 0 {
-		t.Error("multi-frequency sweep produced no cache hits")
-	}
-	if uncachedRes.Cache.Hits != 0 {
-		t.Errorf("disabled cache reported %d hits", uncachedRes.Cache.Hits)
-	}
-
-	stripTimings(cachedRes)
-	stripTimings(uncachedRes)
-	stripTimings(parallelRes)
-	for name, other := range map[string]*Result{"uncached": uncachedRes, "parallel": parallelRes} {
-		if len(other.Points) != len(cachedRes.Points) {
-			t.Fatalf("%s run explored %d points, cached %d", name, len(other.Points), len(cachedRes.Points))
+	fresh := &Result{}
+	var freshStats CacheStats
+	for _, f := range base.FrequenciesMHz {
+		single := base
+		single.FrequenciesMHz = []float64{f}
+		r, err := Synthesize(g, single)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range cachedRes.Points {
-			a, b := cachedRes.Points[i], other.Points[i]
+		fresh.Points = append(fresh.Points, r.Points...)
+		freshStats.Hits += r.Cache.Hits
+		freshStats.Misses += r.Cache.Misses
+	}
+
+	shared := sharedRes.Cache
+	if shared.Hits+shared.Misses != freshStats.Hits+freshStats.Misses {
+		t.Errorf("shared sweep made %d lookups, single-frequency sweeps %d",
+			shared.Hits+shared.Misses, freshStats.Hits+freshStats.Misses)
+	}
+	if shared.Misses >= freshStats.Misses {
+		t.Errorf("shared sweep computed %d partitions, single-frequency sweeps %d: nothing shared across frequencies",
+			shared.Misses, freshStats.Misses)
+	}
+
+	stripTimings(sharedRes)
+	stripTimings(parallelRes)
+	stripTimings(fresh)
+	for name, other := range map[string]*Result{"single-frequency": fresh, "parallel": parallelRes} {
+		if len(other.Points) != len(sharedRes.Points) {
+			t.Fatalf("%s runs explored %d points, shared sweep %d", name, len(other.Points), len(sharedRes.Points))
+		}
+		for i := range sharedRes.Points {
+			a, b := sharedRes.Points[i], other.Points[i]
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s run diverges at point %d:\ncached: %+v\nother:  %+v", name, i, a, b)
+				t.Fatalf("%s runs diverge at point %d:\nshared: %+v\nother:  %+v", name, i, a, b)
 			}
 		}
-		bestA, bestB := cachedRes.Best, other.Best
-		if (bestA == nil) != (bestB == nil) {
-			t.Fatalf("%s run best-point presence differs", name)
-		}
-		if bestA != nil && !reflect.DeepEqual(bestA.Metrics, bestB.Metrics) {
-			t.Fatalf("%s run best metrics differ", name)
-		}
+	}
+	if (sharedRes.Best == nil) != (parallelRes.Best == nil) {
+		t.Fatal("parallel run best-point presence differs")
+	}
+	if sharedRes.Best != nil && !reflect.DeepEqual(sharedRes.Best.Metrics, parallelRes.Best.Metrics) {
+		t.Fatal("parallel run best metrics differ")
 	}
 }
 
-// TestFullRebuildRouterEquivalentSweep checks that the reference full-rebuild
-// router and the incremental router agree on the sweep outcome (same validity
-// pattern and best objective) on the small design, where arc costs have no
-// exact ties.
-func TestFullRebuildRouterEquivalentSweep(t *testing.T) {
+// TestFullRebuildRoutesSweepTopologies checks that the reference
+// full-rebuild router (route.Config.FullRebuild) and the incremental router
+// commit identical routes on every topology a small-design sweep builds:
+// each attempt the sweep reports to its progress stream, theta retries and
+// Phase-2 fallbacks included, is stripped back to its switches and core
+// attachments and routed once by each router. The incremental re-route must
+// also reproduce the routes the sweep committed.
+func TestFullRebuildRoutesSweepTopologies(t *testing.T) {
 	g := smallDesign(t)
 	opt := DefaultOptions()
-	fast, err := Synthesize(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := opt
-	ref.FullRebuildRouter = true
-	slow, err := Synthesize(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast.Points) != len(slow.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(fast.Points), len(slow.Points))
-	}
-	for i := range fast.Points {
-		if fast.Points[i].Valid != slow.Points[i].Valid {
-			t.Errorf("point %d validity differs: incremental %v, rebuild %v",
-				i, fast.Points[i].Valid, slow.Points[i].Valid)
+	opt.FrequenciesMHz = []float64{400, 600, 800}
+	opt.MaxILL = 6
+	var built []DesignPoint
+	opt.Progress = func(ev Event) {
+		if ev.Point.Topology != nil {
+			built = append(built, ev.Point)
 		}
 	}
-	if fast.Best == nil || slow.Best == nil {
-		t.Fatal("missing best point")
+	if _, err := Synthesize(g, opt); err != nil {
+		t.Fatal(err)
 	}
-	fc := fast.Best.Cost(opt.PowerWeight, opt.LatencyWeight)
-	sc := slow.Best.Cost(opt.PowerWeight, opt.LatencyWeight)
-	if diff := fc - sc; diff > 1e-6*sc || diff < -1e-6*sc {
-		t.Errorf("best objective differs: incremental %v, rebuild %v", fc, sc)
+	if len(built) == 0 {
+		t.Fatal("the sweep built no topology")
 	}
+	phases := map[int]int{}
+	for i, dp := range built {
+		phases[dp.Phase]++
+		cfg := routeConfig(opt, dp.FreqMHz, dp.Phase == 2)
+		inc, ref := unrouted(dp.Topology), unrouted(dp.Topology)
+		incRes, incErr := route.ComputePaths(inc, cfg)
+		cfg.FullRebuild = true
+		refRes, refErr := route.ComputePaths(ref, cfg)
+		if incErr != nil || refErr != nil {
+			t.Fatalf("attempt %d: routing failed: incremental %v, full rebuild %v", i, incErr, refErr)
+		}
+		if !reflect.DeepEqual(incRes, refRes) {
+			t.Errorf("attempt %d (%.0f MHz, %d switches, phase %d): router results differ:\nincremental  %+v\nfull rebuild %+v",
+				i, dp.FreqMHz, dp.SwitchCount, dp.Phase, incRes, refRes)
+		}
+		if !reflect.DeepEqual(inc.Switches, ref.Switches) || !reflect.DeepEqual(inc.Routes, ref.Routes) {
+			t.Errorf("attempt %d (%.0f MHz, %d switches, phase %d): committed routes differ",
+				i, dp.FreqMHz, dp.SwitchCount, dp.Phase)
+		}
+		if dp.Route.Routed > 0 && !reflect.DeepEqual(inc.Routes, dp.Topology.Routes) {
+			t.Errorf("attempt %d: re-routing did not reproduce the sweep's committed routes", i)
+		}
+	}
+	if phases[1] == 0 || phases[2] == 0 {
+		t.Errorf("sweep built phase-1/phase-2 topologies %d/%d, want both", phases[1], phases[2])
+	}
+}
+
+// unrouted returns a fresh topology with top's core-attached switches and
+// core attachments but no routes and no indirect switches: the input the
+// path-computation step saw when the sweep built top.
+func unrouted(top *topology.Topology) *topology.Topology {
+	u := topology.New(top.Design, top.Lib, top.FreqMHz)
+	for _, s := range top.Switches {
+		if s.Indirect {
+			continue
+		}
+		id := u.AddSwitch(s.Layer)
+		u.Switches[id].Pos = s.Pos
+	}
+	for c, sw := range top.CoreAttach {
+		u.AttachCore(c, sw)
+	}
+	return u
 }
 
 // TestRefineBestRejectsWorseningRefinement checks the LPOnBest fix: a

@@ -124,16 +124,6 @@ type Options struct {
 	// Progress, when non-nil, receives an Event after every evaluated design
 	// point. Callbacks are serialised; a slow callback stalls the sweep.
 	Progress func(Event)
-	// DisablePartitionCache turns off the sweep-wide partition cache, so
-	// every frequency recomputes its PG/SPG/LPG partitions from scratch. The
-	// partitioner is deterministic, so cached and uncached runs return
-	// byte-identical results; the switch exists for benchmarking and debug.
-	DisablePartitionCache bool
-	// FullRebuildRouter makes the path-computation step rebuild its full
-	// O(S^2) arc-cost graph for every flow and deadlock retry instead of
-	// maintaining it incrementally. Reference implementation for equivalence
-	// tests and before/after benchmarks only.
-	FullRebuildRouter bool
 	// Sim, when non-nil, runs the flit-level traffic simulator on every valid
 	// design point after evaluation and attaches the resulting statistics to
 	// DesignPoint.Sim. Simulation runs on the same worker pool as the rest of

@@ -185,7 +185,7 @@ func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options) (*R
 	// run drains all in-flight evaluations before SynthesizeContext returns
 	// and never leaks a goroutine or an evaluation slot.
 	defer p.close()
-	cache := newPartitionCache(g, opt.Partition, !opt.DisablePartitionCache)
+	cache := newPartitionCache(g, opt.Partition)
 	if opt.Space != nil {
 		return exploreSpace(ctx, g, opt, cache, p)
 	}
@@ -595,7 +595,6 @@ func routeConfig(opt Options, freq float64, adjacentOnly bool) route.Config {
 	cfg.AdjacentLayersOnly = adjacentOnly
 	cfg.PowerWeight = opt.PowerWeight
 	cfg.LatencyWeight = opt.LatencyWeight
-	cfg.FullRebuild = opt.FullRebuildRouter
 	return cfg
 }
 

@@ -185,19 +185,6 @@ func WithAlpha(alpha float64) Option {
 	return func(c *config) { c.opt.Partition.Alpha = alpha }
 }
 
-// WithPartitionCache enables or disables the sweep-wide partition cache
-// (enabled by default). The PG/SPG/LPG partitioning graphs and their min-cut
-// partitions depend only on the communication graph and the partitioning
-// parameters — not on the operating frequency — so the engine computes each
-// one once per run and shares it read-only across all swept frequencies and
-// worker goroutines. The partitioner is deterministic, so cached and uncached
-// runs return byte-identical results; disabling the cache only makes
-// multi-frequency sweeps slower (see Result cache statistics and the sweep
-// benchmark in BENCH_PR2.json for the measured effect).
-func WithPartitionCache(enabled bool) Option {
-	return func(c *config) { c.opt.DisablePartitionCache = !enabled }
-}
-
 // WithParallelism bounds how many design points are evaluated concurrently.
 // 0 or 1 evaluates serially, n > 1 uses at most n workers, and a negative
 // value uses one worker per available CPU. Serial and parallel runs produce
@@ -285,8 +272,9 @@ func WithFairShareWeight(w int) Option {
 
 // WithSpace replaces the classic frequency x switch-count sweep with the
 // N-dimensional design-space explorer over the given space. Points are
-// enumerated in a deterministic order (frequency, then VC count, then link
-// width, with the switch-count sweep innermost); provably dominated regions
+// enumerated in a deterministic order (frequency, then layer count, then TSV
+// budget, then VC count, then link width, with the switch-count sweep
+// innermost); provably dominated regions
 // are pruned before partitioning and routing unless Space.NoPrune is set,
 // and every pruned point appears in Result.Points as a stub with
 // DesignPoint.Pruned and a FailReason naming the decision. Pruning is

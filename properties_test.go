@@ -633,6 +633,18 @@ func checkContentionWorkload(t *testing.T, spec GenSpec, i int) {
 		t.Error("parallel banded run differs from serial banded run")
 	}
 
+	// Triage exactness: the band only decides which points are simulated,
+	// so the banded run's Pareto front and best point serialise the same as
+	// the run that simulates every valid point, once the triage marks and
+	// the estimate are cleared.
+	unbanded, err := Synthesize(ctx, design, append(bandBase, WithParallelism(1))...)
+	if err != nil {
+		t.Fatalf("unbanded synthesize: %v", err)
+	}
+	if b, u := frontAndBest(t, banded), frontAndBest(t, unbanded); !bytes.Equal(b, u) {
+		t.Errorf("banded front and best differ from the full-simulation run:\nbanded: %s\nfull:   %s", b, u)
+	}
+
 	// cand is the triage-time valid set: every point that received a
 	// decision (a later simulation failure flips Valid but keeps the mark).
 	var cand []int
@@ -696,4 +708,23 @@ func checkContentionWorkload(t *testing.T, spec GenSpec, i int) {
 			t.Errorf("point %d: triage %q, epsilon-dominance says %q", pi, got, want)
 		}
 	}
+}
+
+// frontAndBest serialises r's Pareto front followed by its best point, with
+// the fidelity ladder's SimTriage marks and Contention estimates cleared.
+func frontAndBest(t *testing.T, r *Result) []byte {
+	t.Helper()
+	pts := r.ParetoFront()
+	if b := r.Best(); b != nil {
+		pts = append(pts, *b)
+	}
+	for i := range pts {
+		pts[i].SimTriage = ""
+		pts[i].Contention = nil
+	}
+	data, err := (&Result{Points: pts, BestIndex: -1}).MarshalStable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
