@@ -1,9 +1,8 @@
 // Command sunfloor-lint is the multichecker enforcing this repo's
-// determinism contract at compile time. It runs the internal/determlint
-// analyzer suite — maprange, floataccum, wallclock, fingerprintcover — over
-// the requested packages and, by default, the standard `go vet` suite
-// alongside, so one invocation covers both the generic and the
-// repo-specific bug classes:
+// determinism contract at compile time. It runs the three internal/determlint
+// analyzers — maprange, floataccum, wallclock — over the requested packages
+// and, by default, the standard `go vet` suite alongside, so one invocation
+// covers both the generic and the repo-specific bug classes:
 //
 //	go run ./cmd/sunfloor-lint ./...
 //
@@ -14,7 +13,9 @@
 //	internal/graph/partition.go:118:2: range over map ... [maprange]
 //
 // See the package documentation of internal/determlint for the contract,
-// the analyzers and the //determlint waiver syntax.
+// the analyzers and the //determlint waiver syntax. Cache-key coverage needs
+// no analyzer: internal/memo's Key hashes every exported option field by
+// reflection, and its tests check the execution knobs it leaves out.
 package main
 
 import (

@@ -24,15 +24,15 @@
 // Repeatable -axis flags switch the run to the N-dimensional design-space
 // explorer: -axis freq_mhz=400,600 -axis link_width_bits=16,32,64 sweeps the
 // cross product of the axes (valid names: freq_mhz, switch_count, vcs,
-// link_width_bits). The explorer prunes provably dominated regions before
-// partitioning and routing; the pruning is exact (the Pareto front and best
-// point match a -no-prune run byte for byte) and every pruning decision is
-// visible under -progress. -checkpoint makes the exploration resumable: each
-// finished cell is appended to the file, and rerunning the same command picks
-// up where the interrupted run stopped. -shard 2/8 evaluates only every 8th
-// cell starting at 2 — run one shard per machine with per-shard checkpoint
-// files, concatenate the files, and resume from the merged checkpoint to get
-// the exact full result.
+// link_width_bits, layer_count, tsv_budget). The explorer prunes provably
+// dominated regions before partitioning and routing; the pruning is exact
+// (the Pareto front and best point match a -no-prune run byte for byte) and
+// every pruning decision is visible under -progress. -checkpoint makes the
+// exploration resumable: each finished cell is appended to the file, and
+// rerunning the same command picks up where the interrupted run stopped.
+// -shard 2/8 evaluates only every 8th cell starting at 2 — run one shard per
+// machine with per-shard checkpoint files, concatenate the files, and resume
+// from the merged checkpoint to get the exact full result.
 //
 // With -cache-dir the run consults an on-disk design-point cache keyed by the
 // content fingerprint of the design and options (sunfloor3d.Fingerprint): a

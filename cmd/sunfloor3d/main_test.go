@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -322,8 +323,6 @@ func TestCLICheckpointResume(t *testing.T) {
 	}
 }
 
-// TestCLIServerMode: -server submits to a daemon and writes the same
-// structured result as a local run; -progress relays the daemon's stream.
 // TestServerClientRetryPolicy drives doServerRequest against scripted
 // daemons: 5xx and connection failures are retried up to serverAttempts
 // times with the fixed backoff schedule, 4xx surfaces immediately without a
@@ -427,6 +426,10 @@ func TestServerClientRetryPolicy(t *testing.T) {
 	})
 }
 
+// TestCLIServerMode: -server submits to a daemon and writes the same
+// structured result as a local run for every flag group the CLI forwards,
+// under the key a local -cache-dir run uses; -progress relays the daemon's
+// stream.
 func TestCLIServerMode(t *testing.T) {
 	s, err := server.New(server.Config{})
 	if err != nil {
@@ -440,13 +443,56 @@ func TestCLIServerMode(t *testing.T) {
 		s.Shutdown(ctx)
 	}()
 
-	local := runCLI(t, "-gen", genArg, "-json", "-out", t.TempDir())
-
-	remoteOut := t.TempDir()
-	remote := runCLI(t, "-gen", genArg, "-json", "-server", ts.URL, "-out", remoteOut)
-	if remote != local {
-		t.Error("server-mode stdout differs from local synthesis")
+	// Every flag group the CLI forwards to the daemon, each off its
+	// defaults: the server-mode answer must be byte-identical to the local
+	// run, and the key the daemon reports must be the key a local
+	// -cache-dir run files the result under, so the two share a cache.
+	groups := []struct {
+		name  string
+		flags []string
+	}{
+		{"defaults", nil},
+		{"sweep", []string{"-freqs", "400,700", "-max-ill", "4", "-phase", "phase2", "-alpha", "0.6"}},
+		{"objective", []string{"-power-weight", "0.5", "-latency-weight", "2"}},
+		{"space", []string{"-axis", "freq_mhz=400,600", "-axis", "switch_count=2,3,4", "-no-prune"}},
+		{"sparing", []string{"-spares", "-yield-target", "0.95", "-process", "die-to-wafer"}},
+		{"faults", []string{"-faults", "-fault-plans", "4", "-faults-per-plan", "2", "-fault-seed", "7"}},
+		{"contention", []string{"-contention"}},
 	}
+	serverKey := regexp.MustCompile(`server answered from \w+ \(key ([0-9a-f]{64})\)`)
+	localKey := regexp.MustCompile(`cache miss for ([0-9a-f]{64}):`)
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			args := func(extra ...string) []string {
+				return append(append([]string{"-gen", genArg, "-json", "-out", t.TempDir()}, g.flags...), extra...)
+			}
+			local := runCLI(t, args()...)
+			if remote := runCLI(t, args("-server", ts.URL)...); remote != local {
+				t.Error("server-mode stdout differs from local synthesis")
+			}
+			remote, remoteErr := runCLIWithStderr(t, args("-progress", "-server", ts.URL)...)
+			if remote != local {
+				t.Error("server-mode -progress stdout differs from local synthesis")
+			}
+			cached, cachedErr := runCLIWithStderr(t, args("-progress", "-cache-dir", t.TempDir())...)
+			if cached != local {
+				t.Error("local -cache-dir stdout differs from local synthesis")
+			}
+			sk, lk := serverKey.FindStringSubmatch(remoteErr), localKey.FindStringSubmatch(cachedErr)
+			switch {
+			case sk == nil:
+				t.Errorf("server-mode -progress reported no key:\n%s", remoteErr)
+			case lk == nil:
+				t.Errorf("-cache-dir -progress reported no key:\n%s", cachedErr)
+			case sk[1] != lk[1]:
+				t.Errorf("daemon key %s differs from the local cache key %s", sk[1], lk[1])
+			}
+		})
+	}
+
+	local := runCLI(t, "-gen", genArg, "-json", "-out", t.TempDir())
+	remoteOut := t.TempDir()
+	runCLI(t, "-gen", genArg, "-json", "-server", ts.URL, "-out", remoteOut)
 	if _, err := os.Stat(filepath.Join(remoteOut, "result.json")); err != nil {
 		t.Errorf("server mode missing result.json: %v", err)
 	}

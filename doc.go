@@ -204,8 +204,10 @@
 // Result.MarshalStable and ReadResult convert a Result to and from that
 // canonical serialisation (the WriteJSON bytes, byte-stable across runs).
 // Together they back internal/memo, the content-addressed design-point
-// cache: an in-memory LRU over an on-disk JSON store with single-flight
-// deduplication, shareable between processes. The CLI joins it with
+// cache: an in-memory LRU over an on-disk store with single-flight
+// deduplication, shareable between processes. Each disk entry carries the
+// SHA-256 of its value, and an entry that no longer matches it is dropped
+// and recomputed. The CLI joins it with
 // `sunfloor3d -cache-dir DIR` — a hit skips synthesis entirely and restores
 // the result from its bytes (a restored result carries metrics and reports
 // but no live Topology).
@@ -282,10 +284,15 @@
 // nondeterministically-ordered map iteration, float accumulation under
 // unordered iteration, and wall-clock/global-rand reads in result-affecting
 // packages (with written //determlint waivers for provably
-// order-independent sites), and fingerprintcover proves every option field
-// is either hashed by the cache fingerprint or justified on its exclusion
-// list. The cmd/sunfloor-lint multichecker runs the suite together with
-// go vet ("go run ./cmd/sunfloor-lint ./..."), and CI blocks on it.
+// order-independent sites). The cmd/sunfloor-lint multichecker runs these
+// three analyzers together with go vet ("go run ./cmd/sunfloor-lint ./..."),
+// and CI blocks on it. The cache fingerprint needs no analyzer: it walks the
+// graph and the options by reflection and hashes every exported field except
+// a short list of execution knobs, each justified in writing, so a new
+// option is hashed without any edit to the key. In internal/memo,
+// TestKeyCoversEveryLeaf flips every reachable leaf and requires each flip
+// to move the key while knob flips do not, and TestExecutionKnobsAreFields
+// requires every knob entry to name a real field and carry a justification.
 //
 // The implementation lives in the internal/ packages:
 //

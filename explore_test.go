@@ -308,6 +308,40 @@ func TestExplorerOptionValidation(t *testing.T) {
 	}
 }
 
+// TestFingerprintValidatesLikeNewEngine: Fingerprint rejects the option sets
+// NewEngine rejects, including the cross-option checks of the checkpoint and
+// shard hooks, instead of returning a key for a request no engine would run.
+// A valid shard still shares the fingerprint of its whole exploration.
+func TestFingerprintValidatesLikeNewEngine(t *testing.T) {
+	d := apiDesign(t)
+	cases := []struct {
+		name string
+		opts []sunfloor3d.Option
+	}{
+		{"shard without space", []sunfloor3d.Option{sunfloor3d.WithShard(0, 2)}},
+		{"checkpoint without space", []sunfloor3d.Option{sunfloor3d.WithCheckpoint("x.ckpt")}},
+	}
+	for _, tc := range cases {
+		if _, err := sunfloor3d.NewEngine(tc.opts...); err == nil {
+			t.Errorf("%s: NewEngine accepted the options", tc.name)
+		}
+		if key, err := sunfloor3d.Fingerprint(d, tc.opts...); err == nil {
+			t.Errorf("%s: Fingerprint returned key %s, want the NewEngine error", tc.name, key)
+		}
+	}
+	whole, err := sunfloor3d.Fingerprint(d, sunfloor3d.WithSpace(exploreSpace3()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := sunfloor3d.Fingerprint(d, sunfloor3d.WithSpace(exploreSpace3()), sunfloor3d.WithShard(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shard != whole {
+		t.Errorf("a shard fingerprints as %s, its exploration as %s", shard, whole)
+	}
+}
+
 // TestExplorerCheckpointFingerprintMismatch asserts a checkpoint written by
 // a different request cannot be resumed.
 func TestExplorerCheckpointFingerprintMismatch(t *testing.T) {

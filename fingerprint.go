@@ -22,7 +22,7 @@ func Fingerprint(d *Design, opts ...Option) (string, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := cfg.opt.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return "", err
 	}
 	return memo.Key(d, cfg.opt), nil

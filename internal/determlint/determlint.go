@@ -12,7 +12,7 @@ import (
 // Suite returns the determlint analyzers in the order sunfloor-lint runs
 // them.
 func Suite() []*analysis.Analyzer {
-	return []*analysis.Analyzer{MapRange, FloatAccum, WallClock, FingerprintCover}
+	return []*analysis.Analyzer{MapRange, FloatAccum, WallClock}
 }
 
 // resultAffectingInternal lists the internal packages whose output feeds the

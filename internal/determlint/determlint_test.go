@@ -37,16 +37,6 @@ func TestWallClock(t *testing.T) {
 	)
 }
 
-// The memo fixture's miniature Key covers every classification outcome:
-// hashed, nested-hashed, justified knob, missing justification, contradiction
-// and the uncovered Dummy field that would poison the content-addressed
-// cache.
-func TestFingerprintCover(t *testing.T) {
-	analysistest.Run(t, "testdata", FingerprintCover,
-		"sunfloor3d/internal/memo",
-	)
-}
-
 func TestResultAffecting(t *testing.T) {
 	cases := []struct {
 		path string

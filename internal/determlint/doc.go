@@ -6,7 +6,7 @@
 // bug classes that have actually broken it (and their near misses) fail the
 // build instead of a bisection.
 //
-// The suite has four analyzers, run by cmd/sunfloor-lint alongside go vet:
+// The suite has three analyzers, run by cmd/sunfloor-lint alongside go vet:
 //
 //   - maprange flags `for range` over a map in result-affecting packages.
 //     Go randomises map iteration order per run, so any order-sensitive body
@@ -24,12 +24,15 @@
 //     math/rand source in result-affecting packages. Explicitly seeded
 //     generators (rand.New(rand.NewSource(seed))) are the supported idiom.
 //
-//   - fingerprintcover proves the memo fingerprint total: every exported
-//     field reachable from internal/memo Key's parameters is either hashed
-//     into the content address or justified in the executionKnobs exclusion
-//     list — so a new option can never silently poison the cache by mapping
-//     different results to equal keys. TestOptionsFingerprintCoverage in
-//     internal/memo mirrors the same check at runtime.
+// Cache-key coverage — every option that can change the Result must feed the
+// fingerprint — needs no analyzer. internal/memo's Key walks the
+// communication graph and the options by reflection and hashes every exported
+// field except the execution knobs listed, with written proofs, in its
+// executionKnobs table; a field it cannot hash (a map, func, chan or
+// interface) makes it panic. TestKeyCoversEveryLeaf flips every reachable
+// leaf and requires each flip to move the key while knob flips do not, and
+// TestExecutionKnobsAreFields requires every knob entry to name a real field
+// and carry a justification.
 //
 // The result-affecting set is the facade package plus the internal packages
 // whose output feeds the serialised Result (see resultAffectingInternal);

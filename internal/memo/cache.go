@@ -1,9 +1,11 @@
 package memo
 
 import (
+	"bytes"
 	"container/list"
 	"context"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,9 +43,9 @@ type Stats struct {
 	Shared uint64 `json:"shared"`
 	// Stores counts successful writes of a computed entry.
 	Stores uint64 `json:"stores"`
-	// CorruptDropped counts on-disk entries discarded because their content
-	// was not a valid serialised result (truncated write, bit rot, external
-	// tampering). A dropped entry is recomputed, never returned.
+	// CorruptDropped counts on-disk entries discarded because their value
+	// did not match the digest stored with it (truncated write, bit rot,
+	// external tampering). A dropped entry is recomputed, never returned.
 	CorruptDropped uint64 `json:"corrupt_dropped"`
 	// DiskErrors counts disk reads/writes that failed with an I/O error.
 	// Disk trouble degrades the cache to memory-only behaviour per request;
@@ -63,8 +65,11 @@ const DefaultMemEntries = 256
 // concurrent use.
 //
 // The disk layout is dir/<k0k1>/<key>.json — two hex characters of fan-out,
-// then one file per key holding exactly the serialised Result bytes, so
-// entries are directly readable (and diffable) with standard tools. Writes
+// then one file per key. Its first line is "sha256:" and the hex SHA-256 of
+// the value; exactly the serialised Result bytes follow, so
+// `tail -n +2 <key>.json` prints the result. A read re-hashes the value, and
+// an entry whose digest does not match — a torn external write, a flipped
+// bit, even one that leaves valid JSON — is deleted and recomputed. Writes
 // go through a temp file and an atomic rename, so a crash mid-write leaves
 // at worst a stale temp file, never a truncated entry. Processes can share a
 // directory: the CLI's -cache-dir and a sunfloor-server pointed at the same
@@ -341,8 +346,12 @@ func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, fan, key+".json")
 }
 
+// digestPrefix starts the first line of every disk entry; the hex SHA-256 of
+// the value completes the line.
+const digestPrefix = "sha256:"
+
 // diskGet reads an entry from the disk tier, dropping it as corrupt when the
-// content is not a valid JSON document (a torn external write, truncation or
+// value does not match its digest line (a torn external write, truncation or
 // bit rot must lead to recomputation, never to a crash or a bad result).
 func (c *Cache) diskGet(key string) ([]byte, bool) {
 	if c.dir == "" {
@@ -357,17 +366,20 @@ func (c *Cache) diskGet(key string) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	if !json.Valid(b) {
+	line, val, _ := bytes.Cut(b, []byte{'\n'})
+	sum := sha256.Sum256(val)
+	if string(line) != digestPrefix+hex.EncodeToString(sum[:]) {
 		os.Remove(c.entryPath(key))
 		c.mu.Lock()
 		c.stats.CorruptDropped++
 		c.mu.Unlock()
 		return nil, false
 	}
-	return b, true
+	return val, true
 }
 
-// diskPut writes an entry to the disk tier atomically (temp file + rename).
+// diskPut writes an entry to the disk tier atomically (temp file + rename):
+// the digest line, then the value.
 func (c *Cache) diskPut(key string, val []byte) {
 	if c.dir == "" {
 		return
@@ -387,7 +399,12 @@ func (c *Cache) diskPut(key string, val []byte) {
 		fail()
 		return
 	}
-	if _, err := tmp.Write(val); err != nil {
+	sum := sha256.Sum256(val)
+	_, err = tmp.WriteString(digestPrefix + hex.EncodeToString(sum[:]) + "\n")
+	if err == nil {
+		_, err = tmp.Write(val)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		fail()

@@ -1,7 +1,11 @@
 package memo
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -240,6 +244,57 @@ func TestCacheCorruptDiskEntry(t *testing.T) {
 	})
 	if err != nil || prov != Computed || string(b) != `{"recomputed":true}` {
 		t.Fatalf("recompute after corruption = (%q, %v, %v)", b, prov, err)
+	}
+}
+
+// TestCacheDigestMismatch: a disk entry is its value's digest line followed
+// by the value, and a value edited so that it stays valid JSON — one digit of
+// a number flipped — no longer matches its digest, so it is dropped and
+// recomputed instead of served.
+func TestCacheDigestMismatch(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := []byte(`{"points":[{"power_mw":12.5}],"best_index":0}`)
+	c.Put("deadbeef", val)
+
+	path := filepath.Join(dir, "de", "deadbeef.json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(val)
+	if want := "sha256:" + hex.EncodeToString(sum[:]) + "\n" + string(val); string(b) != want {
+		t.Fatalf("disk entry = %q, want %q", b, want)
+	}
+	flipped := bytes.Replace(b, []byte("12.5"), []byte("13.5"), 1)
+	if !json.Valid(flipped[bytes.IndexByte(flipped, '\n')+1:]) {
+		t.Fatal("the flipped value should still be valid JSON")
+	}
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := New(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, ok := c2.Lookup("deadbeef"); ok {
+		t.Fatalf("entry with a flipped digit was served: %s", got)
+	}
+	if st := c2.Stats(); st.CorruptDropped != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 corrupt drop and 1 miss", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt entry not removed: %v", err)
+	}
+	got, prov, err := c2.GetOrCompute(context.Background(), "deadbeef", func() ([]byte, error) {
+		return val, nil
+	})
+	if err != nil || prov != Computed || !bytes.Equal(got, val) {
+		t.Fatalf("recompute after digest mismatch = (%q, %v, %v)", got, prov, err)
 	}
 }
 

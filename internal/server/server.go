@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,6 +37,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"time"
 
 	"sunfloor3d"
 	"sunfloor3d/internal/memo"
@@ -299,6 +301,12 @@ type AxisRequest struct {
 // hundreds of cores stay far below this). A larger body is answered 413.
 const maxRequestBody = 8 << 20
 
+// bodyReadTimeout bounds how long a client may take to send a submit body
+// once the handler starts reading it; the daemon's ReadHeaderTimeout bounds
+// the headers before it. A client that trickles its body is answered 400 and
+// disconnected instead of holding a connection open indefinitely.
+var bodyReadTimeout = 30 * time.Second
+
 // generatedDesign builds (or recalls) the design of a generator string.
 func (s *Server) generatedDesign(gen string) (*sunfloor3d.Design, error) {
 	s.genMu.Lock()
@@ -454,16 +462,31 @@ func (s *Server) parseRequest(req *SynthesizeRequest) (*sunfloor3d.Design, []sun
 // 202 with the job view. Either way the fingerprint is exposed as
 // X-Sunfloor-Key, and terminal responses carry X-Sunfloor-Cache.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SynthesizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// The whole body must arrive before the read deadline. Once it has, the
+	// deadline is cleared: a read error on the connection while a ?wait=1
+	// request waits for its synthesis would cancel the request context.
+	// After a failed read it stays armed, so the server's drain of the
+	// unread body before the error response cannot block on the same slow
+	// client. A writer with no connection to set a deadline on reads
+	// without one, so its error is dropped.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, status, fmt.Sprintf("parsing request body: %v", err))
+		httpError(w, status, fmt.Sprintf("reading request body: %v", err))
+		return
+	}
+	_ = rc.SetReadDeadline(time.Time{})
+	var req SynthesizeRequest
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing request body: %v", err))
 		return
 	}
 	design, opts, err := s.parseRequest(&req)

@@ -302,8 +302,8 @@ type Event struct {
 
 // CacheStats reports the partition-cache activity of one synthesis run: how
 // many PG/SPG/LPG constructions and min-cut partitions were answered from the
-// sweep-wide cache versus computed. With the cache disabled every lookup is a
-// miss.
+// sweep-wide cache versus computed. The cache is always on; these counts are
+// telemetry about the run, not part of its result.
 type CacheStats struct {
 	// Hits is the number of lookups answered from the cache.
 	Hits int
@@ -321,8 +321,9 @@ type Result struct {
 	// objective, or -1 when no valid point exists.
 	BestIndex int `json:"best_index"`
 	// Cache reports the partition-cache activity of the run. It is excluded
-	// from JSON so that cache-enabled and cache-disabled runs serialise to
-	// byte-identical results.
+	// from JSON because it describes how the run was computed, not what it
+	// found; a Result restored from its serialised form (a design-point cache
+	// hit or a daemon response) reports zero counts.
 	Cache CacheStats `json:"-"`
 }
 
