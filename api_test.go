@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -64,6 +65,42 @@ func TestEngineOptionValidation(t *testing.T) {
 		if _, err := sunfloor3d.ParsePhase(name); err != nil {
 			t.Errorf("ParsePhase(%q): %v", name, err)
 		}
+	}
+}
+
+// TestNonFiniteOptionsRejected: NaN and infinite option values, and an
+// integral axis value beyond the int range, are rejected by NewEngine and by
+// Fingerprint, so none reaches the engine or a cache key.
+func TestNonFiniteOptionsRejected(t *testing.T) {
+	d := apiDesign(t)
+	proc, err := sunfloor3d.ProcessByName("wafer-level-A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		opt  sunfloor3d.Option
+	}{
+		{"NaN frequency", sunfloor3d.WithFrequenciesMHz(nan)},
+		{"infinite frequency", sunfloor3d.WithFrequenciesMHz(inf)},
+		{"NaN power weight", sunfloor3d.WithObjective(nan, 1)},
+		{"infinite latency weight", sunfloor3d.WithObjective(1, inf)},
+		{"NaN alpha", sunfloor3d.WithAlpha(nan)},
+		{"NaN sparing target", sunfloor3d.WithSparing(proc, nan)},
+		{"switch count beyond int", sunfloor3d.WithSpace(sunfloor3d.Space{Axes: []sunfloor3d.Axis{
+			{Name: sunfloor3d.AxisSwitchCount, Values: []float64{1e300}},
+		}})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := sunfloor3d.NewEngine(tc.opt); err == nil {
+				t.Error("NewEngine accepted the option")
+			}
+			if key, err := sunfloor3d.Fingerprint(d, tc.opt); err == nil {
+				t.Errorf("Fingerprint returned key %s, want the NewEngine error", key)
+			}
+		})
 	}
 }
 

@@ -45,16 +45,20 @@ type checkpointFile struct {
 }
 
 // openCheckpoint loads (or creates) the checkpoint at path for the request
-// with the given fingerprint. Existing records are validated against the
-// fingerprint: a mismatch is an error, because the file demonstrably belongs
-// to a different request. Malformed or torn lines are skipped; the first
-// record of a cell wins (later duplicates — e.g. from concatenated shard
-// files that each computed the witness cell — are ignored).
-func openCheckpoint(path, fingerprint string) (*checkpointFile, error) {
+// with the given fingerprint, whose design has the given number of flows.
+// Existing records are validated against the fingerprint: a mismatch is an
+// error, because the file demonstrably belongs to a different request.
+// Malformed or torn lines are skipped, and so are records with a point that
+// claims more failed flows than the design has (or fewer than none); their
+// cells are recomputed. The first record of a cell wins (later duplicates —
+// e.g. from concatenated shard files that each computed the witness cell —
+// are ignored).
+func openCheckpoint(path, fingerprint string, flows int) (*checkpointFile, error) {
 	ck := &checkpointFile{fp: fingerprint, cells: map[int][]synth.DesignPoint{}}
 	if data, err := os.ReadFile(path); err == nil {
 		sc := bufio.NewScanner(bytes.NewReader(data))
 		sc.Buffer(nil, 64<<20)
+	records:
 		for sc.Scan() {
 			line := sc.Bytes()
 			if len(line) == 0 {
@@ -75,6 +79,9 @@ func openCheckpoint(path, fingerprint string) (*checkpointFile, error) {
 			}
 			pts := make([]synth.DesignPoint, len(rec.Points))
 			for i, p := range rec.Points {
+				if p.Route.FailedFlows < 0 || p.Route.FailedFlows > flows {
+					continue records // impossible, so corrupt: recompute that cell
+				}
 				pts[i] = internalFromPoint(p)
 			}
 			ck.cells[rec.Cell] = pts

@@ -43,11 +43,15 @@
 // and the daemon then serve each other's results. -progress reports the hit
 // or miss and its provenance.
 //
-// With -server URL the design and options are submitted to a sunfloor-server
-// daemon instead of being synthesized locally; under -progress the server's
-// per-point progress events are streamed back. The response is the daemon's
-// canonical serialised result, byte-identical to a local run of the same
-// request.
+// Every run first fills one request from its flags: the design source (spec
+// files are read as text) and every result-affecting option, encoded as
+// internal/server's SynthesizeRequest. A local run builds its design and
+// engine options from that request and adds the local-only options
+// (-checkpoint, -shard, -simulate, -sim-band, -progress). With -server URL
+// the CLI posts the same request to a sunfloor-server daemon instead, which
+// also checks the option values; under -progress the server's per-point
+// progress events are streamed back. The response is the daemon's canonical
+// serialised result, byte-identical to a local run of the same request.
 //
 // With -simulate the flit-level traffic simulator runs on every valid design
 // point (profile selected by -sim-profile: uniform, bursty or hotspot, seeded
@@ -105,10 +109,10 @@ func main() {
 	}
 }
 
-// run is the whole CLI behind main: flag parsing, design loading or
-// generation, synthesis, and output writing. It takes its arguments and
-// output streams explicitly so the integration tests can drive the exact
-// production flow in-process against golden stdout and artifacts.
+// run is the whole CLI behind main: flag parsing, building the request,
+// synthesis (local, cached or remote), and output writing. It takes its
+// arguments and output streams explicitly so the integration tests can drive
+// the exact production flow in-process against golden stdout and artifacts.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sunfloor3d", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -216,32 +220,94 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	design, err := loadOrGenerate(fs, *coreFile, *commFile, *specPair, *genSpec)
+	// One request carries the design and every result-affecting flag: it is
+	// posted as-is under -server and run through the same translation
+	// locally. Spec files travel as text, so the daemon parses what a local
+	// run would.
+	sources := 0
+	for _, set := range []bool{*coreFile != "" || *commFile != "", *specPair != "", *genSpec != ""} {
+		if set {
+			sources++
+		}
+	}
+	if sources != 1 {
+		fs.Usage()
+		return fmt.Errorf("exactly one design source is required: -cores/-comm, -spec or -gen")
+	}
+	req := server.SynthesizeRequest{Gen: *genSpec}
+	if *specPair != "" {
+		parts := strings.Split(*specPair, ",")
+		if len(parts) != 2 {
+			return fmt.Errorf("-spec wants 'cores,comm', got %q", *specPair)
+		}
+		*coreFile, *commFile = strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
+	}
+	if *genSpec == "" {
+		if *coreFile == "" || *commFile == "" {
+			return fmt.Errorf("both a core and a communication specification are required")
+		}
+		cores, err := os.ReadFile(*coreFile)
+		if err != nil {
+			return err
+		}
+		comm, err := os.ReadFile(*commFile)
+		if err != nil {
+			return err
+		}
+		req.CoresSpec, req.CommSpec = string(cores), string(comm)
+	}
+	sweep, err := parseFreqs(*freqs)
+	if err != nil {
+		return err
+	}
+	req.Options = &server.RequestOptions{
+		FrequenciesMHz: sweep,
+		MaxILL:         maxILL,
+		Phase:          phase,
+		Alpha:          alpha,
+		PowerWeight:    powerW,
+		LatencyWeight:  latencyW,
+		Parallelism:    jobs,
+		Contention:     contention,
+	}
+	if len(axes) > 0 {
+		req.Options.Space = &sunfloor3d.Space{Axes: axes, NoPrune: *noPrune}
+	}
+	if *spares {
+		req.Options.Sparing = &server.SparingRequest{Process: *procName, TargetYield: *yieldTarget}
+	}
+	if *withFaults {
+		req.Options.Fault = &server.FaultRequest{Plans: faultPlans, FaultsPerPlan: faultsPer, Seed: faultSeed}
+	}
+
+	design, err := req.Design()
 	if err != nil {
 		return err
 	}
 	if !*asJSON {
 		fmt.Fprintln(stdout, "design:", design.Summary())
 	}
+	out := output{dir: *outDir, asJSON: *asJSON, floorplan: *doFloor, simulate: *simulate,
+		shard: *shardSpec != "", stdout: stdout, stderr: stderr}
 
-	sweep, err := parseFreqs(*freqs)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	if *serverURL != "" {
+		b, err := runViaServer(ctx, *serverURL, req, *progress, stderr)
+		if err != nil {
+			return err
+		}
+		res, err := sunfloor3d.ReadResult(bytes.NewReader(b))
+		if err != nil {
+			return fmt.Errorf("parsing server result: %w", err)
+		}
+		return writeOutputs(res, b, out)
+	}
+
+	opts, err := req.Options.EngineOptions()
 	if err != nil {
 		return err
-	}
-	ph, err := sunfloor3d.ParsePhase(*phase)
-	if err != nil {
-		return err
-	}
-	opts := []sunfloor3d.Option{
-		sunfloor3d.WithFrequenciesMHz(sweep...),
-		sunfloor3d.WithMaxILL(*maxILL),
-		sunfloor3d.WithPhase(ph),
-		sunfloor3d.WithAlpha(*alpha),
-		sunfloor3d.WithObjective(*powerW, *latencyW),
-		sunfloor3d.WithParallelism(*jobs),
-	}
-	if len(axes) > 0 {
-		opts = append(opts, sunfloor3d.WithSpace(sunfloor3d.Space{Axes: axes, NoPrune: *noPrune}))
 	}
 	if *checkpoint != "" {
 		opts = append(opts, sunfloor3d.WithCheckpoint(*checkpoint))
@@ -252,20 +318,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		opts = append(opts, sunfloor3d.WithShard(idx, cnt))
-	}
-	if *spares {
-		proc, err := sunfloor3d.ProcessByName(*procName)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, sunfloor3d.WithSparing(proc, *yieldTarget))
-	}
-	if *withFaults {
-		fc := sunfloor3d.DefaultFaultModelConfig()
-		fc.Plans = *faultPlans
-		fc.FaultsPerPlan = *faultsPer
-		fc.Seed = *faultSeed
-		opts = append(opts, sunfloor3d.WithFaultModel(fc))
 	}
 	if *simulate {
 		profile, err := sunfloor3d.ParseSimProfile(*simProfile)
@@ -281,50 +333,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		opts = append(opts, sunfloor3d.WithSimulation(simCfg))
 	}
-	if *contention {
-		opts = append(opts, sunfloor3d.WithContention())
-	}
 	if *simBand != 0 {
 		opts = append(opts, sunfloor3d.WithSimBand(*simBand))
 	}
 	if *progress {
-		opts = append(opts, sunfloor3d.WithProgress(func(ev sunfloor3d.Event) {
-			status := "ok"
-			if !ev.Point.Valid {
-				status = ev.Point.FailReason
-			}
-			simTime := ""
-			if ev.Point.Sim != nil {
-				simTime = fmt.Sprintf(" (sim %.2fms)", ev.Point.SimElapsed.Seconds()*1e3)
-			}
-			triage := ""
-			if ev.Point.SimTriage != "" {
-				triage = " [triage " + ev.Point.SimTriage + "]"
-			}
-			fmt.Fprintf(stderr, "[%d/%d] %d switches @ %.0f MHz (phase %d): %s%s%s\n",
-				ev.Done, ev.Total, ev.Point.SwitchCount, ev.Point.FreqMHz, ev.Point.Phase, status, simTime, triage)
-		}))
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if *serverURL != "" {
-		req, err := buildServerRequest(*genSpec, *specPair, *coreFile, *commFile,
-			sweep, *maxILL, *phase, *alpha, *powerW, *latencyW, *jobs, axes, *noPrune)
-		if err != nil {
-			return err
-		}
-		if *spares {
-			req.Options.Sparing = &server.SparingRequest{Process: *procName, TargetYield: *yieldTarget}
-		}
-		if *withFaults {
-			req.Options.Fault = &server.FaultRequest{Plans: faultPlans, FaultsPerPlan: faultsPer, Seed: faultSeed}
-		}
-		if *contention {
-			req.Options.Contention = contention
-		}
-		return runViaServer(ctx, *serverURL, req, *outDir, *asJSON, *progress, stdout, stderr)
+		opts = append(opts, sunfloor3d.WithProgress(func(ev sunfloor3d.Event) { printProgress(stderr, ev) }))
 	}
 
 	var (
@@ -348,7 +361,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("restoring cached result: %w", err)
 			}
-			return writeRestoredOutputs(*outDir, res, b, *asJSON, stdout)
+			return writeOutputs(res, b, out)
 		}
 		if *progress {
 			fmt.Fprintf(stderr, "cache miss for %s: synthesizing\n", key)
@@ -359,92 +372,107 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	b, err := res.MarshalStable()
+	if err != nil {
+		return err
+	}
 	if cache != nil {
-		b, err := res.MarshalStable()
-		if err != nil {
-			return err
-		}
 		cache.Put(key, b)
 		if *progress {
 			fmt.Fprintf(stderr, "result stored under %s\n", key)
 		}
 	}
+	return writeOutputs(res, b, out)
+}
 
-	if *asJSON {
-		if err := res.WriteJSON(stdout); err != nil {
+// printProgress writes one -progress line for a locally evaluated point.
+func printProgress(w io.Writer, ev sunfloor3d.Event) {
+	status := "ok"
+	if !ev.Point.Valid {
+		status = ev.Point.FailReason
+	}
+	simTime := ""
+	if ev.Point.Sim != nil {
+		simTime = fmt.Sprintf(" (sim %.2fms)", ev.Point.SimElapsed.Seconds()*1e3)
+	}
+	triage := ""
+	if ev.Point.SimTriage != "" {
+		triage = " [triage " + ev.Point.SimTriage + "]"
+	}
+	fmt.Fprintf(w, "[%d/%d] %d switches @ %.0f MHz (phase %d): %s%s%s\n",
+		ev.Done, ev.Total, ev.Point.SwitchCount, ev.Point.FreqMHz, ev.Point.Phase, status, simTime, triage)
+}
+
+// output says where and how writeOutputs reports a run.
+type output struct {
+	dir       string
+	asJSON    bool
+	floorplan bool // -floorplan: write floorplan.txt
+	simulate  bool // -simulate: write sim.txt
+	shard     bool // -shard: a result without a valid point is not an error
+	stdout    io.Writer
+	stderr    io.Writer
+}
+
+// writeOutputs writes a result, whichever source produced it (the engine,
+// the -cache-dir cache or a sunfloor-server daemon): the stdout summary (or
+// resBytes, its canonical serialisation, under -json), result.json (exactly
+// resBytes) and the best point's report.txt. Only a live synthesis leaves
+// the best point with a topology; when it has one, the topology, DOT,
+// floorplan and simulation artifacts are written too.
+func writeOutputs(res *sunfloor3d.Result, resBytes []byte, out output) error {
+	if out.asJSON {
+		if _, err := out.stdout.Write(resBytes); err != nil {
 			return err
 		}
 	} else {
-		fmt.Fprint(stdout, res.Text())
+		fmt.Fprint(out.stdout, res.Text())
 	}
 	best := res.Best()
 	if best == nil {
-		if *shardSpec != "" {
+		if out.shard {
 			// A shard legitimately may own no valid cell; its deliverable is
 			// the checkpoint file, not the topology artifacts.
-			fmt.Fprintln(stderr, "shard holds no valid point; merge the shard checkpoints and rerun for the full result")
+			fmt.Fprintln(out.stderr, "shard holds no valid point; merge the shard checkpoints and rerun for the full result")
 			return nil
 		}
 		return fmt.Errorf("no valid topology meets the constraints")
 	}
-
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	top := best.Topology()
+	if top == nil && out.simulate {
+		return fmt.Errorf("-simulate needs a live synthesis run; the best point was restored from the checkpoint")
+	}
+	if err := os.MkdirAll(out.dir, 0o755); err != nil {
 		return err
 	}
 	writeFile := func(name, content string) error {
-		return os.WriteFile(filepath.Join(*outDir, name), []byte(content), 0o644)
+		return os.WriteFile(filepath.Join(out.dir, name), []byte(content), 0o644)
 	}
-	top := best.Topology()
+	if err := writeFile("result.json", string(resBytes)); err != nil {
+		return err
+	}
+	if err := writeFile("report.txt", best.Report()); err != nil {
+		return err
+	}
 	if top == nil {
-		// The best point was restored from a checkpoint record; like a
-		// cache-restored result it carries metrics, JSON and reports but no
-		// live topology, so only result.json and report.txt can be written.
-		if *simulate {
-			return fmt.Errorf("-simulate needs a live synthesis run; the best point was restored from the checkpoint")
-		}
-		if err := writeFile("report.txt", best.Report()); err != nil {
-			return err
-		}
-		resJSON, err := os.Create(filepath.Join(*outDir, "result.json"))
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(resJSON); err != nil {
-			resJSON.Close()
-			return err
-		}
-		resJSON.Close()
-		if !*asJSON {
-			fmt.Fprintln(stdout, "topology artifacts skipped (restored result carries no live topology); results written to", *outDir)
+		// Restored from its serialised form (cache hit, daemon answer or
+		// checkpoint record): metrics and JSON survive, the topology does not.
+		if !out.asJSON {
+			fmt.Fprintln(out.stdout, "topology artifacts skipped (restored result carries no live topology); results written to", out.dir)
 		}
 		return nil
 	}
 	if err := writeFile("topology.txt", top.Describe()); err != nil {
 		return err
 	}
-	dot, err := os.Create(filepath.Join(*outDir, "topology.dot"))
-	if err != nil {
+	var dot bytes.Buffer
+	if err := top.WriteDOT(&dot); err != nil {
 		return err
 	}
-	if err := top.WriteDOT(dot); err != nil {
-		dot.Close()
+	if err := writeFile("topology.dot", dot.String()); err != nil {
 		return err
 	}
-	dot.Close()
-	if err := writeFile("report.txt", best.Report()); err != nil {
-		return err
-	}
-	resJSON, err := os.Create(filepath.Join(*outDir, "result.json"))
-	if err != nil {
-		return err
-	}
-	if err := res.WriteJSON(resJSON); err != nil {
-		resJSON.Close()
-		return err
-	}
-	resJSON.Close()
-
-	if *doFloor {
+	if out.floorplan {
 		fp, err := top.Floorplan()
 		if err != nil {
 			return fmt.Errorf("floorplan insertion: %w", err)
@@ -453,117 +481,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-
-	if *simulate {
+	if out.simulate {
 		if best.Sim == nil {
 			return fmt.Errorf("best point carries no simulation statistics")
 		}
 		if err := writeFile("sim.txt", best.Sim.Report()); err != nil {
 			return err
 		}
-		if !*asJSON {
-			fmt.Fprintf(stdout, "simulated %s traffic for %d cycles: %d/%d packets delivered, avg latency %.2f cycles, deadlock=%v\n",
+		if !out.asJSON {
+			fmt.Fprintf(out.stdout, "simulated %s traffic for %d cycles: %d/%d packets delivered, avg latency %.2f cycles, deadlock=%v\n",
 				best.Sim.Profile, best.Sim.Cycles, best.Sim.PacketsDelivered, best.Sim.PacketsInjected,
 				best.Sim.AvgLatencyCycles, best.Sim.Deadlock)
 		}
 	}
-
-	if !*asJSON {
-		fmt.Fprintln(stdout, "results written to", *outDir)
+	if !out.asJSON {
+		fmt.Fprintln(out.stdout, "results written to", out.dir)
 	}
 	return nil
-}
-
-// loadOrGenerate resolves the design from exactly one of the three input
-// sources: the -cores/-comm file pair, the -spec shorthand, or the -gen
-// workload generator.
-func loadOrGenerate(fs *flag.FlagSet, coreFile, commFile, specPair, genSpec string) (*sunfloor3d.Design, error) {
-	sources := 0
-	if coreFile != "" || commFile != "" {
-		sources++
-	}
-	if specPair != "" {
-		sources++
-	}
-	if genSpec != "" {
-		sources++
-	}
-	if sources != 1 {
-		fs.Usage()
-		return nil, fmt.Errorf("exactly one design source is required: -cores/-comm, -spec or -gen")
-	}
-	switch {
-	case genSpec != "":
-		spec, err := sunfloor3d.ParseGenSpec(genSpec)
-		if err != nil {
-			return nil, err
-		}
-		b, err := sunfloor3d.GenerateBenchmark(spec)
-		if err != nil {
-			return nil, err
-		}
-		return b.Graph3D, nil
-	case specPair != "":
-		parts := strings.Split(specPair, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("-spec wants 'cores,comm', got %q", specPair)
-		}
-		coreFile, commFile = strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-		fallthrough
-	default:
-		if coreFile == "" || commFile == "" {
-			return nil, fmt.Errorf("both a core and a communication specification are required")
-		}
-		return sunfloor3d.LoadDesignFiles(coreFile, commFile)
-	}
-}
-
-// buildServerRequest packs the CLI's design source and sweep flags into a
-// sunfloor-server request. A -gen string is forwarded verbatim (the daemon
-// runs the same generator); spec files are read and embedded as text.
-func buildServerRequest(genSpec, specPair, coreFile, commFile string,
-	sweep []float64, maxILL int, phase string, alpha, powerW, latencyW float64, jobs int,
-	axes axisFlags, noPrune bool) (server.SynthesizeRequest, error) {
-	var req server.SynthesizeRequest
-	if genSpec != "" {
-		req.Gen = genSpec
-	} else {
-		if specPair != "" {
-			parts := strings.Split(specPair, ",")
-			if len(parts) != 2 {
-				return req, fmt.Errorf("-spec wants 'cores,comm', got %q", specPair)
-			}
-			coreFile, commFile = strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-		}
-		cores, err := os.ReadFile(coreFile)
-		if err != nil {
-			return req, err
-		}
-		comm, err := os.ReadFile(commFile)
-		if err != nil {
-			return req, err
-		}
-		req.CoresSpec, req.CommSpec = string(cores), string(comm)
-	}
-	req.Options = &server.RequestOptions{
-		FrequenciesMHz: sweep,
-		MaxILL:         &maxILL,
-		Phase:          &phase,
-		Alpha:          &alpha,
-		PowerWeight:    &powerW,
-		LatencyWeight:  &latencyW,
-	}
-	if jobs != 0 {
-		req.Options.Parallelism = &jobs
-	}
-	if len(axes) > 0 {
-		sp := &server.SpaceRequest{NoPrune: noPrune}
-		for _, a := range axes {
-			sp.Axes = append(sp.Axes, server.AxisRequest{Name: a.Name, Values: a.Values})
-		}
-		req.Options.Space = sp
-	}
-	return req, nil
 }
 
 // axisFlags collects repeated -axis flags, each of the form name=v1,v2,...
@@ -634,74 +568,52 @@ func parseShard(s string) (index, count int, err error) {
 	return index, count, nil
 }
 
-// runViaServer submits the request to a sunfloor-server and writes the
-// returned canonical result. Without -progress it uses the synchronous
-// wait form; with -progress it submits asynchronously and relays the
-// daemon's NDJSON progress stream to stderr.
-func runViaServer(ctx context.Context, baseURL string, req server.SynthesizeRequest,
-	outDir string, asJSON, progress bool, stdout, stderr io.Writer) error {
+// runViaServer submits the request to a sunfloor-server and returns the
+// daemon's canonical serialised result. Without -progress it uses the
+// synchronous wait form; with -progress it submits asynchronously and relays
+// the daemon's NDJSON progress stream to stderr.
+func runViaServer(ctx context.Context, baseURL string, req server.SynthesizeRequest, progress bool, stderr io.Writer) ([]byte, error) {
 	base := strings.TrimRight(baseURL, "/")
 	body, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var (
-		resBytes  []byte
-		prov, key string
-	)
+	var resp *http.Response
 	if !progress {
-		resp, err := postJSON(ctx, base+"/v1/synthesize?wait=1", body, 0)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return serverError(resp)
-		}
-		prov, key = resp.Header.Get("X-Sunfloor-Cache"), resp.Header.Get("X-Sunfloor-Key")
-		if resBytes, err = io.ReadAll(resp.Body); err != nil {
-			return err
+		if resp, err = postJSON(ctx, base+"/v1/synthesize?wait=1", body, 0); err != nil {
+			return nil, err
 		}
 	} else {
-		resp, err := postJSON(ctx, base+"/v1/synthesize", body, submitTimeout)
+		ack, err := postJSON(ctx, base+"/v1/synthesize", body, submitTimeout)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if resp.StatusCode != http.StatusAccepted {
-			defer resp.Body.Close()
-			return serverError(resp)
+		if ack.StatusCode != http.StatusAccepted {
+			defer ack.Body.Close()
+			return nil, serverError(ack)
 		}
 		var view server.JobView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
+		err = json.NewDecoder(ack.Body).Decode(&view)
+		ack.Body.Close()
 		if err != nil {
-			return fmt.Errorf("parsing job acknowledgement: %w", err)
+			return nil, fmt.Errorf("parsing job acknowledgement: %w", err)
 		}
 		fmt.Fprintf(stderr, "job %s submitted (key %s)\n", view.ID, view.Key)
 		if err := relayStream(ctx, base+"/v1/jobs/"+view.ID+"/stream", stderr); err != nil {
-			return err
+			return nil, err
 		}
-		rr, err := getURL(ctx, base+"/v1/jobs/"+view.ID+"/result", resultTimeout)
-		if err != nil {
-			return err
+		if resp, err = getURL(ctx, base+"/v1/jobs/"+view.ID+"/result", resultTimeout); err != nil {
+			return nil, err
 		}
-		defer rr.Body.Close()
-		if rr.StatusCode != http.StatusOK {
-			return serverError(rr)
-		}
-		prov, key = rr.Header.Get("X-Sunfloor-Cache"), rr.Header.Get("X-Sunfloor-Key")
-		if resBytes, err = io.ReadAll(rr.Body); err != nil {
-			return err
-		}
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, serverError(resp)
 	}
 	if progress {
-		fmt.Fprintf(stderr, "server answered from %s (key %s)\n", prov, key)
+		fmt.Fprintf(stderr, "server answered from %s (key %s)\n", resp.Header.Get("X-Sunfloor-Cache"), resp.Header.Get("X-Sunfloor-Key"))
 	}
-	res, err := sunfloor3d.ReadResult(bytes.NewReader(resBytes))
-	if err != nil {
-		return fmt.Errorf("parsing server result: %w", err)
-	}
-	return writeRestoredOutputs(outDir, res, resBytes, asJSON, stdout)
+	return io.ReadAll(resp.Body)
 }
 
 // relayStream copies the daemon's progress events to stderr in the CLI's
@@ -743,37 +655,6 @@ func relayStream(ctx context.Context, url string, stderr io.Writer) error {
 		return err
 	}
 	return fmt.Errorf("progress stream ended without a terminal event")
-}
-
-// writeRestoredOutputs writes the artifacts available for a result that
-// crossed its serialised form (cache hit or server response): the stdout
-// summary, the verbatim canonical result.json and the metrics report. The
-// topology itself does not survive serialisation, so the topology, DOT and
-// floorplan artifacts are skipped.
-func writeRestoredOutputs(outDir string, res *sunfloor3d.Result, resBytes []byte, asJSON bool, stdout io.Writer) error {
-	if asJSON {
-		if _, err := stdout.Write(resBytes); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprint(stdout, res.Text())
-	}
-	if res.Best() == nil {
-		return fmt.Errorf("no valid topology meets the constraints")
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "result.json"), resBytes, 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "report.txt"), []byte(res.Best().Report()), 0o644); err != nil {
-		return err
-	}
-	if !asJSON {
-		fmt.Fprintln(stdout, "topology artifacts skipped (restored result carries no live topology); results written to", outDir)
-	}
-	return nil
 }
 
 // Transient-failure policy of the -server client. Every request runs under

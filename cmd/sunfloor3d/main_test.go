@@ -152,6 +152,7 @@ func TestCLIInputValidation(t *testing.T) {
 		{"-gen", "shape=teapot"},            // unknown shape
 		{"-gen", genArg, "-freqs", "x"},     // bad frequency
 		{"-gen", genArg, "-phase", "bogus"}, // bad phase
+		{"-gen", genArg, "-alpha", "NaN", "-out", t.TempDir()},     // NaN passes every x < 0 check
 		{"-cores", "missing.cores", "-comm", "missing.comm"},       // missing files
 		{"-gen", genArg, "-server", "http://x", "-cache-dir", "y"}, // exclusive modes
 		{"-gen", genArg, "-cache-dir", "y", "-simulate"},           // sim needs live run

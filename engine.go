@@ -57,7 +57,7 @@ func (e *Engine) Synthesize(ctx context.Context, d *Design) (*Result, error) {
 	}
 	if e.cfg.checkpoint != "" {
 		var err error
-		ck, err = openCheckpoint(e.cfg.checkpoint, memo.Key(d, opt))
+		ck, err = openCheckpoint(e.cfg.checkpoint, memo.Key(d, opt), len(d.Flows))
 		if err != nil {
 			return nil, err
 		}

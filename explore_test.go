@@ -7,6 +7,7 @@ package sunfloor3d_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -455,6 +456,61 @@ func TestExplorerCheckpointTornTail(t *testing.T) {
 	}
 	if n := resume(); n != 0 {
 		t.Errorf("second resume computed %d points, want 0: the first resume's record was lost", n)
+	}
+}
+
+// TestExplorerCheckpointImpossibleFailedFlows: a record with the request's
+// fingerprint whose point claims more failed flows than the design has
+// flows is corrupt. Resuming must skip it and recompute its cell, as for a
+// torn line, instead of panicking on (or allocating) the claimed count, and
+// return the uninterrupted run's bytes.
+func TestExplorerCheckpointImpossibleFailedFlows(t *testing.T) {
+	d := apiDesign(t)
+	ctx := context.Background()
+	ckpt := filepath.Join(t.TempDir(), "explore.ckpt")
+	sp := exploreSpace3()
+	sp.NoPrune = true
+
+	live, err := sunfloor3d.Synthesize(ctx, d, sunfloor3d.WithSpace(sp), sunfloor3d.WithCheckpoint(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	mid := len(lines) / 2
+	var rec map[string]any
+	dec := json.NewDecoder(bytes.NewReader(lines[mid]))
+	dec.UseNumber()
+	if err := dec.Decode(&rec); err != nil {
+		t.Fatal(err)
+	}
+	pt := rec["points"].([]any)[0].(map[string]any)
+	pt["route_stats"].(map[string]any)["failed_flows"] = json.Number("4611686018427387904")
+	if lines[mid], err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	computed := 0
+	resumed, err := sunfloor3d.Synthesize(ctx, d, sunfloor3d.WithSpace(sp), sunfloor3d.WithCheckpoint(ckpt),
+		sunfloor3d.WithProgress(func(ev sunfloor3d.Event) {
+			if ev.Point.Elapsed > 0 {
+				computed++
+			}
+		}))
+	if err != nil {
+		t.Fatalf("resume over an impossible record: %v", err)
+	}
+	if computed == 0 {
+		t.Error("resume computed no point: the corrupt record's cell was restored")
+	}
+	if !bytes.Equal(stable(t, live), stable(t, resumed)) {
+		t.Error("result resumed over an impossible record differs from the uninterrupted run")
 	}
 }
 

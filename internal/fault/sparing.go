@@ -23,13 +23,15 @@ type SparingConfig struct {
 
 // Validate checks the configuration values.
 func (c SparingConfig) Validate() error {
-	if c.Process.BaseYield <= 0 || c.Process.BaseYield > 1 {
+	// The interval checks are negated from their accepting form so that NaN
+	// is rejected too.
+	if !(c.Process.BaseYield > 0 && c.Process.BaseYield <= 1) {
 		return fmt.Errorf("fault: sparing process BaseYield %g outside (0, 1]", c.Process.BaseYield)
 	}
-	if c.Process.TSVFailureRate <= 0 || c.Process.TSVFailureRate >= 1 {
+	if !(c.Process.TSVFailureRate > 0 && c.Process.TSVFailureRate < 1) {
 		return fmt.Errorf("fault: sparing process TSVFailureRate %g outside (0, 1)", c.Process.TSVFailureRate)
 	}
-	if c.TargetYield <= 0 || c.TargetYield >= 1 {
+	if !(c.TargetYield > 0 && c.TargetYield < 1) {
 		return fmt.Errorf("fault: TargetYield %g outside (0, 1)", c.TargetYield)
 	}
 	return nil

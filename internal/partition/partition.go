@@ -41,7 +41,9 @@ func DefaultParams() Params {
 
 // Validate checks the parameter ranges.
 func (p Params) Validate() error {
-	if p.Alpha < 0 || p.Alpha > 1 {
+	// Negated from the accepting form so that NaN, which compares false
+	// with everything, is rejected too.
+	if !(p.Alpha >= 0 && p.Alpha <= 1) {
 		return fmt.Errorf("partition: alpha %g out of [0,1]", p.Alpha)
 	}
 	if p.ThetaMin <= 0 || p.ThetaMax < p.ThetaMin || p.ThetaStep <= 0 {

@@ -81,11 +81,11 @@ func TestSubmitBodyReadDeadline(t *testing.T) {
 		// worker joins the flight and the ?wait=1 handler waits that long
 		// with the body long read.
 		req := SynthesizeRequest{Gen: "shape=pipeline,cores=8,layers=2,seed=2"}
-		design, opts, err := s.parseRequest(&req)
+		design, err := req.Design()
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := sunfloor3d.Fingerprint(design, opts...)
+		key, err := sunfloor3d.Fingerprint(design)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,6 +22,11 @@
 //	GET  /v1/cache/stats           cache, scheduler and queue statistics
 //	GET  /healthz                  liveness probe
 //
+// A request (SynthesizeRequest) is a design source plus options. It is the
+// same value cmd/sunfloor3d builds from its flags: the CLI posts it with
+// -server and otherwise runs its Design and EngineOptions locally, so the
+// two paths cannot drift apart.
+//
 // Result bodies are the engine's canonical serialisation: byte-identical to
 // a local Synthesize + WriteJSON of the same request, whatever mix of cache
 // tiers, deduplication and scheduling produced them.
@@ -221,11 +226,13 @@ func (s *Server) run(q queued) {
 	s.reg.evict()
 }
 
-// SynthesizeRequest is the JSON body of POST /v1/synthesize. The design is
-// given either as the text spec pair (cores_spec + comm_spec, the formats of
-// WriteDesign/cmd/specgen) or as a workload generator string (gen, the
-// key=value form of the CLI's -gen flag). Requests that denote the same
-// design and options share one fingerprint however they were spelled.
+// SynthesizeRequest is the JSON body of POST /v1/synthesize and the one
+// encoding of a synthesis request outside the engine: cmd/sunfloor3d fills
+// it from its flags and either posts it (-server) or runs it locally. The
+// design is given either as the text spec pair (cores_spec + comm_spec, the
+// formats of WriteDesign/cmd/specgen) or as a workload generator string
+// (gen, the key=value form of the CLI's -gen flag). Requests that denote the
+// same design and options share one fingerprint however they were spelled.
 type SynthesizeRequest struct {
 	CoresSpec string          `json:"cores_spec,omitempty"`
 	CommSpec  string          `json:"comm_spec,omitempty"`
@@ -233,50 +240,52 @@ type SynthesizeRequest struct {
 	Options   *RequestOptions `json:"options,omitempty"`
 }
 
-// RequestOptions mirrors the facade's With* options; unset fields keep the
-// engine defaults. Weight is the request's fair-share weight on the shared
-// scheduler; Parallelism caps this request's slot share.
+// RequestOptions are the request's engine options, each field setting the
+// facade option named in its comment (see EngineOptions); unset fields keep
+// the engine defaults. Checkpoint files, shards, simulation and progress
+// callbacks are per-process concerns and have no field here.
 type RequestOptions struct {
-	FrequenciesMHz      []float64 `json:"frequencies_mhz,omitempty"`
-	MaxILL              *int      `json:"max_ill,omitempty"`
-	SoftILLMargin       *int      `json:"soft_ill_margin,omitempty"`
-	Phase               *string   `json:"phase,omitempty"`
-	Alpha               *float64  `json:"alpha,omitempty"`
-	PowerWeight         *float64  `json:"power_weight,omitempty"`
-	LatencyWeight       *float64  `json:"latency_weight,omitempty"`
-	SwitchLayer         *string   `json:"switch_layer,omitempty"`
-	MaxSwitchesPerLayer *int      `json:"max_switches_per_layer,omitempty"`
-	LPEveryPoint        *bool     `json:"lp_every_point,omitempty"`
-	RequireLatencyMet   *bool     `json:"require_latency_met,omitempty"`
-	Weight              *int      `json:"weight,omitempty"`
-	Parallelism         *int      `json:"parallelism,omitempty"`
+	FrequenciesMHz      []float64 `json:"frequencies_mhz,omitempty"`        // WithFrequenciesMHz
+	MaxILL              *int      `json:"max_ill,omitempty"`                // WithMaxILL
+	SoftILLMargin       *int      `json:"soft_ill_margin,omitempty"`        // WithSoftILLMargin
+	Phase               *string   `json:"phase,omitempty"`                  // WithPhase(ParsePhase(...))
+	Alpha               *float64  `json:"alpha,omitempty"`                  // WithAlpha
+	PowerWeight         *float64  `json:"power_weight,omitempty"`           // WithObjective, with latency_weight
+	LatencyWeight       *float64  `json:"latency_weight,omitempty"`         // WithObjective, with power_weight
+	SwitchLayer         *string   `json:"switch_layer,omitempty"`           // WithSwitchLayerRule: "average" or "majority"
+	MaxSwitchesPerLayer *int      `json:"max_switches_per_layer,omitempty"` // WithMaxSwitchesPerLayer
+	LPEveryPoint        *bool     `json:"lp_every_point,omitempty"`         // WithLPPlacement
+	RequireLatencyMet   *bool     `json:"require_latency_met,omitempty"`    // WithRequireLatencyMet
+	// Weight is the request's fair-share weight on the shared scheduler
+	// (WithFairShareWeight); Parallelism caps its slot share
+	// (WithParallelism). Neither changes the fingerprint.
+	Weight      *int `json:"weight,omitempty"`
+	Parallelism *int `json:"parallelism,omitempty"`
 	// Space switches the request from the classic frequency sweep to the
-	// N-dimensional design-space explorer (sunfloor3d.WithSpace). Checkpoint
-	// files and shards are per-process concerns and are not exposed here.
-	Space *SpaceRequest `json:"space,omitempty"`
+	// N-dimensional design-space explorer (WithSpace); its JSON form is
+	// sunfloor3d.Space's.
+	Space *sunfloor3d.Space `json:"space,omitempty"`
 	// Sparing provisions spare TSVs/wires for a target functional yield
-	// (sunfloor3d.WithSparing); Fault replays deterministic fault plans and
-	// attaches the survivability report to every valid point
-	// (sunfloor3d.WithFaultModel). Both are fingerprint-relevant.
+	// (WithSparing); Fault replays deterministic fault plans and attaches
+	// the survivability report to every valid point (WithFaultModel).
 	Sparing *SparingRequest `json:"sparing,omitempty"`
 	Fault   *FaultRequest   `json:"fault,omitempty"`
 	// Contention attaches the analytic M/D/1 contention estimate to every
-	// valid point (sunfloor3d.WithContention). Fingerprint-relevant: the
-	// estimate is part of the serialised result. The WithSimBand triage is
-	// not exposed here because simulation itself is not server-exposed.
+	// valid point (WithContention).
 	Contention *bool `json:"contention,omitempty"`
 }
 
-// SparingRequest mirrors sunfloor3d.WithSparing: the manufacturing process —
-// one of the standard names (wafer-level-A, wafer-level-B, die-to-wafer) —
-// and the functional-yield target in (0, 1).
+// SparingRequest carries the arguments of sunfloor3d.WithSparing: the
+// manufacturing process by its standard name (wafer-level-A, wafer-level-B,
+// die-to-wafer) and the functional-yield target in (0, 1).
 type SparingRequest struct {
 	Process     string  `json:"process"`
 	TargetYield float64 `json:"target_yield"`
 }
 
-// FaultRequest mirrors sunfloor3d.FaultModelConfig; unset fields keep the
-// defaults of sunfloor3d.DefaultFaultModelConfig.
+// FaultRequest sets fields of the sunfloor3d.FaultModelConfig passed to
+// WithFaultModel; unset fields keep the defaults of
+// sunfloor3d.DefaultFaultModelConfig.
 type FaultRequest struct {
 	Plans         *int   `json:"plans,omitempty"`
 	FaultsPerPlan *int   `json:"faults_per_plan,omitempty"`
@@ -285,89 +294,41 @@ type FaultRequest struct {
 	FaultCycle    *int   `json:"fault_cycle,omitempty"`
 }
 
-// SpaceRequest mirrors sunfloor3d.Space in the JSON request body.
-type SpaceRequest struct {
-	Axes    []AxisRequest `json:"axes"`
-	NoPrune bool          `json:"no_prune,omitempty"`
-}
-
-// AxisRequest mirrors sunfloor3d.Axis: one named exploration dimension.
-type AxisRequest struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
-}
-
-// maxRequestBody bounds the accepted request size (specs are text; even
-// hundreds of cores stay far below this). A larger body is answered 413.
-const maxRequestBody = 8 << 20
-
-// bodyReadTimeout bounds how long a client may take to send a submit body
-// once the handler starts reading it; the daemon's ReadHeaderTimeout bounds
-// the headers before it. A client that trickles its body is answered 400 and
-// disconnected instead of holding a connection open indefinitely.
-var bodyReadTimeout = 30 * time.Second
-
-// generatedDesign builds (or recalls) the design of a generator string.
-func (s *Server) generatedDesign(gen string) (*sunfloor3d.Design, error) {
-	s.genMu.Lock()
-	if d, ok := s.genCache[gen]; ok {
-		s.genMu.Unlock()
-		return d, nil
-	}
-	s.genMu.Unlock()
-
-	spec, err := sunfloor3d.ParseGenSpec(gen)
-	if err != nil {
-		return nil, err
-	}
-	b, err := sunfloor3d.GenerateBenchmark(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	s.genMu.Lock()
-	if len(s.genCache) >= maxGenCache {
-		s.genCache = make(map[string]*sunfloor3d.Design)
-	}
-	s.genCache[gen] = b.Graph3D
-	s.genMu.Unlock()
-	return b.Graph3D, nil
-}
-
-// parseRequest validates the request and builds the design plus the option
-// list (fingerprint-relevant options first; the caller appends execution
-// options such as the scheduler).
-func (s *Server) parseRequest(req *SynthesizeRequest) (*sunfloor3d.Design, []sunfloor3d.Option, error) {
-	hasSpecs := req.CoresSpec != "" || req.CommSpec != ""
-	hasGen := req.Gen != ""
-	var design *sunfloor3d.Design
+// Design builds the request's design from its one design source: the spec
+// text pair or the generator string.
+func (r *SynthesizeRequest) Design() (*sunfloor3d.Design, error) {
+	hasSpecs := r.CoresSpec != "" || r.CommSpec != ""
 	switch {
-	case hasSpecs && hasGen:
-		return nil, nil, errors.New("give either cores_spec+comm_spec or gen, not both")
+	case hasSpecs && r.Gen != "":
+		return nil, errors.New("give either cores_spec+comm_spec or gen, not both")
 	case hasSpecs:
-		if req.CoresSpec == "" || req.CommSpec == "" {
-			return nil, nil, errors.New("cores_spec and comm_spec must both be set")
+		if r.CoresSpec == "" || r.CommSpec == "" {
+			return nil, errors.New("cores_spec and comm_spec must both be set")
 		}
-		d, err := sunfloor3d.LoadDesign(strings.NewReader(req.CoresSpec), strings.NewReader(req.CommSpec))
+		return sunfloor3d.LoadDesign(strings.NewReader(r.CoresSpec), strings.NewReader(r.CommSpec))
+	case r.Gen != "":
+		spec, err := sunfloor3d.ParseGenSpec(r.Gen)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		design = d
-	case hasGen:
-		d, err := s.generatedDesign(req.Gen)
+		b, err := sunfloor3d.GenerateBenchmark(spec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		design = d
+		return b.Graph3D, nil
 	default:
-		return nil, nil, errors.New("no design: set cores_spec+comm_spec or gen")
+		return nil, errors.New("no design: set cores_spec+comm_spec or gen")
 	}
+}
 
-	var opts []sunfloor3d.Option
-	o := req.Options
+// EngineOptions translates the options into facade options, rejecting
+// unknown names; a nil receiver gives none. Values are checked by the engine
+// (NewEngine, Fingerprint), not here.
+func (o *RequestOptions) EngineOptions() ([]sunfloor3d.Option, error) {
 	if o == nil {
-		return design, opts, nil
+		return nil, nil
 	}
+	var opts []sunfloor3d.Option
 	if len(o.FrequenciesMHz) > 0 {
 		opts = append(opts, sunfloor3d.WithFrequenciesMHz(o.FrequenciesMHz...))
 	}
@@ -380,7 +341,7 @@ func (s *Server) parseRequest(req *SynthesizeRequest) (*sunfloor3d.Design, []sun
 	if o.Phase != nil {
 		p, err := sunfloor3d.ParsePhase(*o.Phase)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		opts = append(opts, sunfloor3d.WithPhase(p))
 	}
@@ -388,7 +349,7 @@ func (s *Server) parseRequest(req *SynthesizeRequest) (*sunfloor3d.Design, []sun
 		opts = append(opts, sunfloor3d.WithAlpha(*o.Alpha))
 	}
 	if (o.PowerWeight == nil) != (o.LatencyWeight == nil) {
-		return nil, nil, errors.New("power_weight and latency_weight must be set together")
+		return nil, errors.New("power_weight and latency_weight must be set together")
 	}
 	if o.PowerWeight != nil {
 		opts = append(opts, sunfloor3d.WithObjective(*o.PowerWeight, *o.LatencyWeight))
@@ -400,7 +361,7 @@ func (s *Server) parseRequest(req *SynthesizeRequest) (*sunfloor3d.Design, []sun
 		case "majority":
 			opts = append(opts, sunfloor3d.WithSwitchLayerRule(sunfloor3d.LayerMajority))
 		default:
-			return nil, nil, fmt.Errorf("unknown switch_layer %q (valid: average, majority)", *o.SwitchLayer)
+			return nil, fmt.Errorf("unknown switch_layer %q (valid: average, majority)", *o.SwitchLayer)
 		}
 	}
 	if o.MaxSwitchesPerLayer != nil {
@@ -421,7 +382,7 @@ func (s *Server) parseRequest(req *SynthesizeRequest) (*sunfloor3d.Design, []sun
 	if o.Sparing != nil {
 		proc, err := sunfloor3d.ProcessByName(o.Sparing.Process)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		opts = append(opts, sunfloor3d.WithSparing(proc, o.Sparing.TargetYield))
 	}
@@ -445,16 +406,47 @@ func (s *Server) parseRequest(req *SynthesizeRequest) (*sunfloor3d.Design, []sun
 		opts = append(opts, sunfloor3d.WithFaultModel(fc))
 	}
 	if o.Space != nil {
-		sp := sunfloor3d.Space{NoPrune: o.Space.NoPrune}
-		for _, a := range o.Space.Axes {
-			sp.Axes = append(sp.Axes, sunfloor3d.Axis{Name: a.Name, Values: a.Values})
-		}
-		opts = append(opts, sunfloor3d.WithSpace(sp))
+		opts = append(opts, sunfloor3d.WithSpace(*o.Space))
 	}
 	if o.Contention != nil && *o.Contention {
 		opts = append(opts, sunfloor3d.WithContention())
 	}
-	return design, opts, nil
+	return opts, nil
+}
+
+// maxRequestBody bounds the accepted request size (specs are text; even
+// hundreds of cores stay far below this). A larger body is answered 413.
+const maxRequestBody = 8 << 20
+
+// bodyReadTimeout bounds how long a client may take to send a submit body
+// once the handler starts reading it; the daemon's ReadHeaderTimeout bounds
+// the headers before it. A client that trickles its body is answered 400 and
+// disconnected instead of holding a connection open indefinitely.
+var bodyReadTimeout = 30 * time.Second
+
+// design resolves the request's design. A gen-only request is answered
+// from the generated-design memo, so a warm cache hit skips regeneration.
+func (s *Server) design(req *SynthesizeRequest) (*sunfloor3d.Design, error) {
+	if req.Gen == "" || req.CoresSpec != "" || req.CommSpec != "" {
+		return req.Design()
+	}
+	s.genMu.Lock()
+	d, ok := s.genCache[req.Gen]
+	s.genMu.Unlock()
+	if ok {
+		return d, nil
+	}
+	d, err := req.Design()
+	if err != nil {
+		return nil, err
+	}
+	s.genMu.Lock()
+	if len(s.genCache) >= maxGenCache {
+		s.genCache = make(map[string]*sunfloor3d.Design)
+	}
+	s.genCache[req.Gen] = d
+	s.genMu.Unlock()
+	return d, nil
 }
 
 // handleSubmit validates and enqueues a synthesis request. With ?wait=1 it
@@ -489,12 +481,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing request body: %v", err))
 		return
 	}
-	design, opts, err := s.parseRequest(&req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+	design, err := s.design(&req)
+	var opts []sunfloor3d.Option
+	if err == nil {
+		opts, err = req.Options.EngineOptions()
 	}
-	key, err := sunfloor3d.Fingerprint(design, opts...)
+	var key string
+	if err == nil {
+		key, err = sunfloor3d.Fingerprint(design, opts...)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -520,15 +515,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.respondTerminal(w, r, j)
 		return
 	}
-	j := s.reg.add(key)
-	select {
-	case s.queue <- queued{job: j, design: design, opts: opts}:
+	// Only submitters send on the queue, all under s.mu, so a free slot seen
+	// here is still free below. A rejected submission registers no job: a
+	// job that never runs would never turn terminal and never be evicted.
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
+		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "job queue is full, retry later")
 		return
 	}
+	j := s.reg.add(key)
+	s.queue <- queued{job: j, design: design, opts: opts}
+	s.mu.Unlock()
 
 	s.respondTerminal(w, r, j)
 }

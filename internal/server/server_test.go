@@ -233,23 +233,7 @@ func TestServerSpecAndGenShareFingerprint(t *testing.T) {
 	resp.Body.Close()
 	key := resp.Header.Get("X-Sunfloor-Key")
 
-	spec, err := sunfloor3d.ParseGenSpec(fastGen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sunfloor3d.GenerateBenchmark(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cores, comm bytes.Buffer
-	if err := sunfloor3d.WriteDesign(&cores, &comm, b.Graph3D); err != nil {
-		t.Fatal(err)
-	}
-	req, err := json.Marshal(server.SynthesizeRequest{CoresSpec: cores.String(), CommSpec: comm.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2 := submit(t, ts, string(req), true)
+	resp2 := submit(t, ts, specBody(t), true)
 	io.Copy(io.Discard, resp2.Body)
 	resp2.Body.Close()
 	if k2 := resp2.Header.Get("X-Sunfloor-Key"); k2 != key {
@@ -346,6 +330,9 @@ func TestServerValidation(t *testing.T) {
 		{"unknown sparing process", fmt.Sprintf(`{"gen":%q,"options":{"sparing":{"process":"nope","target_yield":0.99}}}`, fastGen)},
 		{"bad sparing target", fmt.Sprintf(`{"gen":%q,"options":{"sparing":{"process":"wafer-level-A","target_yield":2}}}`, fastGen)},
 		{"bad fault model", fmt.Sprintf(`{"gen":%q,"options":{"fault":{"plans":0,"exhaustive_max":0}}}`, fastGen)},
+		// An integral axis value beyond the int range must be refused here,
+		// not become a switch count that panics a worker and the daemon.
+		{"switch count beyond int", fmt.Sprintf(`{"gen":%q,"options":{"space":{"axes":[{"name":"switch_count","values":[1e300]}]}}}`, fastGen)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -545,13 +532,15 @@ func TestServerShutdown(t *testing.T) {
 }
 
 // TestServerQueueFull: with one busy worker and a one-deep queue, a burst of
-// distinct submissions overflows into 503.
+// distinct submissions overflows into 503s that tell the client when to
+// retry, while every accepted job still finishes.
 func TestServerQueueFull(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1})
 	// A burst of distinct, slow-ish requests: the first occupies the worker,
 	// the second the queue slot; one of the remainder must see a full queue.
 	const burst = 6
 	codes := make([]int, burst)
+	retryAfter := make([]string, burst)
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
@@ -566,13 +555,17 @@ func TestServerQueueFull(t *testing.T) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			codes[i] = resp.StatusCode
+			retryAfter[i] = resp.Header.Get("Retry-After")
 		}(i)
 	}
 	wg.Wait()
 	full, ok := 0, 0
-	for _, c := range codes {
+	for i, c := range codes {
 		switch c {
 		case http.StatusServiceUnavailable:
+			if retryAfter[i] != "1" {
+				t.Errorf("queue-full 503 carries Retry-After %q, want \"1\"", retryAfter[i])
+			}
 			full++
 		case http.StatusOK:
 			ok++
@@ -585,6 +578,20 @@ func TestServerQueueFull(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatalf("no submission succeeded: %v", codes)
+	}
+	// Job IDs are sequential. A rejected submission must not leave a job
+	// behind that never runs: every job the burst created is done.
+	for i := 1; i <= burst; i++ {
+		r, err := http.Get(fmt.Sprintf("%s/v1/jobs/j%08x", ts.URL, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v server.JobView
+		json.NewDecoder(r.Body).Decode(&v)
+		r.Body.Close()
+		if r.StatusCode == http.StatusOK && v.Status != server.StatusDone {
+			t.Errorf("job %s is %s after the burst, want done", v.ID, v.Status)
+		}
 	}
 }
 

@@ -223,9 +223,11 @@ func (o Options) Validate() error {
 	if len(o.FrequenciesMHz) == 0 {
 		return fmt.Errorf("synth: no frequencies to sweep")
 	}
+	// The checks below are written so that NaN fails them: NaN compares
+	// false with everything, so a plain f <= 0 would let it through.
 	for _, f := range o.FrequenciesMHz {
-		if f <= 0 {
-			return fmt.Errorf("synth: non-positive frequency %g", f)
+		if !(f > 0) || math.IsInf(f, 0) {
+			return fmt.Errorf("synth: frequency %g is not a positive finite number", f)
 		}
 	}
 	if o.MaxILL < 0 {
@@ -234,8 +236,10 @@ func (o Options) Validate() error {
 	if err := o.Partition.Validate(); err != nil {
 		return err
 	}
-	if o.PowerWeight < 0 || o.LatencyWeight < 0 {
-		return fmt.Errorf("synth: negative objective weight")
+	for _, w := range []float64{o.PowerWeight, o.LatencyWeight} {
+		if !(w >= 0) || math.IsInf(w, 0) {
+			return fmt.Errorf("synth: objective weight %g is not a finite non-negative number", w)
+		}
 	}
 	if o.PowerWeight == 0 && o.LatencyWeight == 0 {
 		return fmt.Errorf("synth: objective weights are both zero")

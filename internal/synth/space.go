@@ -41,9 +41,9 @@ const (
 // integral values.
 type Axis struct {
 	// Name is one of the Axis* constants.
-	Name string
+	Name string `json:"name"`
 	// Values lists the axis values in sweep order.
-	Values []float64
+	Values []float64 `json:"values"`
 }
 
 // Space is an N-dimensional design space for the explorer: the cross product
@@ -69,13 +69,17 @@ type Axis struct {
 // consumers see every pruning decision. Pruning is exact: the Pareto front
 // and the best point of a pruned run are byte-identical to a NoPrune run of
 // the same space.
+//
+// The JSON form, which sunfloor-server decodes from the "space" field of a
+// request, is {"axes":[{"name":"freq_mhz","values":[400,600]}],
+// "no_prune":true}.
 type Space struct {
 	// Axes lists the dimensions. Order matters only among values of one
 	// axis; the nesting order of the enumeration is fixed (see above).
-	Axes []Axis
+	Axes []Axis `json:"axes"`
 	// NoPrune disables duplicate-cell and branch-and-bound pruning and
 	// evaluates every point exhaustively (the brute-force reference mode).
-	NoPrune bool
+	NoPrune bool `json:"no_prune,omitempty"`
 }
 
 // axis returns the named axis, or nil when the space does not sweep it.
@@ -129,6 +133,13 @@ func (s *Space) validate(o Options) error {
 			}
 			if a.Name != AxisFreqMHz && v != math.Trunc(v) {
 				return fmt.Errorf("synth: axis %q requires integral values, got %g", a.Name, v)
+			}
+			// A huge integral value converts to an arbitrary int (1e300
+			// becomes math.MinInt64 on amd64), which the partitioner would
+			// then be asked for as a switch count. MaxInt32 is far above any
+			// real count and fits an int on every platform.
+			if a.Name != AxisFreqMHz && v > math.MaxInt32 {
+				return fmt.Errorf("synth: axis %q value %g exceeds %d", a.Name, v, math.MaxInt32)
 			}
 			if vals[v] {
 				return fmt.Errorf("synth: axis %q lists value %g twice", a.Name, v)
