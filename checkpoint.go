@@ -3,6 +3,8 @@ package sunfloor3d
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,16 +14,25 @@ import (
 )
 
 // checkpointVersion tags the on-disk checkpoint record format.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // checkpointRecord is one line of a checkpoint file: the complete point list
 // of one finished exploration cell, tagged with the request fingerprint so a
-// checkpoint can never resume a different request.
+// checkpoint can never resume a different request, and with the digest of
+// its points so a value altered on disk is never restored.
 type checkpointRecord struct {
-	V      int           `json:"v"`
-	FP     string        `json:"fp"`
-	Cell   int           `json:"cell"`
-	Points []DesignPoint `json:"points"`
+	V    int    `json:"v"`
+	FP   string `json:"fp"`
+	Cell int    `json:"cell"`
+	// Sum is pointsSum(Points).
+	Sum    string          `json:"sum"`
+	Points json.RawMessage `json:"points"`
+}
+
+// pointsSum returns the hex SHA-256 of a record's points bytes.
+func pointsSum(points []byte) string {
+	sum := sha256.Sum256(points)
+	return hex.EncodeToString(sum[:])
 }
 
 // checkpointFile is the explorer's resumable on-disk state (WithCheckpoint):
@@ -49,8 +60,9 @@ type checkpointFile struct {
 // Existing records are validated against the fingerprint: a mismatch is an
 // error, because the file demonstrably belongs to a different request.
 // Malformed or torn lines are skipped, and so are records with a point that
-// claims more failed flows than the design has (or fewer than none); their
-// cells are recomputed. The first record of a cell wins (later duplicates —
+// claims more failed flows than the design has (or fewer than none) and
+// records whose points do not match their digest; their cells are
+// recomputed. The first record of a cell wins (later duplicates —
 // e.g. from concatenated shard files that each computed the witness cell —
 // are ignored).
 func openCheckpoint(path, fingerprint string, flows int) (*checkpointFile, error) {
@@ -77,12 +89,19 @@ func openCheckpoint(path, fingerprint string, flows int) (*checkpointFile, error
 			if _, ok := ck.cells[rec.Cell]; ok {
 				continue
 			}
-			pts := make([]synth.DesignPoint, len(rec.Points))
-			for i, p := range rec.Points {
+			var points []DesignPoint
+			if err := json.Unmarshal(rec.Points, &points); err != nil {
+				continue
+			}
+			pts := make([]synth.DesignPoint, len(points))
+			for i, p := range points {
 				if p.Route.FailedFlows < 0 || p.Route.FailedFlows > flows {
 					continue records // impossible, so corrupt: recompute that cell
 				}
 				pts[i] = internalFromPoint(p)
+			}
+			if rec.Sum != pointsSum(rec.Points) {
+				continue // altered on disk: recompute that cell
 			}
 			ck.cells[rec.Cell] = pts
 		}
@@ -114,11 +133,15 @@ func (c *checkpointFile) restore(cell int) ([]synth.DesignPoint, bool) {
 // checkpoint that is silently stale, and a later resume would recompute work
 // the caller believed was persisted.
 func (c *checkpointFile) append(cell int, pts []synth.DesignPoint) error {
-	rec := checkpointRecord{V: checkpointVersion, FP: c.fp, Cell: cell, Points: make([]DesignPoint, len(pts))}
+	public := make([]DesignPoint, len(pts))
 	for i, dp := range pts {
-		rec.Points[i] = pointFromInternal(dp)
+		public[i] = pointFromInternal(dp)
 	}
-	data, err := json.Marshal(rec)
+	points, err := json.Marshal(public)
+	if err != nil {
+		return fmt.Errorf("sunfloor3d: encoding checkpoint cell %d: %w", cell, err)
+	}
+	data, err := json.Marshal(checkpointRecord{V: checkpointVersion, FP: c.fp, Cell: cell, Sum: pointsSum(points), Points: points})
 	if err != nil {
 		return fmt.Errorf("sunfloor3d: encoding checkpoint cell %d: %w", cell, err)
 	}

@@ -63,9 +63,10 @@ func TestCheckpointAppendSurfacesWriteError(t *testing.T) {
 
 // FuzzOpenCheckpoint: whatever a checkpoint file holds, opening it for the
 // request that wrote it does not panic, and every point it restores
-// serialises again and restores to the same bytes. The corpus is seeded
-// with a real checkpoint and with its first record claiming an impossible
-// failed-flow count.
+// serialises again and restores to the same bytes. Every line that parses
+// as a record is re-signed first, so mutated points pass the digest check
+// and reach the round trip. The corpus is seeded with a real checkpoint and
+// with its first record claiming an impossible failed-flow count.
 func FuzzOpenCheckpoint(f *testing.F) {
 	spec, err := ParseGenSpec("shape=pipeline,cores=8,layers=2,seed=1")
 	if err != nil {
@@ -96,8 +97,25 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	f.Add(bytes.Replace(data, []byte(`"route_stats":{`), []byte(`"route_stats":{"failed_flows":4611686018427387904,`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		lines := bytes.Split(data, []byte("\n"))
+		for i, line := range lines {
+			var rec checkpointRecord
+			if json.Unmarshal(line, &rec) != nil {
+				continue
+			}
+			// Marshal compacts the raw points the way the record's own
+			// marshalling will, so the sum covers the bytes written.
+			points, err := json.Marshal(rec.Points)
+			if err != nil {
+				continue
+			}
+			rec.Sum, rec.Points = pointsSum(points), points
+			if signed, err := json.Marshal(rec); err == nil {
+				lines[i] = signed
+			}
+		}
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		ck, err := openCheckpoint(path, fp, len(d.Flows))

@@ -165,33 +165,43 @@
 //
 // # Exploring large design spaces
 //
-// WithSpace(Space) generalises the classic two-axis sweep into an
-// N-dimensional explorer: any subset of freq_mhz, link_width_bits, vcs and
-// switch_count becomes an explicit Axis, and the engine enumerates the
-// cross product in a deterministic order. Pruning is exact, never
-// heuristic: within one frequency only the first (vcs, link width) cell is
-// evaluated, because neither axis affects a result-affecting metric, and a
-// switch count whose analytic power floor already exceeds the best valid
-// point at an admissible latency floor is cut before its topology is
-// built. Pruned points stay in Result.Points as Pruned stubs whose
-// FailReason names the rule that cut them, and progress events carry the
-// marker. The guarantee — enforced by the facade tests, the property
-// harness and the benchmark itself — is that a pruned run's ParetoFront
-// and Best are byte-identical to an exhaustive Space{NoPrune: true} run.
+// WithSpace(Space) runs the N-dimensional explorer: any subset of
+// freq_mhz, layer_count, tsv_budget, vcs, link_width_bits and switch_count
+// becomes an explicit Axis, and the engine enumerates the cross product in
+// a deterministic order. Pruning is exact, never heuristic: within one
+// frequency only the first (vcs, link width) cell is evaluated, because
+// neither axis affects a result-affecting metric, and a switch count whose
+// analytic power floor already exceeds the best valid point at an
+// admissible latency floor is cut before its topology is built. Pruned
+// points stay in Result.Points as Pruned stubs whose FailReason names the
+// rule that cut them, and progress events carry the marker. The guarantee
+// — enforced by the facade tests and the property harness — is that a
+// pruned run's ParetoFront and Best are byte-identical to an exhaustive
+// Space{NoPrune: true} run.
+//
+// The engine has one sweep driver: a classic sweep is the one-axis
+// (frequency) exploration of WithFrequenciesMHz with pruning off. It adds
+// two steps over the whole run that an exploration cannot apply: the
+// WithSimBand band is cut over all points, and the LP refinement is applied
+// to the best point. An exploration cuts the band per cell and never
+// refines, so every cell is final when it is checkpointed.
 //
 // WithCheckpoint(path) makes an exploration resumable: each computed cell
 // is appended to a JSON-lines file keyed by the run's cache fingerprint
 // (atomic appends; torn trailing lines are ignored; a checkpoint written
-// for different inputs is rejected). WithShard(i, n) makes a run own only
-// the cells with cell%n == i; shards share the fingerprint, so their
-// checkpoint files merge by plain concatenation and a final run with the
-// merged file restores the union. Shard results are partial and are never
-// stored in the content-addressed cache. The CLI exposes the same surface
-// as -axis name=v1,v2,... (repeatable), -no-prune, -checkpoint and
-// -shard i/n; the server accepts the space as options.space. Tests check
-// front/best byte-identity between pruned and brute-force runs, and
-// `bash perf/run.sh --workload signoff` times an exploration; BENCH_PR8.json
-// is frozen history of the pruning speed-up that nothing regenerates.
+// for different inputs is rejected; a record whose points no longer match
+// their SHA-256 is dropped and its cell recomputed). WithShard(i, n) makes
+// a run own only the cells with cell%n == i; shards share the fingerprint,
+// so their checkpoint files merge by plain concatenation and a final run
+// with the merged file restores the union. Shard results are partial and
+// are never stored in the content-addressed cache. The CLI exposes the
+// same surface as -axis name=v1,v2,... (repeatable), -no-prune,
+// -checkpoint and -shard i/n; the server accepts the space as
+// options.space. Tests check front/best byte-identity between pruned and
+// brute-force runs, and that a classic sweep without its whole-run steps
+// serialises like its one-axis exploration; `bash perf/run.sh --workload
+// signoff` times an exploration; BENCH_PR8.json is frozen history of the
+// pruning speed-up that nothing regenerates.
 //
 // # Synthesis as a service
 //

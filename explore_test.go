@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sunfloor3d"
@@ -126,6 +127,68 @@ func TestExplorerSerialParallelIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(stable(t, serial), stable(t, parallel)) {
 		t.Error("serial and parallel explorer runs differ")
+	}
+}
+
+// TestClassicSweepIsOneAxisExploration: a classic frequency sweep is the
+// exploration of a one-axis (freq_mhz) space with pruning off. LP placement
+// on every point keeps the classic sweep from refining its best point and no
+// sim band is requested, so neither whole-run step applies; the two runs
+// must then serialise to the same bytes at every parallelism and report the
+// same serial progress stream.
+func TestClassicSweepIsOneAxisExploration(t *testing.T) {
+	media, err := sunfloor3d.BenchmarkByName("D_26_media", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs := []float64{400, 600, 800}
+	space := sunfloor3d.Space{NoPrune: true, Axes: []sunfloor3d.Axis{{Name: sunfloor3d.AxisFreqMHz, Values: freqs}}}
+	type event struct {
+		done, total, switches int
+		freq                  float64
+		valid                 bool
+	}
+	run := func(t *testing.T, d *sunfloor3d.Design, parallelism int, opts ...sunfloor3d.Option) ([]byte, []event) {
+		t.Helper()
+		var events []event
+		opts = append(append([]sunfloor3d.Option(nil), opts...), sunfloor3d.WithParallelism(parallelism), sunfloor3d.WithProgress(func(ev sunfloor3d.Event) {
+			events = append(events, event{ev.Done, ev.Total, ev.Point.SwitchCount, ev.Point.FreqMHz, ev.Point.Valid})
+		}))
+		res, err := sunfloor3d.Synthesize(context.Background(), d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stable(t, res), events
+	}
+	designs := []struct {
+		name string
+		d    *sunfloor3d.Design
+	}{{"api_design", apiDesign(t)}, {"D_26_media", media.Graph3D}}
+	variants := []struct {
+		name string
+		opts []sunfloor3d.Option
+	}{
+		{"auto", nil},
+		{"contention_phase1", []sunfloor3d.Option{sunfloor3d.WithContention(), sunfloor3d.WithPhase(sunfloor3d.Phase1Only)}},
+	}
+	for _, dc := range designs {
+		for _, v := range variants {
+			t.Run(dc.name+"/"+v.name, func(t *testing.T) {
+				base := append([]sunfloor3d.Option{sunfloor3d.WithLPPlacement(true)}, v.opts...)
+				classic := append(append([]sunfloor3d.Option(nil), base...), sunfloor3d.WithFrequenciesMHz(freqs...))
+				explore := append(append([]sunfloor3d.Option(nil), base...), sunfloor3d.WithSpace(space))
+				for _, par := range []int{1, 4} {
+					cb, cev := run(t, dc.d, par, classic...)
+					eb, eev := run(t, dc.d, par, explore...)
+					if !bytes.Equal(cb, eb) {
+						t.Errorf("parallelism %d: classic sweep and one-axis exploration serialise differently", par)
+					}
+					if par == 1 && !reflect.DeepEqual(cev, eev) {
+						t.Errorf("serial progress streams differ:\nclassic: %v\nexplore: %v", cev, eev)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -511,6 +574,61 @@ func TestExplorerCheckpointImpossibleFailedFlows(t *testing.T) {
 	}
 	if !bytes.Equal(stable(t, live), stable(t, resumed)) {
 		t.Error("result resumed over an impossible record differs from the uninterrupted run")
+	}
+}
+
+// TestExplorerCheckpointCorruptValue: a record with the request's
+// fingerprint whose points still parse but no longer match its digest (the
+// first digit of one avg_latency_cycles bumped) is corrupt. Resuming must
+// drop it and recompute its cell, and return the uninterrupted run's bytes
+// instead of the flipped value.
+func TestExplorerCheckpointCorruptValue(t *testing.T) {
+	d := apiDesign(t)
+	ctx := context.Background()
+	ckpt := filepath.Join(t.TempDir(), "explore.ckpt")
+	sp := exploreSpace3()
+
+	live, err := sunfloor3d.Synthesize(ctx, d, sunfloor3d.WithSpace(sp), sunfloor3d.WithCheckpoint(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte(`"avg_latency_cycles":`)
+	at := bytes.Index(data, key)
+	if at < 0 {
+		t.Fatal("checkpoint holds no avg_latency_cycles")
+	}
+	at += len(key)
+	switch c := data[at]; {
+	case c == '9':
+		data[at] = '1'
+	case c >= '0' && c < '9':
+		data[at] = c + 1
+	default:
+		t.Fatalf("avg_latency_cycles starts with %q, not a digit", c)
+	}
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	computed := 0
+	resumed, err := sunfloor3d.Synthesize(ctx, d, sunfloor3d.WithSpace(sp), sunfloor3d.WithCheckpoint(ckpt),
+		sunfloor3d.WithProgress(func(ev sunfloor3d.Event) {
+			if ev.Point.Elapsed > 0 {
+				computed++
+			}
+		}))
+	if err != nil {
+		t.Fatalf("resume over a corrupt value: %v", err)
+	}
+	if computed == 0 {
+		t.Error("resume computed no point: the corrupt record's cell was restored")
+	}
+	if !bytes.Equal(stable(t, live), stable(t, resumed)) {
+		t.Error("result resumed over a corrupt value differs from the uninterrupted run")
 	}
 }
 

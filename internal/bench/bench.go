@@ -301,25 +301,22 @@ func assemble(name string, protos []protoCore, flows []protoFlow, layers int, se
 		}
 		return cores
 	}
-	mkFlows := func() []model.Flow {
-		out := make([]model.Flow, len(flows))
-		for i, f := range flows {
-			out[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
-				LatencyCycles: f.lat, Type: f.typ}
-		}
-		return out
+	mflows := make([]model.Flow, len(flows))
+	for i, f := range flows {
+		mflows[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
+			LatencyCycles: f.lat, Type: f.typ}
 	}
 
 	cores3d := mkCores(func(i int) int { return assignment[i] })
-	floorplanLayers(cores3d, flows, layers, seed)
-	g3d, err := model.NewCommGraph(cores3d, mkFlows())
+	FloorplanLayers(cores3d, mflows, layers, seed)
+	g3d, err := model.NewCommGraph(cores3d, mflows)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s 3-D graph invalid: %v", name, err))
 	}
 
 	cores2d := mkCores(func(int) int { return 0 })
-	floorplanLayers(cores2d, flows, 1, seed+1)
-	g2d, err := model.NewCommGraph(cores2d, mkFlows())
+	FloorplanLayers(cores2d, mflows, 1, seed+1)
+	g2d, err := model.NewCommGraph(cores2d, mflows)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s 2-D graph invalid: %v", name, err))
 	}
@@ -368,11 +365,13 @@ func assignLayers(protos []protoCore, flows []protoFlow, layers int) []int {
 	return assign
 }
 
-// floorplanLayers computes initial core positions for every layer with the SA
-// floorplanner, minimising area and intra-layer wirelength (the same
+// FloorplanLayers computes initial core positions for every layer with the
+// SA floorplanner, minimising area and intra-layer wirelength (the same
 // objectives the paper uses when generating the input floorplans with
-// Parquet).
-func floorplanLayers(cores []model.Core, flows []protoFlow, layers int, seed int64) {
+// Parquet). It sets X and Y of every core on layers 0..layers-1; flows
+// supply the nets. The workload generator floorplans its designs with it
+// too.
+func FloorplanLayers(cores []model.Core, flows []model.Flow, layers int, seed int64) {
 	for l := 0; l < layers; l++ {
 		var idx []int
 		for i := range cores {
@@ -391,10 +390,10 @@ func floorplanLayers(cores []model.Core, flows []protoFlow, layers int, seed int
 		}
 		var nets []floorplan.Net
 		for _, f := range flows {
-			a, aok := pos[f.src]
-			b, bok := pos[f.dst]
+			a, aok := pos[f.Src]
+			b, bok := pos[f.Dst]
 			if aok && bok {
-				nets = append(nets, floorplan.Net{A: a, B: b, Weight: f.bw / 1000})
+				nets = append(nets, floorplan.Net{A: a, B: b, Weight: f.BandwidthMBps / 1000})
 			}
 		}
 		params := floorplan.DefaultParams(seed + int64(l)*101)

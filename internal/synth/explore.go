@@ -7,17 +7,20 @@ import (
 	"sync"
 
 	"sunfloor3d/internal/model"
+	"sunfloor3d/internal/place"
 	"sunfloor3d/internal/topology"
 )
 
-// exploreSpace runs the N-dimensional design-space explorer: the cross
-// product of Options.Space's axes, enumerated as (frequency, layer count,
-// TSV budget, vcs, link width) cells whose interior is the switch-count
-// sweep of the classic engine. Cells are the unit of pruning, checkpointing
-// and sharding. A layer_count axis folds the design onto each requested
-// stacking depth (core layer mod L, planar positions kept), with one
-// partition cache per fold; a tsv_budget axis re-evaluates validity under
-// each TSV macro cap.
+// exploreSpace is the engine's one sweep driver: it enumerates the cross
+// product of a Space's axes as (frequency, layer count, TSV budget, vcs, link
+// width) cells whose interior is the switch-count sweep of Algorithms 1-2
+// (synthesizeAtFrequency). Cells are the unit of pruning, checkpointing and
+// sharding. A run without Options.Space is the classic sweep: it explores the
+// implicit space {NoPrune: true}, whose only axis is Options.FrequenciesMHz
+// and whose switch counts run 1..NumCores. A layer_count axis folds the
+// design onto each requested stacking depth (core layer mod L, planar
+// positions kept), with one partition cache per fold; a tsv_budget axis
+// re-evaluates validity under each TSV macro cap.
 //
 // Unless Space.NoPrune is set, two exact pruning rules apply:
 //
@@ -45,19 +48,34 @@ import (
 //     neither the front nor the best point. The power floor is monotone in
 //     k, so pruning typically removes whole switch-count suffixes.
 //
-// The explorer never applies the LPOnBest refinement: refinement mutates the
-// winning point's metrics after the sweep, which would break the byte-exact
-// equivalence between computed, restored and sharded cells that
-// checkpointing relies on. Callers wanting refined switch positions re-run
-// the winning cell through the classic engine.
+// Two steps need every point's live topology and run once over the whole
+// sweep, for a classic sweep only: cutting the fidelity ladder's sim band
+// over all points, and the LPOnBest refinement of the best point. An
+// exploration cannot apply them, because its cells must be final when they
+// are checkpointed: computed, restored and shard-merged cells are then
+// byte-identical. So an exploration triages each cell before recording it
+// and never refines; callers wanting refined switch positions re-run the
+// winning cell as a classic sweep. Both steps are gated on Options.Space,
+// which the request fingerprint covers, never on the exploration hooks, so a
+// run's bytes do not depend on whether it was resumed or sharded.
 func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *partitionCache, p *pool) (*Result, error) {
+	wholeRun := opt.Space == nil
 	sp := opt.Space
+	if wholeRun {
+		sp = &Space{NoPrune: true}
+	}
 	cells := sp.cells(opt)
 	counts := sp.intValues(AxisSwitchCount)
 	for _, c := range counts {
 		if c > g.NumCores() {
 			return nil, fmt.Errorf("synth: axis %s value %d exceeds the design's %d cores",
 				AxisSwitchCount, c, g.NumCores())
+		}
+	}
+	if counts == nil {
+		counts = make([]int, g.NumCores())
+		for i := range counts {
+			counts[i] = i + 1
 		}
 	}
 	prune := !sp.NoPrune
@@ -120,13 +138,15 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 		if err != nil {
 			return err
 		}
-		// Fidelity ladder: triage the cell before it is recorded, so
-		// checkpointed cells hold their final (triaged) points and restored
-		// or shard-merged cells are never re-triaged. The band is cut per
-		// cell; any point on the whole sweep's estimated front is also on
-		// its own cell's front, so per-cell triage only widens the band.
-		if err := triageSimBand(pts, co, p); err != nil {
-			return err
+		// Fidelity ladder: an exploration triages the cell before it is
+		// recorded, so checkpointed cells hold their final (triaged) points
+		// and restored or shard-merged cells are never re-triaged. Any point
+		// on the whole sweep's estimated front is also on its own cell's
+		// front, so per-cell triage only widens the band.
+		if !wholeRun {
+			if err := triageSimBand(pts, co, p); err != nil {
+				return err
+			}
 		}
 		return finish(ci, pts)
 	}
@@ -137,16 +157,9 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 			_, _, maxExtra := phase2Plan(opt, cells[ci].freq, variants[cells[ci].lcIdx].cache)
 			return make([]DesignPoint, maxExtra+1)
 		}
-		pts := make([]DesignPoint, g.NumCores())
-		if counts != nil {
-			pts = make([]DesignPoint, len(counts))
-		}
-		for i := range pts {
-			if counts != nil {
-				pts[i].SwitchCount = counts[i]
-			} else {
-				pts[i].SwitchCount = i + 1
-			}
+		pts := make([]DesignPoint, len(counts))
+		for i, k := range counts {
+			pts[i].SwitchCount = k
 		}
 		return pts
 	}
@@ -286,7 +299,15 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 	for _, pts := range perCell {
 		res.Points = append(res.Points, pts...)
 	}
+	if wholeRun {
+		if err := triageSimBand(res.Points, opt, p); err != nil {
+			return nil, err
+		}
+	}
 	res.Best = pickBest(res.Points, opt)
+	if wholeRun && opt.LPOnBest && !opt.RunLPPlacement {
+		refineBest(res, opt, place.OptimizeSwitchPositions)
+	}
 	// With a layer_count axis the work ran on the per-fold caches; sum their
 	// activity (in the deterministic variant order) so the report covers the
 	// whole run.
@@ -327,9 +348,9 @@ func probeCellIndex(cells []cellSpec, ci int) int {
 	return 0
 }
 
-// cellOptions derives the classic single-frequency options of one cell: the
-// cell's frequency, its VC/link-width overrides, and the explorer's
-// switch-count restriction and branch-and-bound hook.
+// cellOptions derives the single-frequency options of one cell: the cell's
+// frequency, its VC/link-width/TSV-budget overrides, the switch counts to
+// sweep and the branch-and-bound hook.
 func cellOptions(opt Options, c cellSpec, counts []int, pruneFn func(int) string) Options {
 	co := opt
 	co.Space = nil

@@ -164,14 +164,17 @@ type Options struct {
 	// estimated front plus every near-tie, and widening it absorbs more
 	// estimator error.
 	SimBand float64
-	// Space, when non-nil, replaces the classic frequency x switch-count
-	// sweep with the N-dimensional design-space explorer: the cross product
-	// of the space's axes is enumerated in a deterministic order, provably
-	// dominated regions are pruned before partitioning and routing (unless
-	// Space.NoPrune), and every point — evaluated or pruned — appears in
-	// Result.Points. A space with a freq_mhz axis overrides FrequenciesMHz.
-	// Explorer runs never apply the LPOnBest refinement (re-run the winning
-	// cell through a classic sweep for refined switch positions).
+	// Space, when non-nil, is the N-dimensional design space to explore: the
+	// cross product of its axes is enumerated in a deterministic order,
+	// provably dominated regions are pruned before partitioning and routing
+	// (unless Space.NoPrune), and every point — evaluated or pruned — appears
+	// in Result.Points. A space with a freq_mhz axis overrides
+	// FrequenciesMHz. When nil, the run is the classic sweep: the same
+	// driver explores the one-axis space of FrequenciesMHz with pruning off,
+	// and adds the two whole-run steps an exploration cannot apply, the sim
+	// band cut over all points and the LPOnBest refinement (re-run the
+	// winning cell of an exploration as a classic sweep for refined switch
+	// positions).
 	Space *Space
 
 	// explore holds the checkpoint/shard hooks installed by
@@ -179,9 +182,10 @@ type Options struct {
 	// with no influence on what evaluated cells contain, so they are
 	// excluded from the cache fingerprint.
 	explore ExplorationHooks
-	// explCounts restricts the Phase-1 switch-count sweep to the listed
-	// counts (nil = the classic 1..NumCores). Set by the explorer on the
-	// per-cell option copies it hands to synthesizeAtFrequency.
+	// explCounts lists the switch counts of the Phase-1 sweep, one slot
+	// each: the switch_count axis values, or 1..NumCores without that axis.
+	// Set by the sweep driver on every per-cell option copy it hands to
+	// synthesizeAtFrequency.
 	explCounts []int
 	// explPrune, when non-nil, is consulted before building any Phase-1
 	// point: a non-empty return is the prune reason and the point becomes a

@@ -47,8 +47,9 @@ type Axis struct {
 }
 
 // Space is an N-dimensional design space for the explorer: the cross product
-// of its axes. Setting Options.Space switches SynthesizeContext from the
-// classic frequency x switch-count sweep to the explorer.
+// of its axes. Every run explores a space: without Options.Space,
+// SynthesizeContext explores {NoPrune: true}, whose cells are the
+// frequencies of Options.FrequenciesMHz, which is the classic sweep.
 //
 // The cross product is enumerated in a deterministic order — frequency
 // outermost, then layer count, then TSV budget, then VC count, then link

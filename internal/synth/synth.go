@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"sunfloor3d/internal/contend"
@@ -162,8 +161,8 @@ func Synthesize(g *model.CommGraph, opt Options) (*Result, error) {
 }
 
 // SynthesizeContext runs the full SunFloor 3D flow on the design under the
-// given context. The frequency x switch-count sweep is decomposed into
-// independent design-point evaluations executed on a bounded worker pool
+// given context. The sweep (see exploreSpace) is decomposed into independent
+// design-point evaluations executed on a bounded worker pool
 // (Options.Parallelism wide); the ordering of Result.Points is deterministic
 // and identical between serial and parallel runs. Cancelling the context
 // stops the sweep promptly — points not yet started are abandoned — and
@@ -185,56 +184,7 @@ func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options) (*R
 	// run drains all in-flight evaluations before SynthesizeContext returns
 	// and never leaks a goroutine or an evaluation slot.
 	defer p.close()
-	cache := newPartitionCache(g, opt.Partition)
-	if opt.Space != nil {
-		return exploreSpace(ctx, g, opt, cache, p)
-	}
-	perFreq := make([][]DesignPoint, len(opt.FrequenciesMHz))
-	errs := make([]error, len(opt.FrequenciesMHz))
-	if p.serial {
-		// Serial reference path: one frequency after the other.
-		for fi, freq := range opt.FrequenciesMHz {
-			perFreq[fi], errs[fi] = synthesizeAtFrequency(g, opt, freq, cache, p)
-			if errs[fi] != nil {
-				break
-			}
-		}
-	} else {
-		// Each frequency sweep progresses independently; the pool bounds the
-		// number of points in flight across all of them.
-		var wg sync.WaitGroup
-		for fi, freq := range opt.FrequenciesMHz {
-			wg.Add(1)
-			go func(fi int, freq float64) {
-				defer wg.Done()
-				perFreq[fi], errs[fi] = synthesizeAtFrequency(g, opt, freq, cache, p)
-			}(fi, freq)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{}
-	for _, pts := range perFreq {
-		res.Points = append(res.Points, pts...)
-	}
-	// Fidelity ladder: with SimBand active, evaluation above attached only
-	// the analytic estimate; cut the band over the whole sweep and simulate
-	// just the points inside it. (Explorer runs triage per cell instead, in
-	// exploreSpace, so checkpointed cells are final.)
-	if err := triageSimBand(res.Points, opt, p); err != nil {
-		return nil, err
-	}
-	res.Best = pickBest(res.Points, opt)
-	if opt.LPOnBest && !opt.RunLPPlacement {
-		refineBest(res, opt, place.OptimizeSwitchPositions)
-	}
-	res.Cache = cache.stats()
-	return res, nil
+	return exploreSpace(ctx, g, opt, newPartitionCache(g, opt.Partition), p)
 }
 
 // refineBest applies the switch-placement refinement to the winning design
@@ -341,56 +291,31 @@ func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache 
 	}
 }
 
-// phase1Sweep implements Algorithm 1. The initial sweep over switch counts
-// and every theta retry round fan out onto the worker pool; the rounds
-// themselves stay sequential because each one only re-attempts the counts the
-// previous round left unmet. When fallbackPhase2 is set, switch counts that
-// remain unmet after the theta sweep are retried with the layer-by-layer
-// method.
+// phase1Sweep implements Algorithm 1 over the switch counts listed in
+// opt.explCounts, one sweep slot per count. The initial sweep and every theta
+// retry round fan out onto the worker pool; the rounds themselves stay
+// sequential because each one only re-attempts the slots the previous round
+// left unmet. When fallbackPhase2 is set, slots that remain unmet after the
+// theta sweep are retried with the layer-by-layer method.
 func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 bool, cache *partitionCache, p *pool) ([]DesignPoint, error) {
-	// The explorer restricts the swept switch counts to an explicit list;
-	// the classic sweep covers 1..NumCores. countOf maps a sweep slot to its
-	// switch count, slotOf inverts it for the retry rounds (which track
-	// counts, not slots).
 	counts := opt.explCounts
-	n := g.NumCores()
-	if counts != nil {
-		n = len(counts)
-	}
-	countOf := func(slot int) int {
-		if counts == nil {
-			return slot + 1
-		}
-		return counts[slot]
-	}
-	slotOf := func(count int) int {
-		if counts == nil {
-			return count - 1
-		}
-		for s, c := range counts {
-			if c == count {
-				return s
-			}
-		}
-		return -1 // unreachable: retries only hold swept counts
-	}
 	pg := cache.pg(0)
-	points := make([]DesignPoint, n)
-	err := p.forEach(n,
+	points := make([]DesignPoint, len(counts))
+	err := p.forEach(len(counts),
 		func(i int) DesignPoint {
-			return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, pg, countOf(i), 0) })
+			return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, pg, counts[i], 0) })
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
 	if err != nil {
 		return nil, err
 	}
-	var unmet []int
+	var unmet []int // slots
 	for i := range points {
 		// Pruned stubs are proven unable to reach the front or the best
 		// point, so they are never retried by theta rescaling or the Phase-2
 		// fallback either.
 		if !points[i].Valid && !points[i].Pruned {
-			unmet = append(unmet, countOf(i))
+			unmet = append(unmet, i)
 		}
 	}
 
@@ -404,7 +329,7 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 			retried := make([]DesignPoint, len(unmet))
 			err := p.forEach(len(unmet),
 				func(j int) DesignPoint {
-					return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, spg, unmet[j], theta) })
+					return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, spg, counts[unmet[j]], theta) })
 				},
 				func(j int, dp DesignPoint) { retried[j] = dp })
 			if err != nil {
@@ -413,7 +338,7 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 			var still []int
 			for j, dp := range retried {
 				if dp.Valid {
-					points[slotOf(unmet[j])] = dp
+					points[unmet[j]] = dp
 				} else {
 					still = append(still, unmet[j])
 				}
@@ -428,11 +353,11 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range unmet {
+		for _, s := range unmet {
 			// Find a valid Phase-2 point with a comparable total switch count.
 			for _, dp := range p2 {
-				if dp.Valid && dp.SwitchCount == i {
-					points[slotOf(i)] = dp
+				if dp.Valid && dp.SwitchCount == counts[s] {
+					points[s] = dp
 					break
 				}
 			}

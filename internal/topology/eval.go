@@ -9,12 +9,13 @@ import (
 
 // PowerBreakdown decomposes the NoC power consumption the way Figs. 10 and 11
 // of the paper plot it: switch power, switch-to-switch link power and
-// core-to-switch link power, all in milliwatts.
+// core-to-switch link power, all in milliwatts. The JSON tags are the
+// serialised Result's.
 type PowerBreakdown struct {
-	SwitchMW     float64
-	SwitchLinkMW float64
-	CoreLinkMW   float64
-	NIMW         float64
+	SwitchMW     float64 `json:"switch_mw"`
+	SwitchLinkMW float64 `json:"switch_link_mw"`
+	CoreLinkMW   float64 `json:"core_link_mw"`
+	NIMW         float64 `json:"ni_mw"`
 }
 
 // TotalMW returns the total NoC power.
@@ -26,33 +27,35 @@ func (p PowerBreakdown) TotalMW() float64 {
 // the "Link Power" column of Table I.
 func (p PowerBreakdown) LinkMW() float64 { return p.SwitchLinkMW + p.CoreLinkMW }
 
-// Metrics summarises a fully evaluated topology.
+// Metrics summarises a fully evaluated topology. The JSON tags are the
+// serialised Result's, and the field order is its key order.
 type Metrics struct {
-	Power PowerBreakdown
+	// Power is the NoC power breakdown.
+	Power PowerBreakdown `json:"power"`
 	// AvgLatencyCycles is the average zero-load latency over all flows.
-	AvgLatencyCycles float64
+	AvgLatencyCycles float64 `json:"avg_latency_cycles"`
 	// MaxLatencyCycles is the worst zero-load latency over all flows.
-	MaxLatencyCycles float64
-	// WireLengthsMM lists the planar length of every physical link.
-	WireLengthsMM []float64
+	MaxLatencyCycles float64 `json:"max_latency_cycles"`
 	// TotalWireLengthMM is the sum of WireLengthsMM.
-	TotalWireLengthMM float64
+	TotalWireLengthMM float64 `json:"total_wire_length_mm"`
 	// NoCAreaMM2 is the silicon area of switches, NIs and TSV macros.
-	NoCAreaMM2 float64
+	NoCAreaMM2 float64 `json:"noc_area_mm2"`
 	// MaxILL is the maximum number of links crossing any adjacent layer pair.
-	MaxILL int
+	MaxILL int `json:"max_ill"`
 	// TSVMacros is the number of TSV macros needed.
-	TSVMacros int
+	TSVMacros int `json:"tsv_macros"`
 	// NumSwitches is the number of switches in the topology.
-	NumSwitches int
+	NumSwitches int `json:"num_switches"`
 	// LatencyViolations counts flows whose zero-load latency exceeds their
 	// latency constraint.
-	LatencyViolations int
+	LatencyViolations int `json:"latency_violations"`
 	// SpareTSVMacros is the number of spare TSVs provisioned by the
 	// fault-aware sparing pass (0 when sparing is disabled). Evaluate never
 	// sets it — sparing is sized after evaluation from the committed routes
 	// and stamped onto the metrics by the synthesis engine.
-	SpareTSVMacros int
+	SpareTSVMacros int `json:"spare_tsv_macros,omitempty"`
+	// WireLengthsMM lists the planar length of every physical link.
+	WireLengthsMM []float64 `json:"wire_lengths_mm,omitempty"`
 }
 
 // switchDistance returns the planar Manhattan distance between two switches

@@ -30,7 +30,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"sunfloor3d/internal/floorplan"
+	"sunfloor3d/internal/bench"
 	"sunfloor3d/internal/graph"
 	"sunfloor3d/internal/model"
 )
@@ -590,25 +590,22 @@ func assemble(spec Spec, protos []protoCore, flows []protoFlow) (Benchmark, erro
 		}
 		return cores
 	}
-	mkFlows := func() []model.Flow {
-		out := make([]model.Flow, len(flows))
-		for i, f := range flows {
-			out[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
-				LatencyCycles: f.lat, Type: f.typ}
-		}
-		return out
+	mflows := make([]model.Flow, len(flows))
+	for i, f := range flows {
+		mflows[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
+			LatencyCycles: f.lat, Type: f.typ}
 	}
 
 	cores3d := mkCores(func(i int) int { return assignment[i] })
-	floorplanLayers(cores3d, flows, spec.Layers, spec.Seed)
-	g3d, err := model.NewCommGraph(cores3d, mkFlows())
+	bench.FloorplanLayers(cores3d, mflows, spec.Layers, spec.Seed)
+	g3d, err := model.NewCommGraph(cores3d, mflows)
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("3-D graph invalid: %w", err)
 	}
 
 	cores2d := mkCores(func(int) int { return 0 })
-	floorplanLayers(cores2d, flows, 1, spec.Seed+1)
-	g2d, err := model.NewCommGraph(cores2d, mkFlows())
+	bench.FloorplanLayers(cores2d, mflows, 1, spec.Seed+1)
+	g2d, err := model.NewCommGraph(cores2d, mflows)
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("2-D graph invalid: %w", err)
 	}
@@ -631,46 +628,4 @@ func assignLayers(protos []protoCore, flows []protoFlow, layers int) []int {
 	}
 	copy(assign, graph.PartitionK(cg, layers))
 	return assign
-}
-
-// floorplanLayers computes initial core positions for every layer with the
-// SA floorplanner (a light schedule: the generator only needs a legal,
-// reasonable initial placement, not a converged one).
-func floorplanLayers(cores []model.Core, flows []protoFlow, layers int, seed int64) {
-	for l := 0; l < layers; l++ {
-		var idx []int
-		for i := range cores {
-			if cores[i].Layer == l {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		pos := make(map[int]int, len(idx)) // core index -> block index
-		blocks := make([]floorplan.Block, len(idx))
-		for bi, ci := range idx {
-			pos[ci] = bi
-			blocks[bi] = floorplan.Block{Name: cores[ci].Name, W: cores[ci].Width, H: cores[ci].Height}
-		}
-		var nets []floorplan.Net
-		for _, f := range flows {
-			a, aok := pos[f.src]
-			b, bok := pos[f.dst]
-			if aok && bok {
-				nets = append(nets, floorplan.Net{A: a, B: b, Weight: f.bw / 1000})
-			}
-		}
-		params := floorplan.DefaultParams(seed + int64(l)*101)
-		params.Iterations = 100
-		params.TemperatureSteps = 35
-		res, err := floorplan.Floorplan(blocks, nets, params)
-		if err != nil {
-			panic(fmt.Sprintf("workload: floorplanning layer %d failed: %v", l, err))
-		}
-		for bi, ci := range idx {
-			cores[ci].X = res.Positions[bi].X
-			cores[ci].Y = res.Positions[bi].Y
-		}
-	}
 }

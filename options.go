@@ -270,21 +270,26 @@ func WithFairShareWeight(w int) Option {
 	return func(c *config) { c.opt.Weight = w }
 }
 
-// WithSpace replaces the classic frequency x switch-count sweep with the
-// N-dimensional design-space explorer over the given space. Points are
-// enumerated in a deterministic order (frequency, then layer count, then TSV
-// budget, then VC count, then link width, with the switch-count sweep
-// innermost); provably dominated regions
-// are pruned before partitioning and routing unless Space.NoPrune is set,
-// and every pruned point appears in Result.Points as a stub with
-// DesignPoint.Pruned and a FailReason naming the decision. Pruning is
-// exact: the Pareto front and the best point are byte-identical to the
-// brute-force enumeration of the same space.
+// WithSpace makes the run an exploration of the given N-dimensional design
+// space. The engine has one sweep driver: a classic run without WithSpace
+// is the exploration of the one-axis space of WithFrequenciesMHz, every
+// switch count swept, with pruning off. Points are enumerated in a
+// deterministic order (frequency, then layer count, then TSV budget, then
+// VC count, then link width, with the switch-count sweep innermost);
+// provably dominated regions are pruned before partitioning and routing
+// unless Space.NoPrune is set, and every pruned point appears in
+// Result.Points as a stub with DesignPoint.Pruned and a FailReason naming
+// the decision. Pruning is exact: the Pareto front and the best point are
+// byte-identical to the brute-force enumeration of the same space.
 //
-// Explorer runs skip the LPOnBest refinement (its post-sweep mutation of
-// the winning point would break the byte-exact cell equivalence that
-// checkpointing and sharding rely on); re-run the winning configuration
-// through a classic sweep when refined switch positions are needed.
+// A classic sweep adds two steps over the whole run that an exploration
+// cannot apply: it cuts the WithSimBand band over all points, and it runs
+// the switch-position LP on the best point (unless WithLPPlacement(true)
+// already ran it on every point). An exploration cuts the band per cell
+// and never refines, because a cell must be final when it is checkpointed
+// for computed, restored and shard-merged cells to stay byte-identical;
+// re-run the winning configuration as a classic sweep when refined switch
+// positions are needed.
 func WithSpace(s Space) Option {
 	return func(c *config) {
 		sc := Space{Axes: make([]Axis, len(s.Axes)), NoPrune: s.NoPrune}

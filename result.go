@@ -14,69 +14,11 @@ import (
 )
 
 // PowerBreakdown splits the NoC power into its components, in milliwatts.
-type PowerBreakdown struct {
-	SwitchMW     float64 `json:"switch_mw"`
-	SwitchLinkMW float64 `json:"switch_link_mw"`
-	CoreLinkMW   float64 `json:"core_link_mw"`
-	NIMW         float64 `json:"ni_mw"`
-}
+type PowerBreakdown = topology.PowerBreakdown
 
-// TotalMW returns the total NoC power.
-func (p PowerBreakdown) TotalMW() float64 {
-	return p.SwitchMW + p.SwitchLinkMW + p.CoreLinkMW + p.NIMW
-}
-
-// LinkMW returns the total link power (switch-to-switch plus core-to-switch).
-func (p PowerBreakdown) LinkMW() float64 { return p.SwitchLinkMW + p.CoreLinkMW }
-
-// Metrics summarises a fully evaluated topology.
-type Metrics struct {
-	// Power is the NoC power breakdown.
-	Power PowerBreakdown `json:"power"`
-	// AvgLatencyCycles is the average zero-load latency over all flows.
-	AvgLatencyCycles float64 `json:"avg_latency_cycles"`
-	// MaxLatencyCycles is the worst zero-load latency over all flows.
-	MaxLatencyCycles float64 `json:"max_latency_cycles"`
-	// TotalWireLengthMM is the total planar length of all physical links.
-	TotalWireLengthMM float64 `json:"total_wire_length_mm"`
-	// NoCAreaMM2 is the silicon area of switches, NIs and TSV macros.
-	NoCAreaMM2 float64 `json:"noc_area_mm2"`
-	// MaxILL is the maximum number of links crossing any adjacent layer pair.
-	MaxILL int `json:"max_ill"`
-	// TSVMacros is the number of TSV macros needed.
-	TSVMacros int `json:"tsv_macros"`
-	// NumSwitches is the number of switches in the topology.
-	NumSwitches int `json:"num_switches"`
-	// LatencyViolations counts flows whose zero-load latency exceeds their
-	// latency constraint.
-	LatencyViolations int `json:"latency_violations"`
-	// SpareTSVMacros is the number of spare TSVs provisioned by WithSparing
-	// (0 when sparing is disabled).
-	SpareTSVMacros int `json:"spare_tsv_macros,omitempty"`
-	// WireLengthsMM lists the planar length of every physical link.
-	WireLengthsMM []float64 `json:"wire_lengths_mm,omitempty"`
-}
-
-func metricsFromInternal(m topology.Metrics) Metrics {
-	return Metrics{
-		Power: PowerBreakdown{
-			SwitchMW:     m.Power.SwitchMW,
-			SwitchLinkMW: m.Power.SwitchLinkMW,
-			CoreLinkMW:   m.Power.CoreLinkMW,
-			NIMW:         m.Power.NIMW,
-		},
-		AvgLatencyCycles:  m.AvgLatencyCycles,
-		MaxLatencyCycles:  m.MaxLatencyCycles,
-		TotalWireLengthMM: m.TotalWireLengthMM,
-		NoCAreaMM2:        m.NoCAreaMM2,
-		MaxILL:            m.MaxILL,
-		TSVMacros:         m.TSVMacros,
-		NumSwitches:       m.NumSwitches,
-		LatencyViolations: m.LatencyViolations,
-		SpareTSVMacros:    m.SpareTSVMacros,
-		WireLengthsMM:     append([]float64(nil), m.WireLengthsMM...),
-	}
-}
+// Metrics summarises a fully evaluated topology: power, zero-load latency,
+// wire length, area, inter-layer links and TSV macros.
+type Metrics = topology.Metrics
 
 // RouteStats reports what the path-computation step did for one design
 // point. Routing is deterministic given the topology, so the stats are
@@ -163,7 +105,7 @@ func pointFromInternal(dp synth.DesignPoint) DesignPoint {
 		Valid:       dp.Valid,
 		Pruned:      dp.Pruned,
 		FailReason:  dp.FailReason,
-		Metrics:     metricsFromInternal(dp.Metrics),
+		Metrics:     dp.Metrics,
 		Route: RouteStats{
 			Routed:           dp.Route.Routed,
 			FailedFlows:      len(dp.Route.Failed),
@@ -195,24 +137,7 @@ func internalFromPoint(p DesignPoint) synth.DesignPoint {
 		Valid:       p.Valid,
 		Pruned:      p.Pruned,
 		FailReason:  p.FailReason,
-		Metrics: topology.Metrics{
-			Power: topology.PowerBreakdown{
-				SwitchMW:     p.Metrics.Power.SwitchMW,
-				SwitchLinkMW: p.Metrics.Power.SwitchLinkMW,
-				CoreLinkMW:   p.Metrics.Power.CoreLinkMW,
-				NIMW:         p.Metrics.Power.NIMW,
-			},
-			AvgLatencyCycles:  p.Metrics.AvgLatencyCycles,
-			MaxLatencyCycles:  p.Metrics.MaxLatencyCycles,
-			TotalWireLengthMM: p.Metrics.TotalWireLengthMM,
-			NoCAreaMM2:        p.Metrics.NoCAreaMM2,
-			MaxILL:            p.Metrics.MaxILL,
-			TSVMacros:         p.Metrics.TSVMacros,
-			NumSwitches:       p.Metrics.NumSwitches,
-			LatencyViolations: p.Metrics.LatencyViolations,
-			SpareTSVMacros:    p.Metrics.SpareTSVMacros,
-			WireLengthsMM:     append([]float64(nil), p.Metrics.WireLengthsMM...),
-		},
+		Metrics:     p.Metrics,
 		Route: route.Result{
 			Routed:           p.Route.Routed,
 			IndirectSwitches: p.Route.IndirectSwitches,
@@ -304,12 +229,7 @@ type Event struct {
 // many PG/SPG/LPG constructions and min-cut partitions were answered from the
 // sweep-wide cache versus computed. The cache is always on; these counts are
 // telemetry about the run, not part of its result.
-type CacheStats struct {
-	// Hits is the number of lookups answered from the cache.
-	Hits int
-	// Misses is the number of lookups that computed their entry.
-	Misses int
-}
+type CacheStats = synth.CacheStats
 
 // Result is the outcome of a synthesis run.
 type Result struct {
@@ -337,7 +257,7 @@ func resultFromInternal(r *synth.Result) *Result {
 			out.BestIndex = i
 		}
 	}
-	out.Cache = CacheStats{Hits: r.Cache.Hits, Misses: r.Cache.Misses}
+	out.Cache = r.Cache
 	return out
 }
 

@@ -33,7 +33,7 @@ func (t *Topology) WireLengthHistogram(binMM float64) []int {
 }
 
 // Evaluate recomputes the power, latency and area metrics of the topology.
-func (t *Topology) Evaluate() Metrics { return metricsFromInternal(t.t.Evaluate()) }
+func (t *Topology) Evaluate() Metrics { return t.t.Evaluate() }
 
 // Floorplan inserts the NoC components (switches, NIs, TSV macros) into the
 // input core floorplan and returns the combined floorplan. The topology
