@@ -5,45 +5,20 @@ import (
 	"sunfloor3d/internal/mesh"
 )
 
-// Benchmark is one design of the paper's synthetic benchmark suite, in both
-// its 3-D and flattened 2-D incarnations.
-type Benchmark struct {
-	// Name is the paper's benchmark identifier (e.g. "D_36_4").
-	Name string
-	// Graph3D is the 3-D version: cores carry layer assignments and
-	// per-layer floorplan positions.
-	Graph3D *Design
-	// Graph2D is the same cores and flows on a single layer with a fresh
-	// single-die floorplan.
-	Graph2D *Design
-	// Layers is the number of 3-D layers used by Graph3D.
-	Layers int
-}
-
-func benchmarkFromInternal(b bench.Benchmark) Benchmark {
-	return Benchmark{Name: b.Name, Graph3D: b.Graph3D, Graph2D: b.Graph2D, Layers: b.Layers}
-}
+// Benchmark is one design in both its 3-D and flattened 2-D incarnations:
+// Name, Graph3D (cores on layers, floorplanned per layer), Graph2D (the same
+// cores and flows on one die with its own floorplan) and Layers. It is one
+// type for the paper's designs (Benchmarks, BenchmarkByName), generated
+// designs (GenerateBenchmark) and loaded ones (LoadBenchmark).
+type Benchmark = bench.Benchmark
 
 // Benchmarks returns every benchmark of the paper's evaluation, generated
 // with the given seed.
-func Benchmarks(seed int64) []Benchmark {
-	all := bench.All(seed)
-	out := make([]Benchmark, len(all))
-	for i, b := range all {
-		out[i] = benchmarkFromInternal(b)
-	}
-	return out
-}
+func Benchmarks(seed int64) []Benchmark { return bench.All(seed) }
 
 // BenchmarkByName returns the named benchmark (e.g. "D_26_media"), generated
 // with the given seed.
-func BenchmarkByName(name string, seed int64) (Benchmark, error) {
-	b, err := bench.ByName(name, seed)
-	if err != nil {
-		return Benchmark{}, err
-	}
-	return benchmarkFromInternal(b), nil
-}
+func BenchmarkByName(name string, seed int64) (Benchmark, error) { return bench.ByName(name, seed) }
 
 // MeshBaseline maps the design onto a regular mesh NoC (one mesh per layer,
 // vertical links between vertically adjacent nodes), prunes unused links,

@@ -89,21 +89,19 @@ func openCheckpoint(path, fingerprint string, flows int) (*checkpointFile, error
 			if _, ok := ck.cells[rec.Cell]; ok {
 				continue
 			}
-			var points []DesignPoint
+			var points []synth.DesignPoint
 			if err := json.Unmarshal(rec.Points, &points); err != nil {
 				continue
 			}
-			pts := make([]synth.DesignPoint, len(points))
-			for i, p := range points {
+			for _, p := range points {
 				if p.Route.FailedFlows < 0 || p.Route.FailedFlows > flows {
 					continue records // impossible, so corrupt: recompute that cell
 				}
-				pts[i] = internalFromPoint(p)
 			}
 			if rec.Sum != pointsSum(rec.Points) {
 				continue // altered on disk: recompute that cell
 			}
-			ck.cells[rec.Cell] = pts
+			ck.cells[rec.Cell] = points
 		}
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("sunfloor3d: reading checkpoint %s: %w", path, err)
@@ -133,11 +131,7 @@ func (c *checkpointFile) restore(cell int) ([]synth.DesignPoint, bool) {
 // checkpoint that is silently stale, and a later resume would recompute work
 // the caller believed was persisted.
 func (c *checkpointFile) append(cell int, pts []synth.DesignPoint) error {
-	public := make([]DesignPoint, len(pts))
-	for i, dp := range pts {
-		public[i] = pointFromInternal(dp)
-	}
-	points, err := json.Marshal(public)
+	points, err := json.Marshal(pts)
 	if err != nil {
 		return fmt.Errorf("sunfloor3d: encoding checkpoint cell %d: %w", cell, err)
 	}

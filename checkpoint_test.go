@@ -32,14 +32,14 @@ func TestCheckpointAppendSurfacesWriteError(t *testing.T) {
 	defer ck.close()
 
 	// A healthy writer persists the cell and reports no error.
-	if err := ck.append(0, []synth.DesignPoint{{SwitchCount: 2, Valid: true}}); err != nil {
+	if err := ck.append(0, []synth.DesignPoint{{Point: synth.Point{SwitchCount: 2, Valid: true}}}); err != nil {
 		t.Fatalf("append to healthy writer: %v", err)
 	}
 
 	// A failing writer surfaces the error to the caller on the spot.
 	sinkErr := errors.New("sink full")
 	ck.w = failingWriter{err: sinkErr}
-	err = ck.append(1, []synth.DesignPoint{{SwitchCount: 3}})
+	err = ck.append(1, []synth.DesignPoint{{Point: synth.Point{SwitchCount: 3}}})
 	if !errors.Is(err, sinkErr) {
 		t.Fatalf("append error = %v, want wrapped %v", err, sinkErr)
 	}
@@ -125,15 +125,15 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		defer ck.close()
 		for cell, pts := range ck.cells {
 			for _, p := range pts {
-				first, err := json.Marshal(pointFromInternal(p))
+				first, err := json.Marshal(p)
 				if err != nil {
 					t.Fatalf("cell %d: restored point does not serialise: %v", cell, err)
 				}
-				var q DesignPoint
+				var q synth.DesignPoint
 				if err := json.Unmarshal(first, &q); err != nil {
 					t.Fatalf("cell %d: re-serialised point %s does not parse: %v", cell, first, err)
 				}
-				again, err := json.Marshal(pointFromInternal(internalFromPoint(q)))
+				again, err := json.Marshal(q)
 				if err != nil || !bytes.Equal(first, again) {
 					t.Fatalf("cell %d: point %s restores as %s (%v)", cell, first, again, err)
 				}

@@ -25,6 +25,13 @@
 // bit-identical results. See README.md for the full quickstart and the CLI
 // flag reference.
 //
+// A DesignPoint embeds the engine's serialised point (internal/synth.Point),
+// so its fields (FreqMHz, SwitchCount, Metrics, Route, ...) and Cost are
+// promoted from there, and their documentation lives on that type. Read
+// points from a Result; a composite literal naming those fields
+// (sunfloor3d.DesignPoint{FreqMHz: ...}) does not compile. Benchmark is one
+// type for the paper's designs, generated designs and loaded spec files.
+//
 // # The synthesis hot path
 //
 // The frequency x switch-count sweep shares its partitioning work run-wide:

@@ -40,7 +40,7 @@ func (e *Engine) Synthesize(ctx context.Context, d *Design) (*Result, error) {
 	if e.cfg.progress != nil {
 		progress := e.cfg.progress
 		opt.Progress = func(ev synth.Event) {
-			progress(Event{Done: ev.Done, Total: ev.Total, Point: pointFromInternal(ev.Point)})
+			progress(Event{Done: ev.Done, Total: ev.Total, Point: DesignPoint{Point: ev.Point.Point, topo: ev.Point.Topology}})
 		}
 	}
 

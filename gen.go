@@ -48,13 +48,7 @@ func ParseWorkloadShape(s string) (WorkloadShape, error) { return workload.Parse
 // floorplanned) and flattened 2-D incarnations. Equal specs generate
 // byte-identical benchmarks, so a (shape, cores, layers, seed) tuple is a
 // stable test-case identifier.
-func GenerateBenchmark(spec GenSpec) (Benchmark, error) {
-	b, err := workload.Generate(spec)
-	if err != nil {
-		return Benchmark{}, err
-	}
-	return Benchmark{Name: b.Name, Graph3D: b.Graph3D, Graph2D: b.Graph2D, Layers: b.Layers}, nil
-}
+func GenerateBenchmark(spec GenSpec) (Benchmark, error) { return workload.Generate(spec) }
 
 // LoadBenchmark reads a design from a core specification and a communication
 // specification (the text formats of WriteDesign and cmd/specgen) and wraps

@@ -111,6 +111,42 @@ func goldenCases() []goldenCase {
 				sunfloor3d.WithRequireLatencyMet(true),
 			},
 		},
+		{
+			// A generated pipeline explored over frequency x VCs with the
+			// whole sign-off ladder on: contention estimate, banded
+			// simulation, sparing and fault replay. It pins the optional
+			// point keys no other case holds (theta, pruned,
+			// spare_tsv_macros, survivability, contention, sim_triage).
+			name:   "gen_pipeline_c10_signoff",
+			design: fromGen(sunfloor3d.GenSpec{Shape: sunfloor3d.ShapePipeline, Cores: 10, Layers: 3, Seed: 1}),
+			opts:   signoffOptions(),
+		},
+	}
+}
+
+// signoffOptions returns the options of the gen_pipeline_c10_signoff case.
+func signoffOptions() []sunfloor3d.Option {
+	proc, err := sunfloor3d.ProcessByName("wafer-level-A")
+	if err != nil {
+		panic(err)
+	}
+	sc := sunfloor3d.DefaultSimConfig()
+	sc.Cycles = 400
+	sc.DrainCycles = 400
+	sc.StatsLevel = sunfloor3d.SimStatsSummary
+	fm := sunfloor3d.DefaultFaultModelConfig()
+	fm.Plans = 4
+	return []sunfloor3d.Option{
+		sunfloor3d.WithMaxILL(2),
+		sunfloor3d.WithSpace(sunfloor3d.Space{Axes: []sunfloor3d.Axis{
+			{Name: sunfloor3d.AxisFreqMHz, Values: []float64{400, 600}},
+			{Name: sunfloor3d.AxisVCs, Values: []float64{2, 4}},
+		}}),
+		sunfloor3d.WithContention(),
+		sunfloor3d.WithSimulation(sc),
+		sunfloor3d.WithSimBand(0.05),
+		sunfloor3d.WithSparing(proc, 0.99),
+		sunfloor3d.WithFaultModel(fm),
 	}
 }
 

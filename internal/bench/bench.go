@@ -31,9 +31,13 @@ import (
 	"sunfloor3d/internal/model"
 )
 
-// Benchmark is one generated SoC benchmark.
+// Benchmark is one SoC benchmark in both its 3-D and flattened 2-D
+// incarnations: a design of the paper's evaluation, or one the workload
+// generator sampled (internal/workload), which Assemble builds the same way.
 type Benchmark struct {
-	// Name is the paper's benchmark identifier (e.g. "D_36_4").
+	// Name identifies the benchmark: the paper's identifier (e.g. "D_36_4")
+	// or a generated design's canonical spec name (e.g.
+	// "W_hotspot_c40_l3_s7").
 	Name string
 	// Graph3D is the 3-D version: cores carry layer assignments and
 	// per-layer floorplan positions.
@@ -285,43 +289,52 @@ func D38TVOPD(seed int64) Benchmark {
 	return assemble("D_38_tvopd", cores, flows, 2, seed)
 }
 
-// assemble turns proto cores and flows into the 3-D and 2-D communication
-// graphs: it assigns cores to layers (stacking highly communicating cores),
-// floorplans every layer and the 2-D die, and validates the result.
+// assemble assigns the proto cores to layers (stacking highly communicating
+// cores) and hands the layered design to Assemble. The paper's designs are
+// fixed, so an error is a bug.
 func assemble(name string, protos []protoCore, flows []protoFlow, layers int, seed int64) Benchmark {
 	assignment := assignLayers(protos, flows, layers)
-
-	mkCores := func(layerOf func(int) int) []model.Core {
-		cores := make([]model.Core, len(protos))
-		for i, p := range protos {
-			cores[i] = model.Core{
-				Name: p.name, Width: p.w, Height: p.h,
-				Layer: layerOf(i), IsMemory: p.memory,
-			}
+	cores := make([]model.Core, len(protos))
+	for i, p := range protos {
+		cores[i] = model.Core{
+			Name: p.name, Width: p.w, Height: p.h,
+			Layer: assignment[i], IsMemory: p.memory,
 		}
-		return cores
 	}
 	mflows := make([]model.Flow, len(flows))
 	for i, f := range flows {
 		mflows[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
 			LatencyCycles: f.lat, Type: f.typ}
 	}
-
-	cores3d := mkCores(func(i int) int { return assignment[i] })
-	FloorplanLayers(cores3d, mflows, layers, seed)
-	g3d, err := model.NewCommGraph(cores3d, mflows)
+	b, err := Assemble(name, cores, mflows, layers, seed)
 	if err != nil {
-		panic(fmt.Sprintf("bench: %s 3-D graph invalid: %v", name, err))
+		panic(fmt.Sprintf("bench: %s: %v", name, err))
 	}
+	return b
+}
 
-	cores2d := mkCores(func(int) int { return 0 })
-	FloorplanLayers(cores2d, mflows, 1, seed+1)
-	g2d, err := model.NewCommGraph(cores2d, mflows)
+// Assemble builds the benchmark of a layered design: it floorplans every
+// layer of the 3-D version and the single die of the 2-D version (the same
+// cores, all on layer 0), and validates both communication graphs. The
+// cores carry their layer assignment; their positions are overwritten. Both
+// design generators, this package's and internal/workload's, end in it.
+func Assemble(name string, cores []model.Core, flows []model.Flow, layers int, seed int64) (Benchmark, error) {
+	cores2d := make([]model.Core, len(cores))
+	for i, c := range cores {
+		c.Layer = 0
+		cores2d[i] = c
+	}
+	FloorplanLayers(cores, flows, layers, seed)
+	g3d, err := model.NewCommGraph(cores, flows)
 	if err != nil {
-		panic(fmt.Sprintf("bench: %s 2-D graph invalid: %v", name, err))
+		return Benchmark{}, fmt.Errorf("3-D graph invalid: %w", err)
 	}
-
-	return Benchmark{Name: name, Graph3D: g3d, Graph2D: g2d, Layers: layers}
+	FloorplanLayers(cores2d, flows, 1, seed+1)
+	g2d, err := model.NewCommGraph(cores2d, flows)
+	if err != nil {
+		return Benchmark{}, fmt.Errorf("2-D graph invalid: %w", err)
+	}
+	return Benchmark{Name: name, Graph3D: g3d, Graph2D: g2d, Layers: layers}, nil
 }
 
 // assignLayers distributes cores over the layers the way the paper's

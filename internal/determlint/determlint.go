@@ -21,6 +21,7 @@ func Suite() []*analysis.Analyzer {
 // the server, the benchmark harnesses, the experiment figure writers, the
 // commands — is allowed to iterate maps and read clocks freely.
 var resultAffectingInternal = map[string]bool{
+	"bench":     true,
 	"contend":   true,
 	"fault":     true,
 	"floorplan": true,

@@ -48,7 +48,7 @@ func TestResultAffecting(t *testing.T) {
 		{"sunfloor3d/internal/memo", true},
 		{"sunfloor3d/internal/determlint", false},
 		{"sunfloor3d/internal/server", false},
-		{"sunfloor3d/internal/bench", false},
+		{"sunfloor3d/internal/bench", true},
 		{"sunfloor3d/cmd/sunfloor-server", false},
 		{"sunfloor3d/experiments", false},
 		{"fmt", false},

@@ -1,15 +1,20 @@
 // Package graph provides the generic graph machinery used by the SunFloor 3D
-// flow: weighted directed graphs, shortest paths (Dijkstra), reachability,
-// cycle detection (for deadlock-freedom checks on channel dependency graphs)
-// and balanced k-way min-cut partitioning (recursive bisection with
-// Kernighan–Lin style swap refinement), which implements the "min-cut
-// partitions" steps of Algorithms 1 and 2 of the paper.
+// flow: weighted directed graphs, reachability, cycle detection (for
+// deadlock-freedom checks on channel dependency graphs) and balanced k-way
+// min-cut partitioning (recursive bisection with Kernighan–Lin style swap
+// refinement), which implements the "min-cut partitions" steps of
+// Algorithms 1 and 2 of the paper.
 package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
+
+// Infinity is the cost of an unreachable vertex and the value callers use to
+// mark forbidden arcs (the paper's INF hard threshold in Algorithm 3).
+const Infinity = math.MaxFloat64
 
 // Edge is a weighted directed edge.
 type Edge struct {
@@ -166,17 +171,6 @@ func (g *Graph) Undirected() *Graph {
 		}
 	}
 	return u
-}
-
-// TotalWeight returns the sum of all edge weights, folded in (From, To)
-// order. Float addition is not associative, so summing in map iteration
-// order would drift by ULPs between runs.
-func (g *Graph) TotalWeight() float64 {
-	var t float64
-	for _, e := range g.Edges() {
-		t += e.Weight
-	}
-	return t
 }
 
 // HasCycle reports whether the directed graph contains a cycle. It is used on

@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestAddAndQueryEdges(t *testing.T) {
@@ -113,15 +112,6 @@ func TestCloneAndUndirected(t *testing.T) {
 	}
 }
 
-func TestTotalWeight(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 3.5)
-	if tw := g.TotalWeight(); tw != 5.5 {
-		t.Errorf("TotalWeight = %v", tw)
-	}
-}
-
 func TestHasCycle(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
@@ -200,96 +190,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if comps[2][0] != 5 {
 		t.Errorf("isolated vertex component = %v", comps[2])
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 2, 5)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(0, 4, 10)
-
-	path, cost := g.ShortestPath(0, 3)
-	if cost != 3 {
-		t.Errorf("cost = %v, want 3", cost)
-	}
-	want := []int{0, 1, 2, 3}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if c := g.ShortestPathCost(0, 3); c != 3 {
-		t.Errorf("ShortestPathCost = %v", c)
-	}
-	// Unreachable destination.
-	if p, c := g.ShortestPath(3, 0); p != nil || c != Infinity {
-		t.Errorf("unreachable: path=%v cost=%v", p, c)
-	}
-	// Self path.
-	if p, c := g.ShortestPath(2, 2); c != 0 || len(p) != 1 || p[0] != 2 {
-		t.Errorf("self path = %v cost %v", p, c)
-	}
-	// Infinity-weight edges are ignored.
-	gi := New(2)
-	gi.AddEdge(0, 1, Infinity)
-	if _, c := gi.ShortestPath(0, 1); c != Infinity {
-		t.Errorf("Infinity edge should be unusable, cost = %v", c)
-	}
-}
-
-func TestShortestPathsFrom(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 2)
-	d := g.ShortestPathsFrom(0)
-	if d[0] != 0 || d[1] != 2 || d[2] != 4 || d[3] != Infinity {
-		t.Errorf("dist = %v", d)
-	}
-}
-
-func TestHopDistance(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 100)
-	g.AddEdge(1, 2, 100)
-	g.AddEdge(0, 2, 1)
-	if h := g.HopDistance(0, 2); h != 1 {
-		t.Errorf("HopDistance = %d, want 1 (weights must be ignored)", h)
-	}
-	if h := g.HopDistance(0, 4); h != -1 {
-		t.Errorf("HopDistance unreachable = %d, want -1", h)
-	}
-	if h := g.HopDistance(3, 3); h != 0 {
-		t.Errorf("HopDistance self = %d, want 0", h)
-	}
-}
-
-func TestShortestPathOptimalityProperty(t *testing.T) {
-	// Dijkstra cost from 0 to every node must satisfy the relaxation
-	// condition d[v] <= d[u] + w(u,v) for every edge.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
-		g := New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			g.AddEdge(u, v, 1+rng.Float64()*10)
-		}
-		d := g.ShortestPathsFrom(0)
-		for _, e := range g.Edges() {
-			if d[e.From] < Infinity && d[e.To] > d[e.From]+e.Weight+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,12 +1,5 @@
 package synth
 
-import (
-	"fmt"
-	"time"
-
-	"sunfloor3d/internal/sim"
-)
-
 // triageSimBand is the simulation step of the fidelity ladder. With
 // Options.SimBand active, evaluation attaches only the analytic contention
 // estimate to valid points; this pass cuts the estimated Pareto band over
@@ -98,16 +91,7 @@ func triageSimBand(pts []DesignPoint, opt Options, p *pool) error {
 		func(k int) DesignPoint {
 			dp := pts[band[k]]
 			dp.SimTriage = "sim"
-			simStart := time.Now() //determlint:wallclock SimElapsed is json-excluded observability plumbing and never reaches the serialised Result
-			stats, err := sim.Run(dp.Topology, *opt.Sim)
-			if err != nil {
-				dp.Valid = false
-				dp.FailReason = fmt.Sprintf("simulation failed: %v", err)
-				return dp
-			}
-			dp.Sim = stats
-			dp.SimElapsed = time.Since(simStart) //determlint:wallclock SimElapsed is json-excluded observability plumbing and never reaches the serialised Result
-			return dp
+			return simulatePoint(dp, opt)
 		},
 		func(k int, dp DesignPoint) { sims[k] = dp })
 	if err != nil {

@@ -18,62 +18,93 @@ import (
 	"sunfloor3d/internal/topology"
 )
 
-// DesignPoint is one explored topology with its evaluation.
-type DesignPoint struct {
-	// Topology is the synthesized NoC (nil for invalid points).
-	Topology *topology.Topology
-	// Metrics is the evaluation of Topology.
-	Metrics topology.Metrics
+// Point is the serialised part of a design point: every field with a JSON
+// tag is part of the canonical Result bytes, in this order, and is all a
+// point keeps when it crosses a JSON boundary (a checkpoint record, a cache
+// entry, a daemon response). The json-excluded fields describe how the
+// point was computed, not what it is.
+type Point struct {
 	// FreqMHz is the NoC operating frequency of this point.
-	FreqMHz float64
+	FreqMHz float64 `json:"freq_mhz"`
 	// SwitchCount is the number of switches requested by the sweep (the
 	// actual topology may contain more if indirect switches were inserted).
-	SwitchCount int
+	SwitchCount int `json:"switch_count"`
 	// Phase is 1 or 2 depending on which connectivity method produced it.
-	Phase int
+	Phase int `json:"phase"`
 	// Theta is the SPG scaling factor used (0 when the plain PG sufficed).
-	Theta float64
+	Theta float64 `json:"theta,omitempty"`
 	// Valid reports whether the point meets all constraints.
-	Valid bool
+	Valid bool `json:"valid"`
 	// Pruned reports that the design-space explorer proved the point cannot
 	// beat an already-explored point and skipped building it: the point is a
-	// stub (Valid false, Phase 0, no Topology) whose FailReason names the
-	// pruning decision. Pruning is exact — a pruned run's Pareto front and
-	// best point are byte-identical to the exhaustive run's.
-	Pruned bool
+	// stub (Valid false, Phase 0, no topology) whose FailReason names the
+	// pruning decision. Pruning is exact: a pruned run's Pareto front and
+	// best point are byte-identical to the brute-force run's.
+	Pruned bool `json:"pruned,omitempty"`
 	// FailReason explains why an invalid point was rejected (or, for Pruned
 	// and shard-skipped stubs, why it was not built).
-	FailReason string
-	// Route reports what the path-computation step did for this point
-	// (deterministic given the topology, so identical between serial,
-	// parallel, cached and uncached runs).
-	Route route.Result
-	// Sim holds the flit-level traffic simulation of the point (nil unless
-	// Options.Sim requested simulation and the point is valid).
-	Sim *sim.Stats
-	// Contention holds the analytic M/D/1 contention estimate of the point
-	// (nil unless Options.Contend is set and the point is valid).
-	Contention *contend.Estimate
-	// SimTriage records the fidelity-ladder decision for the point when
-	// Options.SimBand is active: "sim" for points inside the estimated
-	// Pareto band (fully simulated), "skip" for points outside it (analytic
-	// estimate only). Empty without SimBand.
-	SimTriage string
-	// Survivability holds the fault-replay report of the point (nil unless
-	// Options.Fault requested the fault model and the point is valid).
-	Survivability *fault.Survivability
-	// SimElapsed is the wall-clock time spent simulating the point (zero
-	// when simulation was not requested or the point was invalid). It is
-	// part of Elapsed.
-	SimElapsed time.Duration
+	FailReason string `json:"fail_reason,omitempty"`
+	// Metrics is the evaluation of the point's topology.
+	Metrics topology.Metrics `json:"metrics"`
+	// Route reports what the router did for this point.
+	Route RouteStats `json:"route_stats"`
+	// Survivability is the fault-replay report of the point (nil unless the
+	// run used the fault model and the point is valid). Unlike Sim it is
+	// serialised: the replay is deterministic and the request fingerprint
+	// covers the fault and sparing configuration.
+	Survivability *fault.Survivability `json:"survivability,omitempty"`
+	// Contention is the analytic M/D/1 contention estimate of the point (nil
+	// unless the run asked for it and the point is valid). Like
+	// Survivability it is serialised: the estimate is byte-deterministic and
+	// the request fingerprint covers the option.
+	Contention *contend.Estimate `json:"contention,omitempty"`
+	// SimTriage is the fidelity-ladder decision for the point when the run
+	// has a sim band: "sim" for points inside the estimated Pareto band
+	// (fully simulated), "skip" for points outside it (analytic estimate
+	// only). Empty without a sim band.
+	SimTriage string `json:"sim_triage,omitempty"`
 	// Elapsed is the wall-clock time spent building, routing and evaluating
-	// this point.
-	Elapsed time.Duration
+	// this point. It is excluded from JSON so that serialised results stay
+	// byte-identical across runs, parallelism levels and cache settings.
+	Elapsed time.Duration `json:"-"`
+	// Sim is the flit-level traffic simulation of this point (nil unless the
+	// run simulates and the point is valid). Like Elapsed it is excluded
+	// from JSON, so serialised results are byte-identical with and without
+	// simulation.
+	Sim *sim.Stats `json:"-"`
+	// SimElapsed is the wall-clock time spent simulating this point (zero
+	// when simulation was not requested or the point was invalid). It is
+	// part of Elapsed and excluded from JSON like it.
+	SimElapsed time.Duration `json:"-"`
+}
+
+// RouteStats reports what the path-computation step did for one design
+// point. Routing is deterministic given the topology, so the stats are
+// identical between serial, parallel, cached and uncached runs.
+type RouteStats struct {
+	// Routed is the number of flows that received a valid path.
+	Routed int `json:"routed"`
+	// FailedFlows is the number of flows that could not be routed.
+	FailedFlows int `json:"failed_flows,omitempty"`
+	// IndirectSwitches is the number of switches the router inserted purely
+	// to connect other switches.
+	IndirectSwitches int `json:"indirect_switches,omitempty"`
+	// DeadlockRetries counts path recomputations forced by channel
+	// dependency cycles.
+	DeadlockRetries int `json:"deadlock_retries,omitempty"`
 }
 
 // Cost returns the scalar objective of the point under the given weights.
-func (d DesignPoint) Cost(powerWeight, latencyWeight float64) float64 {
-	return powerWeight*d.Metrics.Power.TotalMW() + latencyWeight*d.Metrics.AvgLatencyCycles
+func (p Point) Cost(powerWeight, latencyWeight float64) float64 {
+	return powerWeight*p.Metrics.Power.TotalMW() + latencyWeight*p.Metrics.AvgLatencyCycles
+}
+
+// DesignPoint is one explored topology with its evaluation.
+type DesignPoint struct {
+	Point
+	// Topology is the synthesized NoC (nil for pruned and shard-skipped
+	// stubs, and for points restored from JSON).
+	Topology *topology.Topology `json:"-"`
 }
 
 // Result is the outcome of a synthesis run.
@@ -188,10 +219,12 @@ func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options) (*R
 }
 
 // refineBest applies the switch-placement refinement to the winning design
-// point. The refined topology is re-evaluated and re-checked against every
-// constraint, and it replaces the best point only when it is still valid and
-// does not worsen the objective; otherwise the unrefined point — which was
-// already the minimum over all valid points — is kept, so Best never silently
+// point. The refined topology goes through the same analysis tail as every
+// swept point (evaluation, constraint checks, contention estimate,
+// simulation, sparing and fault replay) on a copy of the best point, and the
+// copy replaces the best point only when it is still valid and does not
+// worsen the objective; otherwise the unrefined point — which was already
+// the minimum over all valid points — is kept whole, so Best never silently
 // ships a refinement that broke a constraint or lost to another point.
 func refineBest(res *Result, opt Options, refine func(*topology.Topology) error) {
 	best := res.Best
@@ -202,48 +235,14 @@ func refineBest(res *Result, opt Options, refine func(*topology.Topology) error)
 	if err := refine(refined); err != nil {
 		return
 	}
-	m := refined.Evaluate()
-	if reason := validateTopology(refined, opt, m, best.FreqMHz); reason != "" {
-		return
+	// Points the fidelity ladder triaged out stay unsimulated.
+	simulate := opt.Sim != nil && (opt.SimBand == 0 || best.SimTriage == "sim")
+	dp := *best
+	dp.Valid = false // analyse validates the refined geometry afresh
+	dp = analyse(refined, opt, routeConfig(opt, best.FreqMHz, best.Phase == 2), dp, simulate)
+	if dp.Valid && dp.Cost(opt.PowerWeight, opt.LatencyWeight) <= best.Cost(opt.PowerWeight, opt.LatencyWeight) {
+		*best = dp
 	}
-	cost := opt.PowerWeight*m.Power.TotalMW() + opt.LatencyWeight*m.AvgLatencyCycles
-	if cost > best.Cost(opt.PowerWeight, opt.LatencyWeight) {
-		return
-	}
-	if opt.Sim != nil && (opt.SimBand == 0 || best.SimTriage == "sim") {
-		// The refinement moved the switches, which changes link pipeline
-		// depths; the attached simulation must describe the refined geometry.
-		// Points the fidelity ladder triaged out stay unsimulated.
-		simStart := time.Now() //determlint:wallclock SimElapsed is json-excluded observability plumbing and never reaches the serialised Result
-		stats, err := sim.Run(refined, *opt.Sim)
-		if err != nil {
-			return
-		}
-		best.Sim = stats
-		best.SimElapsed = time.Since(simStart) //determlint:wallclock SimElapsed is json-excluded observability plumbing and never reaches the serialised Result
-	}
-	if opt.Sparing != nil || opt.Fault != nil {
-		// The refinement moved the switches, which changes the latency
-		// baseline the survivability report inflates against; recompute it
-		// for the refined geometry.
-		rep, spareTSVs, err := faultReport(refined, opt, routeConfig(opt, best.FreqMHz, best.Phase == 2))
-		if err != nil {
-			return
-		}
-		best.Survivability = rep
-		m.SpareTSVMacros = spareTSVs
-	}
-	if opt.Contend {
-		// The estimate depends on the switch positions through the zero-load
-		// latencies; recompute it for the accepted refined geometry.
-		flits := 0
-		if opt.Sim != nil {
-			flits = opt.Sim.PacketFlits
-		}
-		best.Contention = contend.EstimatePoint(refined, flits)
-	}
-	best.Topology = refined
-	best.Metrics = m
 }
 
 // pickBest returns a pointer to the best valid point in pts (the slice
@@ -376,10 +375,10 @@ func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, cache *part
 	// the Phase-2 fallback, and phase1Sweep never retries it.
 	if opt.explPrune != nil {
 		if reason := opt.explPrune(switches); reason != "" {
-			return DesignPoint{FreqMHz: freq, SwitchCount: switches, Pruned: true, FailReason: reason}
+			return DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: switches, Pruned: true, FailReason: reason}}
 		}
 	}
-	dp := DesignPoint{FreqMHz: freq, SwitchCount: switches, Phase: 1, Theta: theta}
+	dp := DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: switches, Phase: 1, Theta: theta}}
 	assign := cache.coreAssignment(pg, theta, switches)
 	blocks := graph.Blocks(assign, switches)
 
@@ -468,7 +467,7 @@ func phase2Plan(opt Options, freq float64, cache *partitionCache) (lpgs []partit
 // buildPhase2Point builds and evaluates the Phase-2 design point with `extra`
 // switches per layer beyond each layer's minimum.
 func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, lpgs []partition.LPG, minPerLayer []int, extra int) DesignPoint {
-	dp := DesignPoint{FreqMHz: freq, Phase: 2}
+	dp := DesignPoint{Point: Point{FreqMHz: freq, Phase: 2}}
 	top := topology.New(g, opt.Lib, freq)
 	totalSwitches := 0
 	for j, l := range lpgs {
@@ -530,7 +529,8 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 		dp.FailReason = err.Error()
 		return dp
 	}
-	dp.Route = res
+	dp.Route = RouteStats{Routed: res.Routed, FailedFlows: len(res.Failed),
+		IndirectSwitches: res.IndirectSwitches, DeadlockRetries: res.DeadlockRetries}
 	if !res.Success() {
 		dp.FailReason = fmt.Sprintf("%d flows could not be routed", len(res.Failed))
 		return dp
@@ -541,6 +541,19 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 			return dp
 		}
 	}
+	// With SimBand active, simulation is deferred to the triage pass
+	// (triageSimBand), which simulates only the estimated Pareto band.
+	return analyse(top, opt, cfg, dp, opt.Sim != nil && opt.SimBand == 0)
+}
+
+// analyse is the analysis tail of a routed (and placed) topology, shared by
+// swept points and the refined best point: it evaluates top into dp,
+// validates it against the run's constraints and, for a valid point,
+// attaches the contention estimate, the simulation (when simulate is set),
+// and the sparing and fault-replay report the run asks for. A failing
+// constraint, simulation or fault replay leaves dp invalid with its reason.
+func analyse(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoint, simulate bool) DesignPoint {
+	dp.Topology = top
 	dp.Metrics = top.Evaluate()
 	if reason := validateTopology(top, opt, dp.Metrics, dp.FreqMHz); reason != "" {
 		dp.FailReason = reason
@@ -554,18 +567,10 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 		}
 		dp.Contention = contend.EstimatePoint(top, flits)
 	}
-	// With SimBand active, simulation is deferred to the triage pass
-	// (triageSimBand), which simulates only the estimated Pareto band.
-	if opt.Sim != nil && opt.SimBand == 0 {
-		simStart := time.Now() //determlint:wallclock SimElapsed is json-excluded observability plumbing and never reaches the serialised Result
-		stats, err := sim.Run(top, *opt.Sim)
-		if err != nil {
-			dp.Valid = false
-			dp.FailReason = fmt.Sprintf("simulation failed: %v", err)
+	if simulate {
+		if dp = simulatePoint(dp, opt); !dp.Valid {
 			return dp
 		}
-		dp.Sim = stats
-		dp.SimElapsed = time.Since(simStart) //determlint:wallclock SimElapsed is json-excluded observability plumbing and never reaches the serialised Result
 	}
 	if opt.Sparing != nil || opt.Fault != nil {
 		rep, spareTSVs, err := faultReport(top, opt, cfg)
@@ -577,6 +582,24 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 		dp.Survivability = rep
 		dp.Metrics.SpareTSVMacros = spareTSVs
 	}
+	return dp
+}
+
+// simulatePoint runs the flit-level simulation of a valid point's topology
+// and stamps its wall-clock duration; a simulation failure invalidates the
+// point.
+//
+//determlint:wallclock SimElapsed is json-excluded observability plumbing and never reaches the serialised Result
+func simulatePoint(dp DesignPoint, opt Options) DesignPoint {
+	start := time.Now()
+	stats, err := sim.Run(dp.Topology, *opt.Sim)
+	if err != nil {
+		dp.Valid = false
+		dp.FailReason = fmt.Sprintf("simulation failed: %v", err)
+		return dp
+	}
+	dp.Sim = stats
+	dp.SimElapsed = time.Since(start)
 	return dp
 }
 

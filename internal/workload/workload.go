@@ -229,23 +229,6 @@ func LatencyFloor(layers int) float64 {
 	return float64(8 + 2*layers)
 }
 
-// Benchmark is one generated SoC benchmark, mirroring internal/bench: the
-// 3-D version (cores assigned to layers and floorplanned per layer) and the
-// flattened 2-D reference (same cores and flows on one die).
-type Benchmark struct {
-	// Name is the canonical Spec.Name of the generator input.
-	Name string
-	// Graph3D is the layered, floorplanned design.
-	Graph3D *model.CommGraph
-	// Graph2D is the same cores and flows on a single layer with its own
-	// floorplan.
-	Graph2D *model.CommGraph
-	// Layers is the number of 3-D layers used by Graph3D.
-	Layers int
-	// Spec is the resolved (defaulted) generator input.
-	Spec Spec
-}
-
 // protoCore is a core under construction, before layering and floorplanning.
 type protoCore struct {
 	name   string
@@ -263,11 +246,12 @@ type protoFlow struct {
 	typ      model.MessageType
 }
 
-// Generate builds the benchmark described by the spec. It is deterministic:
-// equal specs return byte-identical benchmarks.
-func Generate(spec Spec) (Benchmark, error) {
+// Generate builds the benchmark described by the spec, named by
+// Spec.Name. It is deterministic: equal specs return byte-identical
+// benchmarks.
+func Generate(spec Spec) (bench.Benchmark, error) {
 	if err := spec.Validate(); err != nil {
-		return Benchmark{}, err
+		return bench.Benchmark{}, err
 	}
 	spec = spec.withDefaults()
 	rng := rand.New(rand.NewSource(spec.Seed ^ (int64(spec.Shape+1) << 32) ^ int64(spec.Cores)))
@@ -290,7 +274,7 @@ func Generate(spec Spec) (Benchmark, error) {
 
 	b, err := assemble(spec, cores, flows)
 	if err != nil {
-		return Benchmark{}, fmt.Errorf("workload: %s: %w", spec.Name(), err)
+		return bench.Benchmark{}, fmt.Errorf("workload: %s: %w", spec.Name(), err)
 	}
 	return b, nil
 }
@@ -562,11 +546,10 @@ func IsConnected(g *model.CommGraph) bool {
 	return len(cg.ConnectedComponents()) <= 1
 }
 
-// assemble turns proto cores and flows into the validated 3-D and 2-D
-// communication graphs: layer assignment (explicit for Layered, min-cut of
-// the bandwidth-weighted graph otherwise, exactly like internal/bench),
-// per-layer floorplanning and validation.
-func assemble(spec Spec, protos []protoCore, flows []protoFlow) (Benchmark, error) {
+// assemble assigns the proto cores to layers (explicit for Layered, min-cut
+// of the bandwidth-weighted graph otherwise, like internal/bench) and hands
+// the layered design to bench.Assemble.
+func assemble(spec Spec, protos []protoCore, flows []protoFlow) (bench.Benchmark, error) {
 	assignment := make([]int, len(protos))
 	explicit := true
 	for i, p := range protos {
@@ -579,38 +562,19 @@ func assemble(spec Spec, protos []protoCore, flows []protoFlow) (Benchmark, erro
 	if !explicit {
 		assignment = assignLayers(protos, flows, spec.Layers)
 	}
-
-	mkCores := func(layerOf func(int) int) []model.Core {
-		cores := make([]model.Core, len(protos))
-		for i, p := range protos {
-			cores[i] = model.Core{
-				Name: p.name, Width: p.w, Height: p.h,
-				Layer: layerOf(i), IsMemory: p.memory,
-			}
+	cores := make([]model.Core, len(protos))
+	for i, p := range protos {
+		cores[i] = model.Core{
+			Name: p.name, Width: p.w, Height: p.h,
+			Layer: assignment[i], IsMemory: p.memory,
 		}
-		return cores
 	}
 	mflows := make([]model.Flow, len(flows))
 	for i, f := range flows {
 		mflows[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
 			LatencyCycles: f.lat, Type: f.typ}
 	}
-
-	cores3d := mkCores(func(i int) int { return assignment[i] })
-	bench.FloorplanLayers(cores3d, mflows, spec.Layers, spec.Seed)
-	g3d, err := model.NewCommGraph(cores3d, mflows)
-	if err != nil {
-		return Benchmark{}, fmt.Errorf("3-D graph invalid: %w", err)
-	}
-
-	cores2d := mkCores(func(int) int { return 0 })
-	bench.FloorplanLayers(cores2d, mflows, 1, spec.Seed+1)
-	g2d, err := model.NewCommGraph(cores2d, mflows)
-	if err != nil {
-		return Benchmark{}, fmt.Errorf("2-D graph invalid: %w", err)
-	}
-
-	return Benchmark{Name: spec.Name(), Graph3D: g3d, Graph2D: g2d, Layers: spec.Layers, Spec: spec}, nil
+	return bench.Assemble(spec.Name(), cores, mflows, spec.Layers, spec.Seed)
 }
 
 // assignLayers distributes cores over layers with a balanced min-cut

@@ -76,7 +76,7 @@ func TestGenerateGuarantees(t *testing.T) {
 					if got := g.NumLayers(); got > layers {
 						t.Fatalf("seed %d: NumLayers = %d, want <= %d", seed, got, layers)
 					}
-					floor := LatencyFloor(layers) * b.Spec.LatencySlack
+					floor := LatencyFloor(layers) * spec.withDefaults().LatencySlack
 					for i, f := range g.Flows {
 						if f.LatencyCycles != 0 && f.LatencyCycles < floor {
 							t.Fatalf("seed %d flow %d: constraint %g below floor %g", seed, i, f.LatencyCycles, floor)

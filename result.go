@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
-	"sunfloor3d/internal/route"
 	"sunfloor3d/internal/synth"
 	"sunfloor3d/internal/topology"
 )
@@ -21,136 +19,21 @@ type PowerBreakdown = topology.PowerBreakdown
 type Metrics = topology.Metrics
 
 // RouteStats reports what the path-computation step did for one design
-// point. Routing is deterministic given the topology, so the stats are
+// point: flows routed and failed, indirect switches inserted and deadlock
+// retries. Routing is deterministic given the topology, so the stats are
 // identical between serial, parallel, cached and uncached runs.
-type RouteStats struct {
-	// Routed is the number of flows that received a valid path.
-	Routed int `json:"routed"`
-	// FailedFlows is the number of flows that could not be routed.
-	FailedFlows int `json:"failed_flows,omitempty"`
-	// IndirectSwitches is the number of switches the router inserted purely
-	// to connect other switches.
-	IndirectSwitches int `json:"indirect_switches,omitempty"`
-	// DeadlockRetries counts path recomputations forced by channel
-	// dependency cycles.
-	DeadlockRetries int `json:"deadlock_retries,omitempty"`
-}
+type RouteStats = synth.RouteStats
 
-// DesignPoint is one explored topology with its evaluation. The scalar
-// fields and Metrics survive JSON round trips; the synthesized topology
-// itself is only available on points produced by a live run (Topology
-// returns nil after unmarshalling).
+// DesignPoint is one explored topology with its evaluation. Its fields are
+// the engine's serialised point, promoted from the embedded Point (FreqMHz,
+// SwitchCount, Phase, Theta, Valid, Pruned, FailReason, Metrics, Route,
+// Survivability, Contention, SimTriage, and the json-excluded Elapsed, Sim
+// and SimElapsed), and so is Cost. Those fields survive JSON round trips;
+// the synthesized topology itself is only available on points produced by
+// a live run (Topology returns nil after unmarshalling).
 type DesignPoint struct {
-	// FreqMHz is the NoC operating frequency of this point.
-	FreqMHz float64 `json:"freq_mhz"`
-	// SwitchCount is the number of switches requested by the sweep.
-	SwitchCount int `json:"switch_count"`
-	// Phase is 1 or 2 depending on which connectivity method produced it.
-	Phase int `json:"phase"`
-	// Theta is the SPG scaling factor used (0 when the plain PG sufficed).
-	Theta float64 `json:"theta,omitempty"`
-	// Valid reports whether the point meets all constraints.
-	Valid bool `json:"valid"`
-	// Pruned reports that the design-space explorer proved the point cannot
-	// beat an already-explored point and skipped building it; FailReason
-	// names the pruning decision. Pruning is exact: a pruned run's Pareto
-	// front and best point are byte-identical to the brute-force run's.
-	Pruned bool `json:"pruned,omitempty"`
-	// FailReason explains why an invalid point was rejected (or why a
-	// pruned or shard-skipped stub was not built).
-	FailReason string `json:"fail_reason,omitempty"`
-	// Metrics is the evaluation of the point's topology.
-	Metrics Metrics `json:"metrics"`
-	// Route reports what the router did for this point.
-	Route RouteStats `json:"route_stats"`
-	// Survivability is the fault-replay report of the point (nil unless the
-	// run used WithFaultModel and the point is valid). Unlike Sim it is part
-	// of the serialised Result: the replay is deterministic and the request
-	// fingerprint covers the fault and sparing configuration.
-	Survivability *Survivability `json:"survivability,omitempty"`
-	// Contention is the analytic M/D/1 contention estimate of the point (nil
-	// unless the run used WithContention and the point is valid). Like
-	// Survivability it is part of the serialised Result: the estimate is
-	// byte-deterministic and the request fingerprint covers the option.
-	Contention *ContentionEstimate `json:"contention,omitempty"`
-	// SimTriage is the fidelity-ladder decision for the point when the run
-	// used WithSimBand: "sim" for points inside the estimated Pareto band
-	// (fully simulated), "skip" for points outside it (analytic estimate
-	// only). Empty without WithSimBand.
-	SimTriage string `json:"sim_triage,omitempty"`
-	// Elapsed is the wall-clock time spent building, routing and evaluating
-	// this point. It is excluded from JSON so that serialised results stay
-	// byte-identical across runs, parallelism levels and cache settings.
-	Elapsed time.Duration `json:"-"`
-	// Sim is the flit-level traffic simulation of this point (nil unless the
-	// run used WithSimulation and the point is valid). Like Elapsed it is
-	// excluded from JSON so that serialised results stay byte-identical with
-	// and without simulation.
-	Sim *SimStats `json:"-"`
-	// SimElapsed is the wall-clock time spent simulating this point (zero
-	// when simulation was not requested or the point was invalid); it is the
-	// number behind the CLI's per-point sim timing under -progress. Excluded
-	// from JSON like Elapsed.
-	SimElapsed time.Duration `json:"-"`
-
+	synth.Point
 	topo *topology.Topology
-}
-
-func pointFromInternal(dp synth.DesignPoint) DesignPoint {
-	return DesignPoint{
-		FreqMHz:     dp.FreqMHz,
-		SwitchCount: dp.SwitchCount,
-		Phase:       dp.Phase,
-		Theta:       dp.Theta,
-		Valid:       dp.Valid,
-		Pruned:      dp.Pruned,
-		FailReason:  dp.FailReason,
-		Metrics:     dp.Metrics,
-		Route: RouteStats{
-			Routed:           dp.Route.Routed,
-			FailedFlows:      len(dp.Route.Failed),
-			IndirectSwitches: dp.Route.IndirectSwitches,
-			DeadlockRetries:  dp.Route.DeadlockRetries,
-		},
-		Survivability: dp.Survivability,
-		Contention:    dp.Contention,
-		SimTriage:     dp.SimTriage,
-		Elapsed:       dp.Elapsed,
-		Sim:           dp.Sim,
-		SimElapsed:    dp.SimElapsed,
-		topo:          dp.Topology,
-	}
-}
-
-// internalFromPoint is the inverse of pointFromInternal over the serialised
-// fields: it rebuilds the internal design point a checkpointed public point
-// came from, such that re-serialising it reproduces the original bytes.
-// Execution-only fields (Elapsed, Sim, the live Topology) are gone, exactly
-// like on any point that crossed a JSON boundary; Route.Failed is
-// reconstructed by length only, which is all the serialisation carries.
-func internalFromPoint(p DesignPoint) synth.DesignPoint {
-	dp := synth.DesignPoint{
-		FreqMHz:     p.FreqMHz,
-		SwitchCount: p.SwitchCount,
-		Phase:       p.Phase,
-		Theta:       p.Theta,
-		Valid:       p.Valid,
-		Pruned:      p.Pruned,
-		FailReason:  p.FailReason,
-		Metrics:     p.Metrics,
-		Route: route.Result{
-			Routed:           p.Route.Routed,
-			IndirectSwitches: p.Route.IndirectSwitches,
-			DeadlockRetries:  p.Route.DeadlockRetries,
-		},
-		Survivability: p.Survivability,
-		Contention:    p.Contention,
-		SimTriage:     p.SimTriage,
-	}
-	if p.Route.FailedFlows > 0 {
-		dp.Route.Failed = make([]int, p.Route.FailedFlows)
-	}
-	return dp
 }
 
 // Topology returns the synthesized NoC of this point, or nil when the point
@@ -160,11 +43,6 @@ func (p *DesignPoint) Topology() *Topology {
 		return nil
 	}
 	return &Topology{t: p.topo}
-}
-
-// Cost returns the scalar objective of the point under the given weights.
-func (p DesignPoint) Cost(powerWeight, latencyWeight float64) float64 {
-	return powerWeight*p.Metrics.Power.TotalMW() + latencyWeight*p.Metrics.AvgLatencyCycles
 }
 
 // Report renders the point's metrics as "key value" lines, one metric per
@@ -252,7 +130,7 @@ func resultFromInternal(r *synth.Result) *Result {
 	for i := range r.Points {
 		// Best aliases an element of Points, so any LP refinement of the
 		// winning point is already reflected in the slice element.
-		out.Points[i] = pointFromInternal(r.Points[i])
+		out.Points[i] = DesignPoint{Point: r.Points[i].Point, topo: r.Points[i].Topology}
 		if r.Best == &r.Points[i] {
 			out.BestIndex = i
 		}
