@@ -121,6 +121,18 @@ func goldenCases() []goldenCase {
 			design: fromGen(sunfloor3d.GenSpec{Shape: sunfloor3d.ShapePipeline, Cores: 10, Layers: 3, Seed: 1}),
 			opts:   signoffOptions(),
 		},
+		{
+			// A distributed benchmark swept with the switch-placement LP on
+			// every point: each point's wire-length-dependent power and
+			// latency pin which optimal vertex every LP picks among
+			// degenerate ones.
+			name:   "d38_tvopd_lp_every_point",
+			design: fromBench("D_38_tvopd", false),
+			opts: []sunfloor3d.Option{
+				sunfloor3d.WithFrequenciesMHz(400, 800),
+				sunfloor3d.WithLPPlacement(true),
+			},
+		},
 	}
 }
 

@@ -1,70 +1,29 @@
 package lp
 
-// Builder helpers on top of the raw simplex solver. The switch-position LP of
+// Builder helper on top of the raw simplex solver. The switch-position LP of
 // Section VII minimises sums of bandwidth-weighted Manhattan distances, i.e.
 // sums of |x_i - x_j| terms. Each absolute value is linearised in the
 // standard way with an auxiliary non-negative variable d and the two
 // constraints d >= x_i - x_j and d >= x_j - x_i, after which d appears in the
-// objective with the term's weight. Free (sign-unrestricted) variables are
-// expressed as the difference of two non-negative variables.
+// objective with the term's weight.
 
-// FreeVar represents a variable that can take any sign, implemented as the
-// difference pos - neg of two non-negative structural variables.
-type FreeVar struct {
-	pos, neg int
-}
-
-// AddFreeVariable adds a sign-unrestricted variable with zero objective
-// coefficient.
-func (p *Problem) AddFreeVariable(name string) FreeVar {
-	return FreeVar{
-		pos: p.AddVariable(name+"+", 0),
-		neg: p.AddVariable(name+"-", 0),
-	}
-}
-
-// FreeValue returns the value of the free variable in the solution.
-func (s *Solution) FreeValue(v FreeVar) float64 {
-	return s.Value(v.pos) - s.Value(v.neg)
-}
-
-// Term is a linear term coeff * var, where the variable may be a plain
-// non-negative variable index or a free variable.
+// Term is a linear term Coeff * x_Var.
 type Term struct {
 	Var   int
-	Free  *FreeVar
 	Coeff float64
-}
-
-// addTerms accumulates the terms into the coefficient map.
-func addTerms(coeffs map[int]float64, terms []Term) {
-	for _, t := range terms {
-		if t.Free != nil {
-			coeffs[t.Free.pos] += t.Coeff
-			coeffs[t.Free.neg] -= t.Coeff
-		} else {
-			coeffs[t.Var] += t.Coeff
-		}
-	}
-}
-
-// AddLinearConstraint adds the constraint sum(terms) op rhs, where terms may
-// mix plain and free variables.
-func (p *Problem) AddLinearConstraint(terms []Term, op ConstraintOp, rhs float64) {
-	coeffs := make(map[int]float64)
-	addTerms(coeffs, terms)
-	p.AddConstraint(coeffs, op, rhs)
 }
 
 // AddAbsDifferenceObjective adds weight * |expr| to the objective, where expr
 // is the linear expression described by terms (plus the constant). It returns
 // the index of the auxiliary variable holding |expr| at the optimum (for
 // positive weight).
-func (p *Problem) AddAbsDifferenceObjective(name string, terms []Term, constant, weight float64) int {
-	d := p.AddVariable(name, weight)
+func (p *Problem) AddAbsDifferenceObjective(terms []Term, constant, weight float64) int {
+	d := p.AddVariable(weight)
 	// d >= expr  ->  d - expr >= -constant
 	coeffs := make(map[int]float64)
-	addTerms(coeffs, terms)
+	for _, t := range terms {
+		coeffs[t.Var] += t.Coeff
+	}
 	neg := make(map[int]float64, len(coeffs)+1)
 	for i, c := range coeffs {
 		neg[i] = -c

@@ -1,15 +1,17 @@
-// Package lp provides a small dense linear-programming solver used by the
+// Package lp provides a small linear-programming solver used by the
 // switch-position computation of Section VII of the paper. It implements the
 // two-phase primal simplex method on problems in the general form
 //
 //	minimise   c^T x
 //	subject to A x (<=|=|>=) b,   x >= 0
 //
-// together with a Problem builder that supports free variables and
-// absolute-value objective terms (|x - y| is linearised with an auxiliary
-// variable and two constraints), which is exactly what the Manhattan-distance
-// objective of Eq. 2-5 needs. The paper uses lp_solve; any exact LP solver
-// yields the same optimum, and the instances (tens of switches) are tiny.
+// together with a Problem builder for absolute-value objective terms
+// (|x - y| is linearised with an auxiliary variable and two constraints),
+// which is exactly what the Manhattan-distance objective of Eq. 2-5 needs.
+// The paper uses lp_solve; any exact LP solver yields the same optimum, and
+// the instances (tens of switches) are tiny. The tableau is dense, but
+// pivots are not: each Gauss-Jordan step updates only the columns where the
+// pivot row is nonzero, plus the right-hand side.
 package lp
 
 import (
@@ -48,12 +50,11 @@ type constraint struct {
 }
 
 // Problem is an LP under construction. All structural variables are
-// non-negative; use AddFreeVariable for variables that may take any sign.
+// non-negative.
 type Problem struct {
 	nvars       int
 	objective   map[int]float64
 	constraints []constraint
-	names       []string
 }
 
 // NewProblem returns an empty minimisation problem.
@@ -63,38 +64,13 @@ func NewProblem() *Problem {
 
 // AddVariable adds a non-negative variable with the given objective
 // coefficient and returns its index.
-func (p *Problem) AddVariable(name string, objCoeff float64) int {
+func (p *Problem) AddVariable(objCoeff float64) int {
 	idx := p.nvars
 	p.nvars++
-	p.names = append(p.names, name)
 	if objCoeff != 0 {
 		p.objective[idx] = objCoeff
 	}
 	return idx
-}
-
-// NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return p.nvars }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
-
-// VariableName returns the name given to variable i.
-func (p *Problem) VariableName(i int) string {
-	if i < 0 || i >= len(p.names) {
-		return fmt.Sprintf("x%d", i)
-	}
-	return p.names[i]
-}
-
-// SetObjectiveCoeff sets (overwrites) the objective coefficient of variable i.
-func (p *Problem) SetObjectiveCoeff(i int, c float64) {
-	p.checkVar(i)
-	if c == 0 {
-		delete(p.objective, i)
-		return
-	}
-	p.objective[i] = c
 }
 
 // AddConstraint adds the constraint sum(coeffs[i]*x_i) op rhs.
@@ -141,25 +117,38 @@ func (p *Problem) Solve() (*Solution, error) {
 		return &Solution{Objective: 0}, nil
 	}
 
-	// Convert to standard form: every constraint becomes an equality with a
-	// slack (LE), surplus (GE) or nothing (EQ); rows with negative rhs are
-	// negated first so that b >= 0.
-	type row struct {
-		a  []float64
-		b  float64
-		op ConstraintOp
-	}
-	rows := make([]row, m)
-	for i, c := range p.constraints {
-		a := make([]float64, n)
-		for j, v := range c.coeffs {
-			a[j] = v
+	// Every constraint becomes an equality with a slack (LE), surplus (GE)
+	// or nothing (EQ). Negating a row for a negative rhs swaps LE and GE, so
+	// it leaves the slack count alone.
+	numSlack := 0
+	for _, c := range p.constraints {
+		if c.op != EQ {
+			numSlack++
 		}
-		b := c.rhs
-		op := c.op
+	}
+	live := n + numSlack // the columns phase 2 may still enter
+	total := live + m    // artificial variable for every row (unused ones cost nothing)
+
+	// Build the phase-1 tableau in one backing array: rows are constraints,
+	// columns are [structural | slack/surplus | artificial | rhs]. Rows
+	// with a negative rhs are negated so that b >= 0.
+	width := total + 1
+	cells := make([]float64, (m+1)*width)
+	tab := make([][]float64, m+1)
+	for i := range tab {
+		tab[i] = cells[i*width : (i+1)*width]
+	}
+	basis := make([]int, m)
+	slackCol := n
+	for i, c := range p.constraints {
+		r := tab[i]
+		for j, v := range c.coeffs {
+			r[j] = v
+		}
+		b, op := c.rhs, c.op
 		if b < 0 {
-			for j := range a {
-				a[j] = -a[j]
+			for j := 0; j < n; j++ {
+				r[j] = -r[j]
 			}
 			b = -b
 			switch op {
@@ -169,40 +158,17 @@ func (p *Problem) Solve() (*Solution, error) {
 				op = LE
 			}
 		}
-		rows[i] = row{a: a, b: b, op: op}
-	}
-
-	// Count slack/surplus and artificial variables.
-	numSlack := 0
-	for _, r := range rows {
-		if r.op != EQ {
-			numSlack++
-		}
-	}
-	total := n + numSlack + m // artificial variable for every row (unused ones cost nothing)
-
-	// Build the phase-1 tableau: rows are constraints, columns are
-	// [structural | slack/surplus | artificial | rhs].
-	tab := make([][]float64, m+1)
-	for i := range tab {
-		tab[i] = make([]float64, total+1)
-	}
-	basis := make([]int, m)
-	slackCol := n
-	for i, r := range rows {
-		copy(tab[i], r.a)
-		switch r.op {
+		switch op {
 		case LE:
-			tab[i][slackCol] = 1
+			r[slackCol] = 1
 			slackCol++
 		case GE:
-			tab[i][slackCol] = -1
+			r[slackCol] = -1
 			slackCol++
 		}
-		artCol := n + numSlack + i
-		tab[i][artCol] = 1
-		basis[i] = artCol
-		tab[i][total] = r.b
+		r[live+i] = 1
+		basis[i] = live + i
+		r[total] = b
 	}
 	// For LE rows with a positive slack we could start from the slack basis,
 	// but starting from the artificial basis everywhere keeps the code
@@ -211,8 +177,7 @@ func (p *Problem) Solve() (*Solution, error) {
 	// Phase 1 objective: minimise the sum of artificial variables.
 	obj := tab[m]
 	for i := 0; i < m; i++ {
-		art := n + numSlack + i
-		obj[art] = 1
+		obj[live+i] = 1
 	}
 	// Price out the basic (artificial) variables.
 	for i := 0; i < m; i++ {
@@ -220,31 +185,32 @@ func (p *Problem) Solve() (*Solution, error) {
 			obj[j] -= tab[i][j]
 		}
 	}
-	if err := simplexIterate(tab, basis, total); err != nil {
+	cols := make([]int, 0, width) // pivot's column list, reused by every pivot
+	if err := runSimplex(tab, basis, total, total, cols); err != nil {
 		return nil, err
 	}
 	if phase1 := -tab[m][total]; phase1 > 1e-6 {
 		return nil, ErrInfeasible
 	}
 	// Drive any artificial variables that remain basic at level zero out of
-	// the basis (or accept them at zero if their row is all-zero).
+	// the basis (a fully zero row is redundant; its artificial stays at 0).
+	// These pivots still update the artificial columns: the pricing below
+	// reads them for the artificials left in the basis.
 	for i := 0; i < m; i++ {
-		if basis[i] < n+numSlack {
+		if basis[i] < live {
 			continue
 		}
-		pivoted := false
-		for j := 0; j < n+numSlack; j++ {
+		for j := 0; j < live; j++ {
 			if math.Abs(tab[i][j]) > eps {
-				pivot(tab, basis, i, j, total)
-				pivoted = true
+				pivot(tab, basis, i, j, total, cols)
 				break
 			}
 		}
-		_ = pivoted // a fully zero row is redundant; the artificial stays at 0
 	}
 
 	// Phase 2: replace the objective row with the real objective, forbid the
-	// artificial columns, and price out the current basis.
+	// artificial columns, and price out the current basis. From here on
+	// nothing reads the artificial columns, so pivots leave them stale.
 	for j := 0; j <= total; j++ {
 		obj[j] = 0
 	}
@@ -260,7 +226,7 @@ func (p *Problem) Solve() (*Solution, error) {
 			}
 		}
 	}
-	if err := simplexIteratePhase2(tab, basis, total, n+numSlack); err != nil {
+	if err := runSimplex(tab, basis, total, live, cols); err != nil {
 		return nil, err
 	}
 
@@ -283,18 +249,10 @@ func (p *Problem) Solve() (*Solution, error) {
 	return sol, nil
 }
 
-// simplexIterate runs simplex pivots over all columns (phase 1).
-func simplexIterate(tab [][]float64, basis []int, total int) error {
-	return runSimplex(tab, basis, total, total)
-}
-
-// simplexIteratePhase2 runs simplex pivots restricted to the first allowedCols
-// columns (the artificial columns are excluded in phase 2).
-func simplexIteratePhase2(tab [][]float64, basis []int, total, allowedCols int) error {
-	return runSimplex(tab, basis, total, allowedCols)
-}
-
-func runSimplex(tab [][]float64, basis []int, total, allowedCols int) error {
+// runSimplex pivots until no column among the first allowedCols has a
+// negative reduced cost (phase 1 allows every column, phase 2 excludes the
+// artificial ones). cols is the column buffer pivot reuses.
+func runSimplex(tab [][]float64, basis []int, total, allowedCols int, cols []int) error {
 	m := len(tab) - 1
 	obj := tab[m]
 	maxIter := 200 * (m + total + 1)
@@ -326,27 +284,44 @@ func runSimplex(tab [][]float64, basis []int, total, allowedCols int) error {
 		if row < 0 {
 			return ErrUnbounded
 		}
-		pivot(tab, basis, row, col, total)
+		pivot(tab, basis, row, col, allowedCols, cols)
 	}
 	return errors.New("lp: simplex iteration limit exceeded")
 }
 
-// pivot performs a Gauss-Jordan pivot on (row, col).
-func pivot(tab [][]float64, basis []int, row, col, total int) {
-	p := tab[row][col]
-	for j := 0; j <= total; j++ {
-		tab[row][j] /= p
+// pivot performs a Gauss-Jordan pivot on (row, col). It keeps the first
+// ncols columns and the rhs up to date and leaves the columns in between
+// stale. Within those it divides and subtracts only where the pivot row is
+// nonzero; cols, with room for every column, holds that column list. For
+// any x, x - f*(±0) differs from x at most in the sign of a zero, so every
+// nonzero entry, and with it every pivot choice, is bit-identical to a
+// full-row update. The sign of a zero matters in the rhs column alone:
+// Solve reads it back as the solution, and a -0 there prints as a "-0.000"
+// switch coordinate. So the rhs is updated whatever its value, exactly as
+// a full-row update would.
+func pivot(tab [][]float64, basis []int, row, col, ncols int, cols []int) {
+	pr := tab[row]
+	rhs := len(pr) - 1
+	p := pr[col]
+	cols = cols[:0]
+	for j, v := range pr[:ncols] {
+		if v != 0 {
+			pr[j] = v / p
+			cols = append(cols, j)
+		}
 	}
-	for i := range tab {
+	pr[rhs] /= p
+	cols = append(cols, rhs)
+	for i, r := range tab {
 		if i == row {
 			continue
 		}
-		f := tab[i][col]
+		f := r[col]
 		if math.Abs(f) < eps {
 			continue
 		}
-		for j := 0; j <= total; j++ {
-			tab[i][j] -= f * tab[row][j]
+		for _, j := range cols {
+			r[j] -= f * pr[j]
 		}
 	}
 	basis[row] = col

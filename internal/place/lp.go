@@ -45,7 +45,7 @@ func solveAxis(t *topology.Topology, xAxis bool) ([]float64, error) {
 	prob := lp.NewProblem()
 	pos := make([]int, t.NumSwitches())
 	for i := range t.Switches {
-		pos[i] = prob.AddVariable(fmt.Sprintf("s%d", i), 0)
+		pos[i] = prob.AddVariable(0)
 	}
 
 	coreCoord := func(c int) float64 {
@@ -72,10 +72,7 @@ func solveAxis(t *topology.Topology, xAxis bool) ([]float64, error) {
 		if w <= 0 {
 			w = 1 // still pull unconnected cores' switches somewhere sensible
 		}
-		prob.AddAbsDifferenceObjective(
-			fmt.Sprintf("dc%d", c),
-			[]lp.Term{{Var: pos[sw], Coeff: 1}},
-			-coreCoord(c), w)
+		prob.AddAbsDifferenceObjective([]lp.Term{{Var: pos[sw], Coeff: 1}}, -coreCoord(c), w)
 	}
 
 	// Switch-to-switch terms: weight is the aggregated link bandwidth, Eq. 3
@@ -107,7 +104,6 @@ func solveAxis(t *topology.Topology, xAxis bool) ([]float64, error) {
 	})
 	for _, k := range pairKeys {
 		prob.AddAbsDifferenceObjective(
-			fmt.Sprintf("ds%d_%d", k[0], k[1]),
 			[]lp.Term{{Var: pos[k[0]], Coeff: 1}, {Var: pos[k[1]], Coeff: -1}},
 			0, pair[k])
 	}
