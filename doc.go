@@ -44,7 +44,11 @@
 // that a committed path invalidates only for the arcs whose port counts,
 // inter-layer-link occupancy or link existence it changed, and deadlock
 // retries overlay forbidden arcs on the shortest-path search instead of
-// rebuilding anything. Every DesignPoint records its router statistics
+// rebuilding anything. Algorithm 1 builds no attempt whose outcome is
+// decided before it runs (a theta retry that repeats a core assignment
+// already tried for its switch count, a Phase-2 fallback step whose switch
+// count no unmet count needs), so it retains exactly the exhaustive sweep's
+// points from fewer attempts. Every DesignPoint records its router statistics
 // (Route) and wall-clock build time (Elapsed). The repository's benchmark,
 // `bash perf/run.sh` (see perf/README.md), times the sweep end to end and
 // per layer; BENCH_PR2.json is frozen history of the hot path's original

@@ -81,7 +81,11 @@ func goldenCases() []goldenCase {
 		},
 		{
 			// The hand-written API test design with a tight inter-layer link
-			// budget: exercises constraint rejections and Phase fallback.
+			// budget: exercises constraint rejections across a
+			// three-frequency sweep. Its one unmet count (one switch at
+			// 800 MHz) retains its Phase-1 point: theta cannot change a
+			// one-block partition and no Phase-2 step has one switch, so no
+			// retry is built (d65_pipe_fallback_900 pins the fallback).
 			name:   "api_design_tight_ill",
 			design: apiDesign,
 			opts: []sunfloor3d.Option{
@@ -131,6 +135,18 @@ func goldenCases() []goldenCase {
 			opts: []sunfloor3d.Option{
 				sunfloor3d.WithFrequenciesMHz(400, 800),
 				sunfloor3d.WithLPPlacement(true),
+			},
+		},
+		{
+			// A pipeline benchmark at one frequency where Algorithm 1 leaves
+			// switch counts unmet: it pins theta retries (theta 1 and 4)
+			// and a retained Phase-2 fallback point (18 switches), so the
+			// fallback's "first valid step with the unmet count" rule is
+			// part of the corpus.
+			name:   "d65_pipe_fallback_900",
+			design: fromBench("D_65_pipe", false),
+			opts: []sunfloor3d.Option{
+				sunfloor3d.WithFrequenciesMHz(900),
 			},
 		},
 	}

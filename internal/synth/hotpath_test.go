@@ -91,11 +91,13 @@ func TestPartitionCacheEquivalence(t *testing.T) {
 
 // TestFullRebuildRoutesSweepTopologies checks that the reference
 // full-rebuild router (route.Config.FullRebuild) and the incremental router
-// commit identical routes on every topology a small-design sweep builds:
-// each attempt the sweep reports to its progress stream, theta retries and
-// Phase-2 fallbacks included, is stripped back to its switches and core
-// attachments and routed once by each router. The incremental re-route must
-// also reproduce the routes the sweep committed.
+// commit identical routes on every topology two small-design sweeps build:
+// each attempt an automatic-phase sweep and a Phase-2-only sweep report to
+// their progress streams is stripped back to its switches and core
+// attachments and routed once by each router. (The automatic sweep's unmet
+// counts are all decided before a retry, so it builds Phase-1 topologies
+// only; the Phase-2-only sweep supplies the layer-by-layer ones.) The
+// incremental re-route must also reproduce the routes the sweep committed.
 func TestFullRebuildRoutesSweepTopologies(t *testing.T) {
 	g := smallDesign(t)
 	opt := DefaultOptions()
@@ -108,6 +110,11 @@ func TestFullRebuildRoutesSweepTopologies(t *testing.T) {
 		}
 	}
 	if _, err := Synthesize(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	phase2 := opt
+	phase2.Phase = Phase2Only
+	if _, err := Synthesize(g, phase2); err != nil {
 		t.Fatal(err)
 	}
 	if len(built) == 0 {

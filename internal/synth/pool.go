@@ -16,7 +16,9 @@ type Event struct {
 	// Total is the number of design points scheduled so far. It can grow
 	// while the run is in progress: the theta rescaling loop and the Phase-2
 	// fallback of Algorithm 1 schedule additional points only when the
-	// initial sweep leaves switch counts unmet.
+	// initial sweep leaves switch counts unmet. A retry whose outcome is
+	// decided before it runs (see phase1Sweep) is never scheduled, so it is
+	// neither counted nor reported.
 	Total int
 	// Point is the design point that just finished (valid or not).
 	Point DesignPoint

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -281,7 +282,12 @@ func timed(build func() DesignPoint) DesignPoint {
 func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool) ([]DesignPoint, error) {
 	switch opt.Phase {
 	case Phase2Only:
-		return phase2Sweep(g, opt, freq, cache, p)
+		lpgs, minPerLayer, maxExtra := phase2Plan(opt, freq, cache)
+		steps := make([]int, maxExtra+1)
+		for e := range steps {
+			steps[e] = e
+		}
+		return phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps)
 	case Phase1Only:
 		return phase1Sweep(g, opt, freq, false, cache, p)
 	default:
@@ -296,13 +302,44 @@ func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache 
 // sequential because each one only re-attempts the slots the previous round
 // left unmet. When fallbackPhase2 is set, slots that remain unmet after the
 // theta sweep are retried with the layer-by-layer method.
+//
+// Attempts whose outcome is decided before they run are never built, so they
+// are neither scheduled nor reported to the progress stream:
+//
+//   - A theta retry whose core assignment equals one already tried for its
+//     slot (at theta 0 or an earlier theta). A Phase-1 point depends on theta
+//     only through that assignment and its Theta label, so the retry would
+//     build the topology that already failed and fail the same way, and a
+//     failed retry is never retained. The slot's tried assignments are local
+//     to this call (one frequency, library, TSV budget and layer fold, on
+//     all of which validity depends). Each round resolves its assignments on
+//     the calling goroutine before it schedules the new ones.
+//   - A Phase-2 fallback step whose switch count matches no unmet slot. The
+//     fallback retains, per unmet slot, the first valid step with the slot's
+//     count, and a step's count is known from phase2Plan before it is built
+//     (phase2LayerSwitches per non-empty layer), so building only the
+//     matching steps in ascending order retains the same points.
 func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 bool, cache *partitionCache, p *pool) ([]DesignPoint, error) {
 	counts := opt.explCounts
 	pg := cache.pg(0)
 	points := make([]DesignPoint, len(counts))
+	tried := make([][][]int, len(counts)) // per slot, the core assignments built so far
 	err := p.forEach(len(counts),
 		func(i int) DesignPoint {
-			return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, pg, counts[i], 0) })
+			return timed(func() DesignPoint {
+				// Branch and bound (explorer only): the bound is
+				// build-independent — a function of the frequency and switch
+				// count alone — so a pruned count computes no partition and
+				// is never retried (see below).
+				if opt.explPrune != nil {
+					if reason := opt.explPrune(counts[i]); reason != "" {
+						return DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: counts[i], Pruned: true, FailReason: reason}}
+					}
+				}
+				assign := cache.coreAssignment(pg, 0, counts[i])
+				tried[i] = [][]int{assign}
+				return buildPhase1Point(g, opt, freq, assign, counts[i], 0)
+			})
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
 	if err != nil {
@@ -325,30 +362,58 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 				break
 			}
 			spg := cache.pg(theta)
-			retried := make([]DesignPoint, len(unmet))
-			err := p.forEach(len(unmet),
+			var slots []int // the unmet slots whose assignment is new
+			var assigns [][]int
+			for _, s := range unmet {
+				if err := p.ctx.Err(); err != nil {
+					return nil, err
+				}
+				assign := cache.coreAssignment(spg, theta, counts[s])
+				if slices.ContainsFunc(tried[s], func(a []int) bool { return slices.Equal(a, assign) }) {
+					continue
+				}
+				tried[s] = append(tried[s], assign)
+				slots = append(slots, s)
+				assigns = append(assigns, assign)
+			}
+			retried := make([]DesignPoint, len(slots))
+			err := p.forEach(len(slots),
 				func(j int) DesignPoint {
-					return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, spg, counts[unmet[j]], theta) })
+					return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, assigns[j], counts[slots[j]], theta) })
 				},
 				func(j int, dp DesignPoint) { retried[j] = dp })
 			if err != nil {
 				return nil, err
 			}
-			var still []int
 			for j, dp := range retried {
 				if dp.Valid {
-					points[unmet[j]] = dp
-				} else {
-					still = append(still, unmet[j])
+					points[slots[j]] = dp
 				}
 			}
-			unmet = still
+			unmet = slices.DeleteFunc(unmet, func(s int) bool { return points[s].Valid })
 		}
 	}
 
 	// Optional Phase-2 fallback for counts that even the SPG could not fix.
 	if fallbackPhase2 && len(unmet) > 0 && g.NumLayers() > 1 {
-		p2, err := phase2Sweep(g, opt, freq, cache, p)
+		lpgs, minPerLayer, maxExtra := phase2Plan(opt, freq, cache)
+		need := make(map[int]bool, len(unmet))
+		for _, s := range unmet {
+			need[counts[s]] = true
+		}
+		var steps []int
+		for e := 0; e <= maxExtra; e++ {
+			total := 0
+			for j, l := range lpgs {
+				if len(l.Vertices) > 0 {
+					total += phase2LayerSwitches(l, minPerLayer[j], e)
+				}
+			}
+			if need[total] {
+				steps = append(steps, e)
+			}
+		}
+		p2, err := phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps)
 		if err != nil {
 			return nil, err
 		}
@@ -366,20 +431,10 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 }
 
 // buildPhase1Point builds and evaluates one Phase-1 design point for the
-// given switch count, fetching the core partition of pg (the PG for theta 0,
-// the theta-scaled SPG otherwise) from the sweep-wide cache.
-func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, pg *graph.Graph, switches int, theta float64) DesignPoint {
-	// Branch and bound (explorer only): the bound is build-independent — a
-	// function of the frequency and switch count alone — so a count pruned
-	// here is pruned identically on the initial sweep, every theta retry and
-	// the Phase-2 fallback, and phase1Sweep never retries it.
-	if opt.explPrune != nil {
-		if reason := opt.explPrune(switches); reason != "" {
-			return DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: switches, Pruned: true, FailReason: reason}}
-		}
-	}
+// given switch count from assign, the core partition of the PG (theta 0) or
+// of the theta-scaled SPG.
+func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, assign []int, switches int, theta float64) DesignPoint {
 	dp := DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: switches, Phase: 1, Theta: theta}}
-	assign := cache.coreAssignment(pg, theta, switches)
 	blocks := graph.Blocks(assign, switches)
 
 	top := topology.New(g, opt.Lib, freq)
@@ -420,15 +475,15 @@ func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, cache *part
 }
 
 // phase2Sweep implements Algorithm 2: layer-by-layer core-to-switch
-// connectivity with adjacent-layer-only vertical links. Every sweep step
-// (number of extra switches per layer) is an independent design point
-// evaluated on the worker pool.
-func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool) ([]DesignPoint, error) {
-	lpgs, minPerLayer, maxExtra := phase2Plan(opt, freq, cache)
-	points := make([]DesignPoint, maxExtra+1)
-	err := p.forEach(maxExtra+1,
+// connectivity with adjacent-layer-only vertical links. Every listed sweep
+// step (number of extra switches per layer, from 0 to phase2Plan's maxExtra)
+// is an independent design point evaluated on the worker pool; the points
+// come back in the order of steps.
+func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool, lpgs []partition.LPG, minPerLayer, steps []int) ([]DesignPoint, error) {
+	points := make([]DesignPoint, len(steps))
+	err := p.forEach(len(steps),
 		func(i int) DesignPoint {
-			return timed(func() DesignPoint { return buildPhase2Point(g, opt, freq, cache, lpgs, minPerLayer, i) })
+			return timed(func() DesignPoint { return buildPhase2Point(g, opt, freq, cache, lpgs, minPerLayer, steps[i]) })
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
 	if err != nil {
@@ -439,9 +494,10 @@ func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partition
 
 // phase2Plan computes the Phase-2 sweep prologue (steps 2-4 of Algorithm 2):
 // the per-layer graphs, the minimum switches per layer, and the number of
-// extra-switch steps to sweep. It is shared by phase2Sweep and by the
-// explorer, which needs the sweep's point count (maxExtra+1) to shape the
-// stubs of pruned and shard-skipped Phase-2 cells without building anything.
+// extra-switch steps to sweep. It is shared by the Phase-2 sweep, the
+// Phase-1 sweep's fallback, which needs each step's switch count before it
+// builds anything, and the explorer, which needs the sweep's point count
+// (maxExtra+1) to shape the stubs of pruned and shard-skipped Phase-2 cells.
 func phase2Plan(opt Options, freq float64, cache *partitionCache) (lpgs []partition.LPG, minPerLayer []int, maxExtra int) {
 	lpgs = cache.layerGraphs()
 	maxSwSize := opt.Lib.MaxSwitchSize(freq)
@@ -464,6 +520,13 @@ func phase2Plan(opt Options, freq float64, cache *partitionCache) (lpgs []partit
 	return lpgs, minPerLayer, maxExtra
 }
 
+// phase2LayerSwitches returns the number of switches Phase-2 step `extra`
+// puts on the layer of l, whose minimum is minimum: minimum+extra clamped
+// to [1, |V_l|].
+func phase2LayerSwitches(l partition.LPG, minimum, extra int) int {
+	return max(1, min(minimum+extra, len(l.Vertices)))
+}
+
 // buildPhase2Point builds and evaluates the Phase-2 design point with `extra`
 // switches per layer beyond each layer's minimum.
 func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, lpgs []partition.LPG, minPerLayer []int, extra int) DesignPoint {
@@ -474,13 +537,7 @@ func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *part
 		if len(l.Vertices) == 0 {
 			continue
 		}
-		np := minPerLayer[j] + extra
-		if np > len(l.Vertices) {
-			np = len(l.Vertices)
-		}
-		if np < 1 {
-			np = 1
-		}
+		np := phase2LayerSwitches(l, minPerLayer[j], extra)
 		assignment := cache.lpgAssignment(j, l, np)
 		// Create one switch per block on this layer.
 		swOf := make(map[int]int, np)

@@ -97,7 +97,10 @@ type Event struct {
 	// Total is the number of design points scheduled so far. It can grow
 	// while the run is in progress: the theta rescaling loop and the Phase-2
 	// fallback schedule additional points only when the initial sweep leaves
-	// switch counts unmet.
+	// switch counts unmet. A retry whose outcome is decided before it runs (a
+	// theta retry that repeats a core assignment already tried for its switch
+	// count, a fallback step whose switch count no unmet count needs) is
+	// never scheduled, so it is neither counted nor reported.
 	Total int `json:"total"`
 	// Point is the design point that just finished (valid or not).
 	Point DesignPoint `json:"point"`
