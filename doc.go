@@ -39,20 +39,21 @@
 // communication graph and the partitioning parameters, so each is computed
 // once and shared read-only across all swept frequencies and workers
 // (Result.Cache reports the hit/miss counts). Inside the router, the
-// per-flow arc-cost graph of Algorithm 3 is maintained incrementally: each
-// arc cost splits into a geometry-only bandwidth slope plus a state term
-// that a committed path invalidates only for the arcs whose port counts,
-// inter-layer-link occupancy or link existence it changed, and deadlock
-// retries overlay forbidden arcs on the shortest-path search instead of
-// rebuilding anything. Algorithm 1 builds no attempt whose outcome is
-// decided before it runs (a theta retry that repeats a core assignment
-// already tried for its switch count, a Phase-2 fallback step whose switch
-// count no unmet count needs), so it retains exactly the exhaustive sweep's
-// points from fewer attempts. Every DesignPoint records its router statistics
-// (Route) and wall-clock build time (Elapsed). The repository's benchmark,
-// `bash perf/run.sh` (see perf/README.md), times the sweep end to end and
-// per layer; BENCH_PR2.json is frozen history of the hot path's original
-// speed-up that nothing regenerates.
+// per-flow arc-cost graph of Algorithm 3 is one flat table holding each
+// switch pair's geometry and constraint state, which a committed path
+// refreshes only for the arcs whose port counts, inter-layer-link occupancy
+// or link existence it changed; one arc-cost function serves the shortest-
+// path search and the full-rebuild reference, the search scans only the
+// switches it has not settled, and deadlock retries overlay forbidden arcs
+// on it instead of rebuilding anything. Algorithm 1 builds no attempt whose
+// outcome is decided before it runs (a theta retry that repeats a core
+// assignment already tried for its switch count, a Phase-2 fallback step
+// whose switch count no unmet count needs), so it retains exactly the
+// exhaustive sweep's points from fewer attempts. Every DesignPoint records
+// its router statistics (Route) and wall-clock build time (Elapsed). The
+// repository's benchmark, `bash perf/run.sh` (see perf/README.md), times the
+// sweep end to end and per layer; BENCH_PR2.json is frozen history of the
+// hot path's original speed-up that nothing regenerates.
 //
 // # Flit-level simulation
 //

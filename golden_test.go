@@ -34,10 +34,10 @@ type goldenCase struct {
 }
 
 func goldenCases() []goldenCase {
-	fromBench := func(name string, flat bool) func(t *testing.T) *sunfloor3d.Design {
+	fromBench := func(name string, seed int64, flat bool) func(t *testing.T) *sunfloor3d.Design {
 		return func(t *testing.T) *sunfloor3d.Design {
 			t.Helper()
-			b, err := sunfloor3d.BenchmarkByName(name, 1)
+			b, err := sunfloor3d.BenchmarkByName(name, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,19 +62,19 @@ func goldenCases() []goldenCase {
 			// The paper's multimedia SoC with the default single-frequency
 			// sweep and constraints.
 			name:   "d26_media_defaults",
-			design: fromBench("D_26_media", false),
+			design: fromBench("D_26_media", 1, false),
 		},
 		{
 			// The flattened 2-D reference of the same design: exercises the
 			// single-layer degenerate path (no theta sweep, no Phase 2).
 			name:   "d26_media_2d",
-			design: fromBench("D_26_media", true),
+			design: fromBench("D_26_media", 1, true),
 		},
 		{
 			// A distributed benchmark across a two-frequency sweep: exercises
 			// the partition cache and multi-frequency ordering.
 			name:   "d36_4_two_freqs",
-			design: fromBench("D_36_4", false),
+			design: fromBench("D_36_4", 1, false),
 			opts: []sunfloor3d.Option{
 				sunfloor3d.WithFrequenciesMHz(400, 600),
 			},
@@ -131,7 +131,7 @@ func goldenCases() []goldenCase {
 			// latency pin which optimal vertex every LP picks among
 			// degenerate ones.
 			name:   "d38_tvopd_lp_every_point",
-			design: fromBench("D_38_tvopd", false),
+			design: fromBench("D_38_tvopd", 1, false),
 			opts: []sunfloor3d.Option{
 				sunfloor3d.WithFrequenciesMHz(400, 800),
 				sunfloor3d.WithLPPlacement(true),
@@ -144,7 +144,18 @@ func goldenCases() []goldenCase {
 			// fallback's "first valid step with the unmet count" rule is
 			// part of the corpus.
 			name:   "d65_pipe_fallback_900",
-			design: fromBench("D_65_pipe", false),
+			design: fromBench("D_65_pipe", 1, false),
+			opts: []sunfloor3d.Option{
+				sunfloor3d.WithFrequenciesMHz(900),
+			},
+		},
+		{
+			// A distributed benchmark at another seed where the router keeps
+			// an inserted indirect switch: a valid point (20 switches, theta
+			// 4) routes through it after 20 deadlock retries, so the
+			// router's switch insertion and rollback are part of the corpus.
+			name:   "d36_4_s2_indirect_900",
+			design: fromBench("D_36_4", 2, false),
 			opts: []sunfloor3d.Option{
 				sunfloor3d.WithFrequenciesMHz(900),
 			},

@@ -1,12 +1,12 @@
 package route
 
 import (
-	"sunfloor3d/internal/geom"
 	"sunfloor3d/internal/graph"
 )
 
 // costModel is the incrementally maintained routing cost graph of Algorithm 3.
-// For every arc (i, j) it caches the two ingredients of router.arcCost:
+// It keeps one arc record per ordered switch pair in a flat, row-major table
+// that holds both ingredients of the arc cost:
 //
 //   - the immutable geometry — planar Manhattan length, crossed layers and
 //     the pipeline-latency term, fixed once the switch exists; and
@@ -16,26 +16,26 @@ import (
 //
 // A commit therefore only has to refresh the states its bookkeeping updates
 // invalidated instead of rebuilding all O(S^2) arc costs for every flow and
-// deadlock retry. Costs are evaluated on demand per flow by evalArc, which is
-// the same code path router.arcCost itself uses — the incremental model is
-// bit-identical to the full-rebuild reference by construction, not merely
-// close: an earlier formulation cached a state+slope*bw linearisation whose
-// ULP-level rounding differences could flip Dijkstra ties on exactly
-// equal-cost paths and make the two routers commit different (equally
-// optimal) routes.
+// deadlock retry. Costs are evaluated on demand per flow by arcCost, the one
+// arc-cost formula: the search, costModel.cost and the full-rebuild
+// reference router.arcCost all call it, so the incremental model is
+// bit-identical to the reference by construction, not merely close. An
+// earlier formulation cached a state+slope*bw linearisation whose ULP-level
+// rounding differences could flip Dijkstra ties on exactly equal-cost paths
+// and make the two routers commit different (equally optimal) routes.
 type costModel struct {
 	r *router
 	n int
-	// state[i][j] is the mutable CHECK_CONSTRAINTS outcome of the arc.
-	state [][]arcState
-	// planar[i][j], span[i][j] and latency[i][j] cache the arc geometry.
-	planar  [][]float64
-	span    [][]int
-	latency [][]float64
-	// Dijkstra scratch space, reused across flows.
-	dist    []float64
-	prev    []int
-	settled []bool
+	// arcs[i][j] is the arc (i, j). The rows are carved from one backing
+	// array with room for the router's spare switches (see newSquare).
+	arcs [][]arc
+	// Search scratch space, reused across flows: distances, predecessors,
+	// the unsettled switches in ascending order and the TSV term of each
+	// layer span.
+	dist []float64
+	prev []int
+	open []int
+	tsv  []float64
 	// Commit scratch space, reused across commits: the rows and columns to
 	// refresh, and per layer boundary the number of links the commit opened
 	// across it and whether that moved it across an ILL threshold.
@@ -45,84 +45,118 @@ type costModel struct {
 	boundary  []bool
 }
 
-// newCostModel computes the initial geometry and arc states for every switch
-// pair. This is the only full O(S^2) pass of a run; everything after is
-// incremental.
+// arc is one record of the cost model's arc table: the arc's mutable
+// CHECK_CONSTRAINTS state and its immutable geometry.
+type arc struct {
+	arcState
+	// planar is the Manhattan length of the link, latency its
+	// pipeline-latency term and span the number of layers it crosses.
+	planar, latency float64
+	span            int
+}
+
+// flowTerms are the constants of arcCost for one flow, computed once per
+// search: the planar wire power per millimetre, the two objective weights,
+// the SOFT_INF penalty, and tsv[s], the TSV power of a link crossing s
+// layers.
+type flowTerms struct {
+	wire, powerWeight, latencyWeight, softInf float64
+	tsv                                       []float64
+}
+
+// arcCost combines an arc's state and geometry into its routing cost for
+// the flow of ft (Infinity for a forbidden arc). It is the one arc-cost
+// formula: the search, costModel.cost and the full-rebuild reference all
+// evaluate arcs through it, so they agree bit for bit and equal-cost path
+// ties resolve identically.
+func arcCost(a *arc, ft *flowTerms) float64 {
+	if a.forbidden {
+		return graph.Infinity
+	}
+	power := a.planar*ft.wire + ft.tsv[a.span]
+	if !a.exists {
+		power += a.openJ
+		power += a.openI
+	}
+	cost := ft.powerWeight*power + ft.latencyWeight*a.latency
+	if a.soft {
+		cost += ft.softInf
+	}
+	return cost
+}
+
+// newCostModel computes the geometry and state of every arc in one pass over
+// the switch pairs. This is the only full O(S^2) pass of a run; everything
+// after is incremental.
 func newCostModel(r *router) *costModel {
-	m := &costModel{r: r, crossings: make([]int, len(r.ill)), boundary: make([]bool, len(r.ill))}
-	for len(m.state) < r.top.NumSwitches() {
-		m.grow()
+	n := r.top.NumSwitches()
+	spare := r.spareSwitches()
+	m := &costModel{
+		r:         r,
+		n:         n,
+		arcs:      newSquare(n, spare, arc{}),
+		dist:      make([]float64, n, n+spare),
+		prev:      make([]int, n, n+spare),
+		open:      make([]int, n, n+spare),
+		tsv:       make([]float64, len(r.ill)+1),
+		dirtyRow:  make([]bool, n, n+spare),
+		dirtyCol:  make([]bool, n, n+spare),
+		crossings: make([]int, len(r.ill)),
+		boundary:  make([]bool, len(r.ill)),
+	}
+	for i := 0; i < n; i++ {
+		m.arcs[i][i].forbidden = true
+		for j := i + 1; j < n; j++ {
+			m.join(i, j)
+		}
 	}
 	return m
+}
+
+// join fills the arcs (i, j) and (j, i) between two distinct switches. The
+// geometry is computed once for both: Manhattan length, layer span and so
+// pipeline stages are symmetric bit for bit, since a−b is exactly −(b−a) in
+// IEEE arithmetic.
+func (m *costModel) join(i, j int) {
+	ij, ji := &m.arcs[i][j], &m.arcs[j][i]
+	m.r.geometry(ij, i, j)
+	ji.planar, ji.latency, ji.span = ij.planar, ij.latency, ij.span
+	ij.arcState = m.r.arcState(i, j)
+	ji.arcState = m.r.arcState(j, i)
 }
 
 // refresh recomputes the mutable state of the arc (i, j) from the router's
 // current bookkeeping.
 func (m *costModel) refresh(i, j int) {
-	m.state[i][j] = m.r.arcState(i, j)
-}
-
-// geometry computes the immutable part of the arc (i, j).
-func (m *costModel) geometry(i, j int) (planar float64, span int, latency float64) {
-	t := m.r.top
-	planar = geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
-	span = t.Switches[i].Layer - t.Switches[j].Layer
-	if span < 0 {
-		span = -span
-	}
-	latency = 1 + float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
-	return planar, span, latency
+	m.arcs[i][j].arcState = m.r.arcState(i, j)
 }
 
 // grow extends the model with one switch (the router just appended it to the
 // topology) and computes the arcs to and from it.
 func (m *costModel) grow() {
 	n := m.n
-	for i := 0; i < n; i++ {
-		planar, span, latency := m.geometry(i, n)
-		m.state[i] = append(m.state[i], arcState{})
-		m.planar[i] = append(m.planar[i], planar)
-		m.span[i] = append(m.span[i], span)
-		m.latency[i] = append(m.latency[i], latency)
-	}
-	m.state = append(m.state, make([]arcState, n+1))
-	m.planar = append(m.planar, make([]float64, n+1))
-	m.span = append(m.span, make([]int, n+1))
-	m.latency = append(m.latency, make([]float64, n+1))
-	for j := 0; j < n; j++ {
-		m.planar[n][j], m.span[n][j], m.latency[n][j] = m.geometry(n, j)
-	}
+	m.arcs = growSquare(m.arcs, arc{})
+	m.arcs[n][n].forbidden = true
 	m.n = n + 1
-	m.state[n][n] = arcState{forbidden: true}
 	for i := 0; i < n; i++ {
-		m.refresh(i, n)
-		m.refresh(n, i)
+		m.join(i, n)
 	}
 	m.dist = append(m.dist, 0)
 	m.prev = append(m.prev, 0)
-	m.settled = append(m.settled, false)
+	m.open = append(m.open, 0)
 	m.dirtyRow = append(m.dirtyRow, false)
 	m.dirtyCol = append(m.dirtyCol, false)
 }
 
 // shrink drops the last switch from the model (rolling back a failed indirect
-// switch insertion). The underlying arrays keep their capacity for the next
-// grow, which overwrites every re-appended entry.
+// switch insertion). The table keeps its capacity for the next grow, which
+// overwrites every re-appended arc.
 func (m *costModel) shrink() {
 	m.n--
-	m.state = m.state[:m.n]
-	m.planar = m.planar[:m.n]
-	m.span = m.span[:m.n]
-	m.latency = m.latency[:m.n]
-	for i := 0; i < m.n; i++ {
-		m.state[i] = m.state[i][:m.n]
-		m.planar[i] = m.planar[i][:m.n]
-		m.span[i] = m.span[i][:m.n]
-		m.latency[i] = m.latency[i][:m.n]
-	}
+	m.arcs = shrinkSquare(m.arcs)
 	m.dist = m.dist[:m.n]
 	m.prev = m.prev[:m.n]
-	m.settled = m.settled[:m.n]
+	m.open = m.open[:m.n]
 	m.dirtyRow = m.dirtyRow[:m.n]
 	m.dirtyCol = m.dirtyCol[:m.n]
 }
@@ -229,65 +263,79 @@ func (m *costModel) crossesDirty(boundary []bool, i, j int) bool {
 }
 
 // cost returns the full arc cost at the given bandwidth (Infinity for
-// forbidden arcs). It shares evalArc with router.arcCost, so the two agree
-// bit for bit.
+// forbidden arcs), through arcCost like the search.
 func (m *costModel) cost(i, j int, bw float64) float64 {
-	return m.r.evalArc(m.state[i][j], m.planar[i][j], m.span[i][j], m.latency[i][j],
-		wireFactor(m.r.top.Lib, bw), bw, m.r.softInf)
+	ft := m.r.terms(bw, m.tsv)
+	return arcCost(&m.arcs[i][j], &ft)
 }
 
-// shortestPath runs Dijkstra over the dense cached arc costs for a flow of
-// bandwidth bw, skipping arcs in forbidden (the deadlock-retry overlay, so
-// retries need no graph mutation at all). Neighbours relax in ascending index
+// shortestPath runs Dijkstra over the arc table for a flow of bandwidth bw,
+// skipping the arcs in forbidden (the deadlock-retry overlay, so retries
+// need no graph mutation at all). Only the unsettled switches are scanned
+// and relaxed: they are kept in an ascending list, so the min scan keeps the
+// lowest index among equal distances and neighbours relax in ascending index
 // order, making the returned path deterministic even between equal-cost
 // alternatives. It returns (nil, Infinity) when dst is unreachable.
-func (m *costModel) shortestPath(src, dst int, bw float64, forbidden map[[2]int]bool) ([]int, float64) {
+func (m *costModel) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]int, float64) {
 	n := m.n
-	for i := 0; i < n; i++ {
-		m.dist[i] = graph.Infinity
-		m.prev[i] = -1
-		m.settled[i] = false
+	dist, prev, open := m.dist[:n], m.prev[:n], m.open[:n]
+	for i := range dist {
+		dist[i] = graph.Infinity
+		prev[i] = -1
+		open[i] = i
 	}
-	m.dist[src] = 0
-	wf := wireFactor(m.r.top.Lib, bw)
-	softInf := m.r.softInf
+	dist[src] = 0
+	ft := m.r.terms(bw, m.tsv)
 	for {
 		// Dense graph: the O(n) min scan beats a heap here.
-		u, best := -1, graph.Infinity
-		for i := 0; i < n; i++ {
-			if !m.settled[i] && m.dist[i] < best {
-				u, best = i, m.dist[i]
+		k, best := -1, graph.Infinity
+		for x, i := range open {
+			if dist[i] < best {
+				k, best = x, dist[i]
 			}
 		}
-		if u < 0 || u == dst {
+		if k < 0 {
 			break
 		}
-		m.settled[u] = true
-		state, planar, span, latency := m.state[u], m.planar[u], m.span[u], m.latency[u]
-		for v := 0; v < n; v++ {
-			if m.settled[v] || state[v].forbidden {
+		u := open[k]
+		if u == dst {
+			break
+		}
+		// Remove u in place: swapping the last entry into its slot would
+		// break the ascending order the tie-breaking relies on.
+		open = append(open[:k], open[k+1:]...)
+		row := m.arcs[u]
+		for _, v := range open {
+			a := &row[v]
+			if a.forbidden || forbids(forbidden, u, v) {
 				continue
 			}
-			if len(forbidden) > 0 && forbidden[[2]int{u, v}] {
-				continue
-			}
-			c := m.r.evalArc(state[v], planar[v], span[v], latency[v], wf, bw, softInf)
-			if nd := best + c; nd < m.dist[v] {
-				m.dist[v] = nd
-				m.prev[v] = u
+			if nd := best + arcCost(a, &ft); nd < dist[v] {
+				dist[v] = nd
+				prev[v] = u
 			}
 		}
 	}
-	if m.dist[dst] >= graph.Infinity {
+	if dist[dst] >= graph.Infinity {
 		return nil, graph.Infinity
 	}
-	var rev []int
-	for v := dst; v != -1; v = m.prev[v] {
-		rev = append(rev, v)
+	hops := 0
+	for v := dst; v != src; v = prev[v] {
+		hops++
 	}
-	path := make([]int, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
+	path := make([]int, hops+1)
+	for v, k := dst, hops; k >= 0; v, k = prev[v], k-1 {
+		path[k] = v
 	}
-	return path, m.dist[dst]
+	return path, dist[dst]
+}
+
+// forbids reports whether the arc (u, v) is one of the deadlock-retry arcs.
+func forbids(arcs [][2]int, u, v int) bool {
+	for _, a := range arcs {
+		if a[0] == u && a[1] == v {
+			return true
+		}
+	}
+	return false
 }

@@ -301,7 +301,7 @@ func deriveBookkeeping(top *topology.Topology) bookkeeping {
 // first principles: Algorithm 3's CHECK_CONSTRAINTS thresholds over the
 // derived bookkeeping, the port-opening marginals straight from
 // noclib.SwitchPortMarginalMW and the geometry from the switch positions.
-// Only the final combination goes through the router's evalArc formula.
+// Only the final combination goes through the router's arcCost formula.
 func referenceArcCost(r *router, b bookkeeping, i, j int, bw float64) float64 {
 	t, cfg := r.top, r.cfg
 	li, lj := t.Switches[i].Layer, t.Switches[j].Layer
@@ -337,7 +337,8 @@ func referenceArcCost(r *router, b bookkeeping, i, j int, bw float64) float64 {
 	}
 	planar := geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
 	latency := 1 + float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
-	return r.evalArc(st, planar, span, latency, wireFactor(t.Lib, bw), bw, r.softInf)
+	ft := r.terms(bw, make([]float64, len(r.ill)+1))
+	return arcCost(&arc{arcState: st, planar: planar, latency: latency, span: span}, &ft)
 }
 
 // TestIncrementalRoutingStaysDeadlockFree re-runs the deadlock test pattern

@@ -44,32 +44,37 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 		return res, nil
 	}
 
-	// The fabricated link set is exactly what the committed routes imply.
-	fabricated := make(map[[2]int]bool)
+	// The fabricated link set is exactly what the committed routes imply; the
+	// repair may use it minus the dead links. Every dead link is checked
+	// against the fabricated set before any is removed from it.
+	n := t.NumSwitches()
+	allowed := newSquare(n, 0, false)
 	for _, rt := range t.Routes {
 		for i := 1; i < len(rt.Switches); i++ {
-			fabricated[[2]int{rt.Switches[i-1], rt.Switches[i]}] = true
+			allowed[rt.Switches[i-1]][rt.Switches[i]] = true
 		}
 	}
-	deadSet := make(map[[2]int]bool)
 	for _, d := range dead {
-		if !fabricated[d] {
+		if d[0] < 0 || d[0] >= n || d[1] < 0 || d[1] >= n || !allowed[d[0]][d[1]] {
 			return res, fmt.Errorf("route: dead link %d->%d is not a fabricated link of the topology", d[0], d[1])
 		}
-		deadSet[d] = true
+	}
+	for _, d := range dead {
+		allowed[d[0]][d[1]] = false
 	}
 
 	// Partition the flows and save the surviving paths before the router
-	// resets every route.
+	// resets every route. Every link of a committed route is fabricated, so
+	// a route crosses a dead link exactly where it leaves the allowed set.
 	crossesDead := func(path []int) bool {
 		for i := 1; i < len(path); i++ {
-			if deadSet[[2]int{path[i-1], path[i]}] {
+			if !allowed[path[i-1]][path[i]] {
 				return true
 			}
 		}
 		return false
 	}
-	stranded := make(map[int]bool)
+	stranded := make([]bool, len(t.Routes))
 	surviving := make([][]int, len(t.Routes))
 	for f, rt := range t.Routes {
 		if len(rt.Switches) == 0 {
@@ -90,13 +95,6 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 	// Repair router: the arc universe is the surviving fabricated links only,
 	// and no switch can be added to a fabbed chip.
 	cfg.AllowIndirectSwitches = false
-	allowed := make(map[[2]int]bool, len(fabricated))
-	//determlint:ordered writes to distinct keys of a fresh map commute; the surviving content is order-independent
-	for l := range fabricated {
-		if !deadSet[l] {
-			allowed[l] = true
-		}
-	}
 	r := &router{top: t, cfg: cfg, allowed: allowed}
 	r.init()
 
@@ -108,7 +106,7 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 		if stranded[f] {
 			continue
 		}
-		if bad := r.deadlockArc(surviving[f]); bad != nil {
+		if bad, cyclic := r.deadlockArc(surviving[f]); cyclic {
 			return res, fmt.Errorf("route: surviving routes are not deadlock-free (cycle at link %d->%d)", bad[0], bad[1])
 		}
 		r.commit(f, surviving[f])

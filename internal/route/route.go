@@ -15,7 +15,6 @@ import (
 
 	"sunfloor3d/internal/geom"
 	"sunfloor3d/internal/graph"
-	"sunfloor3d/internal/noclib"
 	"sunfloor3d/internal/topology"
 )
 
@@ -104,9 +103,10 @@ type router struct {
 	inMarginal, outMarginal []float64
 	// cdg is the channel dependency graph: one vertex per directed
 	// switch-to-switch link, an edge when some flow uses two links in
-	// sequence.
+	// sequence. linkIdx[from][to] is the CDG vertex of the directed link, or
+	// -1 while the link has none.
 	cdg      *graph.Graph
-	linkIdx  map[[2]int]int
+	linkIdx  [][]int32
 	deadlock int
 	// tails and heads (the CDG edges a path adds) and opened (the links a
 	// commit opens) are per-attempt scratch lists.
@@ -115,11 +115,12 @@ type router struct {
 	// softInf is the SOFT_INF penalty of Algorithm 3, fixed for the whole
 	// run (it depends only on the design, library, frequency and weights).
 	softInf float64
-	// allowed, when non-nil, restricts routing to the listed directed arcs.
-	// It is the repair-mode overlay: on a fabricated chip only the links that
-	// were actually built (minus the failed ones) are usable, whatever their
-	// current cost would be. nil (the synthesis case) allows every arc.
-	allowed map[[2]int]bool
+	// allowed, when non-nil, restricts routing to the directed arcs (i, j)
+	// with allowed[i][j] set. It is the repair-mode overlay: on a fabricated
+	// chip only the links that were actually built (minus the failed ones)
+	// are usable, whatever their current cost would be. nil (the synthesis
+	// case) allows every arc.
+	allowed [][]bool
 	// cost is the incrementally maintained arc-cost graph (nil when
 	// Config.FullRebuild selects the reference per-flow rebuild).
 	cost *costModel
@@ -181,12 +182,8 @@ func (r *router) init() {
 	n := t.NumSwitches()
 	r.inPorts, r.outPorts = make([]int, n), make([]int, n)
 	r.inMarginal, r.outMarginal = make([]float64, n), make([]float64, n)
-	cells := make([]bool, n*n)
-	r.link = make([][]bool, n)
-	for i := range r.link {
-		r.link[i] = cells[i*n : (i+1)*n : (i+1)*n]
-	}
-	r.linkIdx = make(map[[2]int]int)
+	r.link = newSquare(n, r.spareSwitches(), false)
+	r.linkIdx = newSquare(n, r.spareSwitches(), int32(-1))
 	r.cdg = graph.New(0)
 
 	for c, sw := range t.CoreAttach {
@@ -206,6 +203,67 @@ func (r *router) init() {
 	}
 }
 
+// spareSwitchCount is how many inserted indirect switches the router's
+// per-pair tables have room for before growing one must reallocate them.
+const spareSwitchCount = 2
+
+// spareSwitches returns the room the router's per-pair tables keep for
+// indirect switches: none when the router may not insert any.
+func (r *router) spareSwitches() int {
+	if !r.cfg.AllowIndirectSwitches {
+		return 0
+	}
+	return spareSwitchCount
+}
+
+// newSquare returns an n×n matrix with every cell set to fill. Its rows are
+// carved from one backing array with room for spare more rows and columns,
+// so the first spare growSquare calls append in place.
+func newSquare[T comparable](n, spare int, fill T) [][]T {
+	stride := n + spare
+	cells := make([]T, stride*stride)
+	rows := make([][]T, stride)
+	for i := range rows {
+		rows[i] = cells[i*stride : i*stride+n : (i+1)*stride]
+	}
+	var zero T
+	if fill != zero {
+		for _, row := range rows[:n] {
+			for j := range row {
+				row[j] = fill
+			}
+		}
+	}
+	return rows[:n]
+}
+
+// growSquare adds a last row and column of fill values to a matrix.
+func growSquare[T comparable](rows [][]T, fill T) [][]T {
+	n := len(rows)
+	for i := range rows {
+		rows[i] = append(rows[i], fill)
+	}
+	var row []T
+	if n < cap(rows) {
+		row = rows[:n+1][n][:0] // the spare row newSquare or shrinkSquare left
+	}
+	for j := 0; j <= n; j++ {
+		row = append(row, fill)
+	}
+	return append(rows, row)
+}
+
+// shrinkSquare drops the last row and column of a matrix. Their cells keep
+// their memory for the next growSquare, which overwrites them.
+func shrinkSquare[T comparable](rows [][]T) [][]T {
+	n := len(rows) - 1
+	rows = rows[:n]
+	for i := range rows {
+		rows[i] = rows[i][:n]
+	}
+	return rows
+}
+
 // addSwitch extends the per-switch bookkeeping with one switch that has no
 // ports and no links.
 func (r *router) addSwitch() {
@@ -215,22 +273,21 @@ func (r *router) addSwitch() {
 	r.inMarginal = append(r.inMarginal, 0)
 	r.outMarginal = append(r.outMarginal, 0)
 	r.updateMarginals(n, n)
-	for i := range r.link {
-		r.link[i] = append(r.link[i], false)
-	}
-	r.link = append(r.link, make([]bool, n+1))
+	r.link = growSquare(r.link, false)
+	r.linkIdx = growSquare(r.linkIdx, -1)
 }
 
-// dropSwitches truncates the per-switch bookkeeping to the first n switches.
-func (r *router) dropSwitches(n int) {
+// dropSwitch drops the last switch from the per-switch bookkeeping, link
+// identities included: a future switch reusing its ID starts from a clean
+// link identity.
+func (r *router) dropSwitch() {
+	n := len(r.link) - 1
 	r.inPorts = r.inPorts[:n]
 	r.outPorts = r.outPorts[:n]
 	r.inMarginal = r.inMarginal[:n]
 	r.outMarginal = r.outMarginal[:n]
-	r.link = r.link[:n]
-	for i := range r.link {
-		r.link[i] = r.link[i][:n]
-	}
+	r.link = shrinkSquare(r.link)
+	r.linkIdx = shrinkSquare(r.linkIdx)
 }
 
 // updateMarginals recomputes the cached port-opening marginals of the output
@@ -319,7 +376,7 @@ func (r *router) arcState(i, j int) arcState {
 	if i == j {
 		return arcState{forbidden: true}
 	}
-	if r.allowed != nil && !r.allowed[[2]int{i, j}] {
+	if r.allowed != nil && !r.allowed[i][j] {
 		return arcState{forbidden: true}
 	}
 	t := r.top
@@ -367,49 +424,46 @@ func (r *router) arcState(i, j int) arcState {
 	return st
 }
 
-// wireFactor returns the per-millimetre planar wire power at the given
-// bandwidth (the parenthesised factor of noclib.WirePowerMW), hoisted out so
-// the relaxation loop computes it once per flow.
-func wireFactor(lib noclib.Library, bw float64) float64 {
-	return lib.WirePowerMWPerMMPerGBps*bw/1000.0 + lib.WireLeakagePowerMWPerMM
+// geometry fills in the immutable part of the arc (i, j): the planar
+// Manhattan length, the number of layers crossed and the pipeline-latency
+// term.
+func (r *router) geometry(a *arc, i, j int) {
+	t := r.top
+	a.planar = geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
+	a.span = t.Switches[i].Layer - t.Switches[j].Layer
+	if a.span < 0 {
+		a.span = -a.span
+	}
+	a.latency = 1 + float64(t.Lib.LinkPipelineStages(a.planar, t.FreqMHz))
 }
 
-// evalArc combines an arc's cached state and geometry into its routing cost
-// for a flow of bandwidth bw. Both the full-rebuild reference (via arcCost)
-// and the incremental cost model evaluate arcs through this one function, so
-// the two agree bit for bit — equal-cost path ties resolve identically.
-func (r *router) evalArc(st arcState, planar float64, span int, latency, wf, bw, softInf float64) float64 {
-	if st.forbidden {
-		return graph.Infinity
+// terms returns the constants of arcCost for a flow of bandwidth bw,
+// filling tsv, which needs one entry per layer span, with the TSV terms.
+func (r *router) terms(bw float64, tsv []float64) flowTerms {
+	lib := r.top.Lib
+	for s := range tsv {
+		tsv[s] = float64(s) * lib.TSVPowerMWPerGBps * bw / 1000.0
 	}
-	power := planar*wf + float64(span)*r.top.Lib.TSVPowerMWPerGBps*bw/1000.0
-	if !st.exists {
-		power += st.openJ
-		power += st.openI
+	return flowTerms{
+		// The per-millimetre planar wire power: the parenthesised factor of
+		// noclib.WirePowerMW.
+		wire:          lib.WirePowerMWPerMMPerGBps*bw/1000.0 + lib.WireLeakagePowerMWPerMM,
+		powerWeight:   r.cfg.PowerWeight,
+		latencyWeight: r.cfg.LatencyWeight,
+		softInf:       r.softInf,
+		tsv:           tsv,
 	}
-	cost := r.cfg.PowerWeight*power + r.cfg.LatencyWeight*latency
-	if st.soft {
-		cost += softInf
-	}
-	return cost
 }
 
 // arcCost returns the cost of sending the flow (bandwidth bw) over a physical
 // link from switch i to switch j, implementing the CHECK_CONSTRAINTS
-// thresholds of Algorithm 3. It returns graph.Infinity for forbidden arcs.
-func (r *router) arcCost(i, j int, bw float64, softInf float64) float64 {
-	st := r.arcState(i, j)
-	if st.forbidden {
-		return graph.Infinity
-	}
-	t := r.top
-	span := t.Switches[i].Layer - t.Switches[j].Layer
-	if span < 0 {
-		span = -span
-	}
-	planar := geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
-	latency := 1 + float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
-	return r.evalArc(st, planar, span, latency, wireFactor(t.Lib, bw), bw, softInf)
+// thresholds of Algorithm 3, from scratch: the full-rebuild reference of the
+// cost model's cached arcs. It returns graph.Infinity for forbidden arcs.
+func (r *router) arcCost(i, j int, bw float64) float64 {
+	a := arc{arcState: r.arcState(i, j)}
+	r.geometry(&a, i, j)
+	ft := r.terms(bw, make([]float64, len(r.ill)+1))
+	return arcCost(&a, &ft)
 }
 
 // buildCostGraph builds the per-flow routing graph over switches from scratch.
@@ -426,7 +480,7 @@ func (r *router) buildCostGraph(bw float64, forbidden map[[2]int]bool) *graph.Gr
 			if i == j || forbidden[[2]int{i, j}] {
 				continue
 			}
-			c := r.arcCost(i, j, bw, r.softInf)
+			c := r.arcCost(i, j, bw)
 			if c < graph.Infinity {
 				cg.SetEdge(i, j, c)
 			}
@@ -447,7 +501,9 @@ func (r *router) routeFlow(f int) bool {
 		return true
 	}
 
-	forbidden := make(map[[2]int]bool)
+	// The deadlock-retry arcs: at most one per retry, so a short list that
+	// the search checks without hashing.
+	var forbidden [][2]int
 	for try := 0; try <= r.cfg.MaxDeadlockRetries; try++ {
 		var path []int
 		var cost float64
@@ -466,9 +522,9 @@ func (r *router) routeFlow(f int) bool {
 		if path == nil || cost >= graph.Infinity {
 			return false
 		}
-		if bad := r.deadlockArc(path); bad != nil {
+		if bad, cyclic := r.deadlockArc(path); cyclic {
 			// Penalise the arc that closed a cycle and retry.
-			forbidden[*bad] = true
+			forbidden = append(forbidden, bad)
 			r.deadlock++
 			continue
 		}
@@ -479,12 +535,12 @@ func (r *router) routeFlow(f int) bool {
 }
 
 // deadlockArc tentatively adds the path's channel dependencies to the CDG and
-// returns an arc of the path to forbid if a cycle would be created (nil if
-// the path is safe). The tentative edges are removed before returning when a
-// cycle is found.
-func (r *router) deadlockArc(path []int) *[2]int {
+// returns an arc of the path to forbid and true if a cycle would be created
+// (false if the path is safe). The tentative edges are removed before
+// returning when a cycle is found.
+func (r *router) deadlockArc(path []int) ([2]int, bool) {
 	if len(path) < 3 {
-		return nil // a single link cannot create a new dependency
+		return [2]int{}, false // a single link cannot create a new dependency
 	}
 	tails, heads := r.tails[:0], r.heads[:0]
 	for i := 2; i < len(path); i++ {
@@ -499,7 +555,7 @@ func (r *router) deadlockArc(path []int) *[2]int {
 	// The CDG of the committed routes is acyclic before every check, so any
 	// cycle now passes through a new edge and is reachable from its head.
 	if !r.cdg.HasCycleFrom(heads) {
-		return nil
+		return [2]int{}, false
 	}
 	for e, a := range tails {
 		r.cdg.RemoveEdge(a, heads[e])
@@ -507,19 +563,17 @@ func (r *router) deadlockArc(path []int) *[2]int {
 	// Forbid the middle arc of the path; re-routing around it usually breaks
 	// the cycle while keeping source and destination reachable.
 	mid := len(path) / 2
-	arc := [2]int{path[mid-1], path[mid]}
-	return &arc
+	return [2]int{path[mid-1], path[mid]}, true
 }
 
 // ensureLinkVertex returns the CDG vertex of the directed link (i, j),
 // growing the CDG if the link is new.
 func (r *router) ensureLinkVertex(i, j int) int {
-	key := [2]int{i, j}
-	if v, ok := r.linkIdx[key]; ok {
-		return v
+	if v := r.linkIdx[i][j]; v >= 0 {
+		return int(v)
 	}
 	v := r.cdg.Grow(1)
-	r.linkIdx[key] = v
+	r.linkIdx[i][j] = int32(v)
 	return v
 }
 
@@ -589,17 +643,10 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 	}
 	// Undoing the insertion restores the pre-attempt state: nothing involving
 	// the switch was committed. CDG vertices created for candidate links
-	// through the removed switch keep their (edge-free) slots, but their
-	// linkIdx entries must go so a future switch reusing this ID starts from
-	// a clean link identity.
+	// through the removed switch keep their (edge-free) slots, but dropping
+	// the switch drops their linkIdx entries.
 	t.Switches = t.Switches[:id]
-	r.dropSwitches(id)
-	//determlint:ordered deletes of distinct keys commute and the loop reads nothing but the key; the surviving map content is order-independent
-	for key := range r.linkIdx {
-		if key[0] == id || key[1] == id {
-			delete(r.linkIdx, key)
-		}
-	}
+	r.dropSwitch()
 	if r.cost != nil {
 		r.cost.shrink()
 	}

@@ -531,67 +531,112 @@ func TestServerShutdown(t *testing.T) {
 	}
 }
 
-// TestServerQueueFull: with one busy worker and a one-deep queue, a burst of
-// distinct submissions overflows into 503s that tell the client when to
-// retry, while every accepted job still finishes.
+// TestServerQueueFull: with one busy worker and a one-deep queue, a
+// submission that finds the queue slot taken is rejected with a 503 that
+// tells the client when to retry, and registers no job. The test waits on
+// job states, not on timing: job A is seen running before job B takes the
+// queue slot, and A must still be running after job C's rejection. A round
+// in which A finished too soon proves nothing and is retried with new seeds.
 func TestServerQueueFull(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1})
-	// A burst of distinct, slow-ish requests: the first occupies the worker,
-	// the second the queue slot; one of the remainder must see a full queue.
-	const burst = 6
-	codes := make([]int, burst)
-	retryAfter := make([]string, burst)
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"gen":"shape=hotspot,cores=20,layers=2,seed=%d"}`, 100+i)
-			resp, err := http.Post(ts.URL+"/v1/synthesize?wait=1", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
+	// post submits asynchronously and returns the status code, the
+	// Retry-After header and the job view of an accepted submission.
+	post := func(gen string) (int, string, server.JobView) {
+		t.Helper()
+		resp := submit(t, ts, fmt.Sprintf(`{"gen":%q}`, gen), false)
+		defer resp.Body.Close()
+		var v server.JobView
+		if resp.StatusCode == http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+				t.Fatal(err)
 			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			codes[i] = resp.StatusCode
-			retryAfter[i] = resp.Header.Get("Retry-After")
-		}(i)
-	}
-	wg.Wait()
-	full, ok := 0, 0
-	for i, c := range codes {
-		switch c {
-		case http.StatusServiceUnavailable:
-			if retryAfter[i] != "1" {
-				t.Errorf("queue-full 503 carries Retry-After %q, want \"1\"", retryAfter[i])
-			}
-			full++
-		case http.StatusOK:
-			ok++
-		default:
-			t.Fatalf("unexpected status in burst: %v", codes)
 		}
+		return resp.StatusCode, resp.Header.Get("Retry-After"), v
 	}
-	if full == 0 {
-		t.Fatalf("no submission was rejected with a full queue: %v", codes)
-	}
-	if ok == 0 {
-		t.Fatalf("no submission succeeded: %v", codes)
-	}
-	// Job IDs are sequential. A rejected submission must not leave a job
-	// behind that never runs: every job the burst created is done.
-	for i := 1; i <= burst; i++ {
-		r, err := http.Get(fmt.Sprintf("%s/v1/jobs/j%08x", ts.URL, i))
+	status := func(id string) server.JobStatus {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer r.Body.Close()
 		var v server.JobView
-		json.NewDecoder(r.Body).Decode(&v)
-		r.Body.Close()
-		if r.StatusCode == http.StatusOK && v.Status != server.StatusDone {
-			t.Errorf("job %s is %s after the burst, want done", v.ID, v.Status)
+		if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
+			t.Fatal(err)
 		}
+		if v.Status == server.StatusFailed {
+			t.Fatalf("job %s failed: %+v", id, v)
+		}
+		return v.Status
+	}
+	// waitWhile polls job id until its status is not s.
+	waitWhile := func(id string, s server.JobStatus) server.JobStatus {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st := status(id)
+			if st != s {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s still %s after 30s", id, s)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	const rounds = 5
+	accepted := 0
+	proved := false
+	for round := 0; round < rounds && !proved; round++ {
+		// A is large enough (about 0.2 s) that it rarely finishes before C.
+		code, _, a := post(fmt.Sprintf("shape=hotspot,cores=60,layers=3,seed=%d", 100+round))
+		if code != http.StatusAccepted {
+			t.Fatalf("round %d: job A got status %d, want 202", round, code)
+		}
+		accepted++
+		if waitWhile(a.ID, server.StatusQueued) != server.StatusRunning {
+			continue // A finished before it was seen running
+		}
+		// The worker has taken A off the queue, so B is queued behind it.
+		code, _, _ = post(fmt.Sprintf("shape=pipeline,cores=8,layers=2,seed=%d", 200+round))
+		if code != http.StatusAccepted {
+			t.Fatalf("round %d: job B got status %d, want 202 (queued)", round, code)
+		}
+		accepted++
+		code, retryAfter, _ := post(fmt.Sprintf("shape=pipeline,cores=8,layers=2,seed=%d", 300+round))
+		switch code {
+		case http.StatusAccepted:
+			accepted++ // A finished and the worker took B: the slot was free
+			continue
+		case http.StatusServiceUnavailable:
+			if retryAfter != "1" {
+				t.Errorf("queue-full 503 carries Retry-After %q, want \"1\"", retryAfter)
+			}
+		default:
+			t.Fatalf("round %d: job C got status %d, want 503", round, code)
+		}
+		proved = status(a.ID) == server.StatusRunning
+	}
+	if !proved {
+		t.Fatalf("job A finished before the queue-full check in all %d rounds", rounds)
+	}
+	// Job IDs are sequential and a rejected submission registers none: the
+	// accepted jobs are exactly j1..j<accepted>, and each of them finishes.
+	for i := 1; i <= accepted; i++ {
+		id := fmt.Sprintf("j%08x", i)
+		waitWhile(id, server.StatusQueued)
+		if st := waitWhile(id, server.StatusRunning); st != server.StatusDone {
+			t.Errorf("job %s is %s, want done", id, st)
+		}
+	}
+	r, err := http.Get(fmt.Sprintf("%s/v1/jobs/j%08x", ts.URL, accepted+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Errorf("a rejected submission left job j%08x behind (status %d)", accepted+1, r.StatusCode)
 	}
 }
 
