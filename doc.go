@@ -288,10 +288,13 @@
 // Combined with WithSimulation, every non-absorbed plan is cross-validated
 // in the flit simulator: the fault is injected into the unrepaired topology
 // at cfg.FaultCycle (SimDetected counts watchdog flags) and the repaired
-// topology must complete a clean run (SimDeadlocks stays 0). The replay is
-// fully deterministic — plans, spare sizing, repairs and reports are
-// byte-identical across serial, parallel, cached and uncached runs
-// (TestFaultProperties asserts this over generated workloads of every
+// topology must complete a clean run (SimDeadlocks stays 0). A plan that
+// leaves a stranded flow's destination switch unreachable over the surviving
+// links is certified dead without routing, and a plan that kills the same
+// links as an earlier plan of the same replay repeats that plan's outcome.
+// The replay is fully deterministic — plans, spare sizing, repairs and
+// reports are byte-identical across serial, parallel, cached and uncached
+// runs (TestFaultProperties asserts this over generated workloads of every
 // shape), and the cache fingerprint covers both options, so fault-aware
 // and plain results never alias.
 //

@@ -160,6 +160,34 @@ func goldenCases() []goldenCase {
 				sunfloor3d.WithFrequenciesMHz(900),
 			},
 		},
+		{
+			// The paper's multimedia SoC at one frequency with die-to-wafer
+			// sparing and a 32-plan, 2-fault replay with simulation: unlike
+			// gen_pipeline_c10_signoff, whose plans all end dead, its
+			// replays repair plans, re-simulate them and repeat dead-link
+			// sets within one replay.
+			name:   "d26_media_fault_replay",
+			design: fromBench("D_26_media", 1, false),
+			opts:   faultReplayOptions(),
+		},
+	}
+}
+
+// faultReplayOptions returns the options of the d26_media_fault_replay case.
+func faultReplayOptions() []sunfloor3d.Option {
+	proc, err := sunfloor3d.ProcessByName("die-to-wafer")
+	if err != nil {
+		panic(err)
+	}
+	sc := sunfloor3d.DefaultSimConfig()
+	sc.Cycles = 300
+	sc.DrainCycles = 300
+	sc.StatsLevel = sunfloor3d.SimStatsSummary
+	return []sunfloor3d.Option{
+		sunfloor3d.WithFrequenciesMHz(400),
+		sunfloor3d.WithSimulation(sc),
+		sunfloor3d.WithSparing(proc, 0.999),
+		sunfloor3d.WithFaultModel(sunfloor3d.FaultModelConfig{Plans: 32, FaultsPerPlan: 2, Seed: 1}),
 	}
 }
 

@@ -89,8 +89,9 @@ func (t *Topology) Evaluate() Metrics {
 	var m Metrics
 	m.NumSwitches = len(t.Switches)
 
+	// The switch-link list is derived once and shared by every metric below.
 	swLinks := t.SwitchLinks()
-	inPorts, outPorts := t.SwitchPorts()
+	inPorts, outPorts := t.switchPorts(swLinks)
 
 	// Traffic through each switch: everything entering it (from cores or
 	// other switches).
@@ -165,8 +166,8 @@ func (t *Topology) Evaluate() Metrics {
 		m.AvgLatencyCycles = latSum / float64(count)
 	}
 
-	m.MaxILL = t.MaxInterLayerLinks()
-	m.TSVMacros = t.TSVMacroCount()
+	m.MaxILL = maxOf(t.interLayerLinkCount(swLinks))
+	m.TSVMacros = t.tsvMacroCount(swLinks)
 	m.NoCAreaMM2 += float64(m.TSVMacros) * t.Lib.TSVMacroAreaMM2()
 	return m
 }

@@ -285,7 +285,10 @@ func (t *Topology) CoreLinks() []CoreLink {
 
 // SwitchPorts returns the number of input and output ports of every switch:
 // one port pair per attached core plus one per incident switch link direction.
-func (t *Topology) SwitchPorts() (in, out []int) {
+func (t *Topology) SwitchPorts() (in, out []int) { return t.switchPorts(t.SwitchLinks()) }
+
+// switchPorts is SwitchPorts over the topology's switch links.
+func (t *Topology) switchPorts(links []SwitchLink) (in, out []int) {
 	in = make([]int, len(t.Switches))
 	out = make([]int, len(t.Switches))
 	for _, sw := range t.CoreAttach {
@@ -294,7 +297,7 @@ func (t *Topology) SwitchPorts() (in, out []int) {
 			out[sw]++
 		}
 	}
-	for _, l := range t.SwitchLinks() {
+	for _, l := range links {
 		out[l.From]++
 		in[l.To]++
 	}
@@ -305,7 +308,10 @@ func (t *Topology) SwitchPorts() (in, out []int) {
 // number of physical links crossing that boundary. Links spanning multiple
 // layers count once per crossed boundary. Core-to-switch attachments that
 // cross layers are included.
-func (t *Topology) InterLayerLinkCount() []int {
+func (t *Topology) InterLayerLinkCount() []int { return t.interLayerLinkCount(t.SwitchLinks()) }
+
+// interLayerLinkCount is InterLayerLinkCount over the topology's switch links.
+func (t *Topology) interLayerLinkCount(links []SwitchLink) []int {
 	layers := t.Design.NumLayers()
 	for _, s := range t.Switches {
 		if s.Layer+1 > layers {
@@ -325,25 +331,25 @@ func (t *Topology) InterLayerLinkCount() []int {
 			counts[l]++
 		}
 	}
-	for _, l := range t.SwitchLinks() {
+	for _, l := range links {
 		cross(t.Switches[l.From].Layer, t.Switches[l.To].Layer)
 	}
-	seen := make(map[int]bool)
 	for c, sw := range t.CoreAttach {
-		if sw < 0 || seen[c] {
-			continue
+		if sw >= 0 {
+			cross(t.Design.Cores[c].Layer, t.Switches[sw].Layer)
 		}
-		seen[c] = true
-		cross(t.Design.Cores[c].Layer, t.Switches[sw].Layer)
 	}
 	return counts
 }
 
 // MaxInterLayerLinks returns the maximum of InterLayerLinkCount over all
 // adjacent layer pairs (0 for single-layer designs).
-func (t *Topology) MaxInterLayerLinks() int {
+func (t *Topology) MaxInterLayerLinks() int { return maxOf(t.InterLayerLinkCount()) }
+
+// maxOf returns the largest count, or 0 for none.
+func maxOf(counts []int) int {
 	m := 0
-	for _, c := range t.InterLayerLinkCount() {
+	for _, c := range counts {
 		if c > m {
 			m = c
 		}
@@ -354,21 +360,22 @@ func (t *Topology) MaxInterLayerLinks() int {
 // TSVMacroCount returns the total number of TSV macros required: one per
 // boundary crossed by every vertical link (switch-to-switch or
 // core-to-switch), as described in Section III.
-func (t *Topology) TSVMacroCount() int {
+func (t *Topology) TSVMacroCount() int { return t.tsvMacroCount(t.SwitchLinks()) }
+
+// tsvMacroCount is TSVMacroCount over the topology's switch links.
+func (t *Topology) tsvMacroCount(links []SwitchLink) int {
 	n := 0
-	for _, l := range t.SwitchLinks() {
+	for _, l := range links {
 		d := t.Switches[l.From].Layer - t.Switches[l.To].Layer
 		if d < 0 {
 			d = -d
 		}
 		n += d
 	}
-	seen := make(map[int]bool)
 	for c, sw := range t.CoreAttach {
-		if sw < 0 || seen[c] {
+		if sw < 0 {
 			continue
 		}
-		seen[c] = true
 		d := t.Design.Cores[c].Layer - t.Switches[sw].Layer
 		if d < 0 {
 			d = -d
