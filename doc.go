@@ -42,8 +42,7 @@
 // per-flow arc-cost graph of Algorithm 3 is one flat table holding each
 // switch pair's geometry and constraint state, which a committed path
 // refreshes only for the arcs whose port counts, inter-layer-link occupancy
-// or link existence it changed; one arc-cost function serves the shortest-
-// path search and the full-rebuild reference, the search scans only the
+// or link existence it changed; the shortest-path search scans only the
 // switches it has not settled, and deadlock retries overlay forbidden arcs
 // on it instead of rebuilding anything. Algorithm 1 builds no attempt whose
 // outcome is decided before it runs (a theta retry that repeats a core
@@ -99,11 +98,12 @@
 // network fast-forwards to the next injector event). A steady-state cycle
 // performs no heap allocation, and SimConfig.StatsLevel (SimStatsSummary)
 // skips the per-link/per-switch tables a sweep discards. The
-// pre-optimization engine is retained behind SimConfig.Reference only as an
-// equivalence oracle: the two cores are verified byte-identical by
-// equivalence tests over the golden corpus and deadlock fixtures and by the
-// FuzzSimDeterminism harness. `bash perf/run.sh --workload sim` times the
-// simulator; BENCH_PR4.json is frozen history that nothing regenerates.
+// pre-optimization engine is kept only in the simulator's tests, as an
+// equivalence oracle: the production core is verified byte-identical to it
+// by equivalence tests over deadlock fixtures and by the FuzzSimDeterminism
+// harness, and over the golden corpus by digests the reference wrote.
+// `bash perf/run.sh --workload sim` times the simulator; BENCH_PR4.json is
+// frozen history that nothing regenerates.
 // DesignPoint.SimElapsed reports each point's simulation wall time.
 //
 // # The fidelity ladder

@@ -3,8 +3,8 @@
 // corresponding data series — the same rows the paper plots or tabulates —
 // on the synthetic benchmark suite, using the full synthesis, placement,
 // mesh-mapping and floorplanning machinery of this repository. The cmd/
-// sunfloor-bench tool prints them and EXPERIMENTS.md records paper-vs-measured
-// comparisons; bench_test.go exposes each runner as a Go benchmark.
+// sunfloor-bench tool prints them, and the package's tests check each series
+// against the trend the paper reports.
 package experiments
 
 import (

@@ -243,8 +243,8 @@ func TestFig19Fig20FloorplanComparison(t *testing.T) {
 	}
 	// On aggregate the custom routine must not lose on power against the
 	// constrained standard floorplanner (the paper reports a ~7.5% average
-	// power advantage; see EXPERIMENTS.md for the measured numbers and the
-	// discussion of the area comparison).
+	// power advantage; `sunfloor-bench -experiment fig19-20` prints the
+	// measured numbers).
 	if customPower > standardPower*1.10 {
 		t.Errorf("custom insertion power (%v) clearly worse than standard floorplanner (%v)",
 			customPower, standardPower)

@@ -81,21 +81,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	g.adj[u][v] += w
 }
 
-// SetEdge sets the weight of the directed edge u->v, overwriting any existing
-// weight. A weight of zero removes the edge.
-func (g *Graph) SetEdge(u, v int, w float64) {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		return
-	}
-	if w == 0 {
-		delete(g.adj[u], v)
-		return
-	}
-	g.adj[u][v] = w
-}
-
 // HasEdge reports whether the directed edge u->v exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)

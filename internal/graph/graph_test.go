@@ -24,14 +24,6 @@ func TestAddAndQueryEdges(t *testing.T) {
 	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
 		t.Error("HasEdge misbehaves")
 	}
-	g.SetEdge(0, 1, 7)
-	if w := g.Weight(0, 1); w != 7 {
-		t.Errorf("SetEdge: Weight = %v, want 7", w)
-	}
-	g.SetEdge(0, 1, 0)
-	if g.HasEdge(0, 1) {
-		t.Error("SetEdge(0) should remove the edge")
-	}
 	g.AddEdge(0, 3, 1)
 	g.RemoveEdge(0, 3)
 	if g.HasEdge(0, 3) {

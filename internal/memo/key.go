@@ -12,9 +12,8 @@
 // so a newly added option is hashed without any edit here. The only fields
 // left out are the execution knobs listed in executionKnobs, each with the
 // proof that it cannot change the serialised Result (Parallelism, Progress,
-// Scheduler, Weight, and the simulator's StatsLevel switch and its Reference
-// switch, which selects the equivalence-oracle engine). Two tests hold the
-// walker to that: TestKeyCoversEveryLeaf flips every reachable leaf and
+// Scheduler, Weight, and the simulator's StatsLevel switch). Two tests hold
+// the walker to that: TestKeyCoversEveryLeaf flips every reachable leaf and
 // requires each flip to move the key to a value of its own while knob flips
 // leave it alone, and TestExecutionKnobsAreFields requires every knob entry to
 // name a real exported field and carry a justification.
@@ -54,7 +53,6 @@ var executionKnobs = map[string]string{
 	"Weight":         "fair-share weight only reorders slot grants, which the pre-assigned point indices make result-neutral (PR 6)",
 	"Progress":       "progress callbacks observe the sweep; results are assembled independently of callback presence or speed (PR 1)",
 	"Sim.StatsLevel": "stats level only controls which per-resource rows are materialised; serialised Results exclude Sim stats entirely",
-	"Sim.Reference":  "reference and production simulator engines produce byte-identical Stats (equivalence suite + FuzzSimDeterminism, PR 4)",
 }
 
 // The field plans of Key's two parameter types, built on first use.

@@ -17,9 +17,9 @@ import (
 // A commit therefore only has to refresh the states its bookkeeping updates
 // invalidated instead of rebuilding all O(S^2) arc costs for every flow and
 // deadlock retry. Costs are evaluated on demand per flow by arcCost, the one
-// arc-cost formula: the search, costModel.cost and the full-rebuild
-// reference router.arcCost all call it, so the incremental model is
-// bit-identical to the reference by construction, not merely close. An
+// arc-cost formula, which the search and costModel.cost both call: a
+// refreshed arc is bit-identical to a freshly built one, which the package's
+// tests check against a router that builds a new model for every flow. An
 // earlier formulation cached a state+slope*bw linearisation whose ULP-level
 // rounding differences could flip Dijkstra ties on exactly equal-cost paths
 // and make the two routers commit different (equally optimal) routes.
@@ -66,9 +66,8 @@ type flowTerms struct {
 
 // arcCost combines an arc's state and geometry into its routing cost for
 // the flow of ft (Infinity for a forbidden arc). It is the one arc-cost
-// formula: the search, costModel.cost and the full-rebuild reference all
-// evaluate arcs through it, so they agree bit for bit and equal-cost path
-// ties resolve identically.
+// formula: the search and costModel.cost evaluate arcs through it, so they
+// agree bit for bit and equal-cost path ties resolve identically.
 func arcCost(a *arc, ft *flowTerms) float64 {
 	if a.forbidden {
 		return graph.Infinity

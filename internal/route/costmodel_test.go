@@ -40,8 +40,11 @@ func TestIndirectSwitchRollbackOnFailure(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.AdjacentLayersOnly = true
 		cfg.AllowIndirectSwitches = true
-		cfg.FullRebuild = fullRebuild
-		res, err := ComputePaths(top, cfg)
+		computePaths := ComputePaths
+		if fullRebuild {
+			computePaths = ComputePathsFullRebuild
+		}
+		res, err := computePaths(top, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +171,14 @@ func randomRoutedCase(t *testing.T, rng *rand.Rand) *topology.Topology {
 
 // TestCostModelMatchesRebuild routes randomized topologies with the
 // incremental cost model and, between every commit, cross-checks each cached
-// arc, and the full-rebuild reference graph, against a from-scratch
-// evaluation of Algorithm 3's CHECK_CONSTRAINTS over bookkeeping derived from
-// the topology alone (see referenceArcCost). The router's own link, port and
-// marginal caches never enter the reference, so a stale cache cannot hide
-// behind an identical stale read on both sides. Costs must match exactly:
-// the cached and the rebuilt evaluation share one code path, and a ULP of
-// difference could flip a Dijkstra tie.
+// arc, and each arc of a freshly built model (what ComputePathsFullRebuild
+// searches), against a from-scratch evaluation of Algorithm 3's
+// CHECK_CONSTRAINTS over bookkeeping derived from the topology alone (see
+// referenceArcCost). The router's own link, port and marginal caches never
+// enter the reference, so a stale cache cannot hide behind an identical
+// stale read on both sides. Costs must match exactly: the cached and the
+// rebuilt evaluation share one code path, and a ULP of difference could flip
+// a Dijkstra tie.
 func TestCostModelMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -190,14 +194,11 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 
 		r := &router{top: top, cfg: cfg}
 		r.init()
-		if r.cost == nil {
-			t.Fatal("incremental cost model not built")
-		}
 		sampleBWs := []float64{0, 120, 975.5}
 		verify := func(stage string) {
 			n := top.NumSwitches()
 			book := deriveBookkeeping(top)
-			cg := r.buildCostGraph(sampleBWs[1], nil)
+			fresh := newCostModel(r)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if i == j {
@@ -210,14 +211,9 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 								trial, stage, i, j, bw, got, want)
 						}
 					}
-					// The reference graph must agree too (missing edge = Infinity).
 					want := referenceArcCost(r, book, i, j, sampleBWs[1])
-					got := graph.Infinity
-					if cg.HasEdge(i, j) {
-						got = cg.Weight(i, j)
-					}
-					if got != want {
-						t.Fatalf("trial %d, %s: reference graph arc (%d,%d): %v want %v",
+					if got := fresh.cost(i, j, sampleBWs[1]); got != want {
+						t.Fatalf("trial %d, %s: rebuilt arc (%d,%d): %v want %v",
 							trial, stage, i, j, got, want)
 					}
 				}

@@ -4,7 +4,7 @@ package route_test
 // graphs and switch assignments must never panic the router, the committed
 // paths must validate and stay deadlock free (acyclic CDG), and the
 // incrementally maintained cost graph must return byte-identical results to
-// the full-rebuild reference implementation.
+// the test-only full-rebuild reference router, ComputePathsFullRebuild.
 
 import (
 	"testing"
@@ -127,7 +127,10 @@ func routesEqual(a, b *topology.Topology) bool {
 
 func FuzzComputePaths(f *testing.F) {
 	// Seed corpus: hand-picked shapes covering single-switch, multi-layer,
-	// constrained and dense scenarios.
+	// constrained and dense scenarios. Of the committed corpus files,
+	// 0db140fa605cd308 fails when costModel.applyCommit skips its
+	// layer-boundary refresh and ca9e11b5915669a5 when it skips its column
+	// refresh.
 	f.Add([]byte{})
 	f.Add([]byte{4, 2, 3, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{9, 3, 5, 15, 200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
@@ -153,13 +156,10 @@ func FuzzComputePaths(f *testing.F) {
 		// Incremental cost graph (production) vs full rebuild (reference):
 		// both must route identically from identical starting topologies.
 		incTop := build()
-		incCfg := cfg
-		incRes, incErr := route.ComputePaths(incTop, incCfg)
+		incRes, incErr := route.ComputePaths(incTop, cfg)
 
 		refTop := build()
-		refCfg := cfg
-		refCfg.FullRebuild = true
-		refRes, refErr := route.ComputePaths(refTop, refCfg)
+		refRes, refErr := route.ComputePathsFullRebuild(refTop, cfg)
 
 		if (incErr == nil) != (refErr == nil) {
 			t.Fatalf("error divergence: incremental %v, reference %v", incErr, refErr)
@@ -187,15 +187,6 @@ func FuzzComputePaths(f *testing.F) {
 			}
 			if !route.DeadlockFree(incTop) {
 				t.Fatal("committed paths have a cyclic channel dependency graph")
-			}
-		}
-
-		// CommittedPaths must mirror the routes without aliasing.
-		paths := route.CommittedPaths(incTop)
-		for fl, p := range paths {
-			if len(p) != len(incTop.Routes[fl].Switches) {
-				t.Fatalf("flow %d: exported path length %d != route length %d",
-					fl, len(p), len(incTop.Routes[fl].Switches))
 			}
 		}
 	})

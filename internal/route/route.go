@@ -44,12 +44,6 @@ type Config struct {
 	// MaxDeadlockRetries bounds how many times a flow's path is recomputed
 	// with penalised arcs after a channel-dependency cycle is detected.
 	MaxDeadlockRetries int
-	// FullRebuild disables the incrementally maintained cost graph and
-	// rebuilds the full O(S^2) arc-cost graph for every flow and deadlock
-	// retry, as the original CHECK_CONSTRAINTS loop does. It exists as the
-	// reference implementation for equivalence tests and before/after
-	// benchmarks; production runs should leave it off.
-	FullRebuild bool
 }
 
 // DefaultConfig returns the configuration used by the experiments: a blend
@@ -121,8 +115,7 @@ type router struct {
 	// are usable, whatever their current cost would be. nil (the synthesis
 	// case) allows every arc.
 	allowed [][]bool
-	// cost is the incrementally maintained arc-cost graph (nil when
-	// Config.FullRebuild selects the reference per-flow rebuild).
+	// cost is the incrementally maintained arc-cost graph.
 	cost *costModel
 }
 
@@ -198,9 +191,7 @@ func (r *router) init() {
 		t.Routes[f] = topology.Route{Flow: f}
 	}
 	r.softInf = 10 * r.maxFlowCost()
-	if !r.cfg.FullRebuild {
-		r.cost = newCostModel(r)
-	}
+	r.cost = newCostModel(r)
 }
 
 // spareSwitchCount is how many inserted indirect switches the router's
@@ -354,7 +345,7 @@ func (r *router) maxFlowCost() float64 {
 }
 
 // arcState is the mutable CHECK_CONSTRAINTS outcome of one arc: everything
-// router.arcCost needs beyond the (immutable) arc geometry. The incremental
+// arcCost needs beyond the (immutable) arc geometry. The incremental
 // cost model caches one arcState per arc and refreshes it only when a commit
 // invalidates it.
 type arcState struct {
@@ -455,40 +446,6 @@ func (r *router) terms(bw float64, tsv []float64) flowTerms {
 	}
 }
 
-// arcCost returns the cost of sending the flow (bandwidth bw) over a physical
-// link from switch i to switch j, implementing the CHECK_CONSTRAINTS
-// thresholds of Algorithm 3, from scratch: the full-rebuild reference of the
-// cost model's cached arcs. It returns graph.Infinity for forbidden arcs.
-func (r *router) arcCost(i, j int, bw float64) float64 {
-	a := arc{arcState: r.arcState(i, j)}
-	r.geometry(&a, i, j)
-	ft := r.terms(bw, make([]float64, len(r.ill)+1))
-	return arcCost(&a, &ft)
-}
-
-// buildCostGraph builds the per-flow routing graph over switches from scratch.
-// forbidden holds arcs temporarily excluded by deadlock-avoidance retries.
-// The equivalence tests use it as the ground truth the cached cost model is
-// compared against; the Config.FullRebuild reference path itself rebuilds a
-// fresh costModel per attempt so that both configurations search with the
-// identical deterministic Dijkstra.
-func (r *router) buildCostGraph(bw float64, forbidden map[[2]int]bool) *graph.Graph {
-	n := r.top.NumSwitches()
-	cg := graph.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || forbidden[[2]int{i, j}] {
-				continue
-			}
-			c := r.arcCost(i, j, bw)
-			if c < graph.Infinity {
-				cg.SetEdge(i, j, c)
-			}
-		}
-	}
-	return cg
-}
-
 // routeFlow computes and commits a path for flow f. It returns false when no
 // valid deadlock-free path exists.
 func (r *router) routeFlow(f int) bool {
@@ -505,20 +462,7 @@ func (r *router) routeFlow(f int) bool {
 	// the search checks without hashing.
 	var forbidden [][2]int
 	for try := 0; try <= r.cfg.MaxDeadlockRetries; try++ {
-		var path []int
-		var cost float64
-		if r.cost != nil {
-			path, cost = r.cost.shortestPath(src, dst, fl.BandwidthMBps, forbidden)
-		} else {
-			// Reference: recompute every arc state from scratch for this
-			// attempt (the full O(S^2) pass of the original CHECK_CONSTRAINTS
-			// loop), then search with the same deterministic dense Dijkstra
-			// as the incremental model — a different shortest-path
-			// implementation could break ties between exactly equal-cost
-			// paths differently and commit different (equally optimal)
-			// routes, and the two configurations must stay byte-identical.
-			path, cost = newCostModel(r).shortestPath(src, dst, fl.BandwidthMBps, forbidden)
-		}
+		path, cost := r.cost.shortestPath(src, dst, fl.BandwidthMBps, forbidden)
 		if path == nil || cost >= graph.Infinity {
 			return false
 		}
@@ -595,7 +539,7 @@ func (r *router) commit(f int, path []int) {
 	}
 	r.opened = opened
 	t.SetRoute(f, path)
-	if r.cost != nil && len(opened) > 0 {
+	if len(opened) > 0 {
 		r.cost.applyCommit(opened)
 	}
 }
@@ -628,9 +572,7 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 		Y: (t.Switches[src].Pos.Y + t.Switches[dst].Pos.Y) / 2,
 	}
 	r.addSwitch()
-	if r.cost != nil {
-		r.cost.grow()
-	}
+	r.cost.grow()
 	routed = r.routeFlow(f)
 	if routed {
 		for _, s := range t.Routes[f].Switches {
@@ -647,8 +589,6 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 	// the switch drops their linkIdx entries.
 	t.Switches = t.Switches[:id]
 	r.dropSwitch()
-	if r.cost != nil {
-		r.cost.shrink()
-	}
+	r.cost.shrink()
 	return routed, false
 }

@@ -24,8 +24,9 @@
 // ports without a waiting head flit cost one comparison per cycle, and a
 // fully drained network fast-forwards the clock to the next injector event.
 // A steady-state cycle performs no heap allocation. The pre-optimization
-// stepper is retained behind Config.Reference only as the equivalence
-// oracle; both engines produce byte-identical Stats.
+// stepper is kept in the package's tests (reference_test.go) as the
+// equivalence oracle: the production engine must produce byte-identical
+// Stats.
 package sim
 
 import "fmt"
@@ -146,14 +147,6 @@ type Config struct {
 	// FaultCycle is the cycle at which the DeadLinks fail (0 = dead from the
 	// start of the run).
 	FaultCycle int
-	// Reference runs the retained pre-optimization execution core instead of
-	// the production engine: pointer-based packets allocated per injection,
-	// slice-backed queues, map-based routing lookups and a dense cycle loop
-	// that scans every NI, switch and port every cycle. Both engines produce
-	// byte-identical Stats; the switch exists only so the equivalence tests
-	// and FuzzSimDeterminism can compare the production engine against this
-	// oracle.
-	Reference bool
 }
 
 // DefaultConfig returns the configuration used by the CLI and facade when the

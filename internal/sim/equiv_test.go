@@ -1,13 +1,14 @@
 package sim_test
 
 // Equivalence tests between the optimized execution core and the retained
-// reference stepper (Config.Reference): for the same topology and Config the
+// reference stepper (reference_test.go): for the same topology and Config the
 // two engines must produce byte-identical Stats — same injection times, same
 // arbitration grants, same watchdog verdicts, same floating-point latency
-// sums. The root package runs the same comparison over the golden-corpus
-// specs; this file covers the hand-built fixtures, including both deadlock
-// scenarios, which exercise the circular-wait detector that a healthy
-// synthesized design never reaches.
+// sums. The root package checks the production engine over the
+// golden-corpus specs against digests the reference wrote; this file covers
+// the hand-built fixtures, including both deadlock scenarios, which exercise
+// the circular-wait detector that a healthy synthesized design never
+// reaches.
 
 import (
 	"bytes"
@@ -22,13 +23,11 @@ import (
 // engine and fails the test unless the full Stats are byte-identical.
 func runBothEngines(t *testing.T, label string, top *topology.Topology, cfg sim.Config) *sim.Stats {
 	t.Helper()
-	cfg.Reference = false
 	opt, err := sim.Run(top, cfg)
 	if err != nil {
 		t.Fatalf("%s: optimized engine: %v", label, err)
 	}
-	cfg.Reference = true
-	ref, err := sim.Run(top, cfg)
+	ref, err := sim.RunReference(top, cfg)
 	if err != nil {
 		t.Fatalf("%s: reference engine: %v", label, err)
 	}
@@ -103,8 +102,7 @@ func TestEnginesAgreeOnZeroLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Reference = true
-	ref, err := sim.ZeroLoadLatencies(top, cfg)
+	ref, err := sim.ReferenceZeroLoadLatencies(top, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,9 +121,7 @@ func TestDeadLinkEnginesEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := cfg
-		ref.Reference = true
-		oracle, err := sim.Run(top, ref)
+		oracle, err := sim.RunReference(top, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -146,12 +146,10 @@ func FuzzSimDeterminism(f *testing.F) {
 			cfg.PacketFlits = 6
 		}
 
-		run := func(reference bool) []byte {
-			c := cfg
-			c.Reference = reference
-			st, err := Run(top, c)
+		run := func(engine func(*topology.Topology, Config) (*Stats, error)) []byte {
+			st, err := engine(top, cfg)
 			if err != nil {
-				t.Fatalf("reference=%v: %v", reference, err)
+				t.Fatal(err)
 			}
 			j, err := json.Marshal(st)
 			if err != nil {
@@ -159,11 +157,11 @@ func FuzzSimDeterminism(f *testing.F) {
 			}
 			return j
 		}
-		a, b := run(false), run(false)
+		a, b := run(Run), run(Run)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("same seed diverged:\n%s\n%s", a, b)
 		}
-		ref := run(true)
+		ref := run(runReference)
 		if !bytes.Equal(a, ref) {
 			t.Fatalf("optimized engine diverged from reference:\noptimized: %s\nreference: %s", a, ref)
 		}

@@ -10,11 +10,35 @@ import (
 // This file retains the pre-optimization execution core — pointer-based
 // packets allocated per injection, slice-backed VC queues advanced with
 // q = q[1:], map-based output lookups and a dense cycle loop that scans every
-// NI, switch and output port every cycle. It is selected with
-// Config.Reference and exists only as the oracle of the equivalence tests
-// and FuzzSimDeterminism: the optimized engine must produce byte-identical
-// Stats. It must not be "improved"; any behavioural change here invalidates
-// that use.
+// NI, switch and output port every cycle. It is run through runReference and
+// referenceZeroLoadLatencies and exists only as the oracle of the
+// equivalence tests and FuzzSimDeterminism: the optimized engine must
+// produce byte-identical Stats. It must not be "improved"; any behavioural
+// change here invalidates that use.
+
+// runReference is Run on the reference engine.
+func runReference(t *topology.Topology, cfg Config) (*Stats, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	net, err := buildRefNetwork(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return net.run(newProfileInjector(t, cfg), cfg), nil
+}
+
+// referenceZeroLoadLatencies is ZeroLoadLatencies on the reference engine,
+// with the same forced single-flit configuration.
+func referenceZeroLoadLatencies(t *topology.Topology, cfg Config) ([]float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg.PacketFlits = 1
+	cfg.Cycles = 1
+	cfg.DrainCycles = 1 << 20
+	return refZeroLoadLatencies(t, cfg)
+}
 
 // refPacket is one in-flight packet of the reference engine.
 type refPacket struct {

@@ -12,23 +12,9 @@ import (
 // switch paths with wormhole switching, finite VC buffers and credit-based
 // flow control, and aborts early when the runtime watchdog detects a deadlock
 // or livelock.
-//
-// Two engines implement the same cycle-level semantics: the optimized
-// production core (arena-allocated packets, ring-buffer VCs, dense routing
-// tables, active-set scheduling) and, when cfg.Reference is set, the retained
-// pre-optimization stepper. Both produce byte-identical Stats for the same
-// topology and Config — the equivalence tests and the fuzz harness enforce
-// it.
 func Run(t *topology.Topology, cfg Config) (*Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Reference {
-		net, err := buildRefNetwork(t, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return net.run(newProfileInjector(t, cfg), cfg), nil
 	}
 	net, err := buildNetwork(t, cfg)
 	if err != nil {
@@ -44,8 +30,7 @@ func Run(t *topology.Topology, cfg Config) (*Stats, error) {
 // Topology.FlowLatencyCycles exactly for every flow.
 //
 // The network is built once and reset() between flows, so the oracle costs
-// one structure build instead of one per flow (the reference engine keeps the
-// per-flow rebuild).
+// one structure build instead of one per flow.
 func ZeroLoadLatencies(t *topology.Topology, cfg Config) ([]float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -55,9 +40,6 @@ func ZeroLoadLatencies(t *topology.Topology, cfg Config) ([]float64, error) {
 	// The drain budget only needs to cover one uncontended traversal; the
 	// watchdog still guards against a simulator bug that strands the packet.
 	cfg.DrainCycles = 1 << 20
-	if cfg.Reference {
-		return refZeroLoadLatencies(t, cfg)
-	}
 	net, err := buildNetwork(t, cfg)
 	if err != nil {
 		return nil, err

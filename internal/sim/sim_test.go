@@ -368,32 +368,6 @@ func TestLowLoadDeliversEverything(t *testing.T) {
 	}
 }
 
-// TestCommittedPathsReplay checks the route package's replay export: the
-// copies match the topology's routes and do not alias them.
-func TestCommittedPathsReplay(t *testing.T) {
-	top := synthBest(t, testDesign(t))
-	paths := route.CommittedPaths(top)
-	if len(paths) != len(top.Routes) {
-		t.Fatalf("%d paths for %d routes", len(paths), len(top.Routes))
-	}
-	for f, p := range paths {
-		if len(p) != len(top.Routes[f].Switches) {
-			t.Fatalf("flow %d: path length %d, route length %d", f, len(p), len(top.Routes[f].Switches))
-		}
-		for i := range p {
-			if p[i] != top.Routes[f].Switches[i] {
-				t.Fatalf("flow %d: path %v differs from route %v", f, p, top.Routes[f].Switches)
-			}
-		}
-		if len(p) > 0 {
-			p[0] = -99
-			if top.Routes[f].Switches[0] == -99 {
-				t.Fatal("CommittedPaths aliases the topology routes")
-			}
-		}
-	}
-}
-
 // TestConfigValidation exercises the config and profile parsing errors.
 func TestConfigValidation(t *testing.T) {
 	if err := sim.DefaultConfig().Validate(); err != nil {

@@ -1,8 +1,13 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -89,15 +94,37 @@ func TestPartitionCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestFullRebuildRoutesSweepTopologies checks that the reference
-// full-rebuild router (route.Config.FullRebuild) and the incremental router
-// commit identical routes on every topology two small-design sweeps build:
-// each attempt an automatic-phase sweep and a Phase-2-only sweep report to
-// their progress streams is stripped back to its switches and core
-// attachments and routed once by each router. (The automatic sweep's unmet
-// counts are all decided before a retry, so it builds Phase-1 topologies
-// only; the Phase-2-only sweep supplies the layer-by-layer ones.) The
-// incremental re-route must also reproduce the routes the sweep committed.
+// routeDigestsFile holds one entry per attempt of
+// TestFullRebuildRoutesSweepTopologies: the SHA-256 of the JSON of the
+// router's Result and the topology's switches and routes. The full-rebuild
+// reference router, which rebuilt every arc for every routing attempt, wrote
+// it before it left production code; internal/route's tests keep that router
+// as ComputePathsFullRebuild. After a change to which attempts the sweep
+// builds, rewrite it with
+//
+//	go test ./internal/synth -run TestFullRebuildRoutesSweepTopologies -update
+//
+// which hashes the production router's output, so run it only while
+// internal/route's FuzzComputePaths passes.
+const routeDigestsFile = "testdata/full_rebuild_routes.json"
+
+var update = flag.Bool("update", false, "rewrite "+routeDigestsFile)
+
+// routeDigest is one entry of routeDigestsFile.
+type routeDigest struct {
+	Attempt string `json:"attempt"`
+	SHA256  string `json:"sha256"`
+}
+
+// TestFullRebuildRoutesSweepTopologies checks that the router commits the
+// full-rebuild reference router's routes on every topology two small-design
+// sweeps build: each attempt an automatic-phase sweep and a Phase-2-only
+// sweep report to their progress streams is stripped back to its switches
+// and core attachments, routed once, and hashed against routeDigestsFile.
+// (The automatic sweep's unmet counts are all decided before a retry, so it
+// builds Phase-1 topologies only; the Phase-2-only sweep supplies the
+// layer-by-layer ones.) The re-route must also reproduce the routes the
+// sweep committed.
 func TestFullRebuildRoutesSweepTopologies(t *testing.T) {
 	g := smallDesign(t)
 	opt := DefaultOptions()
@@ -121,30 +148,59 @@ func TestFullRebuildRoutesSweepTopologies(t *testing.T) {
 		t.Fatal("the sweep built no topology")
 	}
 	phases := map[int]int{}
+	got := make([]routeDigest, len(built))
 	for i, dp := range built {
 		phases[dp.Phase]++
-		cfg := routeConfig(opt, dp.FreqMHz, dp.Phase == 2)
-		inc, ref := unrouted(dp.Topology), unrouted(dp.Topology)
-		incRes, incErr := route.ComputePaths(inc, cfg)
-		cfg.FullRebuild = true
-		refRes, refErr := route.ComputePaths(ref, cfg)
-		if incErr != nil || refErr != nil {
-			t.Fatalf("attempt %d: routing failed: incremental %v, full rebuild %v", i, incErr, refErr)
+		top := unrouted(dp.Topology)
+		res, err := route.ComputePaths(top, routeConfig(opt, dp.FreqMHz, dp.Phase == 2))
+		if err != nil {
+			t.Fatalf("attempt %d: routing failed: %v", i, err)
 		}
-		if !reflect.DeepEqual(incRes, refRes) {
-			t.Errorf("attempt %d (%.0f MHz, %d switches, phase %d): router results differ:\nincremental  %+v\nfull rebuild %+v",
-				i, dp.FreqMHz, dp.SwitchCount, dp.Phase, incRes, refRes)
+		raw, err := json.Marshal(struct {
+			Result   route.Result
+			Switches []topology.Switch
+			Routes   []topology.Route
+		}{res, top.Switches, top.Routes})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(inc.Switches, ref.Switches) || !reflect.DeepEqual(inc.Routes, ref.Routes) {
-			t.Errorf("attempt %d (%.0f MHz, %d switches, phase %d): committed routes differ",
-				i, dp.FreqMHz, dp.SwitchCount, dp.Phase)
+		sum := sha256.Sum256(raw)
+		got[i] = routeDigest{
+			Attempt: fmt.Sprintf("%.0f MHz, %d switches, phase %d", dp.FreqMHz, dp.SwitchCount, dp.Phase),
+			SHA256:  hex.EncodeToString(sum[:]),
 		}
-		if dp.Route.Routed > 0 && !reflect.DeepEqual(inc.Routes, dp.Topology.Routes) {
+		if dp.Route.Routed > 0 && !reflect.DeepEqual(top.Routes, dp.Topology.Routes) {
 			t.Errorf("attempt %d: re-routing did not reproduce the sweep's committed routes", i)
 		}
 	}
 	if phases[1] == 0 || phases[2] == 0 {
 		t.Errorf("sweep built phase-1/phase-2 topologies %d/%d, want both", phases[1], phases[2])
+	}
+	if *update {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(routeDigestsFile, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(routeDigestsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []routeDigest
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("the sweeps built %d attempts, %s holds %d", len(got), routeDigestsFile, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("attempt %d: got %+v, the full-rebuild router committed %+v", i, got[i], want[i])
+		}
 	}
 }
 

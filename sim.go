@@ -90,11 +90,3 @@ func (t *Topology) Simulate(cfg SimConfig) (*SimStats, error) {
 func (t *Topology) ZeroLoadLatencies() ([]float64, error) {
 	return sim.ZeroLoadLatencies(t.t, sim.DefaultConfig())
 }
-
-// ZeroLoadLatenciesConfig is ZeroLoadLatencies with an explicit simulator
-// configuration (VC count, buffer depth, engine selection); the injection
-// horizon, packet size and drain budget are still forced to the single-flit
-// oracle values.
-func (t *Topology) ZeroLoadLatenciesConfig(cfg SimConfig) ([]float64, error) {
-	return sim.ZeroLoadLatencies(t.t, cfg)
-}
