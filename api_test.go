@@ -104,6 +104,54 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestEditedDesignRejected: Design's Cores and Flows are exported, so a
+// caller can edit a valid design into one NewDesign rejects. Fingerprint and
+// Synthesize must reject each such edit with NewDesign's error, serially and
+// on a worker pool, instead of panicking (a worker's panic kills the
+// process) or hashing a NaN or an infinity into a key.
+func TestEditedDesignRejected(t *testing.T) {
+	b, err := sunfloor3d.BenchmarkByName("D_26_media", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := []struct {
+		name string
+		edit func(d *sunfloor3d.Design)
+	}{
+		{"flow source out of range", func(d *sunfloor3d.Design) { d.Flows[0].Src = 99 }},
+		{"negative layer", func(d *sunfloor3d.Design) { d.Cores[0].Layer = -1 }},
+		{"NaN bandwidth", func(d *sunfloor3d.Design) { d.Flows[0].BandwidthMBps = math.NaN() }},
+		{"infinite X", func(d *sunfloor3d.Design) { d.Cores[0].X = math.Inf(1) }},
+		{"self-loop flow", func(d *sunfloor3d.Design) { d.Flows[0].Dst = d.Flows[0].Src }},
+	}
+	runs := []struct {
+		name string
+		opts []sunfloor3d.Option
+	}{
+		{"serial", nil},
+		{"parallel", []sunfloor3d.Option{
+			sunfloor3d.WithParallelism(4), sunfloor3d.WithFrequenciesMHz(400, 600)}},
+	}
+	for _, e := range edits {
+		d := *b.Graph3D
+		d.Cores = append([]sunfloor3d.Core(nil), d.Cores...)
+		d.Flows = append([]sunfloor3d.Flow(nil), d.Flows...)
+		e.edit(&d)
+		_, want := sunfloor3d.NewDesign(d.Cores, d.Flows)
+		if want == nil {
+			t.Fatalf("%s: NewDesign accepted the edited design", e.name)
+		}
+		for _, r := range runs {
+			if key, err := sunfloor3d.Fingerprint(&d, r.opts...); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s, %s: Fingerprint = %q, %v; want NewDesign's error %q", e.name, r.name, key, err, want)
+			}
+			if _, err := sunfloor3d.Synthesize(context.Background(), &d, r.opts...); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s, %s: Synthesize error %v, want NewDesign's error %q", e.name, r.name, err, want)
+			}
+		}
+	}
+}
+
 // TestSerialParallelIdentical checks the core contract of the concurrent
 // sweep: WithParallelism(N) returns byte-identical structured results to the
 // serial run, including Points ordering and the best point.

@@ -157,6 +157,8 @@ func TestCLIInputValidation(t *testing.T) {
 		{"-gen", genArg, "-server", "http://x", "-cache-dir", "y"}, // exclusive modes
 		{"-gen", genArg, "-cache-dir", "y", "-simulate"},           // sim needs live run
 		{"-gen", genArg, "-server", "http://x", "-simulate"},       // sim needs live run
+		{"-gen", "shape=pipeline,cores=8,layers=2,seed=1", "-axis", "freq_mhz=400,600",
+			"-shard", "1/0", "-out", t.TempDir()}, // shard count below 1
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer

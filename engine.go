@@ -34,8 +34,15 @@ func NewEngine(opts ...Option) (*Engine, error) {
 // a bounded worker pool, and returns all explored points plus the best one.
 // Cancelling the context stops the sweep promptly and returns the context's
 // error. The ordering of Result.Points and the identity of the best point do
-// not depend on the parallelism.
+// not depend on the parallelism. A design whose Cores or Flows were edited
+// after NewDesign into one that NewDesign rejects is rejected with the same
+// error.
 func (e *Engine) Synthesize(ctx context.Context, d *Design) (*Result, error) {
+	// Design's fields are exported, so check them again: an edited design
+	// would otherwise panic a worker or reach the request fingerprint.
+	if err := d.Check(); err != nil {
+		return nil, err
+	}
 	opt := e.cfg.opt
 	if e.cfg.progress != nil {
 		progress := e.cfg.progress
@@ -51,7 +58,7 @@ func (e *Engine) Synthesize(ctx context.Context, d *Design) (*Result, error) {
 	// exploration share the checkpoint key.
 	var hooks synth.ExplorationHooks
 	var ck *checkpointFile
-	if e.cfg.shardCount > 0 {
+	if e.cfg.shard {
 		index, count := e.cfg.shardIndex, e.cfg.shardCount
 		hooks.Own = func(cell int) bool { return cell%count == index }
 	}

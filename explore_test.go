@@ -361,6 +361,13 @@ func TestExplorerOptionValidation(t *testing.T) {
 		{"shard without space", []sunfloor3d.Option{sunfloor3d.WithShard(0, 2)}},
 		{"shard index out of range", []sunfloor3d.Option{
 			sunfloor3d.WithSpace(exploreSpace3()), sunfloor3d.WithShard(2, 2)}},
+		// A count below 1 must not read as "no shard" and run the whole space.
+		{"zero shard count", []sunfloor3d.Option{
+			sunfloor3d.WithSpace(exploreSpace3()), sunfloor3d.WithShard(0, 0)}},
+		{"negative shard count", []sunfloor3d.Option{
+			sunfloor3d.WithSpace(exploreSpace3()), sunfloor3d.WithShard(0, -3)}},
+		{"shard index with zero count", []sunfloor3d.Option{
+			sunfloor3d.WithSpace(exploreSpace3()), sunfloor3d.WithShard(5, 0)}},
 	}
 	for _, tc := range cases {
 		if _, err := sunfloor3d.NewEngine(tc.opts...); err == nil {

@@ -16,13 +16,17 @@ import (
 // WithParallelism, WithProgress, WithScheduler, WithFairShareWeight — do
 // not influence the fingerprint, so a cache filled by a heavily parallel
 // server run answers a serial CLI run and vice versa.
-// The options are validated the same way NewEngine validates them.
+// The options are validated the same way NewEngine validates them, and the
+// design the same way Engine.Synthesize validates it.
 func Fingerprint(d *Design, opts ...Option) (string, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if err := cfg.validate(); err != nil {
+		return "", err
+	}
+	if err := d.Check(); err != nil {
 		return "", err
 	}
 	return memo.Key(d, cfg.opt), nil

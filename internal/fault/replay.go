@@ -122,7 +122,7 @@ func Replay(t *topology.Topology, rcfg route.Config, mc ModelConfig, sp *Sparing
 			spares[[2]int{l.From, l.To}] = l.Spares
 		}
 	}
-	r := &replayState{t: t, rcfg: rcfg, mc: mc, simCfg: simCfg, baseline: t.Evaluate().AvgLatencyCycles}
+	r := &replayState{t: t, rcfg: rcfg, mc: mc, simCfg: simCfg, baseline: t.AvgLatencyCycles()}
 
 	for _, plan := range plans {
 		// Spares absorb faults first: a link with at least one provisioned
@@ -282,7 +282,7 @@ func (r *replayState) compute(dead [][2]int) (outcome, error) {
 	// worst inflation keeps its neutral value of 1 rather than poisoning the
 	// JSON-stable report.
 	if r.baseline > 0 {
-		o.inflation = clone.Evaluate().AvgLatencyCycles / r.baseline
+		o.inflation = clone.AvgLatencyCycles() / r.baseline
 	}
 	if r.simCfg != nil {
 		// Graceful-degradation check: the repaired topology must run clean —

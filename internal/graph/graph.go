@@ -1,20 +1,14 @@
-// Package graph provides the generic graph machinery used by the SunFloor 3D
-// flow: weighted directed graphs, reachability, cycle detection (for
-// deadlock-freedom checks on channel dependency graphs) and balanced k-way
-// min-cut partitioning (recursive bisection with Kernighan–Lin style swap
-// refinement), which implements the "min-cut partitions" steps of
-// Algorithms 1 and 2 of the paper.
+// Package graph provides the partitioning machinery of the SunFloor 3D flow:
+// weighted directed graphs and balanced k-way min-cut partitioning
+// (recursive bisection with Kernighan–Lin style swap refinement), which
+// implements the "min-cut partitions" steps of Algorithms 1 and 2 of the
+// paper.
 package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
-
-// Infinity is the cost of an unreachable vertex and the value callers use to
-// mark forbidden arcs (the paper's INF hard threshold in Algorithm 3).
-const Infinity = math.MaxFloat64
 
 // Edge is a weighted directed edge.
 type Edge struct {
@@ -43,21 +37,6 @@ func New(n int) *Graph {
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }
-
-// Grow appends k isolated vertices to the graph and returns the index of the
-// first new vertex. Existing vertices and edges are untouched, so callers can
-// extend a graph in place instead of rebuilding it (the channel dependency
-// graph of the router gains one vertex per newly opened link this way).
-func (g *Graph) Grow(k int) int {
-	first := g.n
-	for i := 0; i < k; i++ {
-		g.adj = append(g.adj, make(map[int]float64))
-	}
-	if k > 0 {
-		g.n += k
-	}
-	return first
-}
 
 // NumEdges returns the number of directed edges with non-zero weight.
 func (g *Graph) NumEdges() int {
@@ -94,13 +73,6 @@ func (g *Graph) Weight(u, v int) float64 {
 	g.check(u)
 	g.check(v)
 	return g.adj[u][v]
-}
-
-// RemoveEdge deletes the directed edge u->v if present.
-func (g *Graph) RemoveEdge(u, v int) {
-	g.check(u)
-	g.check(v)
-	delete(g.adj[u], v)
 }
 
 // Successors returns the targets of all out-edges of u in ascending order.
@@ -156,78 +128,6 @@ func (g *Graph) Undirected() *Graph {
 		}
 	}
 	return u
-}
-
-// HasCycle reports whether the directed graph contains a cycle. It is used on
-// channel dependency graphs to verify that a set of routes is deadlock free.
-func (g *Graph) HasCycle() bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, g.n)
-	var visit func(u int) bool
-	visit = func(u int) bool {
-		color[u] = grey
-		//determlint:ordered cycle existence is a property of the edge set; the boolean result is identical for every visit order
-		for v := range g.adj[u] {
-			switch color[v] {
-			case grey:
-				return true
-			case white:
-				if visit(v) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for u := 0; u < g.n; u++ {
-		if color[u] == white && visit(u) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasCycleFrom reports whether a cycle is reachable from any of the given
-// root vertices. When a batch of edges is added to an acyclic graph, every
-// new cycle passes through a new edge and therefore through its head, so
-// HasCycleFrom(heads of the batch) equals HasCycle() while visiting only
-// what the new edges can reach. The router's deadlock check relies on this.
-func (g *Graph) HasCycleFrom(roots []int) bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]uint8, g.n)
-	var visit func(u int) bool
-	visit = func(u int) bool {
-		color[u] = grey
-		//determlint:ordered cycle existence is a property of the edge set; the boolean result is identical for every visit order
-		for v := range g.adj[u] {
-			switch color[v] {
-			case grey:
-				return true
-			case white:
-				if visit(v) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for _, u := range roots {
-		g.check(u)
-		if color[u] == white && visit(u) {
-			return true
-		}
-	}
-	return false
 }
 
 // ConnectedComponents returns the weakly connected components of the graph as

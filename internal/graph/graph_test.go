@@ -24,35 +24,6 @@ func TestAddAndQueryEdges(t *testing.T) {
 	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
 		t.Error("HasEdge misbehaves")
 	}
-	g.AddEdge(0, 3, 1)
-	g.RemoveEdge(0, 3)
-	if g.HasEdge(0, 3) {
-		t.Error("RemoveEdge failed")
-	}
-}
-
-func TestGrow(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 3)
-	if first := g.Grow(2); first != 2 {
-		t.Errorf("Grow(2) returned first index %d, want 2", first)
-	}
-	if g.NumVertices() != 4 {
-		t.Fatalf("NumVertices = %d, want 4", g.NumVertices())
-	}
-	if !g.HasEdge(0, 1) || g.Weight(0, 1) != 3 {
-		t.Error("existing edge lost after Grow")
-	}
-	g.AddEdge(3, 0, 1)
-	if !g.HasEdge(3, 0) {
-		t.Error("cannot add edge to grown vertex")
-	}
-	if g.HasCycle() {
-		t.Error("spurious cycle after Grow")
-	}
-	if first := g.Grow(0); first != 4 || g.NumVertices() != 4 {
-		t.Errorf("Grow(0) = %d with %d vertices, want 4 and 4", first, g.NumVertices())
-	}
 }
 
 func TestSuccessorsAndEdges(t *testing.T) {
@@ -101,70 +72,6 @@ func TestCloneAndUndirected(t *testing.T) {
 	}
 	if w := u.Weight(2, 1); w != 1 {
 		t.Errorf("Undirected weight(2,1) = %v, want 1", w)
-	}
-}
-
-func TestHasCycle(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
-	if g.HasCycle() {
-		t.Error("chain should not have a cycle")
-	}
-	g.AddEdge(3, 1, 1)
-	if !g.HasCycle() {
-		t.Error("cycle not detected")
-	}
-	// A diamond (two paths to the same node) is not a cycle.
-	d := New(4)
-	d.AddEdge(0, 1, 1)
-	d.AddEdge(0, 2, 1)
-	d.AddEdge(1, 3, 1)
-	d.AddEdge(2, 3, 1)
-	if d.HasCycle() {
-		t.Error("diamond wrongly flagged as cycle")
-	}
-}
-
-// TestHasCycleFromMatchesHasCycle checks the property the router's deadlock
-// check relies on: after a batch of edges is added to a DAG, a cycle search
-// from the heads of the genuinely new edges agrees with a whole-graph
-// HasCycle.
-func TestHasCycleFromMatchesHasCycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	outcomes := map[bool]int{}
-	for trial := 0; trial < 2000; trial++ {
-		n := 1 + rng.Intn(30)
-		g := New(n)
-		// A random DAG: edges only run forward in a random topological order.
-		rank := rng.Perm(n)
-		for e := rng.Intn(3 * n); e > 0; e-- {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if rank[u] < rank[v] {
-				g.AddEdge(u, v, 1)
-			}
-		}
-		if g.HasCycle() {
-			t.Fatalf("trial %d: the generated DAG has a cycle", trial)
-		}
-		var heads []int
-		for e := rng.Intn(4); e >= 0; e-- {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || g.HasEdge(u, v) {
-				continue
-			}
-			g.AddEdge(u, v, 1)
-			heads = append(heads, v)
-		}
-		got, want := g.HasCycleFrom(heads), g.HasCycle()
-		if got != want {
-			t.Fatalf("trial %d: HasCycleFrom(%v) = %v, HasCycle() = %v", trial, heads, got, want)
-		}
-		outcomes[want]++
-	}
-	if outcomes[true] == 0 || outcomes[false] == 0 {
-		t.Fatalf("the trials never exercised both outcomes: %v", outcomes)
 	}
 }
 

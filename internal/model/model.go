@@ -103,16 +103,26 @@ type CommGraph struct {
 // it. It returns an error if a core name is duplicated, a flow references an
 // unknown core index, or a flow has a non-positive bandwidth.
 func NewCommGraph(cores []Core, flows []Flow) (*CommGraph, error) {
-	g := &CommGraph{
+	nameIdx, err := check(cores, flows)
+	if err != nil {
+		return nil, err
+	}
+	return &CommGraph{
 		Cores:   append([]Core(nil), cores...),
 		Flows:   append([]Flow(nil), flows...),
-		nameIdx: make(map[string]int, len(cores)),
-	}
-	for i, c := range g.Cores {
+		nameIdx: nameIdx,
+	}, nil
+}
+
+// check validates cores and flows, reading them only, and returns the index
+// of the core names. It is the one validation of a communication graph.
+func check(cores []Core, flows []Flow) (map[string]int, error) {
+	nameIdx := make(map[string]int, len(cores))
+	for i, c := range cores {
 		if c.Name == "" {
 			return nil, fmt.Errorf("core %d has an empty name", i)
 		}
-		if _, dup := g.nameIdx[c.Name]; dup {
+		if _, dup := nameIdx[c.Name]; dup {
 			return nil, fmt.Errorf("duplicate core name %q", c.Name)
 		}
 		// The comparisons below are false for NaN, so non-finite values need
@@ -126,24 +136,24 @@ func NewCommGraph(cores []Core, flows []Flow) (*CommGraph, error) {
 		if c.Layer < 0 {
 			return nil, fmt.Errorf("core %q has negative layer %d", c.Name, c.Layer)
 		}
-		g.nameIdx[c.Name] = i
+		nameIdx[c.Name] = i
 	}
-	for i, f := range g.Flows {
-		if f.Src < 0 || f.Src >= len(g.Cores) || f.Dst < 0 || f.Dst >= len(g.Cores) {
+	for i, f := range flows {
+		if f.Src < 0 || f.Src >= len(cores) || f.Dst < 0 || f.Dst >= len(cores) {
 			return nil, fmt.Errorf("flow %d references core out of range (%d -> %d)", i, f.Src, f.Dst)
 		}
 		if f.Src == f.Dst {
-			return nil, fmt.Errorf("flow %d is a self loop on core %q", i, g.Cores[f.Src].Name)
+			return nil, fmt.Errorf("flow %d is a self loop on core %q", i, cores[f.Src].Name)
 		}
 		if !finite(f.BandwidthMBps) || f.BandwidthMBps <= 0 {
 			return nil, fmt.Errorf("flow %d (%q -> %q) has non-positive bandwidth %g",
-				i, g.Cores[f.Src].Name, g.Cores[f.Dst].Name, f.BandwidthMBps)
+				i, cores[f.Src].Name, cores[f.Dst].Name, f.BandwidthMBps)
 		}
 		if !finite(f.LatencyCycles) || f.LatencyCycles < 0 {
 			return nil, fmt.Errorf("flow %d has negative latency constraint", i)
 		}
 	}
-	return g, nil
+	return nameIdx, nil
 }
 
 // CoreIndex returns the index of the named core, or -1 if it does not exist.
@@ -284,13 +294,21 @@ func (g *CommGraph) SortedCoreNames() []string {
 	return names
 }
 
-// Validate re-runs the construction-time validation. It is useful after the
-// caller mutates Cores or Flows in place.
+// Validate re-runs the construction-time validation and rebuilds the core
+// name index. It is useful after the caller mutates Cores or Flows in place.
 func (g *CommGraph) Validate() error {
-	ng, err := NewCommGraph(g.Cores, g.Flows)
+	nameIdx, err := check(g.Cores, g.Flows)
 	if err != nil {
 		return err
 	}
-	g.nameIdx = ng.nameIdx
+	g.nameIdx = nameIdx
 	return nil
+}
+
+// Check returns the error NewCommGraph would return for the graph's current
+// Cores and Flows. Unlike Validate it only reads the graph, so it is safe on
+// a graph that other goroutines read at the same time.
+func (g *CommGraph) Check() error {
+	_, err := check(g.Cores, g.Flows)
+	return err
 }

@@ -1,58 +1,41 @@
 package route
 
-import (
-	"sunfloor3d/internal/graph"
-)
+import "math"
 
-// costModel is the incrementally maintained routing cost graph of Algorithm 3.
-// It keeps one arc record per ordered switch pair in a flat, row-major table
-// that holds both ingredients of the arc cost:
+// infinity is the cost of an unreachable switch and of a forbidden arc (the
+// paper's INF hard threshold in Algorithm 3).
+const infinity = math.MaxFloat64
+
+// arc is one record of the router's arc table, which keeps one per ordered
+// switch pair in a flat, row-major table. It holds both ingredients of the
+// Algorithm 3 arc cost:
 //
 //   - the immutable geometry — planar Manhattan length, crossed layers and
 //     the pipeline-latency term, fixed once the switch exists; and
 //   - the arcState — everything the router mutates while committing paths:
 //     link existence, the port-opening power marginals, the hard-constraint
-//     verdict and the SOFT_INF flags of CHECK_CONSTRAINTS.
+//     verdict and the SOFT_INF flags of CHECK_CONSTRAINTS;
+//
+// and the link's vertex in the channel dependency graph.
 //
 // A commit therefore only has to refresh the states its bookkeeping updates
 // invalidated instead of rebuilding all O(S^2) arc costs for every flow and
 // deadlock retry. Costs are evaluated on demand per flow by arcCost, the one
-// arc-cost formula, which the search and costModel.cost both call: a
-// refreshed arc is bit-identical to a freshly built one, which the package's
-// tests check against a router that builds a new model for every flow. An
-// earlier formulation cached a state+slope*bw linearisation whose ULP-level
-// rounding differences could flip Dijkstra ties on exactly equal-cost paths
-// and make the two routers commit different (equally optimal) routes.
-type costModel struct {
-	r *router
-	n int
-	// arcs[i][j] is the arc (i, j). The rows are carved from one backing
-	// array with room for the router's spare switches (see newSquare).
-	arcs [][]arc
-	// Search scratch space, reused across flows: distances, predecessors,
-	// the unsettled switches in ascending order and the TSV term of each
-	// layer span.
-	dist []float64
-	prev []int
-	open []int
-	tsv  []float64
-	// Commit scratch space, reused across commits: the rows and columns to
-	// refresh, and per layer boundary the number of links the commit opened
-	// across it and whether that moved it across an ILL threshold.
-	dirtyRow  []bool
-	dirtyCol  []bool
-	crossings []int
-	boundary  []bool
-}
-
-// arc is one record of the cost model's arc table: the arc's mutable
-// CHECK_CONSTRAINTS state and its immutable geometry.
+// arc-cost formula: a refreshed arc is bit-identical to a freshly built one,
+// which the package's tests check against a router that rebuilds the table
+// from the committed routes before every flow. An earlier formulation cached
+// a state+slope*bw linearisation whose ULP-level rounding differences could
+// flip Dijkstra ties on exactly equal-cost paths and make the two routers
+// commit different (equally optimal) routes.
 type arc struct {
 	arcState
 	// planar is the Manhattan length of the link, latency its
 	// pipeline-latency term and span the number of layers it crosses.
 	planar, latency float64
-	span            int
+	span            int32
+	// vertex is the link's CDG vertex, or -1 while no path has used or
+	// tried the link.
+	vertex int32
 }
 
 // flowTerms are the constants of arcCost for one flow, computed once per
@@ -65,12 +48,12 @@ type flowTerms struct {
 }
 
 // arcCost combines an arc's state and geometry into its routing cost for
-// the flow of ft (Infinity for a forbidden arc). It is the one arc-cost
-// formula: the search and costModel.cost evaluate arcs through it, so they
-// agree bit for bit and equal-cost path ties resolve identically.
+// the flow of ft (infinity for a forbidden arc). It is the one arc-cost
+// formula, so equal-cost path ties resolve identically wherever arcs are
+// evaluated.
 func arcCost(a *arc, ft *flowTerms) float64 {
 	if a.forbidden {
-		return graph.Infinity
+		return infinity
 	}
 	power := a.planar*ft.wire + ft.tsv[a.span]
 	if !a.exists {
@@ -84,80 +67,24 @@ func arcCost(a *arc, ft *flowTerms) float64 {
 	return cost
 }
 
-// newCostModel computes the geometry and state of every arc in one pass over
-// the switch pairs. This is the only full O(S^2) pass of a run; everything
-// after is incremental.
-func newCostModel(r *router) *costModel {
-	n := r.top.NumSwitches()
-	spare := r.spareSwitches()
-	m := &costModel{
-		r:         r,
-		n:         n,
-		arcs:      newSquare(n, spare, arc{}),
-		dist:      make([]float64, n, n+spare),
-		prev:      make([]int, n, n+spare),
-		open:      make([]int, n, n+spare),
-		tsv:       make([]float64, len(r.ill)+1),
-		dirtyRow:  make([]bool, n, n+spare),
-		dirtyCol:  make([]bool, n, n+spare),
-		crossings: make([]int, len(r.ill)),
-		boundary:  make([]bool, len(r.ill)),
-	}
-	for i := 0; i < n; i++ {
-		m.arcs[i][i].forbidden = true
-		for j := i + 1; j < n; j++ {
-			m.join(i, j)
-		}
-	}
-	return m
-}
-
-// join fills the arcs (i, j) and (j, i) between two distinct switches. The
-// geometry is computed once for both: Manhattan length, layer span and so
-// pipeline stages are symmetric bit for bit, since a−b is exactly −(b−a) in
-// IEEE arithmetic.
-func (m *costModel) join(i, j int) {
-	ij, ji := &m.arcs[i][j], &m.arcs[j][i]
-	m.r.geometry(ij, i, j)
+// join fills the new arcs (i, j) and (j, i) between two distinct switches,
+// whose links do not exist yet. The geometry is computed once for both:
+// Manhattan length, layer span and so pipeline stages are symmetric bit for
+// bit, since a−b is exactly −(b−a) in IEEE arithmetic.
+func (r *router) join(i, j int) {
+	ij, ji := &r.arcs[i][j], &r.arcs[j][i]
+	r.geometry(ij, i, j)
 	ji.planar, ji.latency, ji.span = ij.planar, ij.latency, ij.span
-	ij.arcState = m.r.arcState(i, j)
-	ji.arcState = m.r.arcState(j, i)
+	ij.vertex, ji.vertex = -1, -1
+	ij.arcState = r.arcState(i, j, false)
+	ji.arcState = r.arcState(j, i, false)
 }
 
 // refresh recomputes the mutable state of the arc (i, j) from the router's
 // current bookkeeping.
-func (m *costModel) refresh(i, j int) {
-	m.arcs[i][j].arcState = m.r.arcState(i, j)
-}
-
-// grow extends the model with one switch (the router just appended it to the
-// topology) and computes the arcs to and from it.
-func (m *costModel) grow() {
-	n := m.n
-	m.arcs = growSquare(m.arcs, arc{})
-	m.arcs[n][n].forbidden = true
-	m.n = n + 1
-	for i := 0; i < n; i++ {
-		m.join(i, n)
-	}
-	m.dist = append(m.dist, 0)
-	m.prev = append(m.prev, 0)
-	m.open = append(m.open, 0)
-	m.dirtyRow = append(m.dirtyRow, false)
-	m.dirtyCol = append(m.dirtyCol, false)
-}
-
-// shrink drops the last switch from the model (rolling back a failed indirect
-// switch insertion). The table keeps its capacity for the next grow, which
-// overwrites every re-appended arc.
-func (m *costModel) shrink() {
-	m.n--
-	m.arcs = shrinkSquare(m.arcs)
-	m.dist = m.dist[:m.n]
-	m.prev = m.prev[:m.n]
-	m.open = m.open[:m.n]
-	m.dirtyRow = m.dirtyRow[:m.n]
-	m.dirtyCol = m.dirtyCol[:m.n]
+func (r *router) refresh(i, j int) {
+	a := &r.arcs[i][j]
+	a.arcState = r.arcState(i, j, a.exists)
 }
 
 // applyCommit refreshes the arcs invalidated by a committed path that opened
@@ -176,20 +103,17 @@ func (m *costModel) shrink() {
 // (j, *). If the power model ever couples the dimensions (e.g. crossbar-
 // style in*out, as SwitchAreaMM2 does for area), both the row and the
 // column of every grown switch must be refreshed here.
-func (m *costModel) applyCommit(opened [][2]int) {
-	t := m.r.top
-	dirtyRow, dirtyCol, crossings, boundary := m.dirtyRow, m.dirtyCol, m.crossings, m.boundary
-	for i := range dirtyRow {
-		dirtyRow[i] = false
-		dirtyCol[i] = false
+func (r *router) applyCommit(opened [][2]int) {
+	t, cfg, sw := r.top, r.cfg, r.sw
+	crossings, boundary := r.crossings, r.boundary
+	for i := range sw {
+		sw[i].dirtyRow = false
+		sw[i].dirtyCol = false
 	}
-	for b := range crossings {
-		crossings[b] = 0
-	}
-	cfg := m.r.cfg
+	clear(crossings)
 	for _, l := range opened {
-		dirtyRow[l[0]] = true
-		dirtyCol[l[1]] = true
+		sw[l[0]].dirtyRow = true
+		sw[l[1]].dirtyCol = true
 		if cfg.MaxILL <= 0 {
 			continue // arc costs ignore ILL occupancy when unconstrained
 		}
@@ -206,66 +130,59 @@ func (m *costModel) applyCommit(opened [][2]int) {
 	anyBoundary := false
 	soft := cfg.MaxILL - cfg.SoftILLMargin
 	for b, n := range crossings {
-		now := m.r.ill[b]
+		now := r.ill[b]
 		before := now - n
 		boundary[b] = before < cfg.MaxILL && now >= cfg.MaxILL || before < soft && now >= soft
 		anyBoundary = anyBoundary || boundary[b]
 	}
-	for i := 0; i < m.n; i++ {
-		if !dirtyRow[i] {
+	for i := range sw {
+		if !sw[i].dirtyRow {
 			continue
 		}
-		for j := 0; j < m.n; j++ {
+		for j := range sw {
 			if i != j {
-				m.refresh(i, j)
+				r.refresh(i, j)
 			}
 		}
 	}
-	for j := 0; j < m.n; j++ {
-		if !dirtyCol[j] {
+	for j := range sw {
+		if !sw[j].dirtyCol {
 			continue
 		}
-		for i := 0; i < m.n; i++ {
-			if i != j && !dirtyRow[i] {
-				m.refresh(i, j)
+		for i := range sw {
+			if i != j && !sw[i].dirtyRow {
+				r.refresh(i, j)
 			}
 		}
 	}
 	if !anyBoundary {
 		return
 	}
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if i == j || dirtyRow[i] || dirtyCol[j] {
+	for i := range sw {
+		for j := range sw {
+			if i == j || sw[i].dirtyRow || sw[j].dirtyCol {
 				continue
 			}
-			if m.crossesDirty(boundary, i, j) {
-				m.refresh(i, j)
+			if r.crossesDirty(i, j) {
+				r.refresh(i, j)
 			}
 		}
 	}
 }
 
-// crossesDirty reports whether the arc (i, j) crosses any boundary marked
-// dirty.
-func (m *costModel) crossesDirty(boundary []bool, i, j int) bool {
-	lo, hi := m.r.top.Switches[i].Layer, m.r.top.Switches[j].Layer
+// crossesDirty reports whether the arc (i, j) crosses any layer boundary
+// applyCommit marked dirty.
+func (r *router) crossesDirty(i, j int) bool {
+	lo, hi := r.top.Switches[i].Layer, r.top.Switches[j].Layer
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	for b := lo; b < hi; b++ {
-		if b >= 0 && b < len(boundary) && boundary[b] {
+		if b >= 0 && b < len(r.boundary) && r.boundary[b] {
 			return true
 		}
 	}
 	return false
-}
-
-// cost returns the full arc cost at the given bandwidth (Infinity for
-// forbidden arcs), through arcCost like the search.
-func (m *costModel) cost(i, j int, bw float64) float64 {
-	ft := m.r.terms(bw, m.tsv)
-	return arcCost(&m.arcs[i][j], &ft)
 }
 
 // shortestPath runs Dijkstra over the arc table for a flow of bandwidth bw,
@@ -274,23 +191,24 @@ func (m *costModel) cost(i, j int, bw float64) float64 {
 // and relaxed: they are kept in an ascending list, so the min scan keeps the
 // lowest index among equal distances and neighbours relax in ascending index
 // order, making the returned path deterministic even between equal-cost
-// alternatives. It returns (nil, Infinity) when dst is unreachable.
-func (m *costModel) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]int, float64) {
-	n := m.n
-	dist, prev, open := m.dist[:n], m.prev[:n], m.open[:n]
-	for i := range dist {
-		dist[i] = graph.Infinity
-		prev[i] = -1
-		open[i] = i
+// alternatives. It returns (nil, infinity) when dst is unreachable.
+func (r *router) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]int, float64) {
+	sw := r.sw
+	open := r.open[:0]
+	for i := range sw {
+		sw[i].dist = infinity
+		sw[i].prev = -1
+		open = append(open, i)
 	}
-	dist[src] = 0
-	ft := m.r.terms(bw, m.tsv)
+	r.open = open
+	sw[src].dist = 0
+	ft := r.terms(bw, r.tsv)
 	for {
 		// Dense graph: the O(n) min scan beats a heap here.
-		k, best := -1, graph.Infinity
+		k, best := -1, infinity
 		for x, i := range open {
-			if dist[i] < best {
-				k, best = x, dist[i]
+			if sw[i].dist < best {
+				k, best = x, sw[i].dist
 			}
 		}
 		if k < 0 {
@@ -303,30 +221,30 @@ func (m *costModel) shortestPath(src, dst int, bw float64, forbidden [][2]int) (
 		// Remove u in place: swapping the last entry into its slot would
 		// break the ascending order the tie-breaking relies on.
 		open = append(open[:k], open[k+1:]...)
-		row := m.arcs[u]
+		row := r.arcs[u]
 		for _, v := range open {
 			a := &row[v]
 			if a.forbidden || forbids(forbidden, u, v) {
 				continue
 			}
-			if nd := best + arcCost(a, &ft); nd < dist[v] {
-				dist[v] = nd
-				prev[v] = u
+			if nd := best + arcCost(a, &ft); nd < sw[v].dist {
+				sw[v].dist = nd
+				sw[v].prev = u
 			}
 		}
 	}
-	if dist[dst] >= graph.Infinity {
-		return nil, graph.Infinity
+	if sw[dst].dist >= infinity {
+		return nil, infinity
 	}
 	hops := 0
-	for v := dst; v != src; v = prev[v] {
+	for v := dst; v != src; v = sw[v].prev {
 		hops++
 	}
 	path := make([]int, hops+1)
-	for v, k := dst, hops; k >= 0; v, k = prev[v], k-1 {
+	for v, k := dst, hops; k >= 0; v, k = sw[v].prev, k-1 {
 		path[k] = v
 	}
-	return path, dist[dst]
+	return path, sw[dst].dist
 }
 
 // forbids reports whether the arc (u, v) is one of the deadlock-retry arcs.

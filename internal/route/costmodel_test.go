@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sunfloor3d/internal/geom"
-	"sunfloor3d/internal/graph"
 	"sunfloor3d/internal/model"
 	"sunfloor3d/internal/noclib"
 	"sunfloor3d/internal/topology"
@@ -169,16 +168,23 @@ func randomRoutedCase(t *testing.T, rng *rand.Rand) *topology.Topology {
 	return top
 }
 
+// cost returns the full arc cost of (i, j) at bandwidth bw (infinity for a
+// forbidden arc), through arcCost like the search.
+func (r *router) cost(i, j int, bw float64) float64 {
+	ft := r.terms(bw, r.tsv)
+	return arcCost(&r.arcs[i][j], &ft)
+}
+
 // TestCostModelMatchesRebuild routes randomized topologies with the
-// incremental cost model and, between every commit, cross-checks each cached
-// arc, and each arc of a freshly built model (what ComputePathsFullRebuild
-// searches), against a from-scratch evaluation of Algorithm 3's
-// CHECK_CONSTRAINTS over bookkeeping derived from the topology alone (see
-// referenceArcCost). The router's own link, port and marginal caches never
-// enter the reference, so a stale cache cannot hide behind an identical
-// stale read on both sides. Costs must match exactly: the cached and the
-// rebuilt evaluation share one code path, and a ULP of difference could flip
-// a Dijkstra tie.
+// incrementally refreshed arc table and, between every commit, cross-checks
+// each cached arc, and each arc of a table rebuilt from the committed routes
+// (what ComputePathsFullRebuild searches), against a from-scratch evaluation
+// of Algorithm 3's CHECK_CONSTRAINTS over bookkeeping derived from the
+// topology alone (see referenceArcCost). The router's own link, port and
+// marginal caches never enter the reference, so a stale cache cannot hide
+// behind an identical stale read on both sides. Costs must match exactly:
+// the cached and the rebuilt evaluation share one code path, and a ULP of
+// difference could flip a Dijkstra tie.
 func TestCostModelMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -198,7 +204,8 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 		verify := func(stage string) {
 			n := top.NumSwitches()
 			book := deriveBookkeeping(top)
-			fresh := newCostModel(r)
+			fresh := *r
+			fresh.rebuildFromRoutes()
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if i == j {
@@ -206,7 +213,7 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 					}
 					for _, bw := range sampleBWs {
 						want := referenceArcCost(r, book, i, j, bw)
-						if got := r.cost.cost(i, j, bw); got != want {
+						if got := r.cost(i, j, bw); got != want {
 							t.Fatalf("trial %d, %s: arc (%d,%d) bw=%v: incremental %v, reference %v",
 								trial, stage, i, j, bw, got, want)
 						}
@@ -307,7 +314,7 @@ func referenceArcCost(r *router, b bookkeeping, i, j int, bw float64) float64 {
 	}
 	st := arcState{exists: b.link[[2]int{i, j}]}
 	if span > 0 && cfg.AdjacentLayersOnly && span >= 2 {
-		return graph.Infinity
+		return infinity
 	}
 	if span > 0 && cfg.MaxILL > 0 && !st.exists {
 		cur := 0
@@ -315,16 +322,16 @@ func referenceArcCost(r *router, b bookkeeping, i, j int, bw float64) float64 {
 			cur = max(cur, b.ill[l])
 		}
 		if cur >= cfg.MaxILL {
-			return graph.Infinity
+			return infinity
 		}
 		st.soft = cur >= cfg.MaxILL-cfg.SoftILLMargin
 	}
 	if !st.exists && cfg.MaxSwitchSize > 0 {
 		out, in := b.out[i]+1, b.in[j]+1
 		if out > cfg.MaxSwitchSize || in > cfg.MaxSwitchSize {
-			return graph.Infinity
+			return infinity
 		}
-		soft := cfg.MaxSwitchSize - cfg.SoftSwitchMargin
+		soft := cfg.MaxSwitchSize - softSwitchMargin
 		st.soft = st.soft || out > soft || in > soft
 	}
 	if !st.exists {
@@ -334,7 +341,7 @@ func referenceArcCost(r *router, b bookkeeping, i, j int, bw float64) float64 {
 	planar := geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
 	latency := 1 + float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
 	ft := r.terms(bw, make([]float64, len(r.ill)+1))
-	return arcCost(&arc{arcState: st, planar: planar, latency: latency, span: span}, &ft)
+	return arcCost(&arc{arcState: st, planar: planar, latency: latency, span: int32(span)}, &ft)
 }
 
 // TestIncrementalRoutingStaysDeadlockFree re-runs the deadlock test pattern

@@ -8,10 +8,11 @@ import (
 )
 
 // ComputePathsFullRebuild is the full-rebuild reference router: ComputePaths
-// with the cost model built from scratch before every flow, so no arc state
-// it searches was ever refreshed by costModel.applyCommit. Only a commit
-// changes arc state, and a commit ends the flow, so this routes exactly as a
-// rebuild before every attempt, the original CHECK_CONSTRAINTS loop, would.
+// with the arc table and the CDG rebuilt from the committed routes before
+// every flow (see rebuildFromRoutes), so no arc state it searches was ever
+// refreshed by router.applyCommit. Only a commit changes arc state, and a
+// commit ends the flow, so this routes exactly as a rebuild before every
+// attempt, the original CHECK_CONSTRAINTS loop, would.
 func ComputePathsFullRebuild(t *topology.Topology, cfg Config) (Result, error) {
 	if t.NumSwitches() == 0 {
 		return Result{}, fmt.Errorf("route: topology has no switches")
@@ -25,7 +26,7 @@ func ComputePathsFullRebuild(t *topology.Topology, cfg Config) (Result, error) {
 	r.init()
 	var res Result
 	for _, f := range t.Design.FlowsByBandwidth() {
-		r.cost = newCostModel(r)
+		r.rebuildFromRoutes()
 		if ok := r.routeFlow(f); ok {
 			res.Routed++
 		} else if cfg.AllowIndirectSwitches {
@@ -45,4 +46,34 @@ func ComputePathsFullRebuild(t *topology.Topology, cfg Config) (Result, error) {
 	sort.Ints(res.Failed)
 	res.DeadlockRetries = r.deadlock
 	return res, nil
+}
+
+// rebuildFromRoutes replaces the router's arc table and CDG with new ones.
+// Link existence and the CDG come from the topology's committed routes
+// alone, never from the table under test, so a refresh that loses a link or
+// a dependency cannot hide behind an identical read on both sides; only
+// then is every arc's geometry and state computed afresh.
+func (r *router) rebuildFromRoutes() {
+	n := r.top.NumSwitches()
+	r.arcs = newSquare(n, r.spareSwitches(), arc{vertex: -1})
+	r.cdg = cdg{}
+	for _, rt := range r.top.Routes {
+		prev := int32(-1)
+		for k := 1; k < len(rt.Switches); k++ {
+			from, to := rt.Switches[k-1], rt.Switches[k]
+			r.arcs[from][to].exists = true
+			v := r.linkVertex(from, to)
+			if prev >= 0 {
+				r.cdg.addEdge(prev, v)
+			}
+			prev = v
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a := &r.arcs[i][j]
+			r.geometry(a, i, j)
+			a.arcState = r.arcState(i, j, a.exists)
+		}
+	}
 }

@@ -3,7 +3,7 @@ package route_test
 // Fuzz harness for the path-computation step: randomized communication
 // graphs and switch assignments must never panic the router, the committed
 // paths must validate and stay deadlock free (acyclic CDG), and the
-// incrementally maintained cost graph must return byte-identical results to
+// incrementally refreshed arc table must return byte-identical results to
 // the test-only full-rebuild reference router, ComputePathsFullRebuild.
 
 import (
@@ -128,9 +128,10 @@ func routesEqual(a, b *topology.Topology) bool {
 func FuzzComputePaths(f *testing.F) {
 	// Seed corpus: hand-picked shapes covering single-switch, multi-layer,
 	// constrained and dense scenarios. Of the committed corpus files,
-	// 0db140fa605cd308 fails when costModel.applyCommit skips its
-	// layer-boundary refresh and ca9e11b5915669a5 when it skips its column
-	// refresh.
+	// 0db140fa605cd308 fails when router.applyCommit skips its
+	// layer-boundary refresh, ca9e11b5915669a5 when it skips its column
+	// refresh, and 805902b3cafca686 (a deadlock retry) when
+	// router.deadlockArc keeps the CDG edges of a path it rejected.
 	f.Add([]byte{})
 	f.Add([]byte{4, 2, 3, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{9, 3, 5, 15, 200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
@@ -153,7 +154,7 @@ func FuzzComputePaths(f *testing.F) {
 			}
 		}
 
-		// Incremental cost graph (production) vs full rebuild (reference):
+		// Incremental arc table (production) vs full rebuild (reference):
 		// both must route identically from identical starting topologies.
 		incTop := build()
 		incRes, incErr := route.ComputePaths(incTop, cfg)

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"sunfloor3d/internal/geom"
-	"sunfloor3d/internal/graph"
 	"sunfloor3d/internal/topology"
 )
 
@@ -29,9 +28,6 @@ type Config struct {
 	// MaxSwitchSize is the maximum number of input or output ports per
 	// switch (max_sw_size). Zero means unconstrained.
 	MaxSwitchSize int
-	// SoftSwitchMargin is how many ports below MaxSwitchSize the soft
-	// threshold sits.
-	SoftSwitchMargin int
 	// AdjacentLayersOnly forbids physical links spanning two or more layers
 	// (Phase 2 and technologies without multi-layer TSV stacks).
 	AdjacentLayersOnly bool
@@ -41,25 +37,29 @@ type Config struct {
 	// AllowIndirectSwitches lets the router insert extra switches when no
 	// valid path exists under the switch-size constraint.
 	AllowIndirectSwitches bool
-	// MaxDeadlockRetries bounds how many times a flow's path is recomputed
-	// with penalised arcs after a channel-dependency cycle is detected.
-	MaxDeadlockRetries int
 }
+
+const (
+	// softSwitchMargin is how many ports below Config.MaxSwitchSize the soft
+	// switch-size threshold sits.
+	softSwitchMargin = 1
+	// maxDeadlockRetries bounds how many times a flow's path is recomputed
+	// with penalised arcs after a channel-dependency cycle is detected.
+	maxDeadlockRetries = 4
+)
 
 // DefaultConfig returns the configuration used by the experiments: a blend
 // strongly favouring power (as in the paper's "most power-efficient" points),
-// soft margins of 2, and indirect switch insertion enabled.
+// a soft inter-layer-link margin of 2, and indirect switch insertion enabled.
 func DefaultConfig() Config {
 	return Config{
 		MaxILL:                0,
 		SoftILLMargin:         2,
 		MaxSwitchSize:         0,
-		SoftSwitchMargin:      1,
 		AdjacentLayersOnly:    false,
 		PowerWeight:           1.0,
 		LatencyWeight:         0.1,
 		AllowIndirectSwitches: true,
-		MaxDeadlockRetries:    4,
 	}
 }
 
@@ -79,33 +79,23 @@ type Result struct {
 // Success reports whether every flow was routed.
 func (r Result) Success() bool { return len(r.Failed) == 0 }
 
-// router carries the mutable state of one ComputePaths run.
+// router carries the whole state of one ComputePaths or RepairRoutes run.
 type router struct {
 	top *topology.Topology
 	cfg Config
 
-	// link[from][to] reports whether the directed physical link between two
-	// switches exists, that is, carries a committed route.
-	link [][]bool
+	// arcs[i][j] is the arc (i, j). The rows are carved from one backing
+	// array with room for the router's spare switches (see newSquare).
+	arcs [][]arc
+	// sw[s] is the bookkeeping of switch s.
+	sw []switchState
 	// ill[b] is the number of physical links crossing the boundary between
 	// layers b and b+1 (switch-to-switch and core-to-switch).
 	ill []int
-	// inPorts/outPorts track current switch sizes, and inMarginal/
-	// outMarginal the power of opening one more port of each kind
-	// (noclib.SwitchPortMarginalMW of the current count).
-	inPorts, outPorts       []int
-	inMarginal, outMarginal []float64
-	// cdg is the channel dependency graph: one vertex per directed
-	// switch-to-switch link, an edge when some flow uses two links in
-	// sequence. linkIdx[from][to] is the CDG vertex of the directed link, or
-	// -1 while the link has none.
-	cdg      *graph.Graph
-	linkIdx  [][]int32
+	// cdg is the channel dependency graph of the committed routes, its
+	// vertices the arcs' vertex fields.
+	cdg      cdg
 	deadlock int
-	// tails and heads (the CDG edges a path adds) and opened (the links a
-	// commit opens) are per-attempt scratch lists.
-	tails, heads []int
-	opened       [][2]int
 	// softInf is the SOFT_INF penalty of Algorithm 3, fixed for the whole
 	// run (it depends only on the design, library, frequency and weights).
 	softInf float64
@@ -115,8 +105,34 @@ type router struct {
 	// are usable, whatever their current cost would be. nil (the synthesis
 	// case) allows every arc.
 	allowed [][]bool
-	// cost is the incrementally maintained arc-cost graph.
-	cost *costModel
+
+	// Scratch space reused across flows: the search's unsettled switches in
+	// ascending order and the TSV term of each layer span; the CDG edges a
+	// path adds (tails, heads); the links a commit opens, and per layer
+	// boundary the number of them crossing it and whether that moved the
+	// boundary across an ILL threshold.
+	open         []int
+	tsv          []float64
+	tails, heads []int32
+	opened       [][2]int
+	crossings    []int
+	boundary     []bool
+}
+
+// switchState is the router's bookkeeping of one switch.
+type switchState struct {
+	// inPorts and outPorts are the switch's port counts, and inMarginal and
+	// outMarginal the power of opening one more port of each kind
+	// (noclib.SwitchPortMarginalMW of the current count).
+	inPorts, outPorts       int
+	inMarginal, outMarginal float64
+	// dist and prev are the search's distance to the switch and its
+	// predecessor on the shortest path.
+	dist float64
+	prev int
+	// dirtyRow and dirtyCol mark the rows and columns of arcs a commit must
+	// refresh.
+	dirtyRow, dirtyCol bool
 }
 
 // ComputePaths assigns a route to every flow of the topology. Switches and
@@ -172,34 +188,42 @@ func (r *router) init() {
 	if layers > 1 {
 		r.ill = make([]int, layers-1)
 	}
-	n := t.NumSwitches()
-	r.inPorts, r.outPorts = make([]int, n), make([]int, n)
-	r.inMarginal, r.outMarginal = make([]float64, n), make([]float64, n)
-	r.link = newSquare(n, r.spareSwitches(), false)
-	r.linkIdx = newSquare(n, r.spareSwitches(), int32(-1))
-	r.cdg = graph.New(0)
-
-	for c, sw := range t.CoreAttach {
-		r.inPorts[sw]++
-		r.outPorts[sw]++
-		r.addBoundaryCrossings(t.Design.Cores[c].Layer, t.Switches[sw].Layer, 1)
+	n, spare := t.NumSwitches(), r.spareSwitches()
+	r.sw = make([]switchState, n, n+spare)
+	for c, s := range t.CoreAttach {
+		r.sw[s].inPorts++
+		r.sw[s].outPorts++
+		r.addBoundaryCrossings(t.Design.Cores[c].Layer, t.Switches[s].Layer, 1)
 	}
-	for s := range t.Switches {
+	for s := range r.sw {
 		r.updateMarginals(s, s)
 	}
 	for f := range t.Routes {
 		t.Routes[f] = topology.Route{Flow: f}
 	}
 	r.softInf = 10 * r.maxFlowCost()
-	r.cost = newCostModel(r)
+	r.open = make([]int, 0, n+spare)
+	r.tsv = make([]float64, len(r.ill)+1)
+	r.crossings = make([]int, len(r.ill))
+	r.boundary = make([]bool, len(r.ill))
+
+	// The arc table: the only full O(S^2) pass of a run; everything after
+	// is incremental.
+	r.arcs = newSquare(n, spare, arc{})
+	for i := 0; i < n; i++ {
+		r.arcs[i][i].forbidden = true
+		for j := i + 1; j < n; j++ {
+			r.join(i, j)
+		}
+	}
 }
 
 // spareSwitchCount is how many inserted indirect switches the router's
-// per-pair tables have room for before growing one must reallocate them.
+// tables have room for before growing one must reallocate them.
 const spareSwitchCount = 2
 
-// spareSwitches returns the room the router's per-pair tables keep for
-// indirect switches: none when the router may not insert any.
+// spareSwitches returns the room the router's tables keep for indirect
+// switches: none when the router may not insert any.
 func (r *router) spareSwitches() int {
 	if !r.cfg.AllowIndirectSwitches {
 		return 0
@@ -255,38 +279,36 @@ func shrinkSquare[T comparable](rows [][]T) [][]T {
 	return rows
 }
 
-// addSwitch extends the per-switch bookkeeping with one switch that has no
-// ports and no links.
+// addSwitch extends the router with one switch that has no ports and no
+// links (the router just appended it to the topology) and computes the arcs
+// to and from it.
 func (r *router) addSwitch() {
-	n := len(r.link)
-	r.inPorts = append(r.inPorts, 0)
-	r.outPorts = append(r.outPorts, 0)
-	r.inMarginal = append(r.inMarginal, 0)
-	r.outMarginal = append(r.outMarginal, 0)
+	n := len(r.sw)
+	r.sw = append(r.sw, switchState{})
 	r.updateMarginals(n, n)
-	r.link = growSquare(r.link, false)
-	r.linkIdx = growSquare(r.linkIdx, -1)
+	r.arcs = growSquare(r.arcs, arc{})
+	r.arcs[n][n].forbidden = true
+	for i := 0; i < n; i++ {
+		r.join(i, n)
+	}
 }
 
-// dropSwitch drops the last switch from the per-switch bookkeeping, link
-// identities included: a future switch reusing its ID starts from a clean
-// link identity.
+// dropSwitch drops the last switch from the router (rolling back a failed
+// indirect switch insertion), its arcs and their CDG vertices included: a
+// future switch reusing its ID starts from clean links. The tables keep
+// their capacity for the next addSwitch, which overwrites every re-appended
+// record.
 func (r *router) dropSwitch() {
-	n := len(r.link) - 1
-	r.inPorts = r.inPorts[:n]
-	r.outPorts = r.outPorts[:n]
-	r.inMarginal = r.inMarginal[:n]
-	r.outMarginal = r.outMarginal[:n]
-	r.link = shrinkSquare(r.link)
-	r.linkIdx = shrinkSquare(r.linkIdx)
+	r.sw = r.sw[:len(r.sw)-1]
+	r.arcs = shrinkSquare(r.arcs)
 }
 
 // updateMarginals recomputes the cached port-opening marginals of the output
 // ports of switch out and the input ports of switch in.
 func (r *router) updateMarginals(out, in int) {
 	lib, f := r.top.Lib, r.top.FreqMHz
-	r.outMarginal[out] = lib.SwitchPortMarginalMW(r.outPorts[out], f)
-	r.inMarginal[in] = lib.SwitchPortMarginalMW(r.inPorts[in], f)
+	r.sw[out].outMarginal = lib.SwitchPortMarginalMW(r.sw[out].outPorts, f)
+	r.sw[in].inMarginal = lib.SwitchPortMarginalMW(r.sw[in].inPorts, f)
 }
 
 // addBoundaryCrossings adds delta to every adjacent-layer boundary crossed
@@ -345,9 +367,8 @@ func (r *router) maxFlowCost() float64 {
 }
 
 // arcState is the mutable CHECK_CONSTRAINTS outcome of one arc: everything
-// arcCost needs beyond the (immutable) arc geometry. The incremental
-// cost model caches one arcState per arc and refreshes it only when a commit
-// invalidates it.
+// arcCost needs beyond the (immutable) arc geometry. The router keeps one
+// arcState per arc and refreshes it only when a commit invalidates it.
 type arcState struct {
 	// forbidden marks arcs that violate a hard constraint (Infinity cost).
 	forbidden bool
@@ -362,13 +383,13 @@ type arcState struct {
 }
 
 // arcState evaluates the CHECK_CONSTRAINTS thresholds of Algorithm 3 for the
-// arc (i, j) against the router's current bookkeeping.
-func (r *router) arcState(i, j int) arcState {
-	if i == j {
-		return arcState{forbidden: true}
-	}
-	if r.allowed != nil && !r.allowed[i][j] {
-		return arcState{forbidden: true}
+// arc (i, j) against the router's current bookkeeping. exists is the arc's
+// link-existence bit, which the returned state carries unchanged, forbidden
+// arcs included, so a refresh never drops it.
+func (r *router) arcState(i, j int, exists bool) arcState {
+	forbidden := arcState{forbidden: true, exists: exists}
+	if i == j || r.allowed != nil && !r.allowed[i][j] {
+		return forbidden
 	}
 	t := r.top
 	li, lj := t.Switches[i].Layer, t.Switches[j].Layer
@@ -376,42 +397,43 @@ func (r *router) arcState(i, j int) arcState {
 	if span < 0 {
 		span = -span
 	}
-	st := arcState{exists: r.link[i][j]}
+	st := arcState{exists: exists}
 
 	if span > 0 {
 		// Hard constraint: adjacency and max_ill.
 		if r.cfg.AdjacentLayersOnly && span >= 2 {
-			return arcState{forbidden: true}
+			return forbidden
 		}
-		if r.cfg.MaxILL > 0 && !st.exists {
+		if r.cfg.MaxILL > 0 && !exists {
 			cur := r.boundaryMax(li, lj)
 			if cur >= r.cfg.MaxILL {
-				return arcState{forbidden: true}
+				return forbidden
 			}
 			if cur >= r.cfg.MaxILL-r.cfg.SoftILLMargin {
 				st.soft = true
 			}
 		}
 	}
+	if exists {
+		return st
+	}
 	// Switch size constraints apply when a new link must be opened (a new
 	// output port on i and a new input port on j).
-	if !st.exists && r.cfg.MaxSwitchSize > 0 {
-		if r.outPorts[i]+1 > r.cfg.MaxSwitchSize || r.inPorts[j]+1 > r.cfg.MaxSwitchSize {
-			return arcState{forbidden: true}
+	out, in := r.sw[i].outPorts+1, r.sw[j].inPorts+1
+	if limit := r.cfg.MaxSwitchSize; limit > 0 {
+		if out > limit || in > limit {
+			return forbidden
 		}
-		if r.outPorts[i]+1 > r.cfg.MaxSwitchSize-r.cfg.SoftSwitchMargin ||
-			r.inPorts[j]+1 > r.cfg.MaxSwitchSize-r.cfg.SoftSwitchMargin {
+		if out > limit-softSwitchMargin || in > limit-softSwitchMargin {
 			st.soft = true
 		}
 	}
-	if !st.exists {
-		// Opening a link costs the extra ports on both switches: a new input
-		// port on j and a new output port on i. The closed-form marginal
-		// depends only on its own dimension's count, so a commit that grows
-		// the other dimension of i or j cannot silently invalidate this arc.
-		st.openJ = r.inMarginal[j]
-		st.openI = r.outMarginal[i]
-	}
+	// Opening a link costs the extra ports on both switches: a new input
+	// port on j and a new output port on i. The closed-form marginal depends
+	// only on its own dimension's count, so a commit that grows the other
+	// dimension of i or j cannot silently invalidate this arc.
+	st.openJ = r.sw[j].inMarginal
+	st.openI = r.sw[i].outMarginal
 	return st
 }
 
@@ -421,10 +443,11 @@ func (r *router) arcState(i, j int) arcState {
 func (r *router) geometry(a *arc, i, j int) {
 	t := r.top
 	a.planar = geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
-	a.span = t.Switches[i].Layer - t.Switches[j].Layer
-	if a.span < 0 {
-		a.span = -a.span
+	span := t.Switches[i].Layer - t.Switches[j].Layer
+	if span < 0 {
+		span = -span
 	}
+	a.span = int32(span)
 	a.latency = 1 + float64(t.Lib.LinkPipelineStages(a.planar, t.FreqMHz))
 }
 
@@ -461,9 +484,9 @@ func (r *router) routeFlow(f int) bool {
 	// The deadlock-retry arcs: at most one per retry, so a short list that
 	// the search checks without hashing.
 	var forbidden [][2]int
-	for try := 0; try <= r.cfg.MaxDeadlockRetries; try++ {
-		path, cost := r.cost.shortestPath(src, dst, fl.BandwidthMBps, forbidden)
-		if path == nil || cost >= graph.Infinity {
+	for try := 0; try <= maxDeadlockRetries; try++ {
+		path, cost := r.shortestPath(src, dst, fl.BandwidthMBps, forbidden)
+		if path == nil || cost >= infinity {
 			return false
 		}
 		if bad, cyclic := r.deadlockArc(path); cyclic {
@@ -488,21 +511,20 @@ func (r *router) deadlockArc(path []int) ([2]int, bool) {
 	}
 	tails, heads := r.tails[:0], r.heads[:0]
 	for i := 2; i < len(path); i++ {
-		a := r.ensureLinkVertex(path[i-2], path[i-1])
-		b := r.ensureLinkVertex(path[i-1], path[i])
-		if !r.cdg.HasEdge(a, b) {
-			r.cdg.AddEdge(a, b, 1)
+		a := r.linkVertex(path[i-2], path[i-1])
+		b := r.linkVertex(path[i-1], path[i])
+		if r.cdg.addEdge(a, b) {
 			tails, heads = append(tails, a), append(heads, b)
 		}
 	}
 	r.tails, r.heads = tails, heads
 	// The CDG of the committed routes is acyclic before every check, so any
 	// cycle now passes through a new edge and is reachable from its head.
-	if !r.cdg.HasCycleFrom(heads) {
+	if !r.cdg.cycleFrom(heads) {
 		return [2]int{}, false
 	}
-	for e, a := range tails {
-		r.cdg.RemoveEdge(a, heads[e])
+	for e := len(tails) - 1; e >= 0; e-- {
+		r.cdg.dropLastEdge(tails[e])
 	}
 	// Forbid the middle arc of the path; re-routing around it usually breaks
 	// the cycle while keeping source and destination reachable.
@@ -510,28 +532,27 @@ func (r *router) deadlockArc(path []int) ([2]int, bool) {
 	return [2]int{path[mid-1], path[mid]}, true
 }
 
-// ensureLinkVertex returns the CDG vertex of the directed link (i, j),
-// growing the CDG if the link is new.
-func (r *router) ensureLinkVertex(i, j int) int {
-	if v := r.linkIdx[i][j]; v >= 0 {
-		return int(v)
+// linkVertex returns the CDG vertex of the directed link (i, j), adding one
+// if the link has none yet.
+func (r *router) linkVertex(i, j int) int32 {
+	a := &r.arcs[i][j]
+	if a.vertex < 0 {
+		a.vertex = r.cdg.addVertex()
 	}
-	v := r.cdg.Grow(1)
-	r.linkIdx[i][j] = int32(v)
-	return v
+	return a.vertex
 }
 
 // commit records the route and updates link, port and inter-layer-link
-// bookkeeping, then refreshes the cost-graph arcs those updates invalidated.
+// bookkeeping, then refreshes the arcs those updates invalidated.
 func (r *router) commit(f int, path []int) {
 	t := r.top
 	opened := r.opened[:0]
 	for i := 1; i < len(path); i++ {
 		from, to := path[i-1], path[i]
-		if !r.link[from][to] {
-			r.link[from][to] = true
-			r.outPorts[from]++
-			r.inPorts[to]++
+		if a := &r.arcs[from][to]; !a.exists {
+			a.exists = true
+			r.sw[from].outPorts++
+			r.sw[to].inPorts++
 			r.updateMarginals(from, to)
 			r.addBoundaryCrossings(t.Switches[from].Layer, t.Switches[to].Layer, 1)
 			opened = append(opened, [2]int{from, to})
@@ -540,7 +561,7 @@ func (r *router) commit(f int, path []int) {
 	r.opened = opened
 	t.SetRoute(f, path)
 	if len(opened) > 0 {
-		r.cost.applyCommit(opened)
+		r.applyCommit(opened)
 	}
 }
 
@@ -572,7 +593,6 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 		Y: (t.Switches[src].Pos.Y + t.Switches[dst].Pos.Y) / 2,
 	}
 	r.addSwitch()
-	r.cost.grow()
 	routed = r.routeFlow(f)
 	if routed {
 		for _, s := range t.Routes[f].Switches {
@@ -586,9 +606,8 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 	// Undoing the insertion restores the pre-attempt state: nothing involving
 	// the switch was committed. CDG vertices created for candidate links
 	// through the removed switch keep their (edge-free) slots, but dropping
-	// the switch drops their linkIdx entries.
+	// the switch drops the arcs that held them.
 	t.Switches = t.Switches[:id]
 	r.dropSwitch()
-	r.cost.shrink()
 	return routed, false
 }

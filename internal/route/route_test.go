@@ -3,7 +3,6 @@ package route
 import (
 	"testing"
 
-	"sunfloor3d/internal/graph"
 	"sunfloor3d/internal/model"
 	"sunfloor3d/internal/noclib"
 	"sunfloor3d/internal/topology"
@@ -262,37 +261,37 @@ func TestDeadlockFreedom(t *testing.T) {
 }
 
 // assertAcyclicCDG rebuilds the channel dependency graph from the final
-// routes and checks it has no cycles.
+// routes and checks it has no cycles, with a depth-first search of its own
+// so the check does not share code with the router's CDG.
 func assertAcyclicCDG(t *testing.T, top *topology.Topology) {
 	t.Helper()
-	idx := map[[2]int]int{}
-	next := 0
-	vertex := func(a, b int) int {
-		k := [2]int{a, b}
-		if v, ok := idx[k]; ok {
-			return v
-		}
-		idx[k] = next
-		next++
-		return next - 1
-	}
-	type dep struct{ a, b int }
-	var deps []dep
+	// succ maps each link (from, to) to the links some route takes next.
+	succ := map[[2]int][][2]int{}
 	for _, r := range top.Routes {
 		for i := 2; i < len(r.Switches); i++ {
-			deps = append(deps, dep{
-				a: vertex(r.Switches[i-2], r.Switches[i-1]),
-				b: vertex(r.Switches[i-1], r.Switches[i]),
-			})
+			a := [2]int{r.Switches[i-2], r.Switches[i-1]}
+			b := [2]int{r.Switches[i-1], r.Switches[i]}
+			succ[a] = append(succ[a], b)
 		}
 	}
-	// next is now the number of distinct links.
-	cdg := graph.New(next)
-	for _, d := range deps {
-		cdg.AddEdge(d.a, d.b, 1)
+	const onPath, done = 1, 2
+	state := map[[2]int]int{}
+	var cyclic func(a [2]int) bool
+	cyclic = func(a [2]int) bool {
+		state[a] = onPath
+		for _, b := range succ[a] {
+			if state[b] == onPath || state[b] == 0 && cyclic(b) {
+				return true
+			}
+		}
+		state[a] = done
+		return false
 	}
-	if cdg.HasCycle() {
-		t.Error("channel dependency graph has a cycle: routes are not deadlock free")
+	for a := range succ {
+		if state[a] == 0 && cyclic(a) {
+			t.Error("channel dependency graph has a cycle: routes are not deadlock free")
+			return
+		}
 	}
 }
 

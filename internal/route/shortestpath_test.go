@@ -7,31 +7,30 @@ import (
 	"testing"
 
 	"sunfloor3d/internal/geom"
-	"sunfloor3d/internal/graph"
 	"sunfloor3d/internal/model"
 	"sunfloor3d/internal/noclib"
 	"sunfloor3d/internal/topology"
 )
 
-// referenceShortestPath is the plain dense Dijkstra the cost model's search
+// referenceShortestPath is the plain dense Dijkstra the router's search
 // must match: a settled array, a min scan over all n switches that keeps the
 // lowest index among equal distances, relaxation in ascending index order, a
 // forbidden-arc map and a reversed path buffer. Each arc cost comes from
-// costModel.cost, so the reference shares the arc formula but none of the
+// router.cost, so the reference shares the arc formula but none of the
 // search's own bookkeeping.
-func referenceShortestPath(m *costModel, src, dst int, bw float64, forbidden map[[2]int]bool) ([]int, float64) {
-	n := m.n
+func referenceShortestPath(r *router, src, dst int, bw float64, forbidden map[[2]int]bool) ([]int, float64) {
+	n := len(r.sw)
 	dist := make([]float64, n)
 	prev := make([]int, n)
 	settled := make([]bool, n)
 	for i := 0; i < n; i++ {
-		dist[i] = graph.Infinity
+		dist[i] = infinity
 		prev[i] = -1
 		settled[i] = false
 	}
 	dist[src] = 0
 	for {
-		u, best := -1, graph.Infinity
+		u, best := -1, infinity
 		for i := 0; i < n; i++ {
 			if !settled[i] && dist[i] < best {
 				u, best = i, dist[i]
@@ -45,8 +44,8 @@ func referenceShortestPath(m *costModel, src, dst int, bw float64, forbidden map
 			if settled[v] {
 				continue
 			}
-			c := m.cost(u, v, bw)
-			if c >= graph.Infinity {
+			c := r.cost(u, v, bw)
+			if c >= infinity {
 				continue
 			}
 			if len(forbidden) > 0 && forbidden[[2]int{u, v}] {
@@ -58,8 +57,8 @@ func referenceShortestPath(m *costModel, src, dst int, bw float64, forbidden map
 			}
 		}
 	}
-	if dist[dst] >= graph.Infinity {
-		return nil, graph.Infinity
+	if dist[dst] >= infinity {
+		return nil, infinity
 	}
 	var rev []int
 	for v := dst; v != -1; v = prev[v] {
@@ -158,8 +157,8 @@ func oracleCase(t *testing.T, rng *rand.Rand, grid bool) (*topology.Topology, Co
 
 // FuzzShortestPathMatchesReference advances a router flow by flow over a
 // random routed case, inserting an indirect switch where a flow fails (so
-// the cost model grows and shrinks), and before every flow checks the cost
-// model's search against referenceShortestPath: the same path and a
+// the arc table grows and shrinks), and before every flow checks the
+// router's search against referenceShortestPath: the same path and a
 // Float64bits-equal cost, with no forbidden arc and then with up to four
 // arcs of the reference's own path forbidden one after another, as deadlock
 // retries forbid them.
@@ -177,7 +176,7 @@ func FuzzShortestPathMatchesReference(f *testing.F) {
 			flow := top.Design.Flows[fl]
 			src, dst := top.CoreAttach[flow.Src], top.CoreAttach[flow.Dst]
 			if src != dst {
-				checkSearch(t, rng, r.cost, src, dst, flow.BandwidthMBps)
+				checkSearch(t, rng, r, src, dst, flow.BandwidthMBps)
 			}
 			if !r.routeFlow(fl) && cfg.AllowIndirectSwitches {
 				r.tryWithIndirectSwitch(fl)
@@ -186,16 +185,16 @@ func FuzzShortestPathMatchesReference(f *testing.F) {
 	})
 }
 
-// checkSearch compares the cost model's search with the reference for one
+// checkSearch compares the router's search with the reference for one
 // source and destination, forbidding a random arc of the reference's path
 // after each comparison, up to four arcs.
-func checkSearch(t *testing.T, rng *rand.Rand, m *costModel, src, dst int, bw float64) {
+func checkSearch(t *testing.T, rng *rand.Rand, r *router, src, dst int, bw float64) {
 	t.Helper()
 	forbidden := make(map[[2]int]bool)
 	var list [][2]int
 	for k := 0; k <= 4; k++ {
-		want, wantCost := referenceShortestPath(m, src, dst, bw, forbidden)
-		got, gotCost := m.shortestPath(src, dst, bw, list)
+		want, wantCost := referenceShortestPath(r, src, dst, bw, forbidden)
+		got, gotCost := r.shortestPath(src, dst, bw, list)
 		if !slices.Equal(got, want) || math.Float64bits(gotCost) != math.Float64bits(wantCost) {
 			t.Fatalf("%d->%d bw=%v with %d forbidden arcs: got %v (cost %v), reference %v (cost %v)",
 				src, dst, bw, len(forbidden), got, gotCost, want, wantCost)

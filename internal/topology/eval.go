@@ -143,33 +143,48 @@ func (t *Topology) Evaluate() Metrics {
 		m.TotalWireLengthMM += w
 	}
 
-	// Zero-load latency per flow: one cycle per traversed switch, plus extra
-	// pipeline stages for long planar links, plus one cycle when a
-	// core-to-switch attachment needs pipelining.
-	var latSum float64
+	m.AvgLatencyCycles, m.MaxLatencyCycles, m.LatencyViolations = t.latencyStats()
+
+	m.MaxILL = maxOf(t.interLayerLinkCount(swLinks))
+	m.TSVMacros = t.tsvMacroCount(swLinks)
+	m.NoCAreaMM2 += float64(m.TSVMacros) * t.Lib.TSVMacroAreaMM2()
+	return m
+}
+
+// AvgLatencyCycles returns the average zero-load latency of the routed
+// flows in cycles, bit for bit the AvgLatencyCycles of Evaluate, without the
+// rest of the evaluation.
+func (t *Topology) AvgLatencyCycles() float64 {
+	avg, _, _ := t.latencyStats()
+	return avg
+}
+
+// latencyStats returns the average and the maximum zero-load latency of the
+// routed flows, and how many of them exceed their latency constraint. The
+// zero-load latency of a flow is one cycle per traversed switch, plus extra
+// pipeline stages for long planar links, plus one cycle when a
+// core-to-switch attachment needs pipelining.
+func (t *Topology) latencyStats() (avg, worst float64, violations int) {
+	var sum float64
 	count := 0
 	for f, r := range t.Routes {
 		if len(r.Switches) == 0 {
 			continue
 		}
 		lat := t.FlowLatencyCycles(f)
-		latSum += lat
+		sum += lat
 		count++
-		if lat > m.MaxLatencyCycles {
-			m.MaxLatencyCycles = lat
+		if lat > worst {
+			worst = lat
 		}
 		if c := t.Design.Flows[f].LatencyCycles; c > 0 && lat > c {
-			m.LatencyViolations++
+			violations++
 		}
 	}
 	if count > 0 {
-		m.AvgLatencyCycles = latSum / float64(count)
+		avg = sum / float64(count)
 	}
-
-	m.MaxILL = maxOf(t.interLayerLinkCount(swLinks))
-	m.TSVMacros = t.tsvMacroCount(swLinks)
-	m.NoCAreaMM2 += float64(m.TSVMacros) * t.Lib.TSVMacroAreaMM2()
-	return m
+	return avg, worst, violations
 }
 
 // FlowLatencyCycles returns the zero-load latency of the flow in cycles at

@@ -115,6 +115,9 @@ type config struct {
 	opt        synth.Options
 	progress   func(Event)
 	checkpoint string
+	// shard records a WithShard call, so that a count below 1 is rejected
+	// instead of reading as "no shard".
+	shard      bool
 	shardIndex int
 	shardCount int
 }
@@ -124,7 +127,10 @@ func (c *config) validate() error {
 	if err := c.opt.Validate(); err != nil {
 		return err
 	}
-	if c.shardCount > 0 {
+	if c.shard {
+		if c.shardCount < 1 {
+			return fmt.Errorf("sunfloor3d: shard count %d is below 1", c.shardCount)
+		}
 		if c.opt.Space == nil {
 			return fmt.Errorf("sunfloor3d: WithShard requires WithSpace")
 		}
@@ -322,6 +328,7 @@ func WithCheckpoint(path string) Option {
 // fingerprint. Requires WithSpace.
 func WithShard(index, count int) Option {
 	return func(c *config) {
+		c.shard = true
 		c.shardIndex = index
 		c.shardCount = count
 	}
