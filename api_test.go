@@ -69,8 +69,8 @@ func TestEngineOptionValidation(t *testing.T) {
 }
 
 // TestNonFiniteOptionsRejected: NaN and infinite option values, and an
-// integral axis value beyond the int range, are rejected by NewEngine and by
-// Fingerprint, so none reaches the engine or a cache key.
+// integral axis value beyond the int range, are rejected by NewEngine, by
+// Synthesize and by Fingerprint, so none reaches the engine or a cache key.
 func TestNonFiniteOptionsRejected(t *testing.T) {
 	d := apiDesign(t)
 	proc, err := sunfloor3d.ProcessByName("wafer-level-A")
@@ -78,6 +78,12 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	nan, inf := math.NaN(), math.Inf(1)
+	// +Inf passes every positivity and lower-bound check of a SimConfig.
+	infSim := func(mutate func(*sunfloor3d.SimConfig)) sunfloor3d.Option {
+		cfg := sunfloor3d.DefaultSimConfig()
+		mutate(&cfg)
+		return sunfloor3d.WithSimulation(cfg)
+	}
 	cases := []struct {
 		name string
 		opt  sunfloor3d.Option
@@ -91,11 +97,18 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		{"switch count beyond int", sunfloor3d.WithSpace(sunfloor3d.Space{Axes: []sunfloor3d.Axis{
 			{Name: sunfloor3d.AxisSwitchCount, Values: []float64{1e300}},
 		}})},
+		{"infinite sim injection scale", infSim(func(c *sunfloor3d.SimConfig) { c.InjectionScale = inf })},
+		{"infinite sim burst factor", infSim(func(c *sunfloor3d.SimConfig) { c.BurstFactor = inf })},
+		{"infinite sim mean burst", infSim(func(c *sunfloor3d.SimConfig) { c.MeanBurstCycles = inf })},
+		{"infinite sim hotspot factor", infSim(func(c *sunfloor3d.SimConfig) { c.HotspotFactor = inf })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := sunfloor3d.NewEngine(tc.opt); err == nil {
 				t.Error("NewEngine accepted the option")
+			}
+			if _, err := sunfloor3d.Synthesize(context.Background(), d, tc.opt); err == nil {
+				t.Error("Synthesize accepted the option")
 			}
 			if key, err := sunfloor3d.Fingerprint(d, tc.opt); err == nil {
 				t.Errorf("Fingerprint returned key %s, want the NewEngine error", key)

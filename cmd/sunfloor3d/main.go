@@ -328,7 +328,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		simCfg.Profile = profile
 		simCfg.Seed = *simSeed
 		simCfg.InjectionScale = *simScale
-		if *simCycles > 0 {
+		switch {
+		case *simCycles < 0:
+			return fmt.Errorf("-sim-cycles must be non-negative (0 = default), got %d", *simCycles)
+		case *simCycles > 0:
 			simCfg.Cycles = *simCycles
 		}
 		opts = append(opts, sunfloor3d.WithSimulation(simCfg))

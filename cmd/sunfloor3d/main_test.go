@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -159,11 +160,16 @@ func TestCLIInputValidation(t *testing.T) {
 		{"-gen", genArg, "-server", "http://x", "-simulate"},       // sim needs live run
 		{"-gen", "shape=pipeline,cores=8,layers=2,seed=1", "-axis", "freq_mhz=400,600",
 			"-shard", "1/0", "-out", t.TempDir()}, // shard count below 1
+		{"-gen", genArg, "-simulate", "-sim-scale", "Inf", "-out", t.TempDir()}, // +Inf passes every x > 0 check
+		{"-gen", genArg, "-simulate", "-sim-cycles", "-5", "-out", t.TempDir()}, // 0 is the default, below is an error
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err == nil {
+		err := run(args, &stdout, &stderr)
+		if err == nil {
 			t.Errorf("run(%v) should fail", args)
+		} else if slices.Contains(args, "-sim-cycles") && !strings.Contains(err.Error(), "-sim-cycles") {
+			t.Errorf("run(%v): error %q does not name -sim-cycles", args, err)
 		}
 	}
 }

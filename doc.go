@@ -93,15 +93,19 @@
 // core is built for sweep throughput: packets live in an index-based arena
 // with a free list, VC buffers are fixed-capacity ring buffers carved from
 // one block, routing uses dense per-switch tables with the output port
-// cached once per hop, and the cycle loop schedules only the active set
-// (idle NIs, switches and output ports cost one comparison; a drained
-// network fast-forwards to the next injector event). A steady-state cycle
+// cached once per hop, and a cycle costs in proportion to the output ports
+// with work: it walks a bitset of the ports that carry a packet or have a
+// requesting head flit, and each port arbitrates over its own request set,
+// a bitset of the VCs whose head flit requests it, rather than over every
+// candidate of its switch (idle NIs are skipped, and a drained network
+// fast-forwards to the next injector event). A steady-state cycle
 // performs no heap allocation, and SimConfig.StatsLevel (SimStatsSummary)
 // skips the per-link/per-switch tables a sweep discards. The
 // pre-optimization engine is kept only in the simulator's tests, as an
 // equivalence oracle: the production core is verified byte-identical to it
-// by equivalence tests over deadlock fixtures and by the FuzzSimDeterminism
-// harness, and over the golden corpus by digests the reference wrote.
+// by equivalence tests over deadlock fixtures and a hub switch with 108
+// candidates and by the FuzzSimDeterminism harness, and over the golden
+// corpus by digests the reference wrote.
 // `bash perf/run.sh --workload sim` times the simulator; BENCH_PR4.json is
 // frozen history that nothing regenerates.
 // DesignPoint.SimElapsed reports each point's simulation wall time.

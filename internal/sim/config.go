@@ -19,17 +19,26 @@
 // Execution core: the production engine keeps packets in an index-based
 // arena with a free list, buffers flits in fixed-capacity ring buffers (the
 // credit bound makes VC depth exact), resolves each packet's output port
-// once per hop through dense per-switch routing tables, and schedules work
-// through active sets — idle NIs, switches without an owned VC and output
-// ports without a waiting head flit cost one comparison per cycle, and a
-// fully drained network fast-forwards the clock to the next injector event.
-// A steady-state cycle performs no heap allocation. The pre-optimization
-// stepper is kept in the package's tests (reference_test.go) as the
-// equivalence oracle: the production engine must produce byte-identical
-// Stats.
+// once per hop through dense per-switch routing tables, and makes a cycle
+// cost in proportion to the output ports with work. Each output port keeps
+// a request set, a bitset over its switch's (input port, VC) candidates
+// holding the VCs whose buffered head flit requests the port: a bit is set
+// when the head flit enters the VC and cleared on grant, and round-robin
+// arbitration takes the first member at or after the last grant whose head
+// is out of the link pipeline. One network-wide active-port set, in (switch,
+// port) order, holds the ports that carry a packet or have a requester;
+// step walks it in ascending order, the reference scan's order. Idle NIs
+// are skipped, and a fully drained network fast-forwards the clock to the
+// next injector event. A steady-state cycle performs no heap allocation.
+// The pre-optimization stepper is kept in the package's tests
+// (reference_test.go) as the equivalence oracle: the production engine must
+// produce byte-identical Stats.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Profile selects how packet injection is derived from the flow bandwidths.
 type Profile int
@@ -188,6 +197,11 @@ func (c Config) Validate() error {
 		{c.BurstFactor >= 1, "BurstFactor must be at least 1"},
 		{c.MeanBurstCycles > 0, "MeanBurstCycles must be positive"},
 		{c.HotspotFactor >= 1, "HotspotFactor must be at least 1"},
+		// The comparisons above are false for NaN only: +Inf passes them.
+		{!math.IsInf(c.InjectionScale, 0), "InjectionScale must be finite"},
+		{!math.IsInf(c.BurstFactor, 0), "BurstFactor must be finite"},
+		{!math.IsInf(c.MeanBurstCycles, 0), "MeanBurstCycles must be finite"},
+		{!math.IsInf(c.HotspotFactor, 0), "HotspotFactor must be finite"},
 		{c.FaultCycle >= 0, "FaultCycle must be non-negative"},
 		{c.StatsLevel == StatsFull || c.StatsLevel == StatsSummary, "StatsLevel must be StatsFull or StatsSummary"},
 	}

@@ -13,6 +13,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"sunfloor3d/internal/sim"
@@ -64,6 +65,51 @@ func TestEnginesAgreeOnHealthyTraffic(t *testing.T) {
 				t.Errorf("%v scale %v: no packets injected", profile, scale)
 			}
 		}
+	}
+}
+
+// TestEnginesAgreeOnHubSwitch compares the engines where a switch's
+// candidate list needs more than one 64-bit word of a request set: a hub fed
+// by 12 leaf switches, at 1, 2, 6 and 9 VCs (12, 24, 72 and 108 candidates
+// at the hub), under every profile, and once with a hub output link that
+// dies mid-run. At 6 and 9 VCs the hub's last inputs sit past the first
+// word, so an arbiter that scanned only that word would never grant their
+// packets.
+func TestEnginesAgreeOnHubSwitch(t *testing.T) {
+	const leaves = 12
+	top, err := sim.HubTopology(leaves, sim.HubFlows(leaves, 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubCfg := func(vcs int, profile sim.Profile) sim.Config {
+		cfg := sim.DefaultConfig()
+		cfg.VCs = vcs
+		cfg.Profile = profile
+		cfg.Cycles = 1500
+		cfg.DrainCycles = 1500
+		cfg.Seed = 3
+		return cfg
+	}
+	for _, vcs := range []int{1, 2, 6, 9} {
+		for _, profile := range []sim.Profile{sim.Uniform, sim.Bursty, sim.Hotspot} {
+			label := fmt.Sprintf("hub, %d VCs, %v", vcs, profile)
+			st := runBothEngines(t, label, top, hubCfg(vcs, profile))
+			// The last leaf's input holds the hub's highest candidates.
+			for _, f := range st.Flows {
+				if top.Design.Flows[f.Flow].Src == leaves-1 && f.PacketsDelivered == 0 {
+					t.Errorf("%s: flow %d from the last leaf delivered nothing", label, f.Flow)
+				}
+			}
+		}
+	}
+
+	// The hub's output to the last leaf (switch 0 to switch 12) fails
+	// mid-run: its held packet and its requesters stall from then on.
+	cfg := hubCfg(6, sim.Uniform)
+	cfg.DeadLinks = [][2]int{{0, leaves}}
+	cfg.FaultCycle = 700
+	if st := runBothEngines(t, "hub, dead output link", top, cfg); st.Healthy() {
+		t.Error("hub run with a dead output link reported healthy")
 	}
 }
 

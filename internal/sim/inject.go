@@ -180,13 +180,25 @@ func newBurstInjector(rates []float64, cfg Config) *burstInjector {
 	return b
 }
 
+// maxPeriod caps a drawn on/off period. A huge finite mean (or an off mean
+// that overflows to +Inf) gives a product out of int64's range, and Go leaves
+// the conversion of such a value to the platform (MinInt64 on amd64, a
+// saturated value on arm64), so the same Config would give different Stats
+// on different CPUs. The cap is far below MaxInt64, so now+left cannot
+// overflow in nextEventAt, and far beyond any horizon a run can simulate.
+const maxPeriod = int64(1) << 53
+
 // draw samples an exponentially distributed period of the given mean, at
-// least one cycle.
+// least one cycle and at most maxPeriod.
 func (b *burstInjector) draw(mean float64) int64 {
 	if mean <= 0 {
 		return 1
 	}
-	v := int64(b.rng.ExpFloat64() * mean)
+	x := b.rng.ExpFloat64() * mean
+	if !(x < float64(maxPeriod)) {
+		return maxPeriod
+	}
+	v := int64(x)
 	if v < 1 {
 		v = 1
 	}

@@ -130,10 +130,12 @@ func (v *vc) pop() {
 
 // inputPort is one switch input port (the downstream end of a link) with its
 // virtual channels. sw is the owning switch, needed to resolve a packet's
-// next output port at the moment a VC is granted.
+// next output port at the moment a VC is granted; VC k of the port is
+// candidate base+k of the switch's flat (input port, VC) candidate list.
 type inputPort struct {
 	link *link
 	sw   *switchNode
+	base int32
 	vcs  []vc
 }
 
@@ -143,20 +145,33 @@ type outputPort struct {
 	link *link
 	// ds is the input port on the downstream switch (nil for ejection links).
 	ds *inputPort
+	// sw is the owning switch; id is the port's bit in the network's
+	// active-port set, in (switch, port) order.
+	sw *switchNode
+	id int32
+	// stages and deadAt are the link's pipeline depth and failure cycle,
+	// copied here so a visit to the port loads the link only to count a
+	// forwarded flit.
+	stages int64
+	deadAt int64
 	// alloc is the index into the owning switch's flat candidate list of the
 	// (input port, VC) currently holding this output, or -1 when free;
 	// srcVC is the same VC resolved to a pointer at grant time, so the
-	// per-cycle forward path needs no div/mod over the candidate space.
+	// per-cycle forward path needs no candidate lookup.
 	alloc int32
 	srcVC *vc
 	// dsVC is the downstream VC reserved for the allocated packet.
 	dsVC int32
 	// rr is the round-robin arbitration pointer over the candidate list.
 	rr int32
-	// waiters counts the input VCs whose buffered head flit requests this
-	// port and has not been granted it yet. It is the arbiter's
-	// incrementally-maintained ready list: a port with no waiters skips the
-	// O(inputs x VCs) candidate scan entirely.
+	// req is the request set: a bitset over the switch's candidate list
+	// holding every VC whose buffered head flit requests this port and has
+	// not been granted it yet. A bit is set when the head flit enters the
+	// VC (it is then at the front, and stays there until the grant) and
+	// cleared on grant, so the set holds exactly the candidates the
+	// round-robin ring could grant once their head flit is out of the link
+	// pipeline; waiters counts its members.
+	req     []uint64
 	waiters int32
 }
 
@@ -172,9 +187,12 @@ type switchNode struct {
 	outTo    []int32
 	outEject []int32
 
-	// busyVCs counts input VCs currently owned by a packet. It is the
-	// active-set criterion: a switch with no owned VC has no queued flit, no
-	// allocated output and no arbitration candidate, so step skips it in one
+	// cands is the flat (input port, VC) candidate list: cands[ip.base+k]
+	// is VC k of input port ip.
+	cands []*vc
+
+	// busyVCs counts input VCs currently owned by a packet: a switch with
+	// none has no stalled VC, so the circular-wait detector skips it in one
 	// comparison.
 	busyVCs int32
 
@@ -207,6 +225,12 @@ type network struct {
 	// niOf maps a core index to its NI (nil when the core sources no flow).
 	nis  []*ni
 	niOf []*ni
+
+	// ports lists every switch output port in (switch, port) order, and
+	// active is the bitset over it of the ports with work: a packet holding
+	// the port or a head flit requesting it. step visits only those.
+	ports  []*outputPort
+	active []uint64
 
 	vcs         int
 	bufring     int // buffer depth per VC, in flits
@@ -281,12 +305,13 @@ func buildNetwork(t *topology.Topology, cfg Config) (*network, error) {
 		return l
 	}
 	attachInput := func(s int, l *link) *inputPort {
-		p := &inputPort{link: l, sw: nodes[s], vcs: make([]vc, cfg.VCs)}
+		base := int32(len(nodes[s].inputs) * cfg.VCs)
+		p := &inputPort{link: l, sw: nodes[s], base: base, vcs: make([]vc, cfg.VCs)}
 		nodes[s].inputs = append(nodes[s].inputs, p)
 		return p
 	}
 	attachOutput := func(s int, l *link, ds *inputPort) int32 {
-		o := &outputPort{link: l, ds: ds, alloc: -1, dsVC: -1}
+		o := &outputPort{link: l, ds: ds, sw: nodes[s], alloc: -1, dsVC: -1}
 		nodes[s].outputs = append(nodes[s].outputs, o)
 		return int32(len(nodes[s].outputs) - 1)
 	}
@@ -333,6 +358,20 @@ func buildNetwork(t *topology.Topology, cfg Config) (*network, error) {
 		return nil, err
 	}
 
+	// Number the output ports in (switch, port) order and give each a
+	// request set of one bit per candidate of its switch.
+	for _, s := range nodes {
+		nw := bitsetWords(len(s.inputs) * cfg.VCs)
+		for _, o := range s.outputs {
+			o.id = int32(len(net.ports))
+			o.stages = int64(o.link.stages)
+			o.deadAt = o.link.deadAt
+			o.req = make([]uint64, nw)
+			net.ports = append(net.ports, o)
+		}
+	}
+	net.active = make([]uint64, bitsetWords(len(net.ports)))
+
 	// One backing block for every VC ring: bounded, contiguous, allocated
 	// once.
 	totalPorts := 0
@@ -342,16 +381,21 @@ func buildNetwork(t *topology.Topology, cfg Config) (*network, error) {
 	net.flitBacking = make([]flit, totalPorts*cfg.VCs*cfg.BufferFlits)
 	off := 0
 	for _, s := range nodes {
+		s.cands = make([]*vc, 0, len(s.inputs)*cfg.VCs)
 		for _, ip := range s.inputs {
 			for k := range ip.vcs {
 				ip.vcs[k].buf = net.flitBacking[off : off+cfg.BufferFlits : off+cfg.BufferFlits]
 				off += cfg.BufferFlits
+				s.cands = append(s.cands, &ip.vcs[k])
 			}
 		}
 	}
 	net.reset()
 	return net, nil
 }
+
+// bitsetWords is the number of 64-bit words of a bitset over n members.
+func bitsetWords(n int) int { return (n + 63) / 64 }
 
 // newDenseTable returns a routing table of the given size with every entry
 // empty (-1).
@@ -386,8 +430,10 @@ func (net *network) reset() {
 		for _, o := range s.outputs {
 			o.alloc, o.dsVC, o.rr, o.waiters = -1, -1, 0, 0
 			o.srcVC = nil
+			clear(o.req)
 		}
 	}
+	clear(net.active)
 	for _, n := range net.nis {
 		n.q.reset()
 		n.cur, n.seq, n.dsVC = -1, 0, -1

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sunfloor3d/internal/topology"
 )
@@ -234,14 +235,17 @@ func (net *network) injectPacket(f int, now int64, st *runState) {
 // zero-load latency match the analytic model exactly), then every switch
 // output port in deterministic order. It reports whether any flit moved.
 //
-// Unlike the reference engine's dense scan, step touches only the active
-// set: the NI loop is skipped entirely while no packet is queued or
-// streaming, switches with no owned VC are skipped in one comparison, and a
-// free output port runs its arbitration scan only when its waiters list says
-// a buffered head flit actually requests it. The iteration order over the
-// surviving work (core order, then switch/port index order) is identical to
-// the reference scan, which is what keeps arbitration — and therefore the
-// whole run — bit-identical.
+// Unlike the reference engine's dense scan, step costs in proportion to the
+// ports with work: the NI loop is skipped entirely while no packet is queued
+// or streaming, and the switch phase walks only the active-port set, the
+// ports that hold a packet or have a requesting head flit, in ascending
+// (switch, port) order. The current word of the set is read again after each
+// port, so a port that gains a request from an earlier port in the same
+// cycle is visited in that cycle, just as the reference scan reaches it. The
+// order over the surviving work (core order, then switch/port index order)
+// is identical to the reference scan, which keeps every same-cycle credit
+// return, VC release and arbitration, and therefore the whole run,
+// bit-identical.
 func (net *network) step(now int64, st *runState) bool {
 	moved := false
 
@@ -274,7 +278,7 @@ func (net *network) step(now int64, st *runState) bool {
 			// switch's own cycle is charged when the switch forwards the flit.
 			v.push(flit{pkt: n.cur, seq: n.seq, readyAt: now + int64(n.link.stages)})
 			if n.seq == 0 {
-				n.ds.sw.outputs[v.out].waiters++
+				net.request(n.ds.sw.outputs[v.out], n.ds.base+n.dsVC)
 			}
 			n.link.busy++
 			st.inNetworkFlits++
@@ -287,20 +291,24 @@ func (net *network) step(now int64, st *runState) bool {
 		}
 	}
 
-	// Switches: one flit per output port per cycle.
-	for _, s := range net.nodes {
-		if s.busyVCs == 0 {
-			continue // no owned VC: nothing buffered, granted or requested
-		}
-		for oi, o := range s.outputs {
-			if o.link.deadAt <= now {
-				continue // failed link: nothing is granted or forwarded onto it
+	// Switches: one flit per output port with work per cycle.
+	for w := range net.active {
+		for b := 0; b < 64; b++ {
+			word := net.active[w] >> uint(b)
+			if word == 0 {
+				break
+			}
+			b += bits.TrailingZeros64(word)
+			o := net.ports[w<<6|b]
+			if o.deadAt <= now {
+				// Failed link: nothing is granted or forwarded onto it from
+				// now on, so the port leaves the set (a later request puts
+				// it back for one visit).
+				net.active[w] &^= 1 << uint(b)
+				continue
 			}
 			if o.alloc < 0 {
-				if o.waiters == 0 {
-					continue
-				}
-				net.arbitrate(s, o, int32(oi), now)
+				net.arbitrate(o, now)
 				if o.alloc < 0 {
 					continue
 				}
@@ -319,21 +327,21 @@ func (net *network) step(now int64, st *runState) bool {
 					continue // no downstream credit
 				}
 				v.pop()
-				dv.push(flit{pkt: f.pkt, seq: f.seq, readyAt: now + 1 + int64(o.link.stages)})
+				dv.push(flit{pkt: f.pkt, seq: f.seq, readyAt: now + 1 + o.stages})
 				if f.seq == 0 {
-					o.ds.sw.outputs[dv.out].waiters++
+					net.request(o.ds.sw.outputs[dv.out], o.ds.base+o.dsVC)
 				}
 			} else {
 				// Ejection: the destination core always accepts.
 				v.pop()
 				st.inNetworkFlits--
-				arrival := now + 1 + int64(o.link.stages)
+				arrival := now + 1 + o.stages
 				p := &net.packets[f.pkt]
 				deliverFlit(int(p.flow), int(f.seq), int(p.flits), p.inject, arrival, st)
 			}
 			v.lastMove = now
 			o.link.busy++
-			s.forwarded++
+			o.sw.forwarded++
 			moved = true
 			if f.seq == net.packets[f.pkt].flits-1 {
 				// Tail forwarded: release the VC and the output port; a tail
@@ -341,27 +349,40 @@ func (net *network) step(now int64, st *runState) bool {
 				// arena free list (no live reference remains).
 				v.owner = -1
 				v.out = -1
-				s.busyVCs--
+				o.sw.busyVCs--
 				if o.ds == nil {
 					net.freePacket(f.pkt)
 				}
 				o.alloc = -1
 				o.srcVC = nil
 				o.dsVC = -1
+				if o.waiters == 0 {
+					net.active[w] &^= 1 << uint(b) // free, and nobody asks
+				}
 			}
 		}
 	}
 	return moved
 }
 
+// request records that the head flit just buffered in candidate ci of o's
+// switch requests o: the candidate joins o's request set and o joins the
+// active-port set.
+func (net *network) request(o *outputPort, ci int32) {
+	o.req[ci>>6] |= 1 << uint(ci&63)
+	o.waiters++
+	net.active[o.id>>6] |= 1 << uint(o.id&63)
+}
+
 // arbitrate grants the free output port to a waiting head flit, round-robin
 // over the switch's (input port, VC) pairs, reserving a downstream VC when
-// the link leads to another switch. The scan order and grant rule are
-// identical to the reference engine; the only difference is that each
-// candidate's requested port is the cached vc.out instead of a per-candidate
-// routing lookup, and a successful grant removes the VC from the port's
-// waiters count.
-func (net *network) arbitrate(s *switchNode, o *outputPort, oi int32, now int64) {
+// the link leads to another switch. The reference engine walks the whole
+// candidate ring from rr+1 and grants the first owned VC whose ready head
+// flit requests the port. arbitrate walks only the port's request set, which
+// holds exactly those VCs bar the readiness test, and grants its first
+// member at or after rr+1, wrapping around, whose head is out of the link
+// pipeline: the same grant. The granted VC leaves the set.
+func (net *network) arbitrate(o *outputPort, now int64) {
 	// With every downstream VC owned, no candidate can be granted this cycle
 	// whatever the scan finds (the VC reservation is the last grant
 	// condition and is candidate-independent), and the scan itself has no
@@ -372,49 +393,57 @@ func (net *network) arbitrate(s *switchNode, o *outputPort, oi int32, now int64)
 			return
 		}
 	}
-	vcs := int32(net.vcs)
-	ncand := int32(len(s.inputs)) * vcs
-	// Walk the candidate ring starting after the last grant, tracking the
-	// (input port, VC) coordinates incrementally instead of dividing per
-	// candidate.
-	ci := o.rr + 1
-	if ci >= ncand {
-		ci -= ncand
+	start := o.rr + 1
+	if start == int32(len(o.sw.cands)) {
+		start = 0
 	}
-	pi := ci / vcs
-	k := ci % vcs
-	ip := s.inputs[pi]
-	for i := int32(0); i < ncand; i++ {
-		v := &ip.vcs[k]
-		if v.owner >= 0 && v.n > 0 && v.out == oi {
-			f := v.front()
-			if f.seq == 0 && f.readyAt <= now {
-				if o.ds != nil {
-					dv := &o.ds.vcs[dsFree]
-					dv.owner = v.owner
-					dv.hop = v.hop + 1
-					dv.lastMove = now
-					dv.out = net.routeOutput(o.ds.sw, dv)
-					o.ds.sw.busyVCs++
-					o.dsVC = int32(dsFree)
-				}
-				o.alloc = ci
-				o.srcVC = v
-				o.rr = ci
-				o.waiters--
-				return
+	ci := o.readyRequest(start, now)
+	if ci < 0 {
+		return
+	}
+	v := o.sw.cands[ci]
+	if o.ds != nil {
+		dv := &o.ds.vcs[dsFree]
+		dv.owner = v.owner
+		dv.hop = v.hop + 1
+		dv.lastMove = now
+		dv.out = net.routeOutput(o.ds.sw, dv)
+		o.ds.sw.busyVCs++
+		o.dsVC = int32(dsFree)
+	}
+	o.alloc = ci
+	o.srcVC = v
+	o.rr = ci
+	o.req[ci>>6] &^= 1 << uint(ci&63)
+	o.waiters--
+}
+
+// readyRequest returns the first member of o's request set at or after
+// start, in cyclic order, whose head flit is out of the link pipeline at now,
+// or -1. The cycle runs over all the set's words: no bit at or above the
+// switch's candidate count is ever set, so the order over the members is the
+// candidate ring's.
+func (o *outputPort) readyRequest(start int32, now int64) int32 {
+	nw := int32(len(o.req))
+	w := start >> 6
+	low := uint64(1)<<uint(start&63) - 1 // the start word's bits below start
+	word := o.req[w] &^ low
+	for i := int32(0); ; i++ {
+		for ; word != 0; word &= word - 1 {
+			ci := w<<6 | int32(bits.TrailingZeros64(word))
+			if o.sw.cands[ci].front().readyAt <= now {
+				return ci
 			}
 		}
-		ci++
-		k++
-		if k == vcs {
-			k = 0
-			pi++
-			if pi == int32(len(s.inputs)) {
-				pi = 0
-				ci = 0
-			}
-			ip = s.inputs[pi]
+		if i == nw {
+			return -1
+		}
+		if w++; w == nw {
+			w = 0
+		}
+		word = o.req[w]
+		if i == nw-1 {
+			word &= low // back at the start word
 		}
 	}
 }
@@ -470,18 +499,15 @@ func (net *network) findCircularWait(now, watchdog int64) bool {
 		if s.busyVCs == 0 {
 			continue // a stalled VC is necessarily owned
 		}
-		for pi, ip := range s.inputs {
-			for k := range ip.vcs {
-				v := &ip.vcs[k]
-				if v.owner < 0 || v.n == 0 {
-					continue
-				}
-				if v.front().readyAt > now || now-v.lastMove < watchdog {
-					continue
-				}
-				v.cwIdx = int32(len(stalled))
-				stalled = append(stalled, stalledVC{v: v, node: s, flat: int32(pi*net.vcs + k)})
+		for ci, v := range s.cands {
+			if v.owner < 0 || v.n == 0 {
+				continue
 			}
+			if v.front().readyAt > now || now-v.lastMove < watchdog {
+				continue
+			}
+			v.cwIdx = int32(len(stalled))
+			stalled = append(stalled, stalledVC{v: v, node: s, flat: int32(ci)})
 		}
 	}
 	net.cwStalled = stalled
@@ -510,8 +536,7 @@ func (net *network) findCircularWait(now, watchdog int64) bool {
 			}
 		case o.alloc >= 0:
 			// Output held by another packet until its tail passes.
-			hp := sv.node.inputs[o.alloc/int32(net.vcs)]
-			blocker = &hp.vcs[o.alloc%int32(net.vcs)]
+			blocker = sv.node.cands[o.alloc]
 		}
 		if blocker != nil && blocker.cwIdx >= 0 {
 			waitsOn[i] = blocker.cwIdx

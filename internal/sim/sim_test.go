@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"sunfloor3d/internal/bench"
@@ -385,12 +386,21 @@ func TestConfigValidation(t *testing.T) {
 		func(c *sim.Config) { c.BurstFactor = 0.5 },
 		func(c *sim.Config) { c.MeanBurstCycles = 0 },
 		func(c *sim.Config) { c.HotspotFactor = 0 },
+		// +Inf passes every comparison above.
+		func(c *sim.Config) { c.InjectionScale = math.Inf(1) },
+		func(c *sim.Config) { c.BurstFactor = math.Inf(1) },
+		func(c *sim.Config) { c.MeanBurstCycles = math.Inf(1) },
+		func(c *sim.Config) { c.HotspotFactor = math.Inf(1) },
 	}
+	top := synthBest(t, testDesign(t))
 	for i, mutate := range bad {
 		cfg := sim.DefaultConfig()
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d should fail validation", i)
+		}
+		if _, err := sim.Run(top, cfg); err == nil {
+			t.Errorf("mutation %d: Run accepted the config", i)
 		}
 	}
 	for _, name := range []string{"uniform", "bursty", "hotspot"} {
