@@ -84,10 +84,11 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		mutate(&cfg)
 		return sunfloor3d.WithSimulation(cfg)
 	}
-	cases := []struct {
+	type optionCase struct {
 		name string
 		opt  sunfloor3d.Option
-	}{
+	}
+	cases := []optionCase{
 		{"NaN frequency", sunfloor3d.WithFrequenciesMHz(nan)},
 		{"infinite frequency", sunfloor3d.WithFrequenciesMHz(inf)},
 		{"NaN power weight", sunfloor3d.WithObjective(nan, 1)},
@@ -101,6 +102,12 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		{"infinite sim burst factor", infSim(func(c *sunfloor3d.SimConfig) { c.BurstFactor = inf })},
 		{"infinite sim mean burst", infSim(func(c *sunfloor3d.SimConfig) { c.MeanBurstCycles = inf })},
 		{"infinite sim hotspot factor", infSim(func(c *sunfloor3d.SimConfig) { c.HotspotFactor = inf })},
+	}
+	if math.MaxInt == math.MaxInt64 {
+		// The simulator's last cycle, Cycles + DrainCycles, overflows an
+		// int64 and would wrap negative.
+		cases = append(cases, optionCase{"sim cycles overflow the last cycle",
+			infSim(func(c *sunfloor3d.SimConfig) { c.Cycles = math.MaxInt })})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,30 +145,40 @@ func TestCLISpecFilesMatchGen(t *testing.T) {
 }
 
 func TestCLIInputValidation(t *testing.T) {
-	cases := [][]string{
-		{},                                  // no design source
-		{"-gen", genArg, "-cores", "x.c"},   // two sources
-		{"-spec", "only-one-file"},          // malformed -spec
-		{"-gen", "shape=teapot"},            // unknown shape
-		{"-gen", genArg, "-freqs", "x"},     // bad frequency
-		{"-gen", genArg, "-phase", "bogus"}, // bad phase
-		{"-gen", genArg, "-alpha", "NaN", "-out", t.TempDir()},     // NaN passes every x < 0 check
-		{"-cores", "missing.cores", "-comm", "missing.comm"},       // missing files
-		{"-gen", genArg, "-server", "http://x", "-cache-dir", "y"}, // exclusive modes
-		{"-gen", genArg, "-cache-dir", "y", "-simulate"},           // sim needs live run
-		{"-gen", genArg, "-server", "http://x", "-simulate"},       // sim needs live run
-		{"-gen", "shape=pipeline,cores=8,layers=2,seed=1", "-axis", "freq_mhz=400,600",
-			"-shard", "1/0", "-out", t.TempDir()}, // shard count below 1
-		{"-gen", genArg, "-simulate", "-sim-scale", "Inf", "-out", t.TempDir()}, // +Inf passes every x > 0 check
-		{"-gen", genArg, "-simulate", "-sim-cycles", "-5", "-out", t.TempDir()}, // 0 is the default, below is an error
+	cases := []struct {
+		args []string
+		want string // a part of the error, where it matters
+	}{
+		{args: []string{}}, // no design source
+		{args: []string{"-gen", genArg, "-cores", "x.c"}},                          // two sources
+		{args: []string{"-spec", "only-one-file"}},                                 // malformed -spec
+		{args: []string{"-gen", "shape=teapot"}},                                   // unknown shape
+		{args: []string{"-gen", genArg, "-freqs", "x"}},                            // bad frequency
+		{args: []string{"-gen", genArg, "-phase", "bogus"}},                        // bad phase
+		{args: []string{"-gen", genArg, "-alpha", "NaN", "-out", t.TempDir()}},     // NaN passes every x < 0 check
+		{args: []string{"-cores", "missing.cores", "-comm", "missing.comm"}},       // missing files
+		{args: []string{"-gen", genArg, "-server", "http://x", "-cache-dir", "y"}}, // exclusive modes
+		{args: []string{"-gen", genArg, "-cache-dir", "y", "-simulate"}},           // sim needs live run
+		{args: []string{"-gen", genArg, "-server", "http://x", "-simulate"}},       // sim needs live run
+		{args: []string{"-gen", "shape=pipeline,cores=8,layers=2,seed=1", "-axis", "freq_mhz=400,600",
+			"-shard", "1/0", "-out", t.TempDir()}}, // shard count below 1
+		{args: []string{"-gen", genArg, "-simulate", "-sim-scale", "Inf", "-out", t.TempDir()}}, // +Inf passes every x > 0 check
+		// 0 is the default, below is an error.
+		{args: []string{"-gen", genArg, "-simulate", "-sim-cycles", "-5", "-out", t.TempDir()}, want: "-sim-cycles"},
+		// The simulator's last cycle, -sim-cycles plus the drain cycles,
+		// overflows an int64 (where int is 32 bits, the flag does not parse).
+		{args: []string{"-gen", genArg, "-simulate", "-sim-cycles", "9223372036854775807", "-out", t.TempDir()}},
+		// int(floor*slack*...) is out of range, so the constraints would
+		// depend on the platform.
+		{args: []string{"-gen", genArg + ",slack=Inf", "-out", t.TempDir()}, want: "LatencySlack"},
 	}
-	for _, args := range cases {
+	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
-		err := run(args, &stdout, &stderr)
+		err := run(tc.args, &stdout, &stderr)
 		if err == nil {
-			t.Errorf("run(%v) should fail", args)
-		} else if slices.Contains(args, "-sim-cycles") && !strings.Contains(err.Error(), "-sim-cycles") {
-			t.Errorf("run(%v): error %q does not name -sim-cycles", args, err)
+			t.Errorf("run(%v) should fail", tc.args)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): error %q does not name %s", tc.args, err, tc.want)
 		}
 	}
 }

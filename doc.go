@@ -327,7 +327,7 @@
 //
 //   - internal/model      — cores, flows and the communication graph
 //   - internal/noclib     — switch/link/TSV power, delay, area and yield models
-//   - internal/graph      — shortest paths, cycle checks and min-cut partitioning
+//   - internal/graph      — weighted graphs and balanced min-cut partitioning
 //   - internal/partition  — the PG, SPG and LPG partitioning graphs
 //   - internal/lp         — simplex LP solver for switch placement
 //   - internal/topology   — the NoC topology data structure and its evaluation
@@ -335,7 +335,7 @@
 //   - internal/sim        — deterministic flit-level wormhole traffic simulator
 //   - internal/fault      — fault plans, spare sizing and the survivability replay
 //   - internal/place      — switch-position LP and floorplan insertion
-//   - internal/floorplan  — SA sequence-pair floorplanner (Parquet substitute)
+//   - internal/floorplan  — SA sequence-pair floorplanner (Parquet substitute), O(n log n) per move
 //   - internal/mesh       — optimized-mesh baseline
 //   - internal/synth      — the SunFloor 3D synthesis engine (Phases 1 and 2)
 //   - internal/memo       — content-addressed design-point result cache

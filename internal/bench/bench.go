@@ -49,30 +49,41 @@ type Benchmark struct {
 	Layers int
 }
 
+// generators lists the paper's designs, in All's order, with the function
+// that builds each. Every generator seeds its own random source, so building
+// one design alone gives the same bytes as building it among the others.
+var generators = []struct {
+	name string
+	gen  func(seed int64) Benchmark
+}{
+	{"D_26_media", D26Media},
+	{"D_36_4", func(seed int64) Benchmark { return D36(4, seed) }},
+	{"D_36_6", func(seed int64) Benchmark { return D36(6, seed) }},
+	{"D_36_8", func(seed int64) Benchmark { return D36(8, seed) }},
+	{"D_35_bot", D35Bot},
+	{"D_65_pipe", D65Pipe},
+	{"D_38_tvopd", D38TVOPD},
+}
+
 // All returns every benchmark of the paper's evaluation, generated with the
 // given seed.
 func All(seed int64) []Benchmark {
-	return []Benchmark{
-		D26Media(seed),
-		D36(4, seed),
-		D36(6, seed),
-		D36(8, seed),
-		D35Bot(seed),
-		D65Pipe(seed),
-		D38TVOPD(seed),
+	out := make([]Benchmark, len(generators))
+	for i, g := range generators {
+		out[i] = g.gen(seed)
 	}
+	return out
 }
 
 // ByName returns the named benchmark, or an error listing the valid names.
+// It builds only the named design.
 func ByName(name string, seed int64) (Benchmark, error) {
-	for _, b := range All(seed) {
-		if b.Name == name {
-			return b, nil
+	names := make([]string, len(generators))
+	for i, g := range generators {
+		if g.name == name {
+			return g.gen(seed), nil
 		}
-	}
-	names := make([]string, 0)
-	for _, b := range All(seed) {
-		names = append(names, b.Name)
+		names[i] = g.name
 	}
 	return Benchmark{}, fmt.Errorf("bench: unknown benchmark %q (valid: %v)", name, names)
 }

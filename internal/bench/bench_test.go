@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -180,16 +183,36 @@ func TestDeterminismPerSeed(t *testing.T) {
 	}
 }
 
+// TestByName checks that every name builds, alone, the same bytes as its
+// entry of All, and that an unknown name lists every valid one.
 func TestByName(t *testing.T) {
-	b, err := ByName("D_36_6", 1)
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
+	for _, seed := range []int64{1, 2, 3} {
+		for _, want := range All(seed) {
+			got, err := ByName(want.Name, seed)
+			if err != nil {
+				t.Fatalf("ByName(%q, %d): %v", want.Name, seed, err)
+			}
+			gb, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb, wb) {
+				t.Errorf("ByName(%q, %d) differs from its All entry", want.Name, seed)
+			}
+		}
 	}
-	if b.Name != "D_36_6" {
-		t.Errorf("got %q", b.Name)
+	_, err := ByName("nope", 1)
+	if err == nil {
+		t.Fatal("expected error for unknown name")
 	}
-	if _, err := ByName("nope", 1); err == nil {
-		t.Error("expected error for unknown name")
+	for _, b := range All(1) {
+		if !strings.Contains(err.Error(), b.Name) {
+			t.Errorf("error %q does not list %s", err, b.Name)
+		}
 	}
 }
 

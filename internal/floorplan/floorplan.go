@@ -11,6 +11,16 @@
 //
 // Both uses exercise the same annealer; the constrained mode simply restricts
 // the move set to the inserted (non-fixed) blocks.
+//
+// A move costs O(n log n) for n blocks, plus one pass over the nets, and
+// allocates nothing: the annealer swaps two blocks of one sequence pair in
+// place (undoing a rejected move by the same swap), and its evaluator packs
+// the pair with two prefix-maximum passes over a Fenwick tree (Tang, Tian
+// and Wong, DATE 2000) instead of scanning every pair of blocks. The positions, outline, area and wirelength are
+// bit-identical to the O(n²) scan's, and the random draws are those of the
+// clone-per-move loop, so every floorplan is the one that loop gave;
+// reference_test.go keeps that loop as the oracle of
+// FuzzFloorplanMatchesReference.
 package floorplan
 
 import (
@@ -99,11 +109,77 @@ type sequencePair struct {
 	pos, neg []int
 }
 
-func (sp *sequencePair) clone() sequencePair {
-	return sequencePair{
-		pos: append([]int(nil), sp.pos...),
-		neg: append([]int(nil), sp.neg...),
+// rankedPair is a sequence pair together with every block's rank (index) in
+// each sequence: pos[rp[b]] == b and neg[rn[b]] == b. The ranks make a move
+// O(1) and are the keys of the evaluator's prefix-maximum tree.
+type rankedPair struct {
+	sequencePair
+	rp, rn []int
+}
+
+func newRankedPair(sp sequencePair) rankedPair {
+	n := len(sp.pos)
+	r := rankedPair{
+		sequencePair: sequencePair{pos: append([]int(nil), sp.pos...), neg: append([]int(nil), sp.neg...)},
+		rp:           make([]int, n),
+		rn:           make([]int, n),
 	}
+	for i, v := range r.pos {
+		r.rp[v] = i
+	}
+	for i, v := range r.neg {
+		r.rn[v] = i
+	}
+	return r
+}
+
+// copyFrom overwrites r with o, which has the same length.
+func (r *rankedPair) copyFrom(o *rankedPair) {
+	copy(r.pos, o.pos)
+	copy(r.neg, o.neg)
+	copy(r.rp, o.rp)
+	copy(r.rn, o.rn)
+}
+
+// move is one of the standard sequence-pair moves: swap blocks a and b in the
+// positive sequence (kind 0), in the negative sequence (kind 1) or in both
+// (kind 2). Applying a move twice restores the pair.
+type move struct {
+	a, b, kind int
+}
+
+// draw picks a move among the movable blocks and reports whether it changes
+// the pair. Its random draws are the annealer's: two block draws when at
+// least two blocks are movable, then the kind only when the blocks differ.
+func (m *move) draw(movable []int, rng *rand.Rand) bool {
+	if len(movable) < 2 {
+		return false
+	}
+	m.a = movable[rng.Intn(len(movable))]
+	m.b = movable[rng.Intn(len(movable))]
+	if m.a == m.b {
+		return false
+	}
+	m.kind = rng.Intn(3)
+	return true
+}
+
+// apply swaps the move's two blocks, and their ranks, in place.
+func (r *rankedPair) apply(m move) {
+	if m.kind != 1 {
+		swapRanked(r.pos, r.rp, m.a, m.b)
+	}
+	if m.kind != 0 {
+		swapRanked(r.neg, r.rn, m.a, m.b)
+	}
+}
+
+// swapRanked swaps blocks a and b within the sequence seq whose ranks are
+// rank.
+func swapRanked(seq, rank []int, a, b int) {
+	i, j := rank[a], rank[b]
+	seq[i], seq[j] = b, a
+	rank[a], rank[b] = j, i
 }
 
 // Floorplan runs simulated annealing over sequence pairs starting from the
@@ -177,6 +253,15 @@ func sortBy(ids []int, less func(a, b int) bool) {
 // anneal runs the simulated-annealing loop from the given starting sequence
 // pair. When initial is non-nil, Fixed blocks are additionally penalised for
 // drifting away from their initial positions (see Params.DisplacementWeight).
+//
+// The loop keeps one sequence pair for the whole run: a move swaps two blocks
+// in place, a rejected move is undone by the same swap, and the best pair is
+// copied into a second, preallocated pair only when the best cost improves.
+// Its random draws are, in order, those of the classic clone-per-move loop:
+// two block draws, the move kind when the blocks differ, and the acceptance
+// draw when the move does not lower the cost and the temperature is
+// positive. A move that picks the same block twice leaves the pair as it is,
+// so its cost is cur exactly and it is not evaluated.
 func anneal(blocks []Block, nets []Net, sp sequencePair, p Params, initial []geom.Point) (*Result, error) {
 	n := len(blocks)
 	if n == 0 {
@@ -193,39 +278,48 @@ func anneal(blocks []Block, nets []Net, sp sequencePair, p Params, initial []geo
 		}
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
+	ev := newEvaluator(blocks, nets, p, initial)
+	pair := newRankedPair(sp)
 
-	cur := evaluate(blocks, nets, sp, p, initial)
-	best := cur
-	bestSP := sp.clone()
-
+	cur := ev.cost(&pair)
 	movable := movableIndices(blocks, p.Constrained)
 	if len(movable) == 0 {
 		// Nothing to optimise: just pack and return.
-		res := pack(blocks, nets, sp)
-		return res, nil
+		return ev.result(&pair), nil
 	}
+	best := cur
+	bestPair := newRankedPair(sp)
 
 	temp := p.InitialTemp
+	var m move
 	for step := 0; step < p.TemperatureSteps; step++ {
 		for it := 0; it < p.Iterations; it++ {
-			cand := sp.clone()
-			mutate(&cand, movable, rng)
-			c := evaluate(blocks, nets, cand, p, initial)
+			moved := m.draw(movable, rng)
+			c := cur
+			if moved {
+				pair.apply(m)
+				c = ev.cost(&pair)
+			}
 			accept := c < cur
 			if !accept && temp > 0 {
 				delta := (c - cur) / math.Max(cur, 1e-9)
 				accept = rng.Float64() < math.Exp(-delta/temp)
 			}
-			if accept {
-				sp, cur = cand, c
-				if c < best {
-					best, bestSP = c, cand.clone()
+			if !accept {
+				if moved {
+					pair.apply(m)
 				}
+				continue
+			}
+			cur = c
+			if c < best {
+				best = c
+				bestPair.copyFrom(&pair)
 			}
 		}
 		temp *= p.CoolingFactor
 	}
-	return pack(blocks, nets, bestSP), nil
+	return ev.result(&bestPair), nil
 }
 
 func identity(n int) []int {
@@ -246,118 +340,139 @@ func movableIndices(blocks []Block, constrained bool) []int {
 	return out
 }
 
-// mutate applies one of the standard sequence-pair moves, restricted to
-// movable blocks: swap two blocks in the positive sequence, in the negative
-// sequence, or in both.
-func mutate(sp *sequencePair, movable []int, rng *rand.Rand) {
-	if len(movable) < 2 {
-		return
-	}
-	a := movable[rng.Intn(len(movable))]
-	b := movable[rng.Intn(len(movable))]
-	if a == b {
-		return
-	}
-	switch rng.Intn(3) {
-	case 0:
-		swapValues(sp.pos, a, b)
-	case 1:
-		swapValues(sp.neg, a, b)
-	default:
-		swapValues(sp.pos, a, b)
-		swapValues(sp.neg, a, b)
-	}
+// evaluator packs sequence pairs into block positions and scores them. It
+// holds the blocks' sizes, the coordinates of the last pair it packed and
+// the prefix-maximum tree, all allocated once per annealing run.
+//
+// Packing is the longest-path method computed as in Tang, Tian and Wong,
+// "Fast evaluation of sequence pair in block placement by longest common
+// subsequence computation" (DATE 2000). Block a is left of b iff a precedes
+// b in both sequences, so visiting the blocks in positive-sequence order, b's
+// x is the largest x[a]+W[a] over the blocks already visited whose
+// negative-sequence rank is below b's (0 if there is none): one prefix-maximum
+// query and one update of a Fenwick tree keyed by that rank. y is the same
+// in negative-sequence order, keyed by the reversed positive-sequence rank (a
+// is below b iff a follows b in the positive sequence and precedes it in the
+// negative one). A pair costs O(n log n) instead of the O(n²) scan over
+// every predecessor.
+//
+// The positions are bit-identical to the scan's: each coordinate is the
+// maximum of the same float sums x[a]+W[a] over the same predecessor set,
+// and a maximum is exact whatever order its operands are combined in. The
+// outline's width and height are the maxima of the same sums over every
+// block. Area, wirelength and displacement are then computed with the scan's
+// expressions, in its order.
+type evaluator struct {
+	blocks  []Block
+	nets    []Net
+	p       Params
+	initial []geom.Point
+	w, h    []float64
+	x, y    []float64
+	// tree is the 1-based Fenwick tree of prefix maxima: tree[i] holds the
+	// largest value inserted at a key in (i-(i&-i), i], 1-based, as its
+	// float bits (see longestPath).
+	tree []uint64
 }
 
-// swapValues swaps the positions of values a and b within the permutation.
-func swapValues(perm []int, a, b int) {
-	ia, ib := -1, -1
-	for i, v := range perm {
-		if v == a {
-			ia = i
-		}
-		if v == b {
-			ib = i
-		}
+func newEvaluator(blocks []Block, nets []Net, p Params, initial []geom.Point) *evaluator {
+	n := len(blocks)
+	e := &evaluator{
+		blocks: blocks, nets: nets, p: p, initial: initial,
+		w: make([]float64, n), h: make([]float64, n),
+		x: make([]float64, n), y: make([]float64, n),
+		tree: make([]uint64, n+1),
 	}
-	if ia >= 0 && ib >= 0 {
-		perm[ia], perm[ib] = perm[ib], perm[ia]
+	for i, b := range blocks {
+		e.w[i], e.h[i] = b.W, b.H
 	}
+	return e
 }
 
-// evaluate returns the scalar annealing cost of a sequence pair.
-func evaluate(blocks []Block, nets []Net, sp sequencePair, p Params, initial []geom.Point) float64 {
-	res := pack(blocks, nets, sp)
-	cost := p.AreaWeight*res.AreaMM2 + p.WireWeight*res.WireLengthMM
-	if p.DisplacementWeight > 0 && initial != nil {
-		for i, b := range blocks {
-			if b.Fixed && i < len(initial) {
-				cost += p.DisplacementWeight * geom.Manhattan(res.Positions[i], initial[i])
+// longestPath visits the blocks in the given order and sets coord[b] to the
+// largest coord[a]+size[a] over the visited blocks a whose key is below b's,
+// or to 0 when there is none. A block's key is rank[b], or n-1-rank[b] when
+// reversed is set. It returns the largest coord[b]+size[b] over all blocks,
+// or 0: the outline's extent.
+//
+// Every sum is positive (sizes are) and 0 is +0, so the tree compares float
+// bits as integers, which order like the non-negative floats they encode and
+// take a branch-free max. A NaN sum, which only a NaN size gives, is never
+// inserted, as it never wins a float comparison.
+func (e *evaluator) longestPath(order, rank []int, reversed bool, size, coord []float64) float64 {
+	t := e.tree
+	clear(t)
+	n := len(order)
+	var extent uint64
+	for _, b := range order {
+		k := rank[b]
+		if reversed {
+			k = n - 1 - k
+		}
+		// Keys 0..k-1 are tree indices 1..k.
+		var m uint64
+		for i := k; i > 0; i &= i - 1 {
+			m = max(m, t[i])
+		}
+		c := math.Float64frombits(m)
+		coord[b] = c
+		v := c + size[b]
+		if v != v {
+			continue
+		}
+		vb := math.Float64bits(v)
+		extent = max(extent, vb)
+		for i := k + 1; i <= n; i += i & -i {
+			t[i] = max(t[i], vb)
+		}
+	}
+	return math.Float64frombits(extent)
+}
+
+// place packs the pair into e.x and e.y and returns the outline's width and
+// height.
+func (e *evaluator) place(sp *rankedPair) (maxX, maxY float64) {
+	maxX = e.longestPath(sp.pos, sp.rn, false, e.w, e.x)
+	maxY = e.longestPath(sp.neg, sp.rp, true, e.h, e.y)
+	return maxX, maxY
+}
+
+// wireLength returns the weighted centre-to-centre Manhattan length of the
+// nets for the last packed pair.
+func (e *evaluator) wireLength() float64 {
+	var wl float64
+	for _, nt := range e.nets {
+		ca := geom.Point{X: e.x[nt.A] + e.w[nt.A]/2, Y: e.y[nt.A] + e.h[nt.A]/2}
+		cb := geom.Point{X: e.x[nt.B] + e.w[nt.B]/2, Y: e.y[nt.B] + e.h[nt.B]/2}
+		wl += nt.Weight * geom.Manhattan(ca, cb)
+	}
+	return wl
+}
+
+// cost returns the scalar annealing cost of a sequence pair.
+func (e *evaluator) cost(sp *rankedPair) float64 {
+	maxX, maxY := e.place(sp)
+	area := maxX * maxY
+	cost := e.p.AreaWeight*area + e.p.WireWeight*e.wireLength()
+	if e.p.DisplacementWeight > 0 && e.initial != nil {
+		for i, b := range e.blocks {
+			if b.Fixed && i < len(e.initial) {
+				cost += e.p.DisplacementWeight * geom.Manhattan(geom.Point{X: e.x[i], Y: e.y[i]}, e.initial[i])
 			}
 		}
 	}
 	return cost
 }
 
-// pack converts a sequence pair to physical positions with the longest-path
-// method and computes area and wirelength.
-func pack(blocks []Block, nets []Net, sp sequencePair) *Result {
-	n := len(blocks)
-	// rank of each block in both sequences
-	rp := make([]int, n)
-	rn := make([]int, n)
-	for i, v := range sp.pos {
-		rp[v] = i
-	}
-	for i, v := range sp.neg {
-		rn[v] = i
-	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	// Longest path in the horizontal constraint graph: a left-of b iff
-	// rp[a]<rp[b] && rn[a]<rn[b]. Process blocks in positive-sequence order.
-	for _, b := range sp.pos {
-		for _, a := range sp.pos {
-			if a == b {
-				break
-			}
-			if rp[a] < rp[b] && rn[a] < rn[b] { // a left of b
-				if v := x[a] + blocks[a].W; v > x[b] {
-					x[b] = v
-				}
-			}
-		}
-	}
-	// Vertical: a below b iff rp[a]>rp[b] && rn[a]<rn[b].
-	for _, b := range sp.neg {
-		for _, a := range sp.neg {
-			if a == b {
-				break
-			}
-			if rp[a] > rp[b] && rn[a] < rn[b] { // a below b
-				if v := y[a] + blocks[a].H; v > y[b] {
-					y[b] = v
-				}
-			}
-		}
-	}
-	res := &Result{Positions: make([]geom.Point, n)}
-	var maxX, maxY float64
-	for i := range blocks {
-		res.Positions[i] = geom.Point{X: x[i], Y: y[i]}
-		if v := x[i] + blocks[i].W; v > maxX {
-			maxX = v
-		}
-		if v := y[i] + blocks[i].H; v > maxY {
-			maxY = v
-		}
+// result packs a sequence pair into a Result.
+func (e *evaluator) result(sp *rankedPair) *Result {
+	maxX, maxY := e.place(sp)
+	res := &Result{Positions: make([]geom.Point, len(e.blocks))}
+	for i := range res.Positions {
+		res.Positions[i] = geom.Point{X: e.x[i], Y: e.y[i]}
 	}
 	res.BoundingBox = geom.Rect{X: 0, Y: 0, W: maxX, H: maxY}
 	res.AreaMM2 = maxX * maxY
-	for _, nt := range nets {
-		ca := geom.Point{X: x[nt.A] + blocks[nt.A].W/2, Y: y[nt.A] + blocks[nt.A].H/2}
-		cb := geom.Point{X: x[nt.B] + blocks[nt.B].W/2, Y: y[nt.B] + blocks[nt.B].H/2}
-		res.WireLengthMM += nt.Weight * geom.Manhattan(ca, cb)
-	}
+	res.WireLengthMM = e.wireLength()
 	return res
 }

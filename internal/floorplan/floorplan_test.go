@@ -269,7 +269,7 @@ func TestPackingMatchesSequencePairSemantics(t *testing.T) {
 	// Two unit blocks with identity sequence pair: block 0 must be left of
 	// block 1 and both at y=0.
 	blocks := squareBlocks(2, 1)
-	res := pack(blocks, nil, sequencePair{pos: []int{0, 1}, neg: []int{0, 1}})
+	res := packPair(blocks, nil, sequencePair{pos: []int{0, 1}, neg: []int{0, 1}})
 	if res.Positions[0].X != 0 || res.Positions[1].X != 1 {
 		t.Errorf("positions = %v", res.Positions)
 	}
@@ -277,7 +277,7 @@ func TestPackingMatchesSequencePairSemantics(t *testing.T) {
 		t.Errorf("positions = %v", res.Positions)
 	}
 	// Reversed in pos only: 0 below 1.
-	res = pack(blocks, nil, sequencePair{pos: []int{1, 0}, neg: []int{0, 1}})
+	res = packPair(blocks, nil, sequencePair{pos: []int{1, 0}, neg: []int{0, 1}})
 	if res.Positions[0].Y != 0 || res.Positions[1].Y != 1 {
 		t.Errorf("below/above packing wrong: %v", res.Positions)
 	}
@@ -292,7 +292,7 @@ func TestSequencePairFromPlacementRoundTrip(t *testing.T) {
 	blocks := squareBlocks(4, 1)
 	initial := []geom.Point{{X: 0, Y: 0}, {X: 1.2, Y: 0}, {X: 0, Y: 1.2}, {X: 1.2, Y: 1.2}}
 	sp := sequencePairFromPlacement(blocks, initial)
-	res := pack(blocks, nil, sp)
+	res := packPair(blocks, nil, sp)
 	// Relative order preserved: block1 right of block0, block2 above block0.
 	if !(res.Positions[1].X > res.Positions[0].X) {
 		t.Errorf("block1 not right of block0: %v", res.Positions)

@@ -113,6 +113,8 @@ type Config struct {
 	Cycles int
 	// DrainCycles bounds how long the simulator keeps running after the
 	// injection horizon to let in-flight packets reach their destinations.
+	// Cycles + DrainCycles, the last cycle a run may reach, must fit an
+	// int64.
 	DrainCycles int
 	// Seed drives the randomised parts of the injection profiles (only the
 	// bursty profile draws randomness).
@@ -188,6 +190,8 @@ func (c Config) Validate() error {
 	}{
 		{c.Cycles > 0, "Cycles must be positive"},
 		{c.DrainCycles >= 0, "DrainCycles must be non-negative"},
+		// The run's last cycle is int64(Cycles) + int64(DrainCycles).
+		{int64(c.DrainCycles) <= math.MaxInt64-int64(c.Cycles), "Cycles + DrainCycles must not exceed MaxInt64"},
 		{c.InjectionScale > 0, "InjectionScale must be positive"},
 		{c.PacketFlits > 0, "PacketFlits must be positive"},
 		{c.VCs > 0, "VCs must be positive"},

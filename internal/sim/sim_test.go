@@ -392,6 +392,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *sim.Config) { c.MeanBurstCycles = math.Inf(1) },
 		func(c *sim.Config) { c.HotspotFactor = math.Inf(1) },
 	}
+	if math.MaxInt == math.MaxInt64 {
+		// The run's last cycle, Cycles + DrainCycles, overflows an int64.
+		bad = append(bad,
+			func(c *sim.Config) { c.Cycles = math.MaxInt },
+			func(c *sim.Config) { c.DrainCycles = math.MaxInt - c.Cycles + 1 })
+	}
 	top := synthBest(t, testDesign(t))
 	for i, mutate := range bad {
 		cfg := sim.DefaultConfig()

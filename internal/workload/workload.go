@@ -27,6 +27,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -117,7 +118,8 @@ type Spec struct {
 	// max(1, Cores/10). Ignored by the other shapes.
 	Hubs int
 	// MeanBandwidthMBps centres the flow bandwidth distribution. 0 selects
-	// 600 MB/s.
+	// 600 MB/s. It must be small enough that every bandwidth it can draw
+	// is finite.
 	MeanBandwidthMBps float64
 	// BandwidthSpread is the relative half-width of the bandwidth
 	// distribution, in [0, 0.9]: bandwidths are drawn uniformly from
@@ -126,7 +128,9 @@ type Spec struct {
 	// LatencySlack scales every latency constraint relative to the
 	// conservative floor: constraints are drawn from
 	// [floor*slack, floor*slack*2.5]. Must be >= 1; 0 selects 2. Smaller
-	// values stress the latency validation, larger values loosen it.
+	// values stress the latency validation, larger values loosen it. The
+	// largest constraint it allows, LatencyFloor(Layers)*slack*2.5+1, must
+	// not exceed MaxLatencyCycles.
 	LatencySlack float64
 	// UnconstrainedFraction is the fraction of flows left without a latency
 	// constraint (LatencyCycles = 0), in [0, 1]. 0 selects the default of
@@ -199,7 +203,10 @@ func (s Spec) Validate() error {
 		{r.Hubs >= 1 && r.Hubs <= r.Cores/2, fmt.Sprintf("Hubs must be in [1, Cores/2], got %d", r.Hubs)},
 		{r.MeanBandwidthMBps > 0, fmt.Sprintf("MeanBandwidthMBps must be positive, got %g", r.MeanBandwidthMBps)},
 		{r.BandwidthSpread > 0 && r.BandwidthSpread <= 0.9, fmt.Sprintf("BandwidthSpread must be in (0, 0.9], got %g", r.BandwidthSpread)},
+		{!math.IsInf(maxBandwidthDraw(r), 0), fmt.Sprintf("MeanBandwidthMBps must keep every bandwidth draw finite, got %g", r.MeanBandwidthMBps)},
 		{r.LatencySlack >= 1, fmt.Sprintf("LatencySlack must be at least 1, got %g", r.LatencySlack)},
+		{LatencyFloor(r.Layers)*r.LatencySlack*2.5+1 <= MaxLatencyCycles,
+			fmt.Sprintf("LatencySlack must keep every latency constraint within %d cycles, got %g", MaxLatencyCycles, r.LatencySlack)},
 		{r.UnconstrainedFraction <= 1, fmt.Sprintf("UnconstrainedFraction must be at most 1, got %g", r.UnconstrainedFraction)},
 	}
 	for _, c := range checks {
@@ -216,6 +223,12 @@ func (s Spec) Name() string {
 	r := s.withDefaults()
 	return fmt.Sprintf("W_%s_c%d_l%d_s%d", r.Shape, r.Cores, r.Layers, r.Seed)
 }
+
+// MaxLatencyCycles bounds the latency constraints a spec may draw. It is the
+// largest 32-bit int, so the float-to-int rounding of every constraint is
+// exact on every platform: an out-of-range conversion has an
+// implementation-specific result in Go.
+const MaxLatencyCycles = math.MaxInt32
 
 // LatencyFloor returns the conservative lower bound (in cycles) the generator
 // keeps every latency constraint at or above for the given layer count: a
@@ -289,6 +302,18 @@ func sizeDraw(rng *rand.Rand, memory bool) (w, h float64) {
 		return base, base * (0.7 + 0.3*rng.Float64())
 	}
 	return base, base * (0.8 + 0.4*rng.Float64())
+}
+
+// maxBandwidthScale bounds the shape-local multipliers of bwDraw: the
+// MultiApp shape's per-application scale is below 2, every other one at most
+// 1, and the bridging flows draw below 0.075 of the mean.
+const maxBandwidthScale = 2
+
+// maxBandwidthDraw returns bwDraw's expression at the largest scale and the
+// top of the unit draw. Float rounding is monotone, so no draw exceeds it.
+func maxBandwidthDraw(spec Spec) float64 {
+	lo := 1 - spec.BandwidthSpread
+	return spec.MeanBandwidthMBps * maxBandwidthScale * (lo + 2*spec.BandwidthSpread)
 }
 
 // bwDraw samples one flow bandwidth from the spec's distribution, scaled by

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -192,6 +193,13 @@ func TestSpecValidation(t *testing.T) {
 		{BandwidthSpread: 0.95},
 		{LatencySlack: 0.5},
 		{UnconstrainedFraction: 1.5},
+		// Non-finite and overflowing values pass every range check above.
+		{MeanBandwidthMBps: math.Inf(1)},
+		{MeanBandwidthMBps: math.MaxFloat64},         // finite, but its largest draw is not
+		{Shape: Pipeline, MeanBandwidthMBps: 1e308},  // the bound takes the largest scale of any shape
+		{LatencySlack: math.Inf(1)},                  // int(floor*slack*...) is out of range
+		{LatencySlack: 1e300},                        // likewise
+		{Layers: 8, Cores: 16, LatencySlack: 3.58e7}, // largest constraint just above MaxLatencyCycles
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -203,6 +211,18 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if err := (Spec{}).Validate(); err != nil {
 		t.Errorf("zero spec (all defaults) should validate: %v", err)
+	}
+	// The largest slack within the bound generates, and every constraint
+	// stays within MaxLatencyCycles.
+	top := Spec{Layers: 8, Cores: 16, LatencySlack: 3.579e7, UnconstrainedFraction: -1}
+	b, err := Generate(top)
+	if err != nil {
+		t.Fatalf("Generate(%+v): %v", top, err)
+	}
+	for i, f := range b.Graph3D.Flows {
+		if f.LatencyCycles < 1 || f.LatencyCycles > MaxLatencyCycles {
+			t.Errorf("flow %d: latency constraint %g outside [1, %d]", i, f.LatencyCycles, MaxLatencyCycles)
+		}
 	}
 }
 
