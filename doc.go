@@ -329,12 +329,12 @@
 //   - internal/noclib     — switch/link/TSV power, delay, area and yield models
 //   - internal/graph      — weighted graphs and balanced min-cut partitioning
 //   - internal/partition  — the PG, SPG and LPG partitioning graphs
-//   - internal/lp         — simplex LP solver for switch placement
+//   - internal/lp         — simplex LP solver for switch placement, built without maps
 //   - internal/topology   — the NoC topology data structure and its evaluation
 //   - internal/route      — deadlock-free path computation under 3-D constraints
 //   - internal/sim        — deterministic flit-level wormhole traffic simulator
 //   - internal/fault      — fault plans, spare sizing and the survivability replay
-//   - internal/place      — switch-position LP and floorplan insertion
+//   - internal/place      — switch-position LP, its per-run memo, and floorplan insertion
 //   - internal/floorplan  — SA sequence-pair floorplanner (Parquet substitute), O(n log n) per move
 //   - internal/mesh       — optimized-mesh baseline
 //   - internal/synth      — the SunFloor 3D synthesis engine (Phases 1 and 2)

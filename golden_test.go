@@ -161,6 +161,23 @@ func goldenCases() []goldenCase {
 			},
 		},
 		{
+			// The paper's multimedia SoC explored over two frequencies and
+			// two layer-count folds with the switch-placement LP on every
+			// point. A fold keeps every planar core centre, and 36 of the
+			// 90 placed topologies repeat one of the other fold, so the
+			// corpus pins that a placement reused across folds is the one a
+			// fresh LP would find.
+			name:   "d26_media_lp_folds",
+			design: fromBench("D_26_media", 1, false),
+			opts: []sunfloor3d.Option{
+				sunfloor3d.WithSpace(sunfloor3d.Space{Axes: []sunfloor3d.Axis{
+					{Name: sunfloor3d.AxisFreqMHz, Values: []float64{400, 800}},
+					{Name: sunfloor3d.AxisLayerCount, Values: []float64{2, 3}},
+				}}),
+				sunfloor3d.WithLPPlacement(true),
+			},
+		},
+		{
 			// The paper's multimedia SoC at one frequency with die-to-wafer
 			// sparing and a 32-plan, 2-fault replay with simulation: unlike
 			// gen_pipeline_c10_signoff, whose plans all end dead, its

@@ -324,21 +324,21 @@ func assemble(name string, protos []protoCore, flows []protoFlow, layers int, se
 	return b
 }
 
-// Assemble builds the benchmark of a layered design: it floorplans every
-// layer of the 3-D version and the single die of the 2-D version (the same
-// cores, all on layer 0), and validates both communication graphs. The
-// cores carry their layer assignment; their positions are overwritten. Both
-// design generators, this package's and internal/workload's, end in it.
+// Assemble builds the benchmark of a layered design: the 3-D version of
+// Assemble3D, then the single die of the 2-D version (the same cores, all
+// on layer 0, floorplanned with seed+1), and validates both communication
+// graphs. The cores carry their layer assignment; their positions are
+// overwritten. Both design generators, this package's and
+// internal/workload's, end in it.
 func Assemble(name string, cores []model.Core, flows []model.Flow, layers int, seed int64) (Benchmark, error) {
 	cores2d := make([]model.Core, len(cores))
 	for i, c := range cores {
 		c.Layer = 0
 		cores2d[i] = c
 	}
-	FloorplanLayers(cores, flows, layers, seed)
-	g3d, err := model.NewCommGraph(cores, flows)
+	g3d, err := Assemble3D(cores, flows, layers, seed)
 	if err != nil {
-		return Benchmark{}, fmt.Errorf("3-D graph invalid: %w", err)
+		return Benchmark{}, err
 	}
 	FloorplanLayers(cores2d, flows, 1, seed+1)
 	g2d, err := model.NewCommGraph(cores2d, flows)
@@ -346,6 +346,19 @@ func Assemble(name string, cores []model.Core, flows []model.Flow, layers int, s
 		return Benchmark{}, fmt.Errorf("2-D graph invalid: %w", err)
 	}
 	return Benchmark{Name: name, Graph3D: g3d, Graph2D: g2d, Layers: layers}, nil
+}
+
+// Assemble3D floorplans every layer of a layered design and validates its
+// communication graph: the 3-D half of Assemble, for callers that need no
+// 2-D die. The 2-D die takes its own seed and its own copy of the cores, so
+// the design is byte-identical to Assemble's Graph3D.
+func Assemble3D(cores []model.Core, flows []model.Flow, layers int, seed int64) (*model.CommGraph, error) {
+	FloorplanLayers(cores, flows, layers, seed)
+	g, err := model.NewCommGraph(cores, flows)
+	if err != nil {
+		return nil, fmt.Errorf("3-D graph invalid: %w", err)
+	}
+	return g, nil
 }
 
 // assignLayers distributes cores over the layers the way the paper's

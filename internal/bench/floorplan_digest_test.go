@@ -124,3 +124,44 @@ func TestFloorplanDigests(t *testing.T) {
 		t.Errorf("computed %d digests, %s holds %d", len(got), floorplanDigestFile, len(want))
 	}
 }
+
+// TestGenerate3DMatchesGenerate checks that the 3-D-only generation path
+// (workload.Generate3D, which gen requests use) builds the Graph3D of
+// workload.Generate byte for byte: the specs of the golden corpus's and the
+// CLI's generated cases, defaults included, and the first 48 serve-style
+// specs of seed 1.
+func TestGenerate3DMatchesGenerate(t *testing.T) {
+	specs := []workload.Spec{
+		{Shape: workload.Hotspot, Cores: 24, Layers: 3, Seed: 11, Hubs: 2},
+		{Shape: workload.MultiApp, Cores: 27, Layers: 2, Seed: 23, Apps: 3},
+		{Shape: workload.Pipeline, Cores: 10, Layers: 3, Seed: 1},
+		{Shape: workload.Hotspot, Cores: 12, Layers: 2, Seed: 5},
+		{Shape: workload.Pipeline, Cores: 8, Layers: 2, Seed: 1},
+		{Shape: workload.Layered, Seed: 7},
+	}
+	specs = append(specs, serveStyleSpecs(1, 48)...)
+	for _, spec := range specs {
+		b, err := workload.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := workload.Generate3D(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(b.Graph3D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: the 3-D-only design differs from Generate's Graph3D", b.Name)
+		}
+	}
+	if _, err := workload.Generate3D(workload.Spec{Shape: workload.Pipeline, Cores: -1}); err == nil {
+		t.Error("Generate3D accepted a negative core count")
+	}
+}

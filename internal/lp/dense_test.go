@@ -31,8 +31,8 @@ func solveDense(p *Problem) (*Solution, error) {
 	rows := make([]row, m)
 	for i, c := range p.constraints {
 		a := make([]float64, n)
-		for j, v := range c.coeffs {
-			a[j] = v
+		for _, t := range p.row(i) {
+			a[t.Var] = t.Coeff
 		}
 		b := c.rhs
 		op := c.op
@@ -136,7 +136,7 @@ func solveDense(p *Problem) (*Solution, error) {
 	}
 	var objVal float64
 	for j := 0; j < n; j++ {
-		if c, ok := p.objective[j]; ok {
+		if c := p.objective[j]; c != 0 {
 			objVal += c * sol.Values[j]
 		}
 	}
@@ -301,11 +301,9 @@ func generalLP(r *lpReader) *Problem {
 		kind := r.next()
 		if kind%8 == 7 && i > 0 {
 			prev := p.constraints[len(p.constraints)-1]
-			doubled := make(map[int]float64, len(prev.coeffs))
-			for j := 0; j < n; j++ {
-				if c, ok := prev.coeffs[j]; ok {
-					doubled[j] = 2 * c
-				}
+			doubled := make(map[int]float64, n)
+			for _, t := range p.row(len(p.constraints) - 1) {
+				doubled[t.Var] = 2 * t.Coeff
 			}
 			p.AddConstraint(doubled, prev.op, 2*prev.rhs)
 			continue

@@ -9,15 +9,20 @@
 // (|x - y| is linearised with an auxiliary variable and two constraints),
 // which is exactly what the Manhattan-distance objective of Eq. 2-5 needs.
 // The paper uses lp_solve; any exact LP solver yields the same optimum, and
-// the instances (tens of switches) are tiny. The tableau is dense, but
-// pivots are not: each Gauss-Jordan step updates only the columns where the
-// pivot row is nonzero, plus the right-hand side.
+// the instances (tens of switches) are tiny. A problem is built without
+// maps: each constraint row is a slice of its nonzero coefficients in
+// ascending variable order, and the objective is one coefficient per
+// variable. The tableau is dense, but its arithmetic is not: the phase-1
+// pricing subtracts only each row's nonzero cells, and each Gauss-Jordan
+// step updates only the columns where the pivot row is nonzero, plus the
+// right-hand side in both.
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // ConstraintOp is the relational operator of a constraint row.
@@ -42,9 +47,10 @@ var (
 
 const eps = 1e-9
 
-// constraint is a single row a^T x (op) b.
+// constraint is a single row a^T x (op) b. Its coefficients are the row
+// slice Problem.terms[lo:hi].
 type constraint struct {
-	coeffs map[int]float64
+	lo, hi int
 	op     ConstraintOp
 	rhs    float64
 }
@@ -52,14 +58,19 @@ type constraint struct {
 // Problem is an LP under construction. All structural variables are
 // non-negative.
 type Problem struct {
-	nvars       int
-	objective   map[int]float64
+	nvars int
+	// objective holds every variable's objective coefficient; a zero one,
+	// -0 included, is stored as +0.
+	objective []float64
+	// terms holds the rows' coefficients one row after the other: each row
+	// lists its nonzero coefficients in ascending variable order.
+	terms       []Term
 	constraints []constraint
 }
 
 // NewProblem returns an empty minimisation problem.
 func NewProblem() *Problem {
-	return &Problem{objective: make(map[int]float64)}
+	return &Problem{}
 }
 
 // AddVariable adds a non-negative variable with the given objective
@@ -67,23 +78,40 @@ func NewProblem() *Problem {
 func (p *Problem) AddVariable(objCoeff float64) int {
 	idx := p.nvars
 	p.nvars++
+	c := 0.0
 	if objCoeff != 0 {
-		p.objective[idx] = objCoeff
+		c = objCoeff
 	}
+	p.objective = append(p.objective, c)
 	return idx
 }
 
 // AddConstraint adds the constraint sum(coeffs[i]*x_i) op rhs.
 func (p *Problem) AddConstraint(coeffs map[int]float64, op ConstraintOp, rhs float64) {
-	cp := make(map[int]float64, len(coeffs))
-	//determlint:ordered write-only copy into a fresh map keyed by the same indices; the checkVar panic fires only on caller bugs, never in a valid Result path
+	lo := len(p.terms)
+	//determlint:ordered the row is sorted by variable below, so its order does not depend on map order; the checkVar panic fires only on caller bugs, never in a valid Result path
 	for i, c := range coeffs {
 		p.checkVar(i)
 		if c != 0 {
-			cp[i] = c
+			p.terms = append(p.terms, Term{Var: i, Coeff: c})
 		}
 	}
-	p.constraints = append(p.constraints, constraint{coeffs: cp, op: op, rhs: rhs})
+	row := p.terms[lo:]
+	sort.Slice(row, func(a, b int) bool { return row[a].Var < row[b].Var })
+	p.addRow(lo, op, rhs)
+}
+
+// addRow closes the row whose coefficients were appended to p.terms from
+// index lo on.
+func (p *Problem) addRow(lo int, op ConstraintOp, rhs float64) {
+	p.constraints = append(p.constraints, constraint{lo: lo, hi: len(p.terms), op: op, rhs: rhs})
+}
+
+// row returns the nonzero coefficients of constraint i in ascending
+// variable order.
+func (p *Problem) row(i int) []Term {
+	c := p.constraints[i]
+	return p.terms[c.lo:c.hi]
 }
 
 func (p *Problem) checkVar(i int) {
@@ -139,17 +167,17 @@ func (p *Problem) Solve() (*Solution, error) {
 		tab[i] = cells[i*width : (i+1)*width]
 	}
 	basis := make([]int, m)
+	// Phase 1 objective: minimise the sum of artificial variables, priced
+	// out below for the artificial basis every row starts in.
+	obj := tab[m]
 	slackCol := n
 	for i, c := range p.constraints {
 		r := tab[i]
-		for j, v := range c.coeffs {
-			r[j] = v
-		}
+		terms := p.row(i)
 		b, op := c.rhs, c.op
+		sign := 1.0
 		if b < 0 {
-			for j := 0; j < n; j++ {
-				r[j] = -r[j]
-			}
+			sign = -1
 			b = -b
 			switch op {
 			case LE:
@@ -158,33 +186,39 @@ func (p *Problem) Solve() (*Solution, error) {
 				op = LE
 			}
 		}
-		switch op {
-		case LE:
+		// Negating a row leaves its zero cells +0, where a whole-row
+		// negation would make them -0. The sign of a zero outside the rhs
+		// reaches no pivot choice and no solution value (see pivot).
+		for _, t := range terms {
+			r[t.Var] = sign * t.Coeff
+		}
+		// Price out the row's artificial: subtract the row from the
+		// objective. Only its coefficients, its slack or surplus and its
+		// rhs can be nonzero; its artificial's reduced cost, 1 - 1, is
+		// the +0 the column already holds. Rows are priced in order, so
+		// every nonzero entry of obj is bit-identical to a subtraction of
+		// whole rows. A skipped zero could at most turn a -0 into +0, and
+		// no entry of obj is ever -0: it starts at +0, and x - x is +0.
+		// The rhs is subtracted whatever its value, as in pivot.
+		for _, t := range terms {
+			obj[t.Var] -= r[t.Var]
+		}
+		if op != EQ {
 			r[slackCol] = 1
-			slackCol++
-		case GE:
-			r[slackCol] = -1
+			if op == GE {
+				r[slackCol] = -1
+			}
+			obj[slackCol] -= r[slackCol]
 			slackCol++
 		}
 		r[live+i] = 1
 		basis[i] = live + i
 		r[total] = b
+		obj[total] -= b
 	}
 	// For LE rows with a positive slack we could start from the slack basis,
 	// but starting from the artificial basis everywhere keeps the code
 	// simple; phase 1 drives all artificials out regardless.
-
-	// Phase 1 objective: minimise the sum of artificial variables.
-	obj := tab[m]
-	for i := 0; i < m; i++ {
-		obj[live+i] = 1
-	}
-	// Price out the basic (artificial) variables.
-	for i := 0; i < m; i++ {
-		for j := 0; j <= total; j++ {
-			obj[j] -= tab[i][j]
-		}
-	}
 	cols := make([]int, 0, width) // pivot's column list, reused by every pivot
 	if err := runSimplex(tab, basis, total, total, cols); err != nil {
 		return nil, err
@@ -214,9 +248,7 @@ func (p *Problem) Solve() (*Solution, error) {
 	for j := 0; j <= total; j++ {
 		obj[j] = 0
 	}
-	for j, c := range p.objective {
-		obj[j] = c
-	}
+	copy(obj, p.objective)
 	for i := 0; i < m; i++ {
 		bj := basis[i]
 		if math.Abs(obj[bj]) > eps {
@@ -236,12 +268,11 @@ func (p *Problem) Solve() (*Solution, error) {
 			sol.Values[basis[i]] = tab[i][total]
 		}
 	}
-	// Accumulate in ascending variable order: map iteration order would vary
-	// the float summation order and with it the last bits of the reported
-	// objective between otherwise identical runs.
+	// Accumulate in ascending variable order, skipping the variables
+	// without an objective term.
 	var objVal float64
-	for j := 0; j < n; j++ {
-		if c, ok := p.objective[j]; ok {
+	for j, c := range p.objective {
+		if c != 0 {
 			objVal += c * sol.Values[j]
 		}
 	}

@@ -4,6 +4,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"sunfloor3d/internal/memo"
@@ -87,7 +88,7 @@ func (j *job) progress(ev ProgressEvent) {
 }
 
 // finish records the terminal state: the result bytes and provenance on
-// success, the error string on failure.
+// success, the error string on failure. Only registry.finish calls it.
 func (j *job) finish(result []byte, prov memo.Provenance, err error) {
 	j.mu.Lock()
 	if err != nil {
@@ -162,14 +163,17 @@ type JobView struct {
 }
 
 // registry holds every live job plus a bounded backlog of terminal ones:
-// once more than retain jobs are terminal, the oldest terminal jobs are
-// forgotten (their results stay available through the cache).
+// once more than retain jobs are terminal, the oldest-inserted terminal jobs
+// are forgotten (their results stay available through the cache). Every
+// terminal transition goes through finish, under the registry's lock, so
+// the registry counts its terminal jobs instead of asking every job.
 type registry struct {
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string // insertion order, for retention eviction
-	seq    uint64
-	retain int
+	mu       sync.Mutex
+	jobs     map[string]*job
+	order    []*job // insertion order, for retention eviction
+	terminal int    // how many of the registered jobs are terminal
+	seq      uint64
+	retain   int
 }
 
 func newRegistry(retain int) *registry {
@@ -186,8 +190,7 @@ func (r *registry) add(key string) *job {
 	r.seq++
 	j := newJob(fmt.Sprintf("j%08x", r.seq), key)
 	r.jobs[j.id] = j
-	r.order = append(r.order, j.id)
-	r.evictLocked()
+	r.order = append(r.order, j)
 	return j
 }
 
@@ -199,43 +202,29 @@ func (r *registry) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// evict applies the retention policy immediately. It runs after every
-// terminal transition so that an evicted job's endpoints 404 as soon as the
-// backlog overflows, not at the next submission.
-func (r *registry) evict() {
+// finish records the job's terminal state (see job.finish) and applies the
+// retention policy at once, so that an evicted job's endpoints 404 as soon
+// as the backlog overflows, not at the next submission. Live jobs are never
+// evicted, so a registered job finishes while it is still registered.
+func (r *registry) finish(j *job, result []byte, prov memo.Provenance, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.evictLocked()
-}
-
-// evictLocked drops the oldest terminal jobs while more than retain are
-// terminal. Live jobs are never evicted.
-func (r *registry) evictLocked() {
-	terminal := 0
-	for _, id := range r.order {
-		j := r.jobs[id]
-		j.mu.Lock()
-		t := j.terminal()
-		j.mu.Unlock()
-		if t {
-			terminal++
-		}
-	}
-	if terminal <= r.retain {
-		return
-	}
-	keep := r.order[:0]
-	for _, id := range r.order {
-		j := r.jobs[id]
-		j.mu.Lock()
-		t := j.terminal()
-		j.mu.Unlock()
-		if t && terminal > r.retain {
-			delete(r.jobs, id)
-			terminal--
+	j.finish(result, prov, err)
+	r.terminal++
+	// Drop the oldest-inserted terminal jobs while more than retain are
+	// terminal. A job's state turns terminal only here, under r.mu, so the
+	// jobs this walk finds terminal are exactly the counted ones.
+	for i := 0; r.terminal > r.retain && i < len(r.order); {
+		old := r.order[i]
+		old.mu.Lock()
+		t := old.terminal()
+		old.mu.Unlock()
+		if !t {
+			i++
 			continue
 		}
-		keep = append(keep, id)
+		delete(r.jobs, old.id)
+		r.order = slices.Delete(r.order, i, i+1)
+		r.terminal--
 	}
-	r.order = keep
 }

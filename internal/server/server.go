@@ -46,6 +46,7 @@ import (
 
 	"sunfloor3d"
 	"sunfloor3d/internal/memo"
+	"sunfloor3d/internal/workload"
 )
 
 // Config parameterizes a Server. The zero value is usable: memory-only
@@ -222,8 +223,7 @@ func (s *Server) run(q queued) {
 		return res.MarshalStable()
 	}
 	body, prov, err := s.cache.GetOrCompute(s.baseCtx, q.job.key, compute)
-	q.job.finish(body, prov, err)
-	s.reg.evict()
+	s.reg.finish(q.job, body, prov, err)
 }
 
 // SynthesizeRequest is the JSON body of POST /v1/synthesize and the one
@@ -311,11 +311,9 @@ func (r *SynthesizeRequest) Design() (*sunfloor3d.Design, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := sunfloor3d.GenerateBenchmark(spec)
-		if err != nil {
-			return nil, err
-		}
-		return b.Graph3D, nil
+		// GenerateBenchmark(spec).Graph3D, without the flattened 2-D die
+		// the request never reads.
+		return workload.Generate3D(spec)
 	default:
 		return nil, errors.New("no design: set cores_spec+comm_spec or gen")
 	}
@@ -499,19 +497,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	opts = append(opts, sunfloor3d.WithScheduler(s.sched))
 
 	// Cache fast path: a fingerprint hit answers without consuming a queue
-	// slot or a worker.
+	// slot or a worker. The lookup, which can read and hash a disk entry,
+	// runs before s.mu is taken, so it never holds up other submissions.
+	body, prov, hit := s.cache.Peek(key)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	if body, prov, ok := s.cache.Peek(key); ok {
+	if hit {
 		j := s.reg.add(key)
 		s.mu.Unlock()
 		j.setRunning()
-		j.finish(body, prov, nil)
-		s.reg.evict()
+		s.reg.finish(j, body, prov, nil)
 		s.respondTerminal(w, r, j)
 		return
 	}

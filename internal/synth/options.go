@@ -21,6 +21,7 @@ import (
 	"sunfloor3d/internal/fault"
 	"sunfloor3d/internal/noclib"
 	"sunfloor3d/internal/partition"
+	"sunfloor3d/internal/place"
 	"sunfloor3d/internal/sim"
 )
 
@@ -197,6 +198,12 @@ type Options struct {
 	// axis on per-cell option copies; the axis values are covered by the
 	// cache fingerprint through the Space section of memo.Key.
 	explTSVBudget int
+	// placements is the run's switch-placement memo, which every point
+	// with RunLPPlacement places through. SynthesizeContext creates one per
+	// run, and every layer-count variant and cell shares it through the
+	// option copies. It holds positions the LP would compute afresh, so
+	// like the hooks it stays out of the cache fingerprint.
+	placements *place.Memo
 }
 
 // DefaultOptions returns the options used throughout the paper's experiments:

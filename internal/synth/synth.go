@@ -216,6 +216,12 @@ func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options) (*R
 	// run drains all in-flight evaluations before SynthesizeContext returns
 	// and never leaks a goroutine or an evaluation slot.
 	defer p.close()
+	if opt.RunLPPlacement {
+		// One placement memo for the whole run: the LP's input recurs
+		// across frequencies and layer-count folds (a fold keeps every
+		// planar core centre), so per-variant memos would miss most repeats.
+		opt.placements = place.NewMemo()
+	}
 	return exploreSpace(ctx, g, opt, newPartitionCache(g, opt.Partition), p)
 }
 
@@ -593,7 +599,7 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 		return dp
 	}
 	if opt.RunLPPlacement {
-		if err := place.OptimizeSwitchPositions(top); err != nil {
+		if err := opt.placements.OptimizeSwitchPositions(top); err != nil {
 			dp.FailReason = fmt.Sprintf("LP placement failed: %v", err)
 			return dp
 		}

@@ -263,33 +263,58 @@ type protoFlow struct {
 // Spec.Name. It is deterministic: equal specs return byte-identical
 // benchmarks.
 func Generate(spec Spec) (bench.Benchmark, error) {
-	if err := spec.Validate(); err != nil {
+	spec, cores, flows, err := layered(spec)
+	if err != nil {
 		return bench.Benchmark{}, err
 	}
-	spec = spec.withDefaults()
-	rng := rand.New(rand.NewSource(spec.Seed ^ (int64(spec.Shape+1) << 32) ^ int64(spec.Cores)))
-
-	var cores []protoCore
-	var flows []protoFlow
-	switch spec.Shape {
-	case Pipeline:
-		cores, flows = genPipeline(spec, rng)
-	case Hotspot:
-		cores, flows = genHotspot(spec, rng)
-	case MultiApp:
-		cores, flows = genMultiApp(spec, rng)
-	case Layered:
-		cores, flows = genLayered(spec, rng)
-	}
-
-	flows = bridgeComponents(len(cores), flows, spec, rng)
-	resolveLatencies(flows, spec, rng)
-
-	b, err := assemble(spec, cores, flows)
+	b, err := bench.Assemble(spec.Name(), cores, flows, spec.Layers, spec.Seed)
 	if err != nil {
 		return bench.Benchmark{}, fmt.Errorf("workload: %s: %w", spec.Name(), err)
 	}
 	return b, nil
+}
+
+// Generate3D builds only the 3-D design of Generate(spec), byte for byte,
+// without floorplanning the flattened 2-D die.
+func Generate3D(spec Spec) (*model.CommGraph, error) {
+	spec, cores, flows, err := layered(spec)
+	if err != nil {
+		return nil, err
+	}
+	g, err := bench.Assemble3D(cores, flows, spec.Layers, spec.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", spec.Name(), err)
+	}
+	return g, nil
+}
+
+// layered draws the design the spec describes and assigns its cores to
+// layers: everything of Generate before the floorplans. It returns the
+// spec with its defaults filled in.
+func layered(spec Spec) (Spec, []model.Core, []model.Flow, error) {
+	if err := spec.Validate(); err != nil {
+		return spec, nil, nil, err
+	}
+	spec = spec.withDefaults()
+	rng := rand.New(rand.NewSource(spec.Seed ^ (int64(spec.Shape+1) << 32) ^ int64(spec.Cores)))
+
+	var protos []protoCore
+	var pflows []protoFlow
+	switch spec.Shape {
+	case Pipeline:
+		protos, pflows = genPipeline(spec, rng)
+	case Hotspot:
+		protos, pflows = genHotspot(spec, rng)
+	case MultiApp:
+		protos, pflows = genMultiApp(spec, rng)
+	case Layered:
+		protos, pflows = genLayered(spec, rng)
+	}
+
+	pflows = bridgeComponents(len(protos), pflows, spec, rng)
+	resolveLatencies(pflows, spec, rng)
+	cores, flows := layerDesign(spec, protos, pflows)
+	return spec, cores, flows, nil
 }
 
 // sizeDraw returns a core size (width, height) in millimetres: logic cores
@@ -571,10 +596,10 @@ func IsConnected(g *model.CommGraph) bool {
 	return len(cg.ConnectedComponents()) <= 1
 }
 
-// assemble assigns the proto cores to layers (explicit for Layered, min-cut
-// of the bandwidth-weighted graph otherwise, like internal/bench) and hands
-// the layered design to bench.Assemble.
-func assemble(spec Spec, protos []protoCore, flows []protoFlow) (bench.Benchmark, error) {
+// layerDesign assigns the proto cores to layers (explicit for Layered,
+// min-cut of the bandwidth-weighted graph otherwise, like internal/bench) and
+// returns the layered design, ready for bench.Assemble.
+func layerDesign(spec Spec, protos []protoCore, flows []protoFlow) ([]model.Core, []model.Flow) {
 	assignment := make([]int, len(protos))
 	explicit := true
 	for i, p := range protos {
@@ -599,7 +624,7 @@ func assemble(spec Spec, protos []protoCore, flows []protoFlow) (bench.Benchmark
 		mflows[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
 			LatencyCycles: f.lat, Type: f.typ}
 	}
-	return bench.Assemble(spec.Name(), cores, mflows, spec.Layers, spec.Seed)
+	return cores, mflows
 }
 
 // assignLayers distributes cores over layers with a balanced min-cut
