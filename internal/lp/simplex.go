@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // ConstraintOp is the relational operator of a constraint row.
@@ -159,14 +160,20 @@ func (p *Problem) Solve() (*Solution, error) {
 
 	// Build the phase-1 tableau in one backing array: rows are constraints,
 	// columns are [structural | slack/surplus | artificial | rhs]. Rows
-	// with a negative rhs are negated so that b >= 0.
+	// with a negative rhs are negated so that b >= 0. The memory comes from
+	// workspaces; clear makes every cell +0, as make would.
 	width := total + 1
-	cells := make([]float64, (m+1)*width)
-	tab := make([][]float64, m+1)
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	ws.cells = resize(ws.cells, (m+1)*width)
+	ws.rows = resize(ws.rows, m+1)
+	ws.basis = resize(ws.basis, m)
+	ws.cols = resize(ws.cols, width)
+	cells, tab, basis := ws.cells, ws.rows, ws.basis
+	clear(cells)
 	for i := range tab {
 		tab[i] = cells[i*width : (i+1)*width]
 	}
-	basis := make([]int, m)
 	// Phase 1 objective: minimise the sum of artificial variables, priced
 	// out below for the artificial basis every row starts in.
 	obj := tab[m]
@@ -219,7 +226,7 @@ func (p *Problem) Solve() (*Solution, error) {
 	// For LE rows with a positive slack we could start from the slack basis,
 	// but starting from the artificial basis everywhere keeps the code
 	// simple; phase 1 drives all artificials out regardless.
-	cols := make([]int, 0, width) // pivot's column list, reused by every pivot
+	cols := ws.cols[:0] // pivot's column list, reused by every pivot
 	if err := runSimplex(tab, basis, total, total, cols); err != nil {
 		return nil, err
 	}
@@ -278,6 +285,47 @@ func (p *Problem) Solve() (*Solution, error) {
 	}
 	sol.Objective = objVal
 	return sol, nil
+}
+
+// workspace is the memory one Solve works in: the tableau's backing array
+// and row headers, the basis and pivot's column buffer. Solve takes one from
+// workspaces and puts it back when it returns, so the placement of one
+// design point after another reuses one tableau per worker instead of
+// allocating and zeroing a new one per LP. No Solution aliases it.
+type workspace struct {
+	cells []float64
+	rows  [][]float64
+	basis []int
+	cols  []int
+}
+
+// workspaces holds the workspaces of finished solves.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// maxPooledCells is the largest tableau, in cells (512 KiB), that a
+// workspace keeps in workspaces. A pooled workspace stays live for two
+// collections after its solve, so a large tableau would stay resident
+// through the work that follows its LP, such as the simulation of a refined
+// best point; a larger one is left to the collector instead. 502 of the 504
+// placement LPs of perf's seed-1 signoff list (D_26_media, D_38_tvopd) fit;
+// D_65_pipe's refined best point (136125 cells) does not.
+const maxPooledCells = 1 << 16
+
+// release hands the workspace back to workspaces unless its tableau is
+// larger than maxPooledCells.
+func (ws *workspace) release() {
+	if cap(ws.cells) <= maxPooledCells {
+		workspaces.Put(ws)
+	}
+}
+
+// resize returns s with length n, reusing its memory when it has room. The
+// elements keep whatever they held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // runSimplex pivots until no column among the first allowedCols has a

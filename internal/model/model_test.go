@@ -1,6 +1,9 @@
 package model
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -172,6 +175,33 @@ func TestFlowsByBandwidth(t *testing.T) {
 	}
 	if order[0] != 3 {
 		t.Errorf("heaviest flow should be index 3, got %d", order[0])
+	}
+}
+
+// TestFlowsByBandwidthMatchesSliceStable checks FlowsByBandwidth against the
+// reflection-based sort.SliceStable it replaced, under the same "greater
+// bandwidth first" order, on random flow sets that draw from a few
+// bandwidths, so most flows tie with many others and the stable order
+// decides their place.
+func TestFlowsByBandwidthMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		flows := make([]Flow, rng.Intn(150))
+		levels := 1 + rng.Intn(5)
+		for i := range flows {
+			flows[i] = Flow{Src: 0, Dst: 1, BandwidthMBps: 25 * float64(1+rng.Intn(levels))}
+		}
+		g := &CommGraph{Flows: flows}
+		want := make([]int, len(flows))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			return flows[want[a]].BandwidthMBps > flows[want[b]].BandwidthMBps
+		})
+		if got := g.FlowsByBandwidth(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d flows, %d bandwidths): %v, sort.SliceStable %v", trial, len(flows), levels, got, want)
+		}
 	}
 }
 

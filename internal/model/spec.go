@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -213,8 +213,16 @@ func (g *CommGraph) FlowsByBandwidth() []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return g.Flows[idx[a]].BandwidthMBps > g.Flows[idx[b]].BandwidthMBps
+	// a sorts before b exactly when its bandwidth is greater; a stable sort
+	// keeps every other pair in flow order.
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch x, y := g.Flows[a].BandwidthMBps, g.Flows[b].BandwidthMBps; {
+		case x > y:
+			return -1
+		case x < y:
+			return 1
+		}
+		return 0
 	})
 	return idx
 }

@@ -1,6 +1,9 @@
 package route
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // infinity is the cost of an unreachable switch and of a forbidden arc (the
 // paper's INF hard threshold in Algorithm 3).
@@ -188,32 +191,28 @@ func (r *router) crossesDirty(i, j int) bool {
 // shortestPath runs Dijkstra over the arc table for a flow of bandwidth bw,
 // skipping the arcs in forbidden (the deadlock-retry overlay, so retries
 // need no graph mutation at all). Only the unsettled switches are scanned
-// and relaxed: they are kept in an ascending list, so the min scan keeps the
-// lowest index among equal distances and neighbours relax in ascending index
-// order, making the returned path deterministic even between equal-cost
-// alternatives. It returns (nil, infinity) when dst is unreachable.
+// and relaxed: they are kept in an ascending list, and the pass that relaxes
+// the arcs out of the switch just settled also picks the next one to settle,
+// the first of the smallest distances in that list, so ties go to the lowest
+// index and neighbours relax in ascending index order, making the returned
+// path deterministic even between equal-cost alternatives. The path lives in
+// the router's scratch until the next search. It returns (nil, infinity)
+// when dst is unreachable.
 func (r *router) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]int, float64) {
-	sw := r.sw
+	n := len(r.sw)
+	dist, prev := resize(r.dist, n, n), resize(r.prev, n, n)
 	open := r.open[:0]
-	for i := range sw {
-		sw[i].dist = infinity
-		sw[i].prev = -1
+	for i := range dist {
+		dist[i] = infinity
+		prev[i] = -1
 		open = append(open, i)
 	}
-	r.open = open
-	sw[src].dist = 0
+	r.dist, r.prev, r.open = dist, prev, open
+	dist[src] = 0
 	ft := r.terms(bw, r.tsv)
+	// src, at distance 0, is the first switch to settle; open[src] is src.
+	k, du := src, 0.0
 	for {
-		// Dense graph: the O(n) min scan beats a heap here.
-		k, best := -1, infinity
-		for x, i := range open {
-			if sw[i].dist < best {
-				k, best = x, sw[i].dist
-			}
-		}
-		if k < 0 {
-			break
-		}
 		u := open[k]
 		if u == dst {
 			break
@@ -222,29 +221,37 @@ func (r *router) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]i
 		// break the ascending order the tie-breaking relies on.
 		open = append(open[:k], open[k+1:]...)
 		row := r.arcs[u]
-		for _, v := range open {
-			a := &row[v]
-			if a.forbidden || forbids(forbidden, u, v) {
-				continue
+		// Dense graph: a min kept while relaxing beats a heap here.
+		next := infinity
+		k = -1
+		for x, v := range open {
+			d := dist[v]
+			if a := &row[v]; !a.forbidden && !forbids(forbidden, u, v) {
+				if nd := du + arcCost(a, &ft); nd < d {
+					d = nd
+					dist[v], prev[v] = nd, u
+				}
 			}
-			if nd := best + arcCost(a, &ft); nd < sw[v].dist {
-				sw[v].dist = nd
-				sw[v].prev = u
+			if d < next {
+				k, next = x, d
 			}
 		}
+		if k < 0 {
+			break
+		}
+		du = next
 	}
-	if sw[dst].dist >= infinity {
+	if dist[dst] >= infinity {
 		return nil, infinity
 	}
-	hops := 0
-	for v := dst; v != src; v = sw[v].prev {
-		hops++
+	path := r.path[:0]
+	for v := dst; v != src; v = prev[v] {
+		path = append(path, v)
 	}
-	path := make([]int, hops+1)
-	for v, k := dst, hops; k >= 0; v, k = sw[v].prev, k-1 {
-		path[k] = v
-	}
-	return path, sw[dst].dist
+	path = append(path, src)
+	slices.Reverse(path)
+	r.path = path
+	return path, dist[dst]
 }
 
 // forbids reports whether the arc (u, v) is one of the deadlock-retry arcs.

@@ -12,19 +12,38 @@ import (
 // every flow (see rebuildFromRoutes), so no arc state it searches was ever
 // refreshed by router.applyCommit. Only a commit changes arc state, and a
 // commit ends the flow, so this routes exactly as a rebuild before every
-// attempt, the original CHECK_CONSTRAINTS loop, would.
+// attempt, the original CHECK_CONSTRAINTS loop, would. It routes every flow,
+// whatever cfg.StopAtFirstFailure says.
 func ComputePathsFullRebuild(t *topology.Topology, cfg Config) (Result, error) {
+	res, _, err := ComputePathsFullRebuildFirstFailure(t, cfg)
+	return res, err
+}
+
+// FirstFailure is the full-rebuild router's state right after the first
+// flow, in routing order, that it could not route even with an inserted
+// indirect switch: that flow, the Result so far (Failed holding that flow
+// alone) and a clone of the topology then.
+type FirstFailure struct {
+	Flow   int
+	Result Result
+	Top    *topology.Topology
+}
+
+// ComputePathsFullRebuildFirstFailure is ComputePathsFullRebuild that also
+// returns its state at its first failed flow (nil when every flow routed).
+func ComputePathsFullRebuildFirstFailure(t *topology.Topology, cfg Config) (Result, *FirstFailure, error) {
 	if t.NumSwitches() == 0 {
-		return Result{}, fmt.Errorf("route: topology has no switches")
+		return Result{}, nil, fmt.Errorf("route: topology has no switches")
 	}
 	for c, sw := range t.CoreAttach {
 		if sw < 0 || sw >= t.NumSwitches() {
-			return Result{}, fmt.Errorf("route: core %d is not attached to a switch", c)
+			return Result{}, nil, fmt.Errorf("route: core %d is not attached to a switch", c)
 		}
 	}
 	r := &router{top: t, cfg: cfg}
 	r.init()
 	var res Result
+	var first *FirstFailure
 	for _, f := range t.Design.FlowsByBandwidth() {
 		r.rebuildFromRoutes()
 		if ok := r.routeFlow(f); ok {
@@ -42,10 +61,16 @@ func ComputePathsFullRebuild(t *topology.Topology, cfg Config) (Result, error) {
 		} else {
 			res.Failed = append(res.Failed, f)
 		}
+		if first == nil && len(res.Failed) > 0 {
+			at := res
+			at.Failed = []int{f}
+			at.DeadlockRetries = r.deadlock
+			first = &FirstFailure{Flow: f, Result: at, Top: t.Clone()}
+		}
 	}
 	sort.Ints(res.Failed)
 	res.DeadlockRetries = r.deadlock
-	return res, nil
+	return res, first, nil
 }
 
 // rebuildFromRoutes replaces the router's arc table and CDG with new ones.

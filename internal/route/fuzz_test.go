@@ -2,11 +2,14 @@ package route_test
 
 // Fuzz harness for the path-computation step: randomized communication
 // graphs and switch assignments must never panic the router, the committed
-// paths must validate and stay deadlock free (acyclic CDG), and the
+// paths must validate and stay deadlock free (acyclic CDG), the
 // incrementally refreshed arc table must return byte-identical results to
-// the test-only full-rebuild reference router, ComputePathsFullRebuild.
+// the test-only full-rebuild reference router, ComputePathsFullRebuild, and
+// a call with Config.StopAtFirstFailure must stop exactly where the full
+// call first fails.
 
 import (
+	"reflect"
 	"testing"
 
 	"sunfloor3d/internal/model"
@@ -160,7 +163,7 @@ func FuzzComputePaths(f *testing.F) {
 		incRes, incErr := route.ComputePaths(incTop, cfg)
 
 		refTop := build()
-		refRes, refErr := route.ComputePathsFullRebuild(refTop, cfg)
+		refRes, first, refErr := route.ComputePathsFullRebuildFirstFailure(refTop, cfg)
 
 		if (incErr == nil) != (refErr == nil) {
 			t.Fatalf("error divergence: incremental %v, reference %v", incErr, refErr)
@@ -180,6 +183,8 @@ func FuzzComputePaths(f *testing.F) {
 			t.Fatal("committed routes diverge between incremental and full-rebuild router")
 		}
 
+		checkEarlyStop(t, build(), cfg, incTop, incRes, first)
+
 		// Committed paths of a fully routed topology must validate and be
 		// deadlock free.
 		if incRes.Success() {
@@ -191,4 +196,35 @@ func FuzzComputePaths(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkEarlyStop routes top, a fresh copy of the fuzz input, with
+// StopAtFirstFailure. When the full call (full, fullRes) routed every flow,
+// the stopped call must equal it. Otherwise it must stop right after the
+// full call's first failed flow in routing order, in the state the
+// full-rebuild router recorded there (first): the same failed flow, Routed,
+// IndirectSwitches, DeadlockRetries, switches and routes.
+func checkEarlyStop(t *testing.T, top *topology.Topology, cfg route.Config, full *topology.Topology, fullRes route.Result, first *route.FirstFailure) {
+	t.Helper()
+	cfg.StopAtFirstFailure = true
+	res, err := route.ComputePaths(top, cfg)
+	if err != nil {
+		t.Fatalf("the stopped call failed where the full call did not: %v", err)
+	}
+	wantRes, wantTop := fullRes, full
+	if first != nil {
+		wantRes, wantTop = first.Result, first.Top
+	}
+	if (first == nil) != fullRes.Success() {
+		t.Fatalf("the reference recorded first failure %+v, the full call's result is %+v", first, fullRes)
+	}
+	if !reflect.DeepEqual(res, wantRes) {
+		t.Fatalf("early stop: result %+v, want %+v", res, wantRes)
+	}
+	if !reflect.DeepEqual(top.Switches, wantTop.Switches) {
+		t.Fatalf("early stop: switches %+v, want %+v", top.Switches, wantTop.Switches)
+	}
+	if !routesEqual(top, wantTop) {
+		t.Fatal("early stop: committed routes differ from the full call's at its first failure")
+	}
 }

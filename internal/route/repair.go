@@ -39,6 +39,13 @@ type RepairResult struct {
 // certified-dead plans through RepairResult.Unroutable (equivalently, a
 // failing Topology.Validate).
 func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult, error) {
+	tb := tablePool.Get().(*tables)
+	defer tablePool.Put(tb)
+	return repairRoutes(t, cfg, dead, tb)
+}
+
+// repairRoutes is RepairRoutes with its router's tables carved from tb.
+func repairRoutes(t *topology.Topology, cfg Config, dead [][2]int, tb *tables) (RepairResult, error) {
 	var res RepairResult
 	if len(dead) == 0 {
 		return res, nil
@@ -95,7 +102,9 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 	// Repair router: the arc universe is the surviving fabricated links only,
 	// and no switch can be added to a fabbed chip.
 	cfg.AllowIndirectSwitches = false
-	r := &router{top: t, cfg: cfg, allowed: allowed}
+	cfg.StopAtFirstFailure = false
+	r := &router{top: t, cfg: cfg, allowed: allowed, tb: tb}
+	defer r.stash()
 	r.init()
 
 	// Re-commit the surviving routes in the deterministic decreasing-

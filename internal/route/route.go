@@ -12,6 +12,7 @@ package route
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"sunfloor3d/internal/geom"
 	"sunfloor3d/internal/topology"
@@ -37,6 +38,14 @@ type Config struct {
 	// AllowIndirectSwitches lets the router insert extra switches when no
 	// valid path exists under the switch-size constraint.
 	AllowIndirectSwitches bool
+	// StopAtFirstFailure makes ComputePaths return right after the first
+	// flow it cannot route, even with an inserted indirect switch:
+	// Result.Failed then holds that flow alone, and every flow after it in
+	// routing order keeps an empty route. It is for attempts a caller keeps
+	// only when every flow routes (the synthesis sweep's theta retries and
+	// Phase-2 fallback steps), which then learn that they fail without
+	// routing the rest. RepairRoutes clears it.
+	StopAtFirstFailure bool
 }
 
 const (
@@ -83,12 +92,18 @@ func (r Result) Success() bool { return len(r.Failed) == 0 }
 type router struct {
 	top *topology.Topology
 	cfg Config
+	// tb is the memory the tables below are carved from (see tables).
+	tb *tables
 
 	// arcs[i][j] is the arc (i, j). The rows are carved from one backing
-	// array with room for the router's spare switches (see newSquare).
+	// array with room for the router's spare switches (see squareRows).
 	arcs [][]arc
 	// sw[s] is the bookkeeping of switch s.
 	sw []switchState
+	// dist[s] and prev[s] are the search's distance to switch s and its
+	// predecessor on the shortest path.
+	dist []float64
+	prev []int
 	// ill[b] is the number of physical links crossing the boundary between
 	// layers b and b+1 (switch-to-switch and core-to-switch).
 	ill []int
@@ -107,11 +122,11 @@ type router struct {
 	allowed [][]bool
 
 	// Scratch space reused across flows: the search's unsettled switches in
-	// ascending order and the TSV term of each layer span; the CDG edges a
-	// path adds (tails, heads); the links a commit opens, and per layer
-	// boundary the number of them crossing it and whether that moved the
-	// boundary across an ILL threshold.
-	open         []int
+	// ascending order, the path it returns and the TSV term of each layer
+	// span; the CDG edges a path adds (tails, heads); the links a commit
+	// opens, and per layer boundary the number of them crossing it and
+	// whether that moved the boundary across an ILL threshold.
+	open, path   []int
 	tsv          []float64
 	tails, heads []int32
 	opened       [][2]int
@@ -126,10 +141,6 @@ type switchState struct {
 	// (noclib.SwitchPortMarginalMW of the current count).
 	inPorts, outPorts       int
 	inMarginal, outMarginal float64
-	// dist and prev are the search's distance to the switch and its
-	// predecessor on the shortest path.
-	dist float64
-	prev int
 	// dirtyRow and dirtyCol mark the rows and columns of arcs a commit must
 	// refresh.
 	dirtyRow, dirtyCol bool
@@ -139,6 +150,13 @@ type switchState struct {
 // core attachments must already be in place (and switch positions estimated);
 // existing routes are discarded.
 func ComputePaths(t *topology.Topology, cfg Config) (Result, error) {
+	tb := tablePool.Get().(*tables)
+	defer tablePool.Put(tb)
+	return computePaths(t, cfg, tb)
+}
+
+// computePaths is ComputePaths with its router's tables carved from tb.
+func computePaths(t *topology.Topology, cfg Config, tb *tables) (Result, error) {
 	if t.NumSwitches() == 0 {
 		return Result{}, fmt.Errorf("route: topology has no switches")
 	}
@@ -147,7 +165,8 @@ func ComputePaths(t *topology.Topology, cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("route: core %d is not attached to a switch", c)
 		}
 	}
-	r := &router{top: t, cfg: cfg}
+	r := &router{top: t, cfg: cfg, tb: tb}
+	defer r.stash()
 	r.init()
 
 	var res Result
@@ -169,16 +188,66 @@ func ComputePaths(t *topology.Topology, cfg Config) (Result, error) {
 		} else {
 			res.Failed = append(res.Failed, f)
 		}
+		if cfg.StopAtFirstFailure && len(res.Failed) > 0 {
+			break
+		}
 	}
 	sort.Ints(res.Failed)
 	res.DeadlockRetries = r.deadlock
 	return res, nil
 }
 
+// tables is the memory a router's tables are carved from: the arc table's
+// backing array and row headers, the switch table, the search's distance,
+// predecessor and unsettled slices and its path buffer. ComputePaths and
+// RepairRoutes take one from tablePool and put it back when they finish, so
+// a worker that routes one topology after another reuses the previous
+// call's memory instead of allocating and zeroing an O(S^2) table per call.
+// A router built without one (the package's tests build some) gets a new
+// one.
+type tables struct {
+	cells            []arc
+	rows             [][]arc
+	sw               []switchState
+	dist             []float64
+	prev, open, path []int
+}
+
+// tablePool holds the tables of finished routers, about one per router
+// running at the same time.
+var tablePool = sync.Pool{New: func() any { return new(tables) }}
+
+// stash leaves the router's slices in its tables for the next router, those
+// that outgrew them (indirect switches beyond the spare room) included.
+func (r *router) stash() {
+	tb := r.tb
+	tb.sw, tb.dist, tb.prev, tb.open, tb.path = r.sw, r.dist, r.prev, r.open, r.path
+}
+
+// resize returns s with length n and room for capacity elements, reusing
+// its memory when it has that room. The elements keep whatever they held.
+// A new array has at least twice the old room: a sweep routes its switch
+// counts in ascending order, and every count would otherwise outgrow the
+// tables the previous one left.
+func resize[T any](s []T, n, capacity int) []T {
+	if cap(s) < capacity {
+		return make([]T, n, max(capacity, 2*cap(s)))
+	}
+	return s[:n]
+}
+
 // init seeds the bookkeeping with the core attachments (which are fixed
-// before path computation) and empty switch-to-switch connectivity.
+// before path computation) and empty switch-to-switch connectivity. Its
+// tables may come from an earlier router, so init writes every cell a later
+// step reads: each switch record, and each arc record whole, the diagonal's
+// and each CDG vertex included. A reused table therefore routes exactly
+// like a new one.
 func (r *router) init() {
 	t := r.top
+	if r.tb == nil {
+		r.tb = new(tables)
+	}
+	tb := r.tb
 	layers := t.Design.NumLayers()
 	for _, s := range t.Switches {
 		if s.Layer+1 > layers {
@@ -189,7 +258,8 @@ func (r *router) init() {
 		r.ill = make([]int, layers-1)
 	}
 	n, spare := t.NumSwitches(), r.spareSwitches()
-	r.sw = make([]switchState, n, n+spare)
+	r.sw = resize(tb.sw, n, n+spare)
+	clear(r.sw)
 	for c, s := range t.CoreAttach {
 		r.sw[s].inPorts++
 		r.sw[s].outPorts++
@@ -202,16 +272,22 @@ func (r *router) init() {
 		t.Routes[f] = topology.Route{Flow: f}
 	}
 	r.softInf = 10 * r.maxFlowCost()
-	r.open = make([]int, 0, n+spare)
+	r.dist = resize(tb.dist, 0, n+spare)
+	r.prev = resize(tb.prev, 0, n+spare)
+	r.open = resize(tb.open, 0, n+spare)
+	r.path = resize(tb.path, 0, n+spare)
 	r.tsv = make([]float64, len(r.ill)+1)
 	r.crossings = make([]int, len(r.ill))
 	r.boundary = make([]bool, len(r.ill))
 
 	// The arc table: the only full O(S^2) pass of a run; everything after
 	// is incremental.
-	r.arcs = newSquare(n, spare, arc{})
+	stride := n + spare
+	tb.cells = resize(tb.cells, stride*stride, stride*stride)
+	tb.rows = resize(tb.rows, stride, stride)
+	r.arcs = squareRows(tb.cells, tb.rows, n, spare)
 	for i := 0; i < n; i++ {
-		r.arcs[i][i].forbidden = true
+		r.arcs[i][i] = arc{arcState: arcState{forbidden: true}, vertex: -1}
 		for j := i + 1; j < n; j++ {
 			r.join(i, j)
 		}
@@ -231,23 +307,31 @@ func (r *router) spareSwitches() int {
 	return spareSwitchCount
 }
 
-// newSquare returns an n×n matrix with every cell set to fill. Its rows are
-// carved from one backing array with room for spare more rows and columns,
-// so the first spare growSquare calls append in place.
+// newSquare returns an n×n matrix with every cell set to fill, with room
+// for spare more rows and columns (see squareRows).
 func newSquare[T comparable](n, spare int, fill T) [][]T {
 	stride := n + spare
-	cells := make([]T, stride*stride)
-	rows := make([][]T, stride)
-	for i := range rows {
-		rows[i] = cells[i*stride : i*stride+n : (i+1)*stride]
-	}
+	rows := squareRows(make([]T, stride*stride), make([][]T, stride), n, spare)
 	var zero T
 	if fill != zero {
-		for _, row := range rows[:n] {
+		for _, row := range rows {
 			for j := range row {
 				row[j] = fill
 			}
 		}
+	}
+	return rows
+}
+
+// squareRows carves an n×n matrix out of cells, which holds (n+spare)^2
+// cells, into the row headers rows, which holds n+spare: every row has room
+// for spare more columns, and the spare rows' headers wait in rows beyond n,
+// so the first spare growSquare calls append in place. The cells keep
+// whatever they held.
+func squareRows[T any](cells []T, rows [][]T, n, spare int) [][]T {
+	stride := n + spare
+	for i := range rows {
+		rows[i] = cells[i*stride : i*stride+n : (i+1)*stride]
 	}
 	return rows[:n]
 }

@@ -20,7 +20,12 @@ type Event struct {
 	// decided before it runs (see phase1Sweep) is never scheduled, so it is
 	// neither counted nor reported.
 	Total int
-	// Point is the design point that just finished (valid or not).
+	// Point is the design point that just finished (valid or not). A theta
+	// retry or Phase-2 fallback step that failed in routing stopped at its
+	// first unroutable flow (see runAndEvaluate): its Route.FailedFlows is 1
+	// and its FailReason names that flow, claiming no total. phase1Sweep
+	// keeps such a step only when it is valid, so no serialised Result
+	// holds one.
 	Point DesignPoint
 }
 

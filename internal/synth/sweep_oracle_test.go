@@ -78,7 +78,7 @@ func phase1SweepAll(g *model.CommGraph, opt Options, freq float64, fallbackPhase
 		for e := range steps {
 			steps[e] = e
 		}
-		p2, err := phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps)
+		p2, err := phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps, false)
 		if err != nil {
 			return nil, err
 		}

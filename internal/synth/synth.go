@@ -85,7 +85,10 @@ type Point struct {
 type RouteStats struct {
 	// Routed is the number of flows that received a valid path.
 	Routed int `json:"routed"`
-	// FailedFlows is the number of flows that could not be routed.
+	// FailedFlows is the number of flows that could not be routed. A theta
+	// retry or Phase-2 fallback step stops routing at its first unroutable
+	// flow and reports 1 (see runAndEvaluate); the sweep keeps such a step
+	// only when it is valid, so no serialised point reports a stopped count.
 	FailedFlows int `json:"failed_flows,omitempty"`
 	// IndirectSwitches is the number of switches the router inserted purely
 	// to connect other switches.
@@ -293,7 +296,7 @@ func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache 
 		for e := range steps {
 			steps[e] = e
 		}
-		return phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps)
+		return phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps, false)
 	case Phase1Only:
 		return phase1Sweep(g, opt, freq, false, cache, p)
 	default:
@@ -325,6 +328,10 @@ func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache 
 //     count, and a step's count is known from phase2Plan before it is built
 //     (phase2LayerSwitches per non-empty layer), so building only the
 //     matching steps in ascending order retains the same points.
+//
+// A theta retry and a fallback step are retained only when valid, so they
+// stop routing at their first unroutable flow (see runAndEvaluate): a failed
+// one reports that flow alone, and only the progress stream sees it.
 func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 bool, cache *partitionCache, p *pool) ([]DesignPoint, error) {
 	counts := opt.explCounts
 	pg := cache.pg(0)
@@ -419,7 +426,7 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 				steps = append(steps, e)
 			}
 		}
-		p2, err := phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps)
+		p2, err := phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps, true)
 		if err != nil {
 			return nil, err
 		}
@@ -438,7 +445,8 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 
 // buildPhase1Point builds and evaluates one Phase-1 design point for the
 // given switch count from assign, the core partition of the PG (theta 0) or
-// of the theta-scaled SPG.
+// of the theta-scaled SPG. A theta retry (theta > 0) is retained only when
+// valid, so it routes as a discardable point (see runAndEvaluate).
 func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, assign []int, switches int, theta float64) DesignPoint {
 	dp := DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: switches, Phase: 1, Theta: theta}}
 	blocks := graph.Blocks(assign, switches)
@@ -477,19 +485,23 @@ func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, assign []in
 			top.MaxInterLayerLinks(), opt.MaxILL)
 		return dp
 	}
-	return finishPoint(top, opt, freq, dp)
+	return finishPoint(top, opt, freq, dp, theta > 0)
 }
 
 // phase2Sweep implements Algorithm 2: layer-by-layer core-to-switch
 // connectivity with adjacent-layer-only vertical links. Every listed sweep
 // step (number of extra switches per layer, from 0 to phase2Plan's maxExtra)
 // is an independent design point evaluated on the worker pool; the points
-// come back in the order of steps.
-func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool, lpgs []partition.LPG, minPerLayer, steps []int) ([]DesignPoint, error) {
+// come back in the order of steps. discardable is set for the Phase-1
+// sweep's fallback, which retains a step only when it is valid (see
+// runAndEvaluate).
+func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool, lpgs []partition.LPG, minPerLayer, steps []int, discardable bool) ([]DesignPoint, error) {
 	points := make([]DesignPoint, len(steps))
 	err := p.forEach(len(steps),
 		func(i int) DesignPoint {
-			return timed(func() DesignPoint { return buildPhase2Point(g, opt, freq, cache, lpgs, minPerLayer, steps[i]) })
+			return timed(func() DesignPoint {
+				return buildPhase2Point(g, opt, freq, cache, lpgs, minPerLayer, steps[i], discardable)
+			})
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
 	if err != nil {
@@ -535,7 +547,7 @@ func phase2LayerSwitches(l partition.LPG, minimum, extra int) int {
 
 // buildPhase2Point builds and evaluates the Phase-2 design point with `extra`
 // switches per layer beyond each layer's minimum.
-func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, lpgs []partition.LPG, minPerLayer []int, extra int) DesignPoint {
+func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, lpgs []partition.LPG, minPerLayer []int, extra int, discardable bool) DesignPoint {
 	dp := DesignPoint{Point: Point{FreqMHz: freq, Phase: 2}}
 	top := topology.New(g, opt.Lib, freq)
 	totalSwitches := 0
@@ -558,20 +570,20 @@ func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *part
 	}
 	dp.SwitchCount = totalSwitches
 	top.EstimateSwitchPositions()
-	return finishPoint2(top, opt, freq, dp)
+	return finishPoint2(top, opt, freq, dp, discardable)
 }
 
 // finishPoint routes, optionally LP-places, evaluates and validates a Phase-1
 // design point.
-func finishPoint(top *topology.Topology, opt Options, freq float64, dp DesignPoint) DesignPoint {
+func finishPoint(top *topology.Topology, opt Options, freq float64, dp DesignPoint, discardable bool) DesignPoint {
 	cfg := routeConfig(opt, freq, false)
-	return runAndEvaluate(top, opt, cfg, dp)
+	return runAndEvaluate(top, opt, cfg, dp, discardable)
 }
 
 // finishPoint2 does the same for a Phase-2 point (adjacent layers only).
-func finishPoint2(top *topology.Topology, opt Options, freq float64, dp DesignPoint) DesignPoint {
+func finishPoint2(top *topology.Topology, opt Options, freq float64, dp DesignPoint, discardable bool) DesignPoint {
 	cfg := routeConfig(opt, freq, true)
-	return runAndEvaluate(top, opt, cfg, dp)
+	return runAndEvaluate(top, opt, cfg, dp, discardable)
 }
 
 func routeConfig(opt Options, freq float64, adjacentOnly bool) route.Config {
@@ -585,8 +597,16 @@ func routeConfig(opt Options, freq float64, adjacentOnly bool) route.Config {
 	return cfg
 }
 
-func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoint) DesignPoint {
-	res, err := route.ComputePaths(top, cfg)
+// runAndEvaluate routes top under cfg and, when every flow routed, places,
+// evaluates and validates it. A discardable point, one the sweep retains
+// only when it is valid, routes with route.Config.StopAtFirstFailure: a
+// failing one stops at its first unroutable flow, reports that flow alone
+// and names it in FailReason without claiming a total. The stop is set on
+// the router's copy of cfg only; analyse hands cfg on to the fault replay.
+func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoint, discardable bool) DesignPoint {
+	rcfg := cfg
+	rcfg.StopAtFirstFailure = discardable
+	res, err := route.ComputePaths(top, rcfg)
 	dp.Topology = top
 	if err != nil {
 		dp.FailReason = err.Error()
@@ -595,7 +615,11 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 	dp.Route = RouteStats{Routed: res.Routed, FailedFlows: len(res.Failed),
 		IndirectSwitches: res.IndirectSwitches, DeadlockRetries: res.DeadlockRetries}
 	if !res.Success() {
-		dp.FailReason = fmt.Sprintf("%d flows could not be routed", len(res.Failed))
+		if discardable {
+			dp.FailReason = fmt.Sprintf("flow %d could not be routed (routing stopped there)", res.Failed[0])
+		} else {
+			dp.FailReason = fmt.Sprintf("%d flows could not be routed", len(res.Failed))
+		}
 		return dp
 	}
 	if opt.RunLPPlacement {

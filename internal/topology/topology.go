@@ -8,8 +8,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sunfloor3d/internal/geom"
 	"sunfloor3d/internal/model"
@@ -221,29 +222,45 @@ type SwitchLink struct {
 }
 
 // SwitchLinks aggregates the per-flow routes into directed switch-to-switch
-// links, summing bandwidth, sorted by (From, To).
+// links, summing bandwidth, sorted by (From, To). A link sums its flows'
+// bandwidths in ascending flow order. Every switch of a route must index
+// Switches, as Validate requires.
 func (t *Topology) SwitchLinks() []SwitchLink {
-	agg := make(map[[2]int]float64)
+	// first[s] is 1 + the index in links of the last link out of switch s
+	// that aggregation met (0 before any), and next[k] the same for the link
+	// out of the same switch met before links[k]: one short list per switch.
+	// They are allocated at the first link, so an unrouted topology (the
+	// sweep estimates positions and checks inter-layer links before it
+	// routes) allocates nothing.
+	links := []SwitchLink{}
+	var first, next []int32
 	for f, r := range t.Routes {
 		if len(r.Switches) < 2 {
 			continue
 		}
+		if first == nil {
+			first = make([]int32, len(t.Switches))
+			links = make([]SwitchLink, 0, 2*len(t.Switches))
+			next = make([]int32, 0, cap(links))
+		}
 		bw := t.Design.Flows[f].BandwidthMBps
 		for i := 1; i < len(r.Switches); i++ {
-			key := [2]int{r.Switches[i-1], r.Switches[i]}
-			agg[key] += bw
+			from, to := r.Switches[i-1], r.Switches[i]
+			k := first[from] - 1
+			for k >= 0 && links[k].To != to {
+				k = next[k] - 1
+			}
+			if k < 0 {
+				links = append(links, SwitchLink{From: from, To: to})
+				next = append(next, first[from])
+				k = int32(len(links) - 1)
+				first[from] = k + 1
+			}
+			links[k].BandwidthMBps += bw
 		}
 	}
-	links := make([]SwitchLink, 0, len(agg))
-	//determlint:ordered each aggregated key appears once and the sort below is by the full (From, To) key, so the returned slice is independent of map order
-	for k, bw := range agg {
-		links = append(links, SwitchLink{From: k[0], To: k[1], BandwidthMBps: bw})
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].From != links[j].From {
-			return links[i].From < links[j].From
-		}
-		return links[i].To < links[j].To
+	slices.SortFunc(links, func(a, b SwitchLink) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return links
 }
@@ -256,30 +273,28 @@ type CoreLink struct {
 	BandwidthMBps float64
 }
 
-// CoreLinks aggregates per-flow traffic on the core/switch attachment links.
+// CoreLinks aggregates per-flow traffic on the core/switch attachment links,
+// sorted by (Core, ToCore), each link summing its flows' bandwidths in
+// ascending flow order. A core without flows in one direction has no link
+// in it.
 func (t *Topology) CoreLinks() []CoreLink {
-	type key struct {
-		core   int
-		toCore bool
+	// sums[2c] is core c's traffic into the network and sums[2c+1] its
+	// traffic out of it; used marks the ones some flow contributed to.
+	sums := make([]float64, 2*t.Design.NumCores())
+	used := make([]bool, len(sums))
+	for _, fl := range t.Design.Flows {
+		sums[2*fl.Src] += fl.BandwidthMBps
+		used[2*fl.Src] = true
+		sums[2*fl.Dst+1] += fl.BandwidthMBps
+		used[2*fl.Dst+1] = true
 	}
-	agg := make(map[key]float64)
-	for f, fl := range t.Design.Flows {
-		_ = f
-		agg[key{core: fl.Src, toCore: false}] += fl.BandwidthMBps
-		agg[key{core: fl.Dst, toCore: true}] += fl.BandwidthMBps
-	}
-	links := make([]CoreLink, 0, len(agg))
-	//determlint:ordered each aggregated key appears once and the sort below is by the full (Core, ToCore) key, so the returned slice is independent of map order
-	for k, bw := range agg {
-		sw := t.CoreAttach[k.core]
-		links = append(links, CoreLink{Core: k.core, Switch: sw, ToCore: k.toCore, BandwidthMBps: bw})
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].Core != links[j].Core {
-			return links[i].Core < links[j].Core
+	links := make([]CoreLink, 0, len(sums))
+	for k, bw := range sums {
+		if used[k] {
+			c := k / 2
+			links = append(links, CoreLink{Core: c, Switch: t.CoreAttach[c], ToCore: k%2 == 1, BandwidthMBps: bw})
 		}
-		return !links[i].ToCore && links[j].ToCore
-	})
+	}
 	return links
 }
 

@@ -102,7 +102,11 @@ type Event struct {
 	// count, a fallback step whose switch count no unmet count needs) is
 	// never scheduled, so it is neither counted nor reported.
 	Total int `json:"total"`
-	// Point is the design point that just finished (valid or not).
+	// Point is the design point that just finished (valid or not). A theta
+	// retry or Phase-2 fallback step that failed in routing stopped at its
+	// first unroutable flow: its Route.FailedFlows is 1 and its FailReason
+	// names that flow, claiming no total. The sweep keeps such a step only
+	// when it is valid, so no serialised Result holds one.
 	Point DesignPoint `json:"point"`
 }
 
