@@ -71,11 +71,8 @@ func (e *Engine) Synthesize(ctx context.Context, d *Design) (*Result, error) {
 		hooks.Restore = ck.restore
 		hooks.Done = ck.append
 	}
-	if hooks.Own != nil || hooks.Restore != nil {
-		opt.SetExplorationHooks(hooks)
-	}
 
-	res, err := synth.SynthesizeContext(ctx, d, opt)
+	res, err := synth.SynthesizeContext(ctx, d, opt, hooks)
 	if ck != nil {
 		// Cells checkpointed before a failure (including cancellation) are
 		// kept — that is the point of resumability. Append errors already

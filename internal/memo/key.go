@@ -113,7 +113,10 @@ func planFor(t reflect.Type, path string) *plan {
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if !f.IsExported() {
-				continue // unexported state is derived from exported fields
+				// synth.Options has no unexported state, which
+				// TestOptionsHaveNoUnexportedFields enforces, and
+				// CommGraph's name index is derived from Cores.
+				continue
 			}
 			fp := joinPath(path, f.Name)
 			if _, knob := executionKnobs[fp]; !knob {

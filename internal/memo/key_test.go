@@ -278,6 +278,40 @@ func TestKeyCoversEveryLeaf(t *testing.T) {
 	}
 }
 
+// TestOptionsHaveNoUnexportedFields holds synth.Options to the rule Key's
+// walker rests on when it skips unexported fields: every field of every
+// struct reachable from the options is exported, so the options carry no
+// state that Key cannot see. It names the path of each unexported field it
+// finds. Execution knobs are skipped as planFor skips them, so a Scheduler's
+// internals are not options.
+func TestOptionsHaveNoUnexportedFields(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path)
+		case reflect.Struct:
+			if seen[typ] {
+				return
+			}
+			seen[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				fp := joinPath(path, f.Name)
+				if !f.IsExported() {
+					t.Errorf("synth.Options.%s is unexported: Key does not hash it", fp)
+					continue
+				}
+				if _, knob := executionKnobs[fp]; !knob {
+					walk(f.Type, fp)
+				}
+			}
+		}
+	}
+	walk(reflect.TypeFor[synth.Options](), "")
+}
+
 // populate gives every nil pointer a value and every empty slice one
 // element, so that walkFlips reaches every field below them.
 func populate(v reflect.Value, path string) {

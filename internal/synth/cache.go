@@ -22,14 +22,13 @@ type partitionCache struct {
 	g   *model.CommGraph
 	par partition.Params
 
-	mu           sync.Mutex
-	graphs       map[float64]*graphEntry // theta (0 = plain PG) -> PG or SPG
-	assigns      map[assignKey]*assignEntry
-	lpgs         lpgEntry
-	lpgRequested bool
-	lpgAssigns   map[assignKey]*lpgAssignEntry
-	hits         int
-	misses       int
+	mu         sync.Mutex
+	graphs     map[float64]*onceEntry[*graph.Graph] // theta (0 = plain PG) -> PG or SPG
+	assigns    map[assignKey]*onceEntry[[]int]
+	lpgs       map[struct{}]*onceEntry[[]partition.LPG] // the one LPG set
+	lpgAssigns map[assignKey]*onceEntry[map[int]int]
+	hits       int
+	misses     int
 }
 
 // assignKey identifies one partitioning request: the scaling factor of the
@@ -40,24 +39,10 @@ type assignKey struct {
 	k     int
 }
 
-type graphEntry struct {
+// onceEntry is one cached value, computed by the first lookup of its key.
+type onceEntry[V any] struct {
 	once sync.Once
-	g    *graph.Graph
-}
-
-type assignEntry struct {
-	once   sync.Once
-	assign []int
-}
-
-type lpgEntry struct {
-	once sync.Once
-	lpgs []partition.LPG
-}
-
-type lpgAssignEntry struct {
-	once   sync.Once
-	assign map[int]int
+	v    V
 }
 
 // CacheStats reports the partition-cache activity of one synthesis run.
@@ -72,10 +57,29 @@ func newPartitionCache(g *model.CommGraph, par partition.Params) *partitionCache
 	return &partitionCache{
 		g:          g,
 		par:        par,
-		graphs:     make(map[float64]*graphEntry),
-		assigns:    make(map[assignKey]*assignEntry),
-		lpgAssigns: make(map[assignKey]*lpgAssignEntry),
+		graphs:     make(map[float64]*onceEntry[*graph.Graph]),
+		assigns:    make(map[assignKey]*onceEntry[[]int]),
+		lpgs:       make(map[struct{}]*onceEntry[[]partition.LPG]),
+		lpgAssigns: make(map[assignKey]*onceEntry[map[int]int]),
 	}
+}
+
+// lookup returns the value of key in m, computing it with build on the
+// key's first lookup; concurrent lookups of one key wait for that one
+// computation. hit reports whether the entry existed before this call, so
+// the lookup that created an entry is its one miss whichever goroutine wins
+// the once, and the counts do not depend on scheduling. lookup counts
+// nothing itself: each accessor counts its callers' lookups.
+func lookup[K comparable, V any](c *partitionCache, m map[K]*onceEntry[V], key K, build func() V) (v V, hit bool) {
+	c.mu.Lock()
+	e, hit := m[key]
+	if !hit {
+		e = &onceEntry[V]{}
+		m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v, hit
 }
 
 // stats returns a snapshot of the hit/miss counters.
@@ -99,74 +103,45 @@ func (c *partitionCache) count(hit bool) {
 // Definition 3 when theta is 0, the scaled SPG of Definition 4 otherwise.
 // Exactly one hit or miss is counted per call (hits + misses equals the
 // number of caller lookups): the SPG's internal dependency on the PG goes
-// through the uncounted inner accessor.
+// through the uncounted graph accessor.
 func (c *partitionCache) pg(theta float64) *graph.Graph {
-	g, hit := c.pgInner(theta)
+	g, hit := c.graph(theta)
 	c.count(hit)
 	return g
 }
 
-func (c *partitionCache) pgInner(theta float64) (*graph.Graph, bool) {
-	build := func() *graph.Graph {
+// graph is pg without the count.
+func (c *partitionCache) graph(theta float64) (*graph.Graph, bool) {
+	return lookup(c, c.graphs, theta, func() *graph.Graph {
 		if theta == 0 {
 			return partition.BuildPG(c.g, c.par.Alpha)
 		}
-		base, _ := c.pgInner(0)
+		base, _ := c.graph(0)
 		return partition.BuildSPGFrom(base, c.g, theta, c.par.ThetaMax)
-	}
-	c.mu.Lock()
-	e, ok := c.graphs[theta]
-	if !ok {
-		e = &graphEntry{}
-		c.graphs[theta] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.g = build() })
-	return e.g, ok
+	})
 }
 
 // coreAssignment returns the k-way partition of the given whole-design PG
 // (theta 0) or SPG (theta > 0). pg must be the graph c.pg(theta) returns.
 // The returned slice is shared: callers must not mutate it.
 func (c *partitionCache) coreAssignment(pg *graph.Graph, theta float64, k int) []int {
-	key := assignKey{theta: theta, k: k}
-	c.mu.Lock()
-	e, ok := c.assigns[key]
-	if !ok {
-		e = &assignEntry{}
-		c.assigns[key] = e
-	}
-	c.mu.Unlock()
-	c.count(ok)
-	e.once.Do(func() { e.assign = partition.PartitionCores(pg, k) })
-	return e.assign
+	assign, hit := lookup(c, c.assigns, assignKey{theta: theta, k: k}, func() []int { return partition.PartitionCores(pg, k) })
+	c.count(hit)
+	return assign
 }
 
 // layerGraphs returns the per-layer LPGs of Definition 5. The first caller
-// counts the (single) miss; every other call is a hit, so the stats are
-// deterministic regardless of which goroutine wins the once.
+// counts the (single) miss and every other call is a hit.
 func (c *partitionCache) layerGraphs() []partition.LPG {
-	c.mu.Lock()
-	first := !c.lpgRequested
-	c.lpgRequested = true
-	c.mu.Unlock()
-	c.count(!first)
-	c.lpgs.once.Do(func() { c.lpgs.lpgs = partition.BuildLPGs(c.g, c.par) })
-	return c.lpgs.lpgs
+	lpgs, hit := lookup(c, c.lpgs, struct{}{}, func() []partition.LPG { return partition.BuildLPGs(c.g, c.par) })
+	c.count(hit)
+	return lpgs
 }
 
 // lpgAssignment returns the np-way partition of one layer's LPG as a core ->
 // block map. The returned map is shared: callers must not mutate it.
 func (c *partitionCache) lpgAssignment(layerIdx int, l partition.LPG, np int) map[int]int {
-	key := assignKey{theta: float64(layerIdx), k: np}
-	c.mu.Lock()
-	e, ok := c.lpgAssigns[key]
-	if !ok {
-		e = &lpgAssignEntry{}
-		c.lpgAssigns[key] = e
-	}
-	c.mu.Unlock()
-	c.count(ok)
-	e.once.Do(func() { e.assign = partition.PartitionLPG(l, np) })
-	return e.assign
+	assign, hit := lookup(c, c.lpgAssigns, assignKey{theta: float64(layerIdx), k: np}, func() map[int]int { return partition.PartitionLPG(l, np) })
+	c.count(hit)
+	return assign
 }

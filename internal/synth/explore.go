@@ -13,14 +13,17 @@ import (
 
 // exploreSpace is the engine's one sweep driver: it enumerates the cross
 // product of a Space's axes as (frequency, layer count, TSV budget, vcs, link
-// width) cells whose interior is the switch-count sweep of Algorithms 1-2
-// (synthesizeAtFrequency). Cells are the unit of pruning, checkpointing and
-// sharding. A run without Options.Space is the classic sweep: it explores the
-// implicit space {NoPrune: true}, whose only axis is Options.FrequenciesMHz
-// and whose switch counts run 1..NumCores. A layer_count axis folds the
-// design onto each requested stacking depth (core layer mod L, planar
-// positions kept), with one partition cache per fold; a tsv_budget axis
-// re-evaluates validity under each TSV macro cap.
+// width) cells whose interior is the switch-count sweep of Algorithms 1-2:
+// one sweep value per computed cell (sweep.run). Cells are the unit of
+// pruning, checkpointing and sharding, and hooks decide which cells this
+// call computes, restores and persists. A run without Options.Space is the
+// classic sweep: it explores the implicit space {NoPrune: true}, whose only
+// axis is Options.FrequenciesMHz and whose switch counts run 1..NumCores. A
+// layer_count axis folds the design onto each requested stacking depth (core
+// layer mod L, planar positions kept), with one partition cache per fold; a
+// tsv_budget axis re-evaluates validity under each TSV macro cap. Every
+// cell's sweep shares the pool p and the placement memo placements (nil
+// without RunLPPlacement).
 //
 // Unless Space.NoPrune is set, two exact pruning rules apply:
 //
@@ -56,9 +59,9 @@ import (
 // byte-identical. So an exploration triages each cell before recording it
 // and never refines; callers wanting refined switch positions re-run the
 // winning cell as a classic sweep. Both steps are gated on Options.Space,
-// which the request fingerprint covers, never on the exploration hooks, so a
-// run's bytes do not depend on whether it was resumed or sharded.
-func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *partitionCache, p *pool) (*Result, error) {
+// which the request fingerprint covers, never on the hooks, so a run's bytes
+// do not depend on whether it was resumed or sharded.
+func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, hooks ExplorationHooks, placements *place.Memo, p *pool) (*Result, error) {
 	wholeRun := opt.Space == nil
 	sp := opt.Space
 	if wholeRun {
@@ -79,20 +82,36 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 		}
 	}
 	prune := !sp.NoPrune
-	hooks := opt.explore
 	owns := func(ci int) bool { return hooks.Own == nil || hooks.Own(ci) }
 
-	// One graph variant per layer_count value (the design itself without the
-	// axis), each with its own partition cache: partitions are a function of
-	// the layered graph, so folds can never share entries. The variants are
-	// built upfront in axis order, which keeps the table deterministic.
-	variants := []graphVariant{{g: g, cache: cache}}
+	// One partition cache per layer_count value (the design itself without
+	// the axis), each holding its fold of the design: partitions are a
+	// function of the layered graph, so folds can never share entries. The
+	// folds are built upfront in axis order, which keeps the table
+	// deterministic.
+	folds := []*partitionCache{newPartitionCache(g, opt.Partition)}
 	if lcVals := sp.intValues(AxisLayerCount); lcVals != nil {
-		variants = make([]graphVariant, len(lcVals))
+		folds = make([]*partitionCache, len(lcVals))
 		for i, lc := range lcVals {
-			fg := foldLayers(g, lc)
-			variants[i] = graphVariant{g: fg, cache: newPartitionCache(fg, opt.Partition)}
+			folds[i] = newPartitionCache(foldLayers(g, lc), opt.Partition)
 		}
+	}
+	// sweepOf returns the switch-count sweep of cell ci: its fold and
+	// frequency, the run's options with the cell's VC count and link width,
+	// and the branch-and-bound hook pruneFn (nil when off).
+	sweepOf := func(ci int, pruneFn func(int) string) *sweep {
+		c := cells[ci]
+		s := &sweep{g: folds[c.lcIdx].g, freq: c.freq, opt: opt, counts: counts, prune: pruneFn,
+			tsvBudget: c.tsv, cache: folds[c.lcIdx], p: p, placements: placements}
+		if c.vcs > 0 {
+			scfg := *opt.Sim
+			scfg.VCs = c.vcs
+			s.opt.Sim = &scfg
+		}
+		if c.lw > 0 {
+			s.opt.Lib.LinkWidthBits = c.lw
+		}
+		return s
 	}
 
 	perCell := make([][]DesignPoint, len(cells))
@@ -105,12 +124,12 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 			p.emit(dp)
 		}
 	}
-	// finish records a computed cell and hands it to the checkpoint hook.
+	// record stores a computed cell and hands it to the checkpoint hook.
 	// Done calls are serialised across the concurrently-finishing cells, and
 	// a Done error aborts the exploration: continuing would leave the caller
 	// with a checkpoint that silently lags the computation.
 	var doneMu sync.Mutex
-	finish := func(ci int, pts []DesignPoint) error {
+	record := func(ci int, pts []DesignPoint) error {
 		perCell[ci] = pts
 		if hooks.Done != nil {
 			doneMu.Lock()
@@ -132,9 +151,8 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 		return true
 	}
 	compute := func(ci int, pruneFn func(int) string) error {
-		v := variants[cells[ci].lcIdx]
-		co := cellOptions(opt, cells[ci], counts, pruneFn)
-		pts, err := synthesizeAtFrequency(v.g, co, cells[ci].freq, v.cache, p)
+		s := sweepOf(ci, pruneFn)
+		pts, err := s.run()
 		if err != nil {
 			return err
 		}
@@ -144,17 +162,17 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 		// on the whole sweep's estimated front is also on its own cell's
 		// front, so per-cell triage only widens the band.
 		if !wholeRun {
-			if err := triageSimBand(pts, co, p); err != nil {
+			if err := triageSimBand(pts, s.opt, p); err != nil {
 				return err
 			}
 		}
-		return finish(ci, pts)
+		return record(ci, pts)
 	}
 	// cellShape returns the point skeleton of a cell — one entry per point
 	// the full sweep would produce, in order — without building anything.
 	cellShape := func(ci int) []DesignPoint {
 		if opt.Phase == Phase2Only {
-			_, _, maxExtra := phase2Plan(opt, cells[ci].freq, variants[cells[ci].lcIdx].cache)
+			_, _, maxExtra := sweepOf(ci, nil).phase2Plan()
 			return make([]DesignPoint, maxExtra+1)
 		}
 		pts := make([]DesignPoint, len(counts))
@@ -207,7 +225,7 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 	// space, so pruning stays exact for the fidelity ladder's triage band
 	// too. (The latency floor itself is planar, hence identical across
 	// layer-count folds, and the power floor never depends on the fold or
-	// the TSV budget, so one witness set serves every variant.)
+	// the TSV budget, so one witness set serves every fold.)
 	witnessLatency := func(w DesignPoint) float64 {
 		if opt.Contend && w.Contention != nil {
 			return w.Contention.AvgLatencyCycles
@@ -309,21 +327,14 @@ func exploreSpace(ctx context.Context, g *model.CommGraph, opt Options, cache *p
 		refineBest(res, opt, place.OptimizeSwitchPositions)
 	}
 	// With a layer_count axis the work ran on the per-fold caches; sum their
-	// activity (in the deterministic variant order) so the report covers the
+	// activity (in the deterministic fold order) so the report covers the
 	// whole run.
-	for _, v := range variants {
-		st := v.cache.stats()
+	for _, c := range folds {
+		st := c.stats()
 		res.Cache.Hits += st.Hits
 		res.Cache.Misses += st.Misses
 	}
 	return res, nil
-}
-
-// graphVariant is one layer-count fold of the design with its own partition
-// cache.
-type graphVariant struct {
-	g     *model.CommGraph
-	cache *partitionCache
 }
 
 // foldLayers returns a copy of the design with every core re-assigned to
@@ -346,28 +357,4 @@ func probeCellIndex(cells []cellSpec, ci int) int {
 		}
 	}
 	return 0
-}
-
-// cellOptions derives the single-frequency options of one cell: the cell's
-// frequency, its VC/link-width/TSV-budget overrides, the switch counts to
-// sweep and the branch-and-bound hook.
-func cellOptions(opt Options, c cellSpec, counts []int, pruneFn func(int) string) Options {
-	co := opt
-	co.Space = nil
-	co.explore = ExplorationHooks{}
-	co.FrequenciesMHz = []float64{c.freq}
-	if c.vcs > 0 {
-		scfg := *opt.Sim
-		scfg.VCs = c.vcs
-		co.Sim = &scfg
-	}
-	if c.lw > 0 {
-		co.Lib.LinkWidthBits = c.lw
-	}
-	if c.tsv > 0 {
-		co.explTSVBudget = c.tsv
-	}
-	co.explCounts = counts
-	co.explPrune = pruneFn
-	return co
 }

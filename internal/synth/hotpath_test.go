@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"sunfloor3d/internal/bench"
 	"sunfloor3d/internal/geom"
 	"sunfloor3d/internal/route"
 	"sunfloor3d/internal/topology"
@@ -30,8 +31,9 @@ func stripTimings(res *Result) {
 // same design points as three single-frequency sweeps with a fresh cache
 // each, serial or parallel, while computing fewer partitions than they do
 // (the partitioner is deterministic, so sharing a computed partition across
-// frequencies must not change anything). LPOnBest is off so that every point
-// depends on its own frequency only, not on which point of the run wins.
+// frequencies must not change anything). The parallel run must also report
+// the serial run's cache counts. LPOnBest is off so that every point depends
+// on its own frequency only, not on which point of the run wins.
 func TestPartitionCacheEquivalence(t *testing.T) {
 	g := smallDesign(t)
 	base := DefaultOptions()
@@ -63,6 +65,9 @@ func TestPartitionCacheEquivalence(t *testing.T) {
 	}
 
 	shared := sharedRes.Cache
+	if parallelRes.Cache != shared {
+		t.Errorf("parallel run reports cache %+v, serial run %+v", parallelRes.Cache, shared)
+	}
 	if shared.Hits+shared.Misses != freshStats.Hits+freshStats.Misses {
 		t.Errorf("shared sweep made %d lookups, single-frequency sweeps %d",
 			shared.Hits+shared.Misses, freshStats.Hits+freshStats.Misses)
@@ -91,6 +96,35 @@ func TestPartitionCacheEquivalence(t *testing.T) {
 	}
 	if sharedRes.Best != nil && !reflect.DeepEqual(sharedRes.Best.Metrics, parallelRes.Best.Metrics) {
 		t.Fatal("parallel run best metrics differ")
+	}
+}
+
+// TestPartitionCacheCountsIgnoreScheduling checks that a layer_count
+// exploration reports the same partition-cache counts whatever the
+// parallelism. Its cells run concurrently on three folds of D_26_media, each
+// with its own cache, so lookups of one entry race; a miss must still be the
+// one lookup that created the entry, whichever goroutine computes it.
+func TestPartitionCacheCountsIgnoreScheduling(t *testing.T) {
+	g := bench.D26Media(1).Graph3D
+	opt := DefaultOptions()
+	opt.Space = &Space{Axes: []Axis{
+		{Name: AxisFreqMHz, Values: []float64{400, 800}},
+		{Name: AxisLayerCount, Values: []float64{1, 2, 3}},
+	}}
+	var serial CacheStats
+	for _, par := range []int{1, 2, 8} {
+		o := opt
+		o.Parallelism = par
+		res, err := Synthesize(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par == 1 {
+			serial = res.Cache
+			t.Logf("serial run: %+v", serial)
+		} else if res.Cache != serial {
+			t.Errorf("Parallelism %d reports cache %+v, the serial run %+v", par, res.Cache, serial)
+		}
 	}
 }
 
@@ -152,7 +186,8 @@ func TestFullRebuildRoutesSweepTopologies(t *testing.T) {
 	for i, dp := range built {
 		phases[dp.Phase]++
 		top := unrouted(dp.Topology)
-		res, err := route.ComputePaths(top, routeConfig(opt, dp.FreqMHz, dp.Phase == 2))
+		s := &sweep{opt: opt, freq: dp.FreqMHz}
+		res, err := route.ComputePaths(top, s.routeConfig(dp.Phase == 2))
 		if err != nil {
 			t.Fatalf("attempt %d: routing failed: %v", i, err)
 		}
@@ -281,7 +316,8 @@ func TestRefineBestKeepsBestMinimal(t *testing.T) {
 	if !res.Best.Valid {
 		t.Fatal("refined best point is not valid")
 	}
-	if reason := validateTopology(res.Best.Topology, opt, res.Best.Metrics, res.Best.FreqMHz); reason != "" {
+	s := &sweep{opt: opt, freq: res.Best.FreqMHz}
+	if reason := s.validate(res.Best.Topology, res.Best.Metrics); reason != "" {
 		t.Fatalf("refined best point violates constraints: %s", reason)
 	}
 	bestCost := res.Best.Cost(opt.PowerWeight, opt.LatencyWeight)

@@ -21,7 +21,6 @@ import (
 	"sunfloor3d/internal/fault"
 	"sunfloor3d/internal/noclib"
 	"sunfloor3d/internal/partition"
-	"sunfloor3d/internal/place"
 	"sunfloor3d/internal/sim"
 )
 
@@ -177,33 +176,6 @@ type Options struct {
 	// winning cell of an exploration as a classic sweep for refined switch
 	// positions).
 	Space *Space
-
-	// explore holds the checkpoint/shard hooks installed by
-	// SetExplorationHooks. Like Progress, the hooks are execution plumbing
-	// with no influence on what evaluated cells contain, so they are
-	// excluded from the cache fingerprint.
-	explore ExplorationHooks
-	// explCounts lists the switch counts of the Phase-1 sweep, one slot
-	// each: the switch_count axis values, or 1..NumCores without that axis.
-	// Set by the sweep driver on every per-cell option copy it hands to
-	// synthesizeAtFrequency.
-	explCounts []int
-	// explPrune, when non-nil, is consulted before building any Phase-1
-	// point: a non-empty return is the prune reason and the point becomes a
-	// stub without being partitioned, routed or evaluated. Set by the
-	// explorer (branch-and-bound rule) on per-cell option copies.
-	explPrune func(switches int) string
-	// explTSVBudget, when positive, invalidates design points that need more
-	// TSV macros than the budget. Set by the explorer from the tsv_budget
-	// axis on per-cell option copies; the axis values are covered by the
-	// cache fingerprint through the Space section of memo.Key.
-	explTSVBudget int
-	// placements is the run's switch-placement memo, which every point
-	// with RunLPPlacement places through. SynthesizeContext creates one per
-	// run, and every layer-count variant and cell shares it through the
-	// option copies. It holds positions the LP would compute afresh, so
-	// like the hooks it stays out of the cache fingerprint.
-	placements *place.Memo
 }
 
 // DefaultOptions returns the options used throughout the paper's experiments:

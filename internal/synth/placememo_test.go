@@ -39,10 +39,10 @@ func TestPlacementMemoSolvesEachInputOnce(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	counted.placements = place.NewMemo()
+	placements := place.NewMemo()
 	ctx := context.Background()
 	p := newPool(ctx, counted)
-	res, err := exploreSpace(ctx, g, counted, newPartitionCache(g, counted.Partition), p)
+	res, err := exploreSpace(ctx, g, counted, ExplorationHooks{}, placements, p)
 	p.close()
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestPlacementMemoSolvesEachInputOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := counted.placements.Solves(), distinct.Solves(); got != want {
+	if got, want := placements.Solves(), distinct.Solves(); got != want {
 		t.Errorf("the run solved %d placements for %d distinct inputs", got, want)
 	}
 	if distinct.Solves() >= len(placed) {

@@ -17,13 +17,13 @@ type Event struct {
 	// while the run is in progress: the theta rescaling loop and the Phase-2
 	// fallback of Algorithm 1 schedule additional points only when the
 	// initial sweep leaves switch counts unmet. A retry whose outcome is
-	// decided before it runs (see phase1Sweep) is never scheduled, so it is
+	// decided before it runs (see sweep.phase1) is never scheduled, so it is
 	// neither counted nor reported.
 	Total int
 	// Point is the design point that just finished (valid or not). A theta
 	// retry or Phase-2 fallback step that failed in routing stopped at its
-	// first unroutable flow (see runAndEvaluate): its Route.FailedFlows is 1
-	// and its FailReason names that flow, claiming no total. phase1Sweep
+	// first unroutable flow (see sweep.finish): its Route.FailedFlows is 1
+	// and its FailReason names that flow, claiming no total. sweep.phase1
 	// keeps such a step only when it is valid, so no serialised Result
 	// holds one.
 	Point DesignPoint

@@ -205,7 +205,7 @@ func TestSynthesizeSharedScheduler(t *testing.T) {
 			opt.Scheduler = s
 			opt.Weight = 1 + i%2
 			opt.Parallelism = -1
-			results[i], errs[i] = SynthesizeContext(context.Background(), g, opt)
+			results[i], errs[i] = SynthesizeContext(context.Background(), g, opt, ExplorationHooks{})
 		}(i)
 	}
 	wg.Wait()
@@ -254,7 +254,7 @@ func TestSynthesizeCancelDrainsWorkers(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := SynthesizeContext(ctx, g, opt)
+			_, err := SynthesizeContext(ctx, g, opt, ExplorationHooks{})
 			done <- err
 		}()
 		<-started // at least one point evaluated: workers are in flight

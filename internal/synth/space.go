@@ -179,16 +179,12 @@ func (s *Space) validate(o Options) error {
 // count, TSV budget, VC count, link width) combination whose interior is the
 // switch-count sweep.
 type cellSpec struct {
-	// index is the cell's position in the deterministic enumeration.
-	index int
-	// freqIdx and freq identify the frequency.
-	freqIdx int
-	freq    float64
-	// lcIdx and lc identify the layer-count fold (lc 0 when the space has no
-	// layer_count axis: the design's own layering). lcIdx always indexes the
-	// explorer's graph-variant table, including the no-axis case.
+	// freq is the operating frequency in MHz.
+	freq float64
+	// lcIdx indexes the explorer's table of layer-count folds: the
+	// layer_count axis value's position, or 0 without that axis (the
+	// design's own layering).
 	lcIdx int
-	lc    int
 	// tsv is the TSV macro budget (0 when the space has no tsv_budget axis).
 	tsv int
 	// group numbers the (frequency, layer count, TSV budget) combination the
@@ -231,22 +227,19 @@ func (s *Space) cells(opt Options) []cellSpec {
 	}
 	var out []cellSpec
 	group := 0
-	for fi, f := range freqs {
-		for lci, lc := range lcVals {
+	for _, f := range freqs {
+		for lci := range lcVals {
 			for _, tsv := range tsvVals {
 				for vi, vcs := range vcsVals {
 					for li, lw := range lwVals {
 						out = append(out, cellSpec{
-							index:   len(out),
-							freqIdx: fi,
-							freq:    f,
-							lcIdx:   lci,
-							lc:      lc,
-							tsv:     tsv,
-							group:   group,
-							vcs:     vcs,
-							lw:      lw,
-							probe:   vi == 0 && li == 0,
+							freq:  f,
+							lcIdx: lci,
+							tsv:   tsv,
+							group: group,
+							vcs:   vcs,
+							lw:    lw,
+							probe: vi == 0 && li == 0,
 						})
 					}
 				}
@@ -257,16 +250,14 @@ func (s *Space) cells(opt Options) []cellSpec {
 	return out
 }
 
-// NumCells returns the number of (frequency, layer count, TSV budget, vcs,
-// link width) cells the space enumerates with the given options. Cell indices — the unit of
-// checkpointing and sharding — run from 0 to NumCells-1 in deterministic
-// order.
-func (s *Space) NumCells(opt Options) int { return len(s.cells(opt)) }
-
-// ExplorationHooks let a caller own, restore and persist exploration cells,
-// which is how the facade implements checkpoint/resume and sharding. All
-// hooks receive the cell index of the deterministic enumeration. A nil hook
-// means: own every cell, never restore, discard nothing.
+// ExplorationHooks let a caller of SynthesizeContext own, restore and
+// persist exploration cells, which is how the facade implements
+// checkpoint/resume and sharding. All hooks receive the cell index of the
+// deterministic enumeration. A nil hook means: own every cell, never
+// restore, discard nothing. The hooks are execution plumbing, an argument
+// beside the options rather than one of them: they must not change what any
+// evaluated cell contains (Restore must return exactly what Done persisted),
+// so like Progress and Parallelism they stay outside the cache fingerprint.
 type ExplorationHooks struct {
 	// Own reports whether this process should evaluate the cell. Unowned
 	// cells that Restore cannot supply are filled with skipped stubs, which
@@ -282,9 +273,3 @@ type ExplorationHooks struct {
 	// silently stale state.
 	Done func(cell int, points []DesignPoint) error
 }
-
-// SetExplorationHooks installs the checkpoint/shard hooks on the options.
-// The hooks are execution plumbing: they must not change what any evaluated
-// cell contains (Restore must return exactly what Done persisted), and they
-// are excluded from the cache fingerprint like Progress and Parallelism.
-func (o *Options) SetExplorationHooks(h ExplorationHooks) { o.explore = h }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -19,15 +20,14 @@ func TestExplorationDoneErrorFailsRun(t *testing.T) {
 	}}
 	sinkErr := errors.New("checkpoint sink failed")
 	var calls int
-	opt.SetExplorationHooks(ExplorationHooks{
+	_, err := SynthesizeContext(context.Background(), g, opt, ExplorationHooks{
 		Done: func(cell int, pts []DesignPoint) error {
 			calls++
 			return sinkErr
 		},
 	})
-	_, err := Synthesize(g, opt)
 	if !errors.Is(err, sinkErr) {
-		t.Fatalf("Synthesize error = %v, want %v", err, sinkErr)
+		t.Fatalf("SynthesizeContext error = %v, want %v", err, sinkErr)
 	}
 	if calls == 0 {
 		t.Fatal("Done hook was never called")
@@ -43,28 +43,25 @@ func TestSpaceCellEnumeration(t *testing.T) {
 	opt := DefaultOptions()
 	cells := sp.cells(opt)
 	if len(cells) != 8 {
-		t.Fatalf("NumCells = %d, want 8", len(cells))
+		t.Fatalf("%d cells, want 8", len(cells))
 	}
 	// Frequency outermost, then VCs, then link width — regardless of the
 	// order the axes were declared in. Without layer_count/tsv_budget axes
 	// the (freq, fold, budget) group degenerates to one group per frequency.
 	want := []cellSpec{
-		{index: 0, freqIdx: 0, freq: 400, group: 0, vcs: 1, lw: 16, probe: true},
-		{index: 1, freqIdx: 0, freq: 400, group: 0, vcs: 1, lw: 32},
-		{index: 2, freqIdx: 0, freq: 400, group: 0, vcs: 2, lw: 16},
-		{index: 3, freqIdx: 0, freq: 400, group: 0, vcs: 2, lw: 32},
-		{index: 4, freqIdx: 1, freq: 600, group: 1, vcs: 1, lw: 16, probe: true},
-		{index: 5, freqIdx: 1, freq: 600, group: 1, vcs: 1, lw: 32},
-		{index: 6, freqIdx: 1, freq: 600, group: 1, vcs: 2, lw: 16},
-		{index: 7, freqIdx: 1, freq: 600, group: 1, vcs: 2, lw: 32},
+		{freq: 400, group: 0, vcs: 1, lw: 16, probe: true},
+		{freq: 400, group: 0, vcs: 1, lw: 32},
+		{freq: 400, group: 0, vcs: 2, lw: 16},
+		{freq: 400, group: 0, vcs: 2, lw: 32},
+		{freq: 600, group: 1, vcs: 1, lw: 16, probe: true},
+		{freq: 600, group: 1, vcs: 1, lw: 32},
+		{freq: 600, group: 1, vcs: 2, lw: 16},
+		{freq: 600, group: 1, vcs: 2, lw: 32},
 	}
 	for i, c := range cells {
 		if c != want[i] {
 			t.Errorf("cell %d = %+v, want %+v", i, c, want[i])
 		}
-	}
-	if n := sp.NumCells(opt); n != len(cells) {
-		t.Errorf("NumCells = %d, want %d", n, len(cells))
 	}
 }
 
@@ -75,7 +72,7 @@ func TestSpaceCellsDefaultFrequencies(t *testing.T) {
 	opt.FrequenciesMHz = []float64{250, 500, 750}
 	cells := sp.cells(opt)
 	if len(cells) != 3 {
-		t.Fatalf("NumCells = %d, want 3", len(cells))
+		t.Fatalf("%d cells, want 3", len(cells))
 	}
 	for i, c := range cells {
 		if c.freq != opt.FrequenciesMHz[i] || !c.probe {

@@ -12,19 +12,19 @@ import (
 	"sunfloor3d/internal/workload"
 )
 
-// phase1SweepAll is Algorithm 1 built exhaustively: every theta retry of
-// every unmet slot and every Phase-2 step of the fallback, whether or not its
-// outcome is decided before it runs. It is the reference that
-// TestPhase1SweepMatchesExhaustive holds phase1Sweep to, for runs without a
-// branch-and-bound hook.
-func phase1SweepAll(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 bool, cache *partitionCache, p *pool) ([]DesignPoint, error) {
-	counts := opt.explCounts
-	pg := cache.pg(0)
+// phase1SweepAll is Algorithm 1 built exhaustively over the sweep s: every
+// theta retry of every unmet slot and every Phase-2 step of the fallback,
+// whether or not its outcome is decided before it runs. It is the reference
+// that TestPhase1SweepMatchesExhaustive holds sweep.phase1 to, for sweeps
+// without a branch-and-bound hook.
+func phase1SweepAll(s *sweep, fallbackPhase2 bool) ([]DesignPoint, error) {
+	counts := s.counts
+	pg := s.cache.pg(0)
 	points := make([]DesignPoint, len(counts))
-	err := p.forEach(len(counts),
+	err := s.p.forEach(len(counts),
 		func(i int) DesignPoint {
 			return timed(func() DesignPoint {
-				return buildPhase1Point(g, opt, freq, cache.coreAssignment(pg, 0, counts[i]), counts[i], 0)
+				return s.phase1Point(s.cache.coreAssignment(pg, 0, counts[i]), counts[i], 0)
 			})
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
@@ -42,17 +42,17 @@ func phase1SweepAll(g *model.CommGraph, opt Options, freq float64, fallbackPhase
 	}
 
 	// Theta scaling loop (steps 11-19 of Algorithm 1).
-	if len(unmet) > 0 && g.NumLayers() > 1 {
-		for _, theta := range opt.Partition.ThetaSweep() {
+	if len(unmet) > 0 && s.g.NumLayers() > 1 {
+		for _, theta := range s.opt.Partition.ThetaSweep() {
 			if len(unmet) == 0 {
 				break
 			}
-			spg := cache.pg(theta)
+			spg := s.cache.pg(theta)
 			retried := make([]DesignPoint, len(unmet))
-			err := p.forEach(len(unmet),
+			err := s.p.forEach(len(unmet),
 				func(j int) DesignPoint {
 					return timed(func() DesignPoint {
-						return buildPhase1Point(g, opt, freq, cache.coreAssignment(spg, theta, counts[unmet[j]]), counts[unmet[j]], theta)
+						return s.phase1Point(s.cache.coreAssignment(spg, theta, counts[unmet[j]]), counts[unmet[j]], theta)
 					})
 				},
 				func(j int, dp DesignPoint) { retried[j] = dp })
@@ -72,21 +72,21 @@ func phase1SweepAll(g *model.CommGraph, opt Options, freq float64, fallbackPhase
 	}
 
 	// Optional Phase-2 fallback for counts that even the SPG could not fix.
-	if fallbackPhase2 && len(unmet) > 0 && g.NumLayers() > 1 {
-		lpgs, minPerLayer, maxExtra := phase2Plan(opt, freq, cache)
+	if fallbackPhase2 && len(unmet) > 0 && s.g.NumLayers() > 1 {
+		lpgs, minPerLayer, maxExtra := s.phase2Plan()
 		steps := make([]int, maxExtra+1)
 		for e := range steps {
 			steps[e] = e
 		}
-		p2, err := phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps, false)
+		p2, err := s.phase2(lpgs, minPerLayer, steps, false)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range unmet {
+		for _, i := range unmet {
 			// Find a valid Phase-2 point with a comparable total switch count.
 			for _, dp := range p2 {
-				if dp.Valid && dp.SwitchCount == counts[s] {
-					points[s] = dp
+				if dp.Valid && dp.SwitchCount == counts[i] {
+					points[i] = dp
 					break
 				}
 			}
@@ -110,16 +110,17 @@ type sweepRun struct {
 	attempts map[attemptID]int
 }
 
-// runSweep sweeps every frequency of freqs with one sweep function, on a
-// fresh partition cache and a pool of the given parallelism.
+// runSweep runs one Algorithm 1 implementation, phase1, on a sweep value per
+// frequency of freqs, all on one fresh partition cache and a pool of the
+// given parallelism.
 func runSweep(t *testing.T, g *model.CommGraph, freqs []float64, phase Phase, parallelism int,
-	sweep func(*model.CommGraph, Options, float64, bool, *partitionCache, *pool) ([]DesignPoint, error)) sweepRun {
+	phase1 func(*sweep, bool) ([]DesignPoint, error)) sweepRun {
 	t.Helper()
 	opt := DefaultOptions()
 	opt.Parallelism = parallelism
-	opt.explCounts = make([]int, g.NumCores())
-	for i := range opt.explCounts {
-		opt.explCounts[i] = i + 1
+	counts := make([]int, g.NumCores())
+	for i := range counts {
+		counts[i] = i + 1
 	}
 	run := sweepRun{attempts: map[attemptID]int{}}
 	opt.Progress = func(ev Event) {
@@ -131,7 +132,7 @@ func runSweep(t *testing.T, g *model.CommGraph, freqs []float64, phase Phase, pa
 	cache := newPartitionCache(g, opt.Partition)
 	var retained []Point
 	for _, f := range freqs {
-		pts, err := sweep(g, opt, f, phase == PhaseAuto, cache, p)
+		pts, err := phase1(&sweep{g: g, freq: f, opt: opt, counts: counts, cache: cache, p: p}, phase == PhaseAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func runSweep(t *testing.T, g *model.CommGraph, freqs []float64, phase Phase, pa
 // TestPhase1SweepMatchesExhaustive checks that skipping the decided attempts
 // of Algorithm 1 (theta retries that repeat a tried core assignment, Phase-2
 // fallback steps whose switch count no unmet slot needs) is exact:
-// phase1Sweep retains byte-identical points to the exhaustive phase1SweepAll
+// sweep.phase1 retains byte-identical points to the exhaustive phase1SweepAll
 // and builds only attempts the exhaustive sweep also builds. The paper
 // benchmarks run at the seven paper frequencies under the automatic policy,
 // on four workers; the generated designs of every shape, at two and three
@@ -158,7 +159,7 @@ func runSweep(t *testing.T, g *model.CommGraph, freqs []float64, phase Phase, pa
 // policy, serially and on four workers. (The serial sweep of the paper
 // benchmarks is pinned by the golden corpus and the benchmark's digests.)
 // The exhaustive sweep runs on four workers to keep the test short: its
-// points, like phase1Sweep's, do not depend on the parallelism.
+// points, like sweep.phase1's, do not depend on the parallelism.
 func TestPhase1SweepMatchesExhaustive(t *testing.T) {
 	paperFreqs := []float64{400, 500, 600, 700, 800, 900, 1000}
 	type input struct {
@@ -193,7 +194,7 @@ func TestPhase1SweepMatchesExhaustive(t *testing.T) {
 			want := runSweep(t, in.g, in.freqs, phase, 4, phase1SweepAll)
 			for i, par := range in.parallel {
 				name := fmt.Sprintf("%s/%s/parallelism=%d", in.name, phase, par)
-				got := runSweep(t, in.g, in.freqs, phase, par, phase1Sweep)
+				got := runSweep(t, in.g, in.freqs, phase, par, (*sweep).phase1)
 				if !bytes.Equal(got.points, want.points) {
 					t.Errorf("%s: retained points differ from the exhaustive sweep (%d vs %d bytes)",
 						name, len(got.points), len(want.points))

@@ -87,7 +87,7 @@ type RouteStats struct {
 	Routed int `json:"routed"`
 	// FailedFlows is the number of flows that could not be routed. A theta
 	// retry or Phase-2 fallback step stops routing at its first unroutable
-	// flow and reports 1 (see runAndEvaluate); the sweep keeps such a step
+	// flow and reports 1 (see sweep.finish); the sweep keeps such a step
 	// only when it is valid, so no serialised point reports a stopped count.
 	FailedFlows int `json:"failed_flows,omitempty"`
 	// IndirectSwitches is the number of switches the router inserted purely
@@ -190,9 +190,9 @@ func ParetoIndices(power, latency []float64) []int {
 
 // Synthesize runs the full SunFloor 3D flow on the design and returns all
 // explored design points plus the best one. It is SynthesizeContext with a
-// background context.
+// background context and no exploration hooks.
 func Synthesize(g *model.CommGraph, opt Options) (*Result, error) {
-	return SynthesizeContext(context.Background(), g, opt)
+	return SynthesizeContext(context.Background(), g, opt, ExplorationHooks{})
 }
 
 // SynthesizeContext runs the full SunFloor 3D flow on the design under the
@@ -201,8 +201,12 @@ func Synthesize(g *model.CommGraph, opt Options) (*Result, error) {
 // (Options.Parallelism wide); the ordering of Result.Points is deterministic
 // and identical between serial and parallel runs. Cancelling the context
 // stops the sweep promptly — points not yet started are abandoned — and
-// returns the context's error.
-func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options) (*Result, error) {
+// returns the context's error. hooks decide which exploration cells this
+// call computes, restores and persists (checkpointing and sharding); the
+// zero hooks own every cell and restore and persist none. Like Progress they
+// never change what a computed cell holds, so the options alone determine
+// the result's bytes.
+func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options, hooks ExplorationHooks) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -219,13 +223,14 @@ func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options) (*R
 	// run drains all in-flight evaluations before SynthesizeContext returns
 	// and never leaks a goroutine or an evaluation slot.
 	defer p.close()
+	// One placement memo for the whole run: the LP's input recurs across
+	// frequencies and layer-count folds (a fold keeps every planar core
+	// centre), so per-fold memos would miss most repeats.
+	var placements *place.Memo
 	if opt.RunLPPlacement {
-		// One placement memo for the whole run: the LP's input recurs
-		// across frequencies and layer-count folds (a fold keeps every
-		// planar core centre), so per-variant memos would miss most repeats.
-		opt.placements = place.NewMemo()
+		placements = place.NewMemo()
 	}
-	return exploreSpace(ctx, g, opt, newPartitionCache(g, opt.Partition), p)
+	return exploreSpace(ctx, g, opt, hooks, placements, p)
 }
 
 // refineBest applies the switch-placement refinement to the winning design
@@ -249,7 +254,8 @@ func refineBest(res *Result, opt Options, refine func(*topology.Topology) error)
 	simulate := opt.Sim != nil && (opt.SimBand == 0 || best.SimTriage == "sim")
 	dp := *best
 	dp.Valid = false // analyse validates the refined geometry afresh
-	dp = analyse(refined, opt, routeConfig(opt, best.FreqMHz, best.Phase == 2), dp, simulate)
+	s := &sweep{opt: opt, freq: best.FreqMHz}
+	dp = s.analyse(refined, s.routeConfig(best.Phase == 2), dp, simulate)
 	if dp.Valid && dp.Cost(opt.PowerWeight, opt.LatencyWeight) <= best.Cost(opt.PowerWeight, opt.LatencyWeight) {
 		*best = dp
 	}
@@ -286,31 +292,59 @@ func timed(build func() DesignPoint) DesignPoint {
 	return dp
 }
 
-// synthesizeAtFrequency explores all switch counts for one operating
-// frequency, choosing Phase 1 / Phase 2 per the configured policy.
-func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool) ([]DesignPoint, error) {
-	switch opt.Phase {
+// sweep is the switch-count sweep of one exploration cell: Algorithms 1 and
+// 2 at one operating frequency on one layer fold of the design, with
+// everything its attempts read. exploreSpace builds one per computed cell;
+// refineBest builds one with only the run's options and the best point's
+// frequency, for the analysis tail.
+type sweep struct {
+	// g is the cell's layer fold of the design, freq its frequency in MHz.
+	g    *model.CommGraph
+	freq float64
+	// opt is the run's options with the cell's link width and VC count.
+	opt Options
+	// counts lists the Phase-1 switch counts, one sweep slot each: the
+	// switch_count axis values, or 1..NumCores without that axis.
+	counts []int
+	// prune, when non-nil, is the branch-and-bound hook consulted before a
+	// Phase-1 point is built: a non-empty return is the prune reason, and the
+	// point becomes a stub that is neither partitioned, routed nor evaluated.
+	prune func(switches int) string
+	// tsvBudget, when positive, invalidates points that need more TSV macros
+	// (the cell's tsv_budget axis value).
+	tsvBudget int
+	// cache is the fold's partition cache, p the run's pool and placements
+	// the run's switch-placement memo (nil without RunLPPlacement).
+	cache      *partitionCache
+	p          *pool
+	placements *place.Memo
+}
+
+// run explores every switch count of the cell, choosing Phase 1 or Phase 2
+// per the configured policy.
+func (s *sweep) run() ([]DesignPoint, error) {
+	switch s.opt.Phase {
 	case Phase2Only:
-		lpgs, minPerLayer, maxExtra := phase2Plan(opt, freq, cache)
+		lpgs, minPerLayer, maxExtra := s.phase2Plan()
 		steps := make([]int, maxExtra+1)
 		for e := range steps {
 			steps[e] = e
 		}
-		return phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps, false)
+		return s.phase2(lpgs, minPerLayer, steps, false)
 	case Phase1Only:
-		return phase1Sweep(g, opt, freq, false, cache, p)
+		return s.phase1(false)
 	default:
 		// Auto: Phase 1 with Phase 2 as fallback for unmet switch counts.
-		return phase1Sweep(g, opt, freq, true, cache, p)
+		return s.phase1(true)
 	}
 }
 
-// phase1Sweep implements Algorithm 1 over the switch counts listed in
-// opt.explCounts, one sweep slot per count. The initial sweep and every theta
-// retry round fan out onto the worker pool; the rounds themselves stay
-// sequential because each one only re-attempts the slots the previous round
-// left unmet. When fallbackPhase2 is set, slots that remain unmet after the
-// theta sweep are retried with the layer-by-layer method.
+// phase1 implements Algorithm 1 over s.counts, one sweep slot per count. The
+// initial sweep and every theta retry round fan out onto the worker pool;
+// the rounds themselves stay sequential because each one only re-attempts
+// the slots the previous round left unmet. When fallbackPhase2 is set, slots
+// that remain unmet after the theta sweep are retried with the
+// layer-by-layer method.
 //
 // Attempts whose outcome is decided before they run are never built, so they
 // are neither scheduled nor reported to the progress stream:
@@ -330,28 +364,28 @@ func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache 
 //     matching steps in ascending order retains the same points.
 //
 // A theta retry and a fallback step are retained only when valid, so they
-// stop routing at their first unroutable flow (see runAndEvaluate): a failed
-// one reports that flow alone, and only the progress stream sees it.
-func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 bool, cache *partitionCache, p *pool) ([]DesignPoint, error) {
-	counts := opt.explCounts
-	pg := cache.pg(0)
+// stop routing at their first unroutable flow (see finish): a failed one
+// reports that flow alone, and only the progress stream sees it.
+func (s *sweep) phase1(fallbackPhase2 bool) ([]DesignPoint, error) {
+	counts := s.counts
+	pg := s.cache.pg(0)
 	points := make([]DesignPoint, len(counts))
 	tried := make([][][]int, len(counts)) // per slot, the core assignments built so far
-	err := p.forEach(len(counts),
+	err := s.p.forEach(len(counts),
 		func(i int) DesignPoint {
 			return timed(func() DesignPoint {
 				// Branch and bound (explorer only): the bound is
 				// build-independent — a function of the frequency and switch
 				// count alone — so a pruned count computes no partition and
 				// is never retried (see below).
-				if opt.explPrune != nil {
-					if reason := opt.explPrune(counts[i]); reason != "" {
-						return DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: counts[i], Pruned: true, FailReason: reason}}
+				if s.prune != nil {
+					if reason := s.prune(counts[i]); reason != "" {
+						return DesignPoint{Point: Point{FreqMHz: s.freq, SwitchCount: counts[i], Pruned: true, FailReason: reason}}
 					}
 				}
-				assign := cache.coreAssignment(pg, 0, counts[i])
+				assign := s.cache.coreAssignment(pg, 0, counts[i])
 				tried[i] = [][]int{assign}
-				return buildPhase1Point(g, opt, freq, assign, counts[i], 0)
+				return s.phase1Point(assign, counts[i], 0)
 			})
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
@@ -369,30 +403,30 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 	}
 
 	// Theta scaling loop (steps 11-19 of Algorithm 1).
-	if len(unmet) > 0 && g.NumLayers() > 1 {
-		for _, theta := range opt.Partition.ThetaSweep() {
+	if len(unmet) > 0 && s.g.NumLayers() > 1 {
+		for _, theta := range s.opt.Partition.ThetaSweep() {
 			if len(unmet) == 0 {
 				break
 			}
-			spg := cache.pg(theta)
+			spg := s.cache.pg(theta)
 			var slots []int // the unmet slots whose assignment is new
 			var assigns [][]int
-			for _, s := range unmet {
-				if err := p.ctx.Err(); err != nil {
+			for _, i := range unmet {
+				if err := s.p.ctx.Err(); err != nil {
 					return nil, err
 				}
-				assign := cache.coreAssignment(spg, theta, counts[s])
-				if slices.ContainsFunc(tried[s], func(a []int) bool { return slices.Equal(a, assign) }) {
+				assign := s.cache.coreAssignment(spg, theta, counts[i])
+				if slices.ContainsFunc(tried[i], func(a []int) bool { return slices.Equal(a, assign) }) {
 					continue
 				}
-				tried[s] = append(tried[s], assign)
-				slots = append(slots, s)
+				tried[i] = append(tried[i], assign)
+				slots = append(slots, i)
 				assigns = append(assigns, assign)
 			}
 			retried := make([]DesignPoint, len(slots))
-			err := p.forEach(len(slots),
+			err := s.p.forEach(len(slots),
 				func(j int) DesignPoint {
-					return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, assigns[j], counts[slots[j]], theta) })
+					return timed(func() DesignPoint { return s.phase1Point(assigns[j], counts[slots[j]], theta) })
 				},
 				func(j int, dp DesignPoint) { retried[j] = dp })
 			if err != nil {
@@ -403,16 +437,16 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 					points[slots[j]] = dp
 				}
 			}
-			unmet = slices.DeleteFunc(unmet, func(s int) bool { return points[s].Valid })
+			unmet = slices.DeleteFunc(unmet, func(i int) bool { return points[i].Valid })
 		}
 	}
 
 	// Optional Phase-2 fallback for counts that even the SPG could not fix.
-	if fallbackPhase2 && len(unmet) > 0 && g.NumLayers() > 1 {
-		lpgs, minPerLayer, maxExtra := phase2Plan(opt, freq, cache)
+	if fallbackPhase2 && len(unmet) > 0 && s.g.NumLayers() > 1 {
+		lpgs, minPerLayer, maxExtra := s.phase2Plan()
 		need := make(map[int]bool, len(unmet))
-		for _, s := range unmet {
-			need[counts[s]] = true
+		for _, i := range unmet {
+			need[counts[i]] = true
 		}
 		var steps []int
 		for e := 0; e <= maxExtra; e++ {
@@ -426,15 +460,15 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 				steps = append(steps, e)
 			}
 		}
-		p2, err := phase2Sweep(g, opt, freq, cache, p, lpgs, minPerLayer, steps, true)
+		p2, err := s.phase2(lpgs, minPerLayer, steps, true)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range unmet {
+		for _, i := range unmet {
 			// Find a valid Phase-2 point with a comparable total switch count.
 			for _, dp := range p2 {
-				if dp.Valid && dp.SwitchCount == counts[s] {
-					points[s] = dp
+				if dp.Valid && dp.SwitchCount == counts[i] {
+					points[i] = dp
 					break
 				}
 			}
@@ -443,22 +477,23 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 	return points, nil
 }
 
-// buildPhase1Point builds and evaluates one Phase-1 design point for the
-// given switch count from assign, the core partition of the PG (theta 0) or
-// of the theta-scaled SPG. A theta retry (theta > 0) is retained only when
-// valid, so it routes as a discardable point (see runAndEvaluate).
-func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, assign []int, switches int, theta float64) DesignPoint {
-	dp := DesignPoint{Point: Point{FreqMHz: freq, SwitchCount: switches, Phase: 1, Theta: theta}}
+// phase1Point builds and evaluates one Phase-1 design point for the given
+// switch count from assign, the core partition of the PG (theta 0) or of the
+// theta-scaled SPG. A theta retry (theta > 0) is retained only when valid,
+// so it routes as a discardable point (see finish).
+func (s *sweep) phase1Point(assign []int, switches int, theta float64) DesignPoint {
+	dp := DesignPoint{Point: Point{FreqMHz: s.freq, SwitchCount: switches, Phase: 1, Theta: theta}}
 	blocks := graph.Blocks(assign, switches)
 
-	top := topology.New(g, opt.Lib, freq)
-	maxSwSize := opt.Lib.MaxSwitchSize(freq)
+	top := topology.New(s.g, s.opt.Lib, s.freq)
+	top.Switches = make([]topology.Switch, 0, len(blocks))
+	maxSwSize := s.opt.Lib.MaxSwitchSize(s.freq)
 	for _, block := range blocks {
 		var layer int
-		if opt.SwitchLayer == LayerMajority {
-			layer = partition.SwitchLayerMajority(g, block)
+		if s.opt.SwitchLayer == LayerMajority {
+			layer = partition.SwitchLayerMajority(s.g, block)
 		} else {
-			layer = partition.SwitchLayerFromBlock(g, block)
+			layer = partition.SwitchLayerFromBlock(s.g, block)
 		}
 		sw := top.AddSwitch(layer)
 		for _, c := range block {
@@ -468,7 +503,7 @@ func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, assign []in
 		// frequency allows can never close timing.
 		if len(block) > maxSwSize {
 			dp.FailReason = fmt.Sprintf("switch with %d cores exceeds max switch size %d at %.0f MHz",
-				len(block), maxSwSize, freq)
+				len(block), maxSwSize, s.freq)
 		}
 	}
 	if dp.FailReason != "" {
@@ -479,29 +514,27 @@ func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, assign []in
 
 	// Pruning 3: check the inter-layer links needed just by the core
 	// attachments before spending time on path computation.
-	if opt.MaxILL > 0 && top.MaxInterLayerLinks() > opt.MaxILL {
-		dp.Topology = top
-		dp.FailReason = fmt.Sprintf("core attachments alone need %d inter-layer links (max %d)",
-			top.MaxInterLayerLinks(), opt.MaxILL)
-		return dp
+	if s.opt.MaxILL > 0 {
+		if ill := top.MaxInterLayerLinks(); ill > s.opt.MaxILL {
+			dp.Topology = top
+			dp.FailReason = fmt.Sprintf("core attachments alone need %d inter-layer links (max %d)", ill, s.opt.MaxILL)
+			return dp
+		}
 	}
-	return finishPoint(top, opt, freq, dp, theta > 0)
+	return s.finish(top, dp, false, theta > 0)
 }
 
-// phase2Sweep implements Algorithm 2: layer-by-layer core-to-switch
-// connectivity with adjacent-layer-only vertical links. Every listed sweep
-// step (number of extra switches per layer, from 0 to phase2Plan's maxExtra)
-// is an independent design point evaluated on the worker pool; the points
-// come back in the order of steps. discardable is set for the Phase-1
-// sweep's fallback, which retains a step only when it is valid (see
-// runAndEvaluate).
-func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool, lpgs []partition.LPG, minPerLayer, steps []int, discardable bool) ([]DesignPoint, error) {
+// phase2 implements Algorithm 2: layer-by-layer core-to-switch connectivity
+// with adjacent-layer-only vertical links. Every listed sweep step (number
+// of extra switches per layer, from 0 to phase2Plan's maxExtra) is an
+// independent design point evaluated on the worker pool; the points come
+// back in the order of steps. discardable is set for the Phase-1 sweep's
+// fallback, which retains a step only when it is valid (see finish).
+func (s *sweep) phase2(lpgs []partition.LPG, minPerLayer, steps []int, discardable bool) ([]DesignPoint, error) {
 	points := make([]DesignPoint, len(steps))
-	err := p.forEach(len(steps),
+	err := s.p.forEach(len(steps),
 		func(i int) DesignPoint {
-			return timed(func() DesignPoint {
-				return buildPhase2Point(g, opt, freq, cache, lpgs, minPerLayer, steps[i], discardable)
-			})
+			return timed(func() DesignPoint { return s.phase2Point(lpgs, minPerLayer, steps[i], discardable) })
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
 	if err != nil {
@@ -516,9 +549,9 @@ func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partition
 // Phase-1 sweep's fallback, which needs each step's switch count before it
 // builds anything, and the explorer, which needs the sweep's point count
 // (maxExtra+1) to shape the stubs of pruned and shard-skipped Phase-2 cells.
-func phase2Plan(opt Options, freq float64, cache *partitionCache) (lpgs []partition.LPG, minPerLayer []int, maxExtra int) {
-	lpgs = cache.layerGraphs()
-	maxSwSize := opt.Lib.MaxSwitchSize(freq)
+func (s *sweep) phase2Plan() (lpgs []partition.LPG, minPerLayer []int, maxExtra int) {
+	lpgs = s.cache.layerGraphs()
+	maxSwSize := s.opt.Lib.MaxSwitchSize(s.freq)
 
 	minPerLayer = make([]int, len(lpgs))
 	for j, l := range lpgs {
@@ -532,8 +565,8 @@ func phase2Plan(opt Options, freq float64, cache *partitionCache) (lpgs []partit
 			maxExtra = extra
 		}
 	}
-	if opt.MaxSwitchesPerLayer > 0 && maxExtra > opt.MaxSwitchesPerLayer {
-		maxExtra = opt.MaxSwitchesPerLayer
+	if s.opt.MaxSwitchesPerLayer > 0 && maxExtra > s.opt.MaxSwitchesPerLayer {
+		maxExtra = s.opt.MaxSwitchesPerLayer
 	}
 	return lpgs, minPerLayer, maxExtra
 }
@@ -545,65 +578,55 @@ func phase2LayerSwitches(l partition.LPG, minimum, extra int) int {
 	return max(1, min(minimum+extra, len(l.Vertices)))
 }
 
-// buildPhase2Point builds and evaluates the Phase-2 design point with `extra`
+// phase2Point builds and evaluates the Phase-2 design point with `extra`
 // switches per layer beyond each layer's minimum.
-func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, lpgs []partition.LPG, minPerLayer []int, extra int, discardable bool) DesignPoint {
-	dp := DesignPoint{Point: Point{FreqMHz: freq, Phase: 2}}
-	top := topology.New(g, opt.Lib, freq)
-	totalSwitches := 0
+func (s *sweep) phase2Point(lpgs []partition.LPG, minPerLayer []int, extra int, discardable bool) DesignPoint {
+	dp := DesignPoint{Point: Point{FreqMHz: s.freq, Phase: 2}}
+	top := topology.New(s.g, s.opt.Lib, s.freq)
 	for j, l := range lpgs {
 		if len(l.Vertices) == 0 {
 			continue
 		}
 		np := phase2LayerSwitches(l, minPerLayer[j], extra)
-		assignment := cache.lpgAssignment(j, l, np)
-		// Create one switch per block on this layer.
-		swOf := make(map[int]int, np)
+		assignment := s.cache.lpgAssignment(j, l, np)
+		// One switch per block on this layer: block b's is first+b.
+		first := len(top.Switches)
 		for b := 0; b < np; b++ {
-			swOf[b] = top.AddSwitch(l.Layer)
+			top.AddSwitch(l.Layer)
 		}
-		totalSwitches += np
+		dp.SwitchCount += np
 		//determlint:ordered AttachCore writes CoreAttach[core] exactly once per distinct core; keyed writes commute, so attachment state is order-independent
 		for core, block := range assignment {
-			top.AttachCore(core, swOf[block])
+			top.AttachCore(core, first+block)
 		}
 	}
-	dp.SwitchCount = totalSwitches
 	top.EstimateSwitchPositions()
-	return finishPoint2(top, opt, freq, dp, discardable)
+	return s.finish(top, dp, true, discardable)
 }
 
-// finishPoint routes, optionally LP-places, evaluates and validates a Phase-1
-// design point.
-func finishPoint(top *topology.Topology, opt Options, freq float64, dp DesignPoint, discardable bool) DesignPoint {
-	cfg := routeConfig(opt, freq, false)
-	return runAndEvaluate(top, opt, cfg, dp, discardable)
-}
-
-// finishPoint2 does the same for a Phase-2 point (adjacent layers only).
-func finishPoint2(top *topology.Topology, opt Options, freq float64, dp DesignPoint, discardable bool) DesignPoint {
-	cfg := routeConfig(opt, freq, true)
-	return runAndEvaluate(top, opt, cfg, dp, discardable)
-}
-
-func routeConfig(opt Options, freq float64, adjacentOnly bool) route.Config {
+// routeConfig returns the router configuration of the sweep's points;
+// adjacentOnly restricts vertical links to adjacent layers (Phase 2).
+func (s *sweep) routeConfig(adjacentOnly bool) route.Config {
 	cfg := route.DefaultConfig()
-	cfg.MaxILL = opt.MaxILL
-	cfg.SoftILLMargin = opt.SoftILLMargin
-	cfg.MaxSwitchSize = opt.Lib.MaxSwitchSize(freq)
+	cfg.MaxILL = s.opt.MaxILL
+	cfg.SoftILLMargin = s.opt.SoftILLMargin
+	cfg.MaxSwitchSize = s.opt.Lib.MaxSwitchSize(s.freq)
 	cfg.AdjacentLayersOnly = adjacentOnly
-	cfg.PowerWeight = opt.PowerWeight
-	cfg.LatencyWeight = opt.LatencyWeight
+	cfg.PowerWeight = s.opt.PowerWeight
+	cfg.LatencyWeight = s.opt.LatencyWeight
 	return cfg
 }
 
-// runAndEvaluate routes top under cfg and, when every flow routed, places,
-// evaluates and validates it. A discardable point, one the sweep retains
-// only when it is valid, routes with route.Config.StopAtFirstFailure: a
-// failing one stops at its first unroutable flow, reports that flow alone
-// and names it in FailReason without claiming a total. The stop is set on
-// the router's copy of cfg only; analyse hands cfg on to the fault replay.
-func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoint, discardable bool) DesignPoint {
+// finish routes top and, when every flow routed, places, evaluates and
+// validates it; adjacentOnly selects the Phase-2 routing rule (see
+// routeConfig). A discardable point, one the sweep retains only when it is
+// valid, routes with route.Config.StopAtFirstFailure: a failing one stops at
+// its first unroutable flow, reports that flow alone and names it in
+// FailReason without claiming a total. The stop is set on the router's copy
+// of the configuration only; analyse hands the plain one on to the fault
+// replay.
+func (s *sweep) finish(top *topology.Topology, dp DesignPoint, adjacentOnly, discardable bool) DesignPoint {
+	cfg := s.routeConfig(adjacentOnly)
 	rcfg := cfg
 	rcfg.StopAtFirstFailure = discardable
 	res, err := route.ComputePaths(top, rcfg)
@@ -622,15 +645,15 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 		}
 		return dp
 	}
-	if opt.RunLPPlacement {
-		if err := opt.placements.OptimizeSwitchPositions(top); err != nil {
+	if s.opt.RunLPPlacement {
+		if err := s.placements.OptimizeSwitchPositions(top); err != nil {
 			dp.FailReason = fmt.Sprintf("LP placement failed: %v", err)
 			return dp
 		}
 	}
 	// With SimBand active, simulation is deferred to the triage pass
 	// (triageSimBand), which simulates only the estimated Pareto band.
-	return analyse(top, opt, cfg, dp, opt.Sim != nil && opt.SimBand == 0)
+	return s.analyse(top, cfg, dp, s.opt.Sim != nil && s.opt.SimBand == 0)
 }
 
 // analyse is the analysis tail of a routed (and placed) topology, shared by
@@ -639,28 +662,28 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 // attaches the contention estimate, the simulation (when simulate is set),
 // and the sparing and fault-replay report the run asks for. A failing
 // constraint, simulation or fault replay leaves dp invalid with its reason.
-func analyse(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoint, simulate bool) DesignPoint {
+func (s *sweep) analyse(top *topology.Topology, cfg route.Config, dp DesignPoint, simulate bool) DesignPoint {
 	dp.Topology = top
 	dp.Metrics = top.Evaluate()
-	if reason := validateTopology(top, opt, dp.Metrics, dp.FreqMHz); reason != "" {
+	if reason := s.validate(top, dp.Metrics); reason != "" {
 		dp.FailReason = reason
 		return dp
 	}
 	dp.Valid = true
-	if opt.Contend {
+	if s.opt.Contend {
 		flits := 0
-		if opt.Sim != nil {
-			flits = opt.Sim.PacketFlits
+		if s.opt.Sim != nil {
+			flits = s.opt.Sim.PacketFlits
 		}
 		dp.Contention = contend.EstimatePoint(top, flits)
 	}
 	if simulate {
-		if dp = simulatePoint(dp, opt); !dp.Valid {
+		if dp = simulatePoint(dp, s.opt); !dp.Valid {
 			return dp
 		}
 	}
-	if opt.Sparing != nil || opt.Fault != nil {
-		rep, spareTSVs, err := faultReport(top, opt, cfg)
+	if s.opt.Sparing != nil || s.opt.Fault != nil {
+		rep, spareTSVs, err := faultReport(top, s.opt, cfg)
 		if err != nil {
 			dp.Valid = false
 			dp.FailReason = fmt.Sprintf("fault model: %v", err)
@@ -670,6 +693,29 @@ func analyse(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoi
 		dp.Metrics.SpareTSVMacros = spareTSVs
 	}
 	return dp
+}
+
+// validate checks an evaluated topology against the run's constraints,
+// returning a failure reason or "" when every constraint holds.
+func (s *sweep) validate(top *topology.Topology, m topology.Metrics) string {
+	if s.opt.MaxILL > 0 && m.MaxILL > s.opt.MaxILL {
+		return fmt.Sprintf("uses %d inter-layer links (max %d)", m.MaxILL, s.opt.MaxILL)
+	}
+	maxSw := s.opt.Lib.MaxSwitchSize(s.freq)
+	in, out := top.SwitchPorts()
+	for i := range in {
+		if in[i] > maxSw || out[i] > maxSw {
+			return fmt.Sprintf("switch %d has %dx%d ports (max %d at %.0f MHz)",
+				i, in[i], out[i], maxSw, s.freq)
+		}
+	}
+	if s.opt.RequireLatencyMet && m.LatencyViolations > 0 {
+		return fmt.Sprintf("%d flows violate their latency constraint", m.LatencyViolations)
+	}
+	if s.tsvBudget > 0 && m.TSVMacros > s.tsvBudget {
+		return fmt.Sprintf("needs %d TSV macros (budget %d)", m.TSVMacros, s.tsvBudget)
+	}
+	return ""
 }
 
 // simulatePoint runs the flit-level simulation of a valid point's topology
@@ -717,27 +763,4 @@ func faultReport(top *topology.Topology, opt Options, cfg route.Config) (*fault.
 		return nil, 0, err
 	}
 	return rep, spareTSVs, nil
-}
-
-// validateTopology checks an evaluated topology against the run's
-// constraints, returning a failure reason or "" when every constraint holds.
-func validateTopology(top *topology.Topology, opt Options, m topology.Metrics, freq float64) string {
-	if opt.MaxILL > 0 && m.MaxILL > opt.MaxILL {
-		return fmt.Sprintf("uses %d inter-layer links (max %d)", m.MaxILL, opt.MaxILL)
-	}
-	maxSw := opt.Lib.MaxSwitchSize(freq)
-	in, out := top.SwitchPorts()
-	for i := range in {
-		if in[i] > maxSw || out[i] > maxSw {
-			return fmt.Sprintf("switch %d has %dx%d ports (max %d at %.0f MHz)",
-				i, in[i], out[i], maxSw, freq)
-		}
-	}
-	if opt.RequireLatencyMet && m.LatencyViolations > 0 {
-		return fmt.Sprintf("%d flows violate their latency constraint", m.LatencyViolations)
-	}
-	if opt.explTSVBudget > 0 && m.TSVMacros > opt.explTSVBudget {
-		return fmt.Sprintf("needs %d TSV macros (budget %d)", m.TSVMacros, opt.explTSVBudget)
-	}
-	return ""
 }
