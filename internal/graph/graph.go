@@ -48,12 +48,17 @@ func (g *Graph) NumEdges() int {
 }
 
 // AddEdge adds weight w to the directed edge u->v (creating it if needed).
-// It panics if a vertex is out of range: edges are only ever added by this
-// package's callers from validated indices, so an out-of-range index is a
-// programming error.
+// It panics if a vertex is out of range or w is negative: edges are only
+// ever added by this package's callers from validated indices and
+// non-negative weights (bandwidths, their Definition 3–5 scalings, unit
+// weights), so either is a programming error. The partitioner's swap search
+// relies on the weights being non-negative (see bestSwap).
 func (g *Graph) AddEdge(u, v int, w float64) {
 	g.check(u)
 	g.check(v)
+	if w < 0 {
+		panic(fmt.Sprintf("graph: negative weight %g on edge %d->%d", w, u, v))
+	}
 	if u == v {
 		return // ignore self loops; they never affect cuts or paths
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -14,16 +15,19 @@ import (
 // The algorithm is recursive bisection. Each bisection starts from a
 // BFS-based seeding that keeps strongly connected clusters together and is
 // then refined with Kernighan–Lin style pairwise swaps until no swap improves
-// the (undirected) cut weight. The instance sizes in this domain are tiny
-// (tens of cores), so each refinement pass simply scores every pair of
-// vertices on opposite sides. The sweep runs a partition for every switch
-// count and theta retry, so the kernel works on dense, vertex-indexed data
-// built once per call: no map is touched inside the refinement.
+// the (undirected) cut weight. The sweep partitions every graph for every
+// switch count, so a graph's dense, vertex-indexed view (a Partitioner) is
+// built once and shared by all of its calls, and no map is touched inside the
+// refinement. Each refinement pass bounds every pair's gain from above by the
+// sum of the two vertices' external-minus-internal weights, which it
+// computes once per pass, and scores in full only the pairs whose bound can
+// beat the best swap found so far.
 
-// partitioner is the dense view of one PartitionK call's graph, treated as
-// undirected, together with the vertex-indexed scratch every bisection of
-// the call reuses.
-type partitioner struct {
+// Partitioner is the dense view of one graph, treated as undirected, that
+// every partition of the graph reads. It is immutable once built, so one
+// Partitioner serves any number of PartitionK calls, concurrent ones
+// included.
+type Partitioner struct {
 	n int
 	// nbrs[v] lists the undirected neighbours of v in ascending order and
 	// nbrW[v][i] is the weight to nbrs[v][i]. Every weight summation
@@ -34,7 +38,12 @@ type partitioner struct {
 	// w[u*n+v] is the undirected weight between u and v (0 when they are not
 	// adjacent).
 	w []float64
+}
 
+// partitionCall is the vertex-indexed scratch of one PartitionK call, which
+// every bisection of the call reuses.
+type partitionCall struct {
+	*Partitioner
 	// verts holds the vertices of the recursion; every bisection rewrites
 	// its sub-slice in place as [side A ascending | side B ascending].
 	verts []int
@@ -49,12 +58,13 @@ type partitioner struct {
 	inc, d, in []float64
 }
 
-// newPartitioner builds the dense undirected view of g: cell (u, v) sums the
+// NewPartitioner builds the dense undirected view of g: cell (u, v) sums the
 // weights of the directed edges u->v and v->u in ascending order of their
-// source vertex, exactly as Graph.Undirected does.
-func newPartitioner(g *Graph) *partitioner {
+// source vertex, exactly as Graph.Undirected does. The view is a copy: later
+// edits of g do not reach it.
+func NewPartitioner(g *Graph) *Partitioner {
 	n := g.n
-	p := &partitioner{n: n, w: make([]float64, n*n), nbrs: make([][]int, n), nbrW: make([][]float64, n)}
+	p := &Partitioner{n: n, w: make([]float64, n*n), nbrs: make([][]int, n), nbrW: make([][]float64, n)}
 	adjacent := make([]bool, n*n)
 	for a, m := range g.adj {
 		//determlint:ordered cell (x, y) receives exactly the weights of directed edges (x, y) and (y, x), always in ascending outer-index order; map order only permutes writes to distinct cells, which commute
@@ -81,18 +91,24 @@ func newPartitioner(g *Graph) *partitioner {
 		}
 		p.nbrs[v], p.nbrW[v] = flatN[start:len(flatN):len(flatN)], flatW[start:len(flatW):len(flatW)]
 	}
+	return p
+}
 
+// newCall allocates the scratch of one PartitionK call on p.
+func (p *Partitioner) newCall() partitionCall {
+	n := p.n
+	c := partitionCall{Partitioner: p}
 	ints := make([]int, 5*n)
-	p.verts, p.order, p.rem, p.as, p.bs = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:4*n], ints[4*n:]
-	for v := range p.verts {
-		p.verts[v] = v
+	c.verts, c.order, c.rem, c.as, c.bs = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:4*n], ints[4*n:]
+	for v := range c.verts {
+		c.verts[v] = v
 	}
 	bools := make([]bool, 2*n)
-	p.inSet, p.visited = bools[:n], bools[n:]
-	p.side = make([]int8, n)
+	c.inSet, c.visited = bools[:n], bools[n:]
+	c.side = make([]int8, n)
 	floats := make([]float64, 3*n)
-	p.inc, p.d, p.in = floats[:n], floats[n:2*n], floats[2*n:]
-	return p
+	c.inc, c.d, c.in = floats[:n], floats[n:2*n], floats[2*n:]
+	return c
 }
 
 // PartitionK partitions the vertices of g into k balanced blocks minimising
@@ -100,10 +116,18 @@ func newPartitioner(g *Graph) *partitioner {
 // assign with assign[v] in [0,k) for every vertex v. The directed graph is
 // treated as undirected for cut purposes.
 //
-// PartitionK panics if k is not in [1, NumVertices()] — callers sweep k over
-// exactly that range.
+// PartitionK builds g's Partitioner for this one call; a caller that
+// partitions one graph for several block counts builds it once with
+// NewPartitioner instead. It panics if k is not in [1, NumVertices()] —
+// callers sweep k over exactly that range.
 func PartitionK(g *Graph, k int) []int {
-	n := g.NumVertices()
+	return NewPartitioner(g).PartitionK(k)
+}
+
+// PartitionK is PartitionK on the graph p was built from. It is safe for
+// concurrent use: each call works on scratch of its own.
+func (p *Partitioner) PartitionK(k int) []int {
+	n := p.n
 	if k < 1 || (k > n && n > 0) {
 		panic(fmt.Sprintf("graph: PartitionK with k=%d for %d vertices", k, n))
 	}
@@ -111,13 +135,13 @@ func PartitionK(g *Graph, k int) []int {
 	if k <= 1 || n == 0 {
 		return assign
 	}
-	p := newPartitioner(g)
-	p.partitionRec(p.verts, k, 0, assign)
+	c := p.newCall()
+	c.partitionRec(c.verts, k, 0, assign)
 	return assign
 }
 
 // partitionRec assigns block identifiers [base, base+k) to the given vertices.
-func (p *partitioner) partitionRec(verts []int, k, base int, assign []int) {
+func (c *partitionCall) partitionRec(verts []int, k, base int, assign []int) {
 	if k == 1 {
 		for _, v := range verts {
 			assign[v] = base
@@ -129,9 +153,9 @@ func (p *partitioner) partitionRec(verts []int, k, base int, assign []int) {
 	// Split the vertex count proportionally to the number of blocks on each
 	// side so that the leaves end up with floor(n/k) or ceil(n/k) vertices.
 	sizeA := balancedSplit(len(verts), k, kA)
-	p.bisect(verts, sizeA)
-	p.partitionRec(verts[:sizeA], kA, base, assign)
-	p.partitionRec(verts[sizeA:], kB, base+kA, assign)
+	c.bisect(verts, sizeA)
+	c.partitionRec(verts[:sizeA], kA, base, assign)
+	c.partitionRec(verts[sizeA:], kB, base+kA, assign)
 }
 
 // balancedSplit returns how many of n vertices go to the side that will hold
@@ -151,46 +175,46 @@ func balancedSplit(n, k, kA int) int {
 // bisect splits verts into two groups of sizes sizeA and len(verts)-sizeA
 // minimising the cut between them (heuristically). It rewrites verts in
 // place: side A, ascending, in verts[:sizeA] and side B, ascending, after it.
-func (p *partitioner) bisect(verts []int, sizeA int) {
+func (c *partitionCall) bisect(verts []int, sizeA int) {
 	n := len(verts)
 	if sizeA <= 0 || sizeA >= n {
 		return
 	}
 	for _, v := range verts {
-		p.inSet[v] = true
+		c.inSet[v] = true
 	}
 
 	// Seed side A with a BFS from the vertex with the heaviest incident
 	// weight inside this sub-problem. Growing a connected cluster keeps
 	// highly-communicating cores together, which is exactly what the paper
 	// wants from the min-cut partitioner.
-	order := p.bfsOrder(verts)
+	order := c.bfsOrder(verts)
 	for i, v := range order {
 		if i < sizeA {
-			p.side[v] = 0
+			c.side[v] = 0
 		} else {
-			p.side[v] = 1
+			c.side[v] = 1
 		}
 	}
 
 	// Kernighan–Lin style pairwise swap refinement: repeatedly perform the
 	// swap with the best positive gain until no swap improves the cut.
 	for pass := 0; pass < 2*n+4; pass++ {
-		bestA, bestB := p.bestSwap(order)
+		bestA, bestB := c.bestSwap(order)
 		if bestA < 0 {
 			break
 		}
-		p.side[bestA], p.side[bestB] = 1, 0
+		c.side[bestA], c.side[bestB] = 1, 0
 	}
 
 	a, b := verts[:0], verts[sizeA:sizeA]
 	for _, v := range order {
-		if p.side[v] == 0 {
+		if c.side[v] == 0 {
 			a = append(a, v)
 		} else {
 			b = append(b, v)
 		}
-		p.inSet[v] = false
+		c.inSet[v] = false
 	}
 	slices.Sort(a)
 	slices.Sort(b)
@@ -199,56 +223,56 @@ func (p *partitioner) bisect(verts []int, sizeA int) {
 // bfsOrder returns the vertices of the sub-problem in BFS order starting from
 // the vertex with the largest incident weight, visiting neighbours in order
 // of decreasing connecting weight. Vertices unreachable from the seed are
-// appended by the same criterion. The result aliases p.order.
-func (p *partitioner) bfsOrder(verts []int) []int {
+// appended by the same criterion. The result aliases c.order.
+func (c *partitionCall) bfsOrder(verts []int) []int {
 	// Incident weight inside the sub-problem, summed in the fixed neighbour
 	// order: the partitioner must be bit-deterministic because the engine's
 	// cached and uncached sweeps both rely on recomputing identical
 	// partitions, and ULP-level differences can flip the sort below.
-	inc := p.inc
+	inc := c.inc
 	for _, v := range verts {
 		var w float64
-		ws := p.nbrW[v]
-		for i, u := range p.nbrs[v] {
-			if p.inSet[u] {
+		ws := c.nbrW[v]
+		for i, u := range c.nbrs[v] {
+			if c.inSet[u] {
 				w += ws[i]
 			}
 		}
 		inc[v] = w
 	}
-	remaining := append(p.rem[:0], verts...)
+	remaining := append(c.rem[:0], verts...)
 	slices.SortFunc(remaining, func(x, y int) int {
 		return byWeightDesc(inc[x], inc[y], x, y)
 	})
 
 	// The order doubles as the BFS queue: vertices are dequeued in the order
 	// they were enqueued.
-	order := p.order[:0]
+	order := c.order[:0]
 	for _, seed := range remaining {
-		if p.visited[seed] {
+		if c.visited[seed] {
 			continue
 		}
-		p.visited[seed] = true
+		c.visited[seed] = true
 		order = append(order, seed)
 		for head := len(order) - 1; head < len(order); head++ {
 			u := order[head]
 			next := len(order)
-			for _, v := range p.nbrs[u] {
-				if p.inSet[v] && !p.visited[v] {
-					p.visited[v] = true
+			for _, v := range c.nbrs[u] {
+				if c.inSet[v] && !c.visited[v] {
+					c.visited[v] = true
 					order = append(order, v)
 				}
 			}
 			// Visit neighbours by decreasing edge weight for determinism and
 			// cluster quality.
-			row := p.w[u*p.n : (u+1)*p.n]
+			row := c.w[u*c.n : (u+1)*c.n]
 			slices.SortFunc(order[next:], func(x, y int) int {
 				return byWeightDesc(row[x], row[y], x, y)
 			})
 		}
 	}
 	for _, v := range verts {
-		p.visited[v] = false
+		c.visited[v] = false
 	}
 	return order
 }
@@ -264,51 +288,72 @@ func byWeightDesc(wx, wy float64, x, y int) int {
 	return x - y
 }
 
-// bestSwap scores every (side A, side B) pair in visit order and returns the
-// pair with the largest gain above the running best plus 1e-12 (-1, -1 when
-// no swap improves the cut). Side membership is fixed within a pass, so each
-// vertex's external and internal sums are computed once up front; only a
-// pair joined by a non-zero weight needs the sums again with its partner left
-// out (see swapGain).
-func (p *partitioner) bestSwap(order []int) (bestA, bestB int) {
-	as, bs := p.as[:0], p.bs[:0]
+// bestSwap returns the (side A, side B) pair with the largest gain above the
+// running best plus 1e-12, taking pairs in visit order (-1, -1 when no swap
+// improves the cut). Side membership is fixed within a pass, so each
+// vertex's external-minus-internal sum d is computed once up front; a pair
+// joined by a non-zero weight needs the sums again with its partner left out
+// (see swapGain).
+//
+// With non-negative weights no pair's gain exceeds fl(d_a + d_b): leaving
+// the partner out of a sum of non-negative terms, taken in the same order,
+// cannot raise the sum, because rounded addition is monotone, and neither
+// can subtracting 2w >= 0, fused or not. So a pair whose bound does not beat
+// the running best plus 1e-12 cannot be the next best, and swapGain is
+// skipped for it; a row of side A is skipped when even the largest d of
+// side B cannot make its bound beat it. Skipped pairs would not have moved
+// the running best, so the same swap wins as when every pair is scored. A
+// NaN bound compares false and is never skipped: the largest d of side B is
+// taken with max, which is NaN when any d is.
+func (c *partitionCall) bestSwap(order []int) (bestA, bestB int) {
+	as, bs := c.as[:0], c.bs[:0]
+	maxDB := math.Inf(-1)
 	for _, v := range order {
-		own := p.side[v]
+		own := c.side[v]
 		var external, internal float64
-		ws := p.nbrW[v]
-		for i, u := range p.nbrs[v] {
-			if !p.inSet[u] {
+		ws := c.nbrW[v]
+		for i, u := range c.nbrs[v] {
+			if !c.inSet[u] {
 				continue
 			}
-			if p.side[u] == own {
+			if c.side[u] == own {
 				internal += ws[i]
 			} else {
 				external += ws[i]
 			}
 		}
-		p.d[v], p.in[v] = external-internal, internal
+		c.d[v], c.in[v] = external-internal, internal
 		if own == 0 {
 			as = append(as, v)
 		} else {
 			bs = append(bs, v)
+			maxDB = max(maxDB, c.d[v])
 		}
 	}
-	bestGain := 0.0
 	bestA, bestB = -1, -1
+	threshold := 1e-12 // the running best gain (none yet: 0) plus 1e-12
 	for _, va := range as {
-		dA, row := p.d[va], p.w[va*p.n:(va+1)*p.n]
+		dA := c.d[va]
+		if dA+maxDB <= threshold {
+			continue
+		}
+		row := c.w[va*c.n : (va+1)*c.n]
 		for _, vb := range bs {
-			w := row[vb]
+			bound := dA + c.d[vb]
+			if bound <= threshold {
+				continue
+			}
 			// swapGain leaves the partner out of each external sum. For a
 			// partner that is not adjacent, or joined by a ±0 weight, that
-			// changes no sum (every sum starts at +0), so the pass-wide
-			// sums give exactly swapGain's result.
-			g := dA + p.d[vb] - 2*w
-			if w != 0 {
-				g = p.swapGain(va, vb, w)
+			// changes no sum (every sum starts at +0), so the bound is
+			// exactly swapGain's result.
+			g := bound
+			if w := row[vb]; w != 0 {
+				g = c.swapGain(va, vb, w)
 			}
-			if g > bestGain+1e-12 {
-				bestGain, bestA, bestB = g, va, vb
+			if g > threshold {
+				bestA, bestB = va, vb
+				threshold = g + 1e-12
 			}
 		}
 	}
@@ -323,20 +368,20 @@ func (p *partitioner) bestSwap(order []int) (bestA, bestB int) {
 // D_a + D_b - 4w, not the classic Kernighan–Lin D_a + D_b - 2w. Correcting
 // it would change which swaps are taken, and with them every partition and
 // every synthesis result, so it stays as it is.
-func (p *partitioner) swapGain(va, vb int, w float64) float64 {
-	return (p.externalWithout(va, vb) - p.in[va]) + (p.externalWithout(vb, va) - p.in[vb]) - 2*w
+func (c *partitionCall) swapGain(va, vb int, w float64) float64 {
+	return (c.externalWithout(va, vb) - c.in[va]) + (c.externalWithout(vb, va) - c.in[vb]) - 2*w
 }
 
 // externalWithout sums the weights from v to the in-set vertices on the other
 // side, leaving skip out, in the fixed neighbour order. v's internal sum
 // never includes its partner (which sits on the other side), so the
-// pass-wide internal sum p.in[v] needs no such correction.
-func (p *partitioner) externalWithout(v, skip int) float64 {
+// pass-wide internal sum c.in[v] needs no such correction.
+func (c *partitionCall) externalWithout(v, skip int) float64 {
 	var external float64
-	own := p.side[v]
-	ws := p.nbrW[v]
-	for i, u := range p.nbrs[v] {
-		if u != skip && p.inSet[u] && p.side[u] != own {
+	own := c.side[v]
+	ws := c.nbrW[v]
+	for i, u := range c.nbrs[v] {
+		if u != skip && c.inSet[u] && c.side[u] != own {
 			external += ws[i]
 		}
 	}

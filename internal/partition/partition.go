@@ -8,6 +8,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"sunfloor3d/internal/graph"
 	"sunfloor3d/internal/model"
@@ -39,18 +40,30 @@ func DefaultParams() Params {
 	}
 }
 
+// MaxThetaValues caps the number of theta values of the SPG scaling sweep
+// (ThetaSweep): every value is one more round of partitions and attempts for
+// each unmet switch count. The paper's sweep, 1 to 15 in steps of 3, has 5.
+// A step so small that the sweep would exceed the cap, or so small that
+// adding it no longer advances theta, fails Validate.
+const MaxThetaValues = 100
+
 // Validate checks the parameter ranges.
 func (p Params) Validate() error {
-	// Negated from the accepting form so that NaN, which compares false
-	// with everything, is rejected too.
+	// Each check is negated from the accepting form so that NaN, which
+	// compares false with everything, is rejected too.
 	if !(p.Alpha >= 0 && p.Alpha <= 1) {
 		return fmt.Errorf("partition: alpha %g out of [0,1]", p.Alpha)
 	}
-	if p.ThetaMin <= 0 || p.ThetaMax < p.ThetaMin || p.ThetaStep <= 0 {
+	if !(p.ThetaMin > 0 && p.ThetaMax >= p.ThetaMin && p.ThetaStep > 0) ||
+		math.IsInf(p.ThetaMax, 0) || math.IsInf(p.ThetaStep, 0) {
 		return fmt.Errorf("partition: invalid theta sweep (%g, %g, %g)", p.ThetaMin, p.ThetaMax, p.ThetaStep)
 	}
-	if p.IsolatedEdgeWeight < 0 {
-		return fmt.Errorf("partition: negative isolated edge weight")
+	if len(p.thetaSweep(MaxThetaValues+1)) > MaxThetaValues {
+		return fmt.Errorf("partition: theta sweep (%g, %g, %g) has more than %d values",
+			p.ThetaMin, p.ThetaMax, p.ThetaStep, MaxThetaValues)
+	}
+	if !(p.IsolatedEdgeWeight >= 0) || math.IsInf(p.IsolatedEdgeWeight, 0) {
+		return fmt.Errorf("partition: isolated edge weight %g is not a finite non-negative number", p.IsolatedEdgeWeight)
 	}
 	return nil
 }
@@ -198,13 +211,19 @@ func PartitionCores(pg *graph.Graph, k int) []int {
 // PartitionLPG partitions one layer's LPG into k blocks and returns a map
 // from core index (design indices, not LPG vertex indices) to block.
 func PartitionLPG(l LPG, k int) map[int]int {
+	return PartitionLPGWith(l, graph.NewPartitioner(l.Graph), k)
+}
+
+// PartitionLPGWith is PartitionLPG for callers that partition one LPG for
+// several block counts: p must be graph.NewPartitioner(l.Graph), built once.
+func PartitionLPGWith(l LPG, p *graph.Partitioner, k int) map[int]int {
 	if len(l.Vertices) == 0 {
 		return map[int]int{}
 	}
 	if k > len(l.Vertices) {
 		k = len(l.Vertices)
 	}
-	assign := graph.PartitionK(l.Graph, k)
+	assign := p.PartitionK(k)
 	out := make(map[int]int, len(l.Vertices))
 	for v, block := range assign {
 		out[l.Vertices[v]] = block
@@ -213,10 +232,16 @@ func PartitionLPG(l LPG, k int) map[int]int {
 }
 
 // ThetaSweep returns the theta values of the SPG scaling loop, from ThetaMin
-// to ThetaMax inclusive in steps of ThetaStep.
+// to ThetaMax inclusive in steps of ThetaStep. Valid parameters have at
+// most MaxThetaValues of them; for others the sweep stops there.
 func (p Params) ThetaSweep() []float64 {
+	return p.thetaSweep(MaxThetaValues)
+}
+
+// thetaSweep is ThetaSweep cut after limit values.
+func (p Params) thetaSweep(limit int) []float64 {
 	var ts []float64
-	for t := p.ThetaMin; t <= p.ThetaMax+1e-9; t += p.ThetaStep {
+	for t := p.ThetaMin; t <= p.ThetaMax+1e-9 && len(ts) < limit; t += p.ThetaStep {
 		ts = append(ts, t)
 	}
 	return ts

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 
 	"sunfloor3d/internal/graph"
@@ -44,19 +45,50 @@ func TestDefaultParamsValid(t *testing.T) {
 	}
 }
 
+// TestParamsValidation checks that Validate rejects out-of-range,
+// non-finite and non-terminating parameters. Several of the sweeps below
+// never end (a +Inf ThetaMax, a step that does not advance theta), so the
+// test calls Validate only, never ThetaSweep.
 func TestParamsValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Params{
 		{Alpha: -0.1, ThetaMin: 1, ThetaMax: 15, ThetaStep: 3},
 		{Alpha: 1.1, ThetaMin: 1, ThetaMax: 15, ThetaStep: 3},
+		{Alpha: nan, ThetaMin: 1, ThetaMax: 15, ThetaStep: 3},
 		{Alpha: 1, ThetaMin: 0, ThetaMax: 15, ThetaStep: 3},
 		{Alpha: 1, ThetaMin: 5, ThetaMax: 4, ThetaStep: 3},
 		{Alpha: 1, ThetaMin: 1, ThetaMax: 15, ThetaStep: 0},
 		{Alpha: 1, ThetaMin: 1, ThetaMax: 15, ThetaStep: 3, IsolatedEdgeWeight: -1},
+		{Alpha: 1, ThetaMin: nan, ThetaMax: 15, ThetaStep: 3},
+		{Alpha: 1, ThetaMin: 1, ThetaMax: nan, ThetaStep: 3},
+		{Alpha: 1, ThetaMin: -inf, ThetaMax: 15, ThetaStep: 3},
+		{Alpha: 1, ThetaMin: 1, ThetaMax: inf, ThetaStep: 3},
+		{Alpha: 1, ThetaMin: inf, ThetaMax: inf, ThetaStep: 3},
+		{Alpha: 1, ThetaMin: 1, ThetaMax: 2, ThetaStep: nan},
+		{Alpha: 1, ThetaMin: 1, ThetaMax: 2, ThetaStep: inf},
+		{Alpha: 1, ThetaMin: 1, ThetaMax: 2, ThetaStep: 1e-17},              // 1 + 1e-17 == 1: theta never advances
+		{Alpha: 1, ThetaMin: 1, ThetaMax: 1, ThetaStep: 1e-300},             // the same at a one-value sweep
+		{Alpha: 1, ThetaMin: 1, ThetaMax: 1 + MaxThetaValues, ThetaStep: 1}, // one value over the cap
+		{Alpha: 1, ThetaMin: 1, ThetaMax: 15, ThetaStep: 3, IsolatedEdgeWeight: nan},
+		{Alpha: 1, ThetaMin: 1, ThetaMax: 15, ThetaStep: 3, IsolatedEdgeWeight: inf},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: expected error", i)
+			t.Errorf("case %d (%+v): expected error", i, p)
 		}
+	}
+	good := []Params{
+		{Alpha: 0, ThetaMin: 1, ThetaMax: 1, ThetaStep: 1},
+		{Alpha: 1, ThetaMin: 1, ThetaMax: MaxThetaValues, ThetaStep: 1}, // exactly the cap
+		{Alpha: 0.5, ThetaMin: 1, ThetaMax: 15, ThetaStep: 3, IsolatedEdgeWeight: 0},
+	}
+	for i, p := range good {
+		if err := p.Validate(); err != nil {
+			t.Errorf("good case %d (%+v): %v", i, p, err)
+		}
+	}
+	if got := len(good[1].ThetaSweep()); got != MaxThetaValues {
+		t.Errorf("sweep of %+v has %d values, want %d", good[1], got, MaxThetaValues)
 	}
 }
 

@@ -317,7 +317,8 @@ func TestRefineBestKeepsBestMinimal(t *testing.T) {
 		t.Fatal("refined best point is not valid")
 	}
 	s := &sweep{opt: opt, freq: res.Best.FreqMHz}
-	if reason := s.validate(res.Best.Topology, res.Best.Metrics); reason != "" {
+	in, out := res.Best.Topology.SwitchPorts()
+	if reason := s.validate(res.Best.Metrics, in, out); reason != "" {
 		t.Fatalf("refined best point violates constraints: %s", reason)
 	}
 	bestCost := res.Best.Cost(opt.PowerWeight, opt.LatencyWeight)

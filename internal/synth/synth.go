@@ -664,8 +664,9 @@ func (s *sweep) finish(top *topology.Topology, dp DesignPoint, adjacentOnly, dis
 // constraint, simulation or fault replay leaves dp invalid with its reason.
 func (s *sweep) analyse(top *topology.Topology, cfg route.Config, dp DesignPoint, simulate bool) DesignPoint {
 	dp.Topology = top
-	dp.Metrics = top.Evaluate()
-	if reason := s.validate(top, dp.Metrics); reason != "" {
+	var in, out []int
+	dp.Metrics, in, out = top.EvaluateWithPorts()
+	if reason := s.validate(dp.Metrics, in, out); reason != "" {
 		dp.FailReason = reason
 		return dp
 	}
@@ -695,14 +696,14 @@ func (s *sweep) analyse(top *topology.Topology, cfg route.Config, dp DesignPoint
 	return dp
 }
 
-// validate checks an evaluated topology against the run's constraints,
+// validate checks an evaluated topology, its metrics m and the input and
+// output port counts of its switches, against the run's constraints,
 // returning a failure reason or "" when every constraint holds.
-func (s *sweep) validate(top *topology.Topology, m topology.Metrics) string {
+func (s *sweep) validate(m topology.Metrics, in, out []int) string {
 	if s.opt.MaxILL > 0 && m.MaxILL > s.opt.MaxILL {
 		return fmt.Sprintf("uses %d inter-layer links (max %d)", m.MaxILL, s.opt.MaxILL)
 	}
 	maxSw := s.opt.Lib.MaxSwitchSize(s.freq)
-	in, out := top.SwitchPorts()
 	for i := range in {
 		if in[i] > maxSw || out[i] > maxSw {
 			return fmt.Sprintf("switch %d has %dx%d ports (max %d at %.0f MHz)",

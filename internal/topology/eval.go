@@ -86,12 +86,19 @@ func (t *Topology) coreSwitchDistance(core, sw int) (planarMM float64, layers in
 // (Validate reports violations); Evaluate itself is tolerant of partial
 // topologies so that the synthesis loop can use it for incremental estimates.
 func (t *Topology) Evaluate() Metrics {
-	var m Metrics
+	m, _, _ := t.EvaluateWithPorts()
+	return m
+}
+
+// EvaluateWithPorts is Evaluate that also returns the input and output port
+// counts of every switch, as SwitchPorts does, which the evaluation derives
+// on the way: a caller that checks both aggregates the switch links once.
+func (t *Topology) EvaluateWithPorts() (m Metrics, inPorts, outPorts []int) {
 	m.NumSwitches = len(t.Switches)
 
 	// The switch-link list is derived once and shared by every metric below.
 	swLinks := t.SwitchLinks()
-	inPorts, outPorts := t.switchPorts(swLinks)
+	inPorts, outPorts = t.switchPorts(swLinks)
 
 	// Traffic through each switch: everything entering it (from cores or
 	// other switches).
@@ -148,7 +155,7 @@ func (t *Topology) Evaluate() Metrics {
 	m.MaxILL = maxOf(t.interLayerLinkCount(swLinks))
 	m.TSVMacros = t.tsvMacroCount(swLinks)
 	m.NoCAreaMM2 += float64(m.TSVMacros) * t.Lib.TSVMacroAreaMM2()
-	return m
+	return m, inPorts, outPorts
 }
 
 // AvgLatencyCycles returns the average zero-load latency of the routed

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,6 +138,14 @@ func TestSwitchPorts(t *testing.T) {
 	}
 	if in[1] != 3 || out[1] != 3 {
 		t.Errorf("sw1 ports = %d/%d, want 3/3", in[1], out[1])
+	}
+	// EvaluateWithPorts hands out the same counts with Evaluate's metrics.
+	m, evIn, evOut := top.EvaluateWithPorts()
+	if !slices.Equal(evIn, in) || !slices.Equal(evOut, out) {
+		t.Errorf("EvaluateWithPorts ports = %v/%v, SwitchPorts %v/%v", evIn, evOut, in, out)
+	}
+	if !reflect.DeepEqual(m, top.Evaluate()) {
+		t.Errorf("EvaluateWithPorts metrics %+v, Evaluate %+v", m, top.Evaluate())
 	}
 }
 
