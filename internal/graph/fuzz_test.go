@@ -135,6 +135,60 @@ func TestPartitionerConcurrentCalls(t *testing.T) {
 	}
 }
 
+// poisonedCall returns call scratch for p whose every cell holds what no
+// call leaves behind: NaN weights, vertex numbers out of range, every set
+// and visited mark set and sides that are neither 0 nor 1.
+func poisonedCall(p *Partitioner) *partitionCall {
+	c := p.newCall()
+	for _, s := range [][]int{c.verts, c.order, c.rem, c.as, c.bs} {
+		for i := range s {
+			s[i] = p.n + i
+		}
+	}
+	for _, s := range [][]bool{c.inSet, c.visited} {
+		for i := range s {
+			s[i] = true
+		}
+	}
+	for i := range c.side {
+		c.side[i] = 7
+	}
+	for _, s := range [][]float64{c.inc, c.d, c.in} {
+		for i := range s {
+			s[i] = math.NaN()
+		}
+	}
+	return c
+}
+
+// TestReusedCallScratchMatchesFresh checks that a call on scratch an earlier
+// call left behind partitions exactly like one on new scratch: for every
+// block count of graphs decoded from the fuzz seeds, a call on poisoned
+// scratch (see poisonedCall), handed to it directly and through the pool
+// PartitionK draws from, must return the assignment of a call on a new
+// Partitioner.
+func TestReusedCallScratchMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		data := make([]byte, 4+3*rng.Intn(40))
+		rng.Read(data)
+		g, ks := fuzzGraph(data)
+		p := NewPartitioner(g)
+		for _, k := range ks {
+			want := NewPartitioner(g).PartitionK(k)
+			got := make([]int, g.NumVertices())
+			poisonedCall(p).partition(k, got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, n=%d k=%d: on reused scratch %v, on new scratch %v", trial, g.NumVertices(), k, got, want)
+			}
+			p.calls.Put(poisonedCall(p))
+			if got := p.PartitionK(k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, n=%d k=%d: after a poisoned pool entry %v, on new scratch %v", trial, g.NumVertices(), k, got, want)
+			}
+		}
+	}
+}
+
 // TestAddEdgeRejectsNegativeWeight checks that a negative weight panics: the
 // partitioner's bound on swap gains holds only for non-negative weights.
 func TestAddEdgeRejectsNegativeWeight(t *testing.T) {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -210,14 +211,19 @@ func TestPartitionDeterminism(t *testing.T) {
 	}
 }
 
+// TestBlocksGrouping checks that Blocks lists each block's vertices in
+// ascending order, skips labels outside [0, k), leaves an empty block nil
+// and cuts the blocks so that appending to one never overwrites the next.
 func TestBlocksGrouping(t *testing.T) {
-	assign := []int{0, 1, 0, 2, 1}
-	blocks := Blocks(assign, 3)
-	if len(blocks[0]) != 2 || len(blocks[1]) != 2 || len(blocks[2]) != 1 {
-		t.Errorf("Blocks = %v", blocks)
+	assign := []int{0, 1, 0, 2, 1, 5, -1, 0}
+	blocks := Blocks(assign, 4)
+	want := [][]int{{0, 2, 7}, {1, 4}, {3}, nil}
+	if !reflect.DeepEqual(blocks, want) {
+		t.Fatalf("Blocks = %#v, want %#v", blocks, want)
 	}
-	if blocks[2][0] != 3 {
-		t.Errorf("Blocks[2] = %v", blocks[2])
+	blocks[0] = append(blocks[0], 99)
+	if !reflect.DeepEqual(blocks[1], want[1]) {
+		t.Errorf("appending to block 0 changed block 1 to %v", blocks[1])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // This file implements balanced k-way min-cut partitioning, the work-horse of
@@ -24,8 +25,8 @@ import (
 // beat the best swap found so far.
 
 // Partitioner is the dense view of one graph, treated as undirected, that
-// every partition of the graph reads. It is immutable once built, so one
-// Partitioner serves any number of PartitionK calls, concurrent ones
+// every partition of the graph reads. The view is immutable once built, so
+// one Partitioner serves any number of PartitionK calls, concurrent ones
 // included.
 type Partitioner struct {
 	n int
@@ -38,6 +39,9 @@ type Partitioner struct {
 	// w[u*n+v] is the undirected weight between u and v (0 when they are not
 	// adjacent).
 	w []float64
+	// calls holds the scratch of finished calls for later ones: every call
+	// on the graph needs the same sizes, and calls may run concurrently.
+	calls sync.Pool
 }
 
 // partitionCall is the vertex-indexed scratch of one PartitionK call, which
@@ -95,14 +99,11 @@ func NewPartitioner(g *Graph) *Partitioner {
 }
 
 // newCall allocates the scratch of one PartitionK call on p.
-func (p *Partitioner) newCall() partitionCall {
+func (p *Partitioner) newCall() *partitionCall {
 	n := p.n
-	c := partitionCall{Partitioner: p}
+	c := &partitionCall{Partitioner: p}
 	ints := make([]int, 5*n)
 	c.verts, c.order, c.rem, c.as, c.bs = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:4*n], ints[4*n:]
-	for v := range c.verts {
-		c.verts[v] = v
-	}
 	bools := make([]bool, 2*n)
 	c.inSet, c.visited = bools[:n], bools[n:]
 	c.side = make([]int8, n)
@@ -125,7 +126,8 @@ func PartitionK(g *Graph, k int) []int {
 }
 
 // PartitionK is PartitionK on the graph p was built from. It is safe for
-// concurrent use: each call works on scratch of its own.
+// concurrent use: each call works on scratch of its own, which it takes from
+// the scratch earlier calls on p left and leaves for later ones.
 func (p *Partitioner) PartitionK(k int) []int {
 	n := p.n
 	if k < 1 || (k > n && n > 0) {
@@ -135,9 +137,26 @@ func (p *Partitioner) PartitionK(k int) []int {
 	if k <= 1 || n == 0 {
 		return assign
 	}
-	c := p.newCall()
-	c.partitionRec(c.verts, k, 0, assign)
+	c, _ := p.calls.Get().(*partitionCall)
+	if c == nil {
+		c = p.newCall()
+	}
+	c.partition(k, assign)
+	p.calls.Put(c)
 	return assign
+}
+
+// partition assigns the k blocks of the whole graph. The scratch may come
+// from an earlier call, so it first resets what the bisections read before
+// they write it: the vertex list and the visited marks. Every other scratch
+// slice is written before it is read; the first bisection, of every vertex,
+// sets every set mark.
+func (c *partitionCall) partition(k int, assign []int) {
+	for v := range c.verts {
+		c.verts[v] = v
+	}
+	clear(c.visited)
+	c.partitionRec(c.verts, k, 0, assign)
 }
 
 // partitionRec assigns block identifiers [base, base+k) to the given vertices.
@@ -400,9 +419,19 @@ func BlockSizes(assign []int, k int) []int {
 	return sizes
 }
 
-// Blocks groups vertex indices by block identifier.
+// Blocks groups vertex indices by block identifier, each block in ascending
+// vertex order; a block no vertex is assigned to is nil. The blocks are cut
+// from one backing array, each with no room to grow into the next.
 func Blocks(assign []int, k int) [][]int {
+	sizes := BlockSizes(assign, k)
 	blocks := make([][]int, k)
+	flat, off := make([]int, len(assign)), 0
+	for b, size := range sizes {
+		if size > 0 {
+			blocks[b] = flat[off : off : off+size]
+			off += size
+		}
+	}
 	for v, b := range assign {
 		if b >= 0 && b < k {
 			blocks[b] = append(blocks[b], v)

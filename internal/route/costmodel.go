@@ -10,28 +10,26 @@ import (
 const infinity = math.MaxFloat64
 
 // arc is one record of the router's arc table, which keeps one per ordered
-// switch pair in a flat, row-major table. It holds both ingredients of the
-// Algorithm 3 arc cost:
+// switch pair in a flat, row-major table. It holds what no commit changes —
+// the geometry (planar Manhattan length, crossed layers and the
+// pipeline-latency term) and whether a rule of the run forbids the link
+// outright — and the two things a commit sets on the links its path uses:
+// whether the link exists and its vertex in the channel dependency graph.
 //
-//   - the immutable geometry — planar Manhattan length, crossed layers and
-//     the pipeline-latency term, fixed once the switch exists; and
-//   - the arcState — everything the router mutates while committing paths:
-//     link existence, the port-opening power marginals, the hard-constraint
-//     verdict and the SOFT_INF flags of CHECK_CONSTRAINTS;
-//
-// and the link's vertex in the channel dependency graph.
-//
-// A commit therefore only has to refresh the states its bookkeeping updates
-// invalidated instead of rebuilding all O(S^2) arc costs for every flow and
-// deadlock retry. Costs are evaluated on demand per flow by arcCost, the one
-// arc-cost formula: a refreshed arc is bit-identical to a freshly built one,
-// which the package's tests check against a router that rebuilds the table
-// from the committed routes before every flow. An earlier formulation cached
-// a state+slope*bw linearisation whose ULP-level rounding differences could
-// flip Dijkstra ties on exactly equal-cost paths and make the two routers
-// commit different (equally optimal) routes.
+// Everything else the Algorithm 3 arc cost reads changes with the committed
+// routes, and each part is a function of something smaller than the arc:
+// the port-opening marginals and the max_sw_size verdicts of one switch's
+// port count (kept in its switchState) and the max_ill verdict of the two
+// endpoints' layers (kept in the router's illVerdict table). The search
+// prices each arc from them when it relaxes it, through arcCost, the one
+// arc-cost formula, so a commit updates a few switch records and at most
+// the small layer table and never touches an arc beyond the links it opens.
+// The package's tests check the prices against a router that derives all of
+// that state from the committed routes before every flow. An earlier
+// formulation cached a state+slope*bw linearisation whose ULP-level rounding
+// differences could flip Dijkstra ties on exactly equal-cost paths and make
+// the two routers commit different (equally optimal) routes.
 type arc struct {
-	arcState
 	// planar is the Manhattan length of the link, latency its
 	// pipeline-latency term and span the number of layers it crosses.
 	planar, latency float64
@@ -39,6 +37,41 @@ type arc struct {
 	// vertex is the link's CDG vertex, or -1 while no path has used or
 	// tried the link.
 	vertex int32
+	// exists reports whether the physical link already carries traffic.
+	exists bool
+	// blocked marks an arc no path may use in this run: the diagonal, an
+	// arc outside the repair overlay and, with Config.AdjacentLayersOnly, a
+	// link spanning two or more layers.
+	blocked bool
+}
+
+// verdict is the CHECK_CONSTRAINTS outcome of Algorithm 3 for opening a
+// link against one of its limits. A link's verdict is the largest of its
+// limits'.
+type verdict uint8
+
+const (
+	// verdictNone leaves the arc cost as it is.
+	verdictNone verdict = iota
+	// verdictSoft adds the SOFT_INF penalty.
+	verdictSoft
+	// verdictHard forbids the link (the INF threshold).
+	verdictHard
+)
+
+// limitVerdict returns the verdict on a count that opening a link would
+// reach: hard above limit, soft above limit-margin, none otherwise or when
+// limit is 0 (unconstrained).
+func limitVerdict(count, limit, margin int) verdict {
+	switch {
+	case limit <= 0:
+		return verdictNone
+	case count > limit:
+		return verdictHard
+	case count > limit-margin:
+		return verdictSoft
+	}
+	return verdictNone
 }
 
 // flowTerms are the constants of arcCost for one flow, computed once per
@@ -50,21 +83,19 @@ type flowTerms struct {
 	tsv                                       []float64
 }
 
-// arcCost combines an arc's state and geometry into its routing cost for
-// the flow of ft (infinity for a forbidden arc). It is the one arc-cost
-// formula, so equal-cost path ties resolve identically wherever arcs are
-// evaluated.
-func arcCost(a *arc, ft *flowTerms) float64 {
-	if a.forbidden {
-		return infinity
-	}
+// arcCost is the routing cost of the arc a for the flow of ft when no hard
+// limit forbids it: in and out are the marginals of a new input port at its
+// head and a new output port at its tail, charged only when the link does
+// not exist yet, and soft adds SOFT_INF. It is the one arc-cost formula, so
+// equal-cost path ties resolve identically wherever arcs are evaluated.
+func arcCost(a *arc, in, out float64, soft bool, ft *flowTerms) float64 {
 	power := a.planar*ft.wire + ft.tsv[a.span]
 	if !a.exists {
-		power += a.openJ
-		power += a.openI
+		power += in
+		power += out
 	}
 	cost := ft.powerWeight*power + ft.latencyWeight*a.latency
-	if a.soft {
+	if soft {
 		cost += ft.softInf
 	}
 	return cost
@@ -77,115 +108,12 @@ func arcCost(a *arc, ft *flowTerms) float64 {
 func (r *router) join(i, j int) {
 	ij, ji := &r.arcs[i][j], &r.arcs[j][i]
 	r.geometry(ij, i, j)
-	ji.planar, ji.latency, ji.span = ij.planar, ij.latency, ij.span
-	ij.vertex, ji.vertex = -1, -1
-	ij.arcState = r.arcState(i, j, false)
-	ji.arcState = r.arcState(j, i, false)
-}
-
-// refresh recomputes the mutable state of the arc (i, j) from the router's
-// current bookkeeping.
-func (r *router) refresh(i, j int) {
-	a := &r.arcs[i][j]
-	a.arcState = r.arcState(i, j, a.exists)
-}
-
-// applyCommit refreshes the arcs invalidated by a committed path that opened
-// the given new links: every arc leaving a switch whose output ports grew,
-// every arc entering a switch whose input ports grew (this includes the new
-// links themselves, whose existence flag flipped), and every arc crossing a
-// layer boundary whose inter-layer-link count the commit moved across one of
-// arcState's two thresholds, MaxILL-SoftILLMargin and MaxILL. arcState reads
-// the count only through those two comparisons and counts only grow within a
-// run, so a boundary that crossed neither leaves every arc over it unchanged.
-//
-// Refreshing only row i / column j per grown port relies on the port-opening
-// marginal (noclib.SwitchPortMarginalMW) depending only on its own port
-// dimension — bit-exactly, not merely mathematically — so an outPorts[i]
-// change cannot alter arcs (*, i) and an inPorts[j] change cannot alter arcs
-// (j, *). If the power model ever couples the dimensions (e.g. crossbar-
-// style in*out, as SwitchAreaMM2 does for area), both the row and the
-// column of every grown switch must be refreshed here.
-func (r *router) applyCommit(opened [][2]int) {
-	t, cfg, sw := r.top, r.cfg, r.sw
-	crossings, boundary := r.crossings, r.boundary
-	for i := range sw {
-		sw[i].dirtyRow = false
-		sw[i].dirtyCol = false
+	ij.blocked = r.cfg.AdjacentLayersOnly && ij.span >= 2
+	*ji = *ij
+	if r.allowed != nil {
+		ij.blocked = ij.blocked || !r.allowed[i][j]
+		ji.blocked = ji.blocked || !r.allowed[j][i]
 	}
-	clear(crossings)
-	for _, l := range opened {
-		sw[l[0]].dirtyRow = true
-		sw[l[1]].dirtyCol = true
-		if cfg.MaxILL <= 0 {
-			continue // arc costs ignore ILL occupancy when unconstrained
-		}
-		lo, hi := t.Switches[l[0]].Layer, t.Switches[l[1]].Layer
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for b := lo; b < hi; b++ {
-			if b >= 0 && b < len(crossings) {
-				crossings[b]++
-			}
-		}
-	}
-	anyBoundary := false
-	soft := cfg.MaxILL - cfg.SoftILLMargin
-	for b, n := range crossings {
-		now := r.ill[b]
-		before := now - n
-		boundary[b] = before < cfg.MaxILL && now >= cfg.MaxILL || before < soft && now >= soft
-		anyBoundary = anyBoundary || boundary[b]
-	}
-	for i := range sw {
-		if !sw[i].dirtyRow {
-			continue
-		}
-		for j := range sw {
-			if i != j {
-				r.refresh(i, j)
-			}
-		}
-	}
-	for j := range sw {
-		if !sw[j].dirtyCol {
-			continue
-		}
-		for i := range sw {
-			if i != j && !sw[i].dirtyRow {
-				r.refresh(i, j)
-			}
-		}
-	}
-	if !anyBoundary {
-		return
-	}
-	for i := range sw {
-		for j := range sw {
-			if i == j || sw[i].dirtyRow || sw[j].dirtyCol {
-				continue
-			}
-			if r.crossesDirty(i, j) {
-				r.refresh(i, j)
-			}
-		}
-	}
-}
-
-// crossesDirty reports whether the arc (i, j) crosses any layer boundary
-// applyCommit marked dirty.
-func (r *router) crossesDirty(i, j int) bool {
-	lo, hi := r.top.Switches[i].Layer, r.top.Switches[j].Layer
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for b := lo; b < hi; b++ {
-		if b >= 0 && b < len(r.boundary) && r.boundary[b] {
-			return true
-		}
-	}
-	return false
 }
 
 // shortestPath runs Dijkstra over the arc table for a flow of bandwidth bw,
@@ -195,9 +123,11 @@ func (r *router) crossesDirty(i, j int) bool {
 // the arcs out of the switch just settled also picks the next one to settle,
 // the first of the smallest distances in that list, so ties go to the lowest
 // index and neighbours relax in ascending index order, making the returned
-// path deterministic even between equal-cost alternatives. The path lives in
-// the router's scratch until the next search. It returns (nil, infinity)
-// when dst is unreachable.
+// path deterministic even between equal-cost alternatives. Each arc is priced
+// as it is relaxed: a new link's verdict is the largest of its tail's
+// output-port, its head's input-port and its layers' max_ill verdicts. The
+// path lives in the router's scratch until the next search. It returns (nil,
+// infinity) when dst is unreachable.
 func (r *router) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]int, float64) {
 	n := len(r.sw)
 	dist, prev := resize(r.dist, n, n), resize(r.prev, n, n)
@@ -210,6 +140,7 @@ func (r *router) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]i
 	r.dist, r.prev, r.open = dist, prev, open
 	dist[src] = 0
 	ft := r.terms(bw, r.tsv)
+	sw, levels := r.sw, r.levels
 	// src, at distance 0, is the first switch to settle; open[src] is src.
 	k, du := src, 0.0
 	for {
@@ -221,15 +152,24 @@ func (r *router) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]i
 		// break the ascending order the tie-breaking relies on.
 		open = append(open[:k], open[k+1:]...)
 		row := r.arcs[u]
+		out, outVerdict := sw[u].outMarginal, sw[u].outVerdict
+		ills := r.illVerdict[sw[u].level*levels : (sw[u].level+1)*levels]
 		// Dense graph: a min kept while relaxing beats a heap here.
 		next := infinity
 		k = -1
 		for x, v := range open {
 			d := dist[v]
-			if a := &row[v]; !a.forbidden && !forbids(forbidden, u, v) {
-				if nd := du + arcCost(a, &ft); nd < d {
-					d = nd
-					dist[v], prev[v] = nd, u
+			if a := &row[v]; !a.blocked && !forbids(forbidden, u, v) {
+				s := &sw[v]
+				vd := verdictNone
+				if !a.exists {
+					vd = max(outVerdict, s.inVerdict, ills[s.level])
+				}
+				if vd != verdictHard {
+					if nd := du + arcCost(a, s.inMarginal, out, vd == verdictSoft, &ft); nd < d {
+						d = nd
+						dist[v], prev[v] = nd, u
+					}
 				}
 			}
 			if d < next {

@@ -169,25 +169,41 @@ func randomRoutedCase(t *testing.T, rng *rand.Rand) *topology.Topology {
 }
 
 // cost returns the full arc cost of (i, j) at bandwidth bw (infinity for a
-// forbidden arc), through arcCost like the search.
+// blocked arc or a new link a hard limit forbids), priced like the search
+// prices it: from the arc, the switch records of i and j and the max_ill
+// table, through arcCost.
 func (r *router) cost(i, j int, bw float64) float64 {
+	a, si, sj := &r.arcs[i][j], &r.sw[i], &r.sw[j]
+	if a.blocked {
+		return infinity
+	}
+	vd := verdictNone
+	if !a.exists {
+		vd = max(si.outVerdict, sj.inVerdict, r.illVerdict[si.level*r.levels+sj.level])
+	}
+	if vd == verdictHard {
+		return infinity
+	}
 	ft := r.terms(bw, r.tsv)
-	return arcCost(&r.arcs[i][j], &ft)
+	return arcCost(a, sj.inMarginal, si.outMarginal, vd == verdictSoft, &ft)
 }
 
-// TestCostModelMatchesRebuild routes randomized topologies with the
-// incrementally refreshed arc table and, between every commit, cross-checks
-// each cached arc, and each arc of a table rebuilt from the committed routes
-// (what ComputePathsFullRebuild searches), against a from-scratch evaluation
-// of Algorithm 3's CHECK_CONSTRAINTS over bookkeeping derived from the
-// topology alone (see referenceArcCost). The router's own link, port and
-// marginal caches never enter the reference, so a stale cache cannot hide
-// behind an identical stale read on both sides. Costs must match exactly:
-// the cached and the rebuilt evaluation share one code path, and a ULP of
-// difference could flip a Dijkstra tie.
+// TestCostModelMatchesRebuild routes randomized topologies and, between
+// every commit, cross-checks the price of each arc from the router's
+// incrementally updated state, and from state rebuilt from the committed
+// routes (what ComputePathsFullRebuild searches), against a from-scratch
+// evaluation of Algorithm 3's CHECK_CONSTRAINTS over bookkeeping derived
+// from the topology alone (see referenceArcCost). The router's own link,
+// port, marginal and verdict caches never enter the reference, so a stale
+// cache cannot hide behind an identical stale read on both sides. Costs
+// must match exactly: every evaluation ends in arcCost, and a ULP of
+// difference could flip a Dijkstra tie. The last trials add switches on
+// layers below the design's, whose boundaries no count covers: a link
+// between two of them still crosses layers, so with the soft max_ill
+// threshold at zero links it is soft.
 func TestCostModelMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		top := randomRoutedCase(t, rng)
 		cfg := DefaultConfig()
 		if rng.Intn(2) == 0 {
@@ -197,6 +213,13 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 			cfg.MaxSwitchSize = 4 + rng.Intn(6)
 		}
 		cfg.AdjacentLayersOnly = rng.Intn(2) == 0
+		if trial >= 25 {
+			for _, layer := range []int{-1, -2} {
+				id := top.AddSwitch(layer)
+				top.Switches[id].Pos = geom.Point{X: rng.Float64() * 6, Y: rng.Float64() * 6}
+			}
+			cfg.MaxILL, cfg.SoftILLMargin = 2, 2
+		}
 
 		r := &router{top: top, cfg: cfg}
 		r.init()
@@ -214,7 +237,7 @@ func TestCostModelMatchesRebuild(t *testing.T) {
 					for _, bw := range sampleBWs {
 						want := referenceArcCost(r, book, i, j, bw)
 						if got := r.cost(i, j, bw); got != want {
-							t.Fatalf("trial %d, %s: arc (%d,%d) bw=%v: incremental %v, reference %v",
+							t.Fatalf("trial %d, %s: arc (%d,%d) bw=%v: router %v, reference %v",
 								trial, stage, i, j, bw, got, want)
 						}
 					}
@@ -271,13 +294,12 @@ func deriveBookkeeping(top *topology.Topology) bookkeeping {
 			layers = s.Layer + 1
 		}
 	}
-	b := bookkeeping{link: make(map[[2]int]bool), in: make([]int, n), out: make([]int, n), ill: make([]int, layers)}
+	b := bookkeeping{link: make(map[[2]int]bool), in: make([]int, n), out: make([]int, n), ill: make([]int, max(layers-1, 0))}
 	cross := func(la, lb int) {
-		if la > lb {
-			la, lb = lb, la
-		}
-		for l := la; l < lb; l++ {
-			b.ill[l]++
+		for l := min(la, lb); l < max(la, lb); l++ {
+			if l >= 0 && l < len(b.ill) {
+				b.ill[l]++
+			}
 		}
 	}
 	for c, s := range top.CoreAttach {
@@ -300,6 +322,18 @@ func deriveBookkeeping(top *topology.Topology) bookkeeping {
 	return b
 }
 
+// crowdedBoundary returns the largest count of b.ill over the boundaries
+// between layers la and lb, ignoring boundaries outside the design.
+func (b bookkeeping) crowdedBoundary(la, lb int) int {
+	cur := 0
+	for l := min(la, lb); l < max(la, lb); l++ {
+		if l >= 0 && l < len(b.ill) {
+			cur = max(cur, b.ill[l])
+		}
+	}
+	return cur
+}
+
 // referenceArcCost evaluates the arc (i, j) for a flow of bandwidth bw from
 // first principles: Algorithm 3's CHECK_CONSTRAINTS thresholds over the
 // derived bookkeeping, the port-opening marginals straight from
@@ -312,36 +346,34 @@ func referenceArcCost(r *router, b bookkeeping, i, j int, bw float64) float64 {
 	if span < 0 {
 		span = -span
 	}
-	st := arcState{exists: b.link[[2]int{i, j}]}
+	exists, soft := b.link[[2]int{i, j}], false
 	if span > 0 && cfg.AdjacentLayersOnly && span >= 2 {
 		return infinity
 	}
-	if span > 0 && cfg.MaxILL > 0 && !st.exists {
-		cur := 0
-		for l := min(li, lj); l < max(li, lj); l++ {
-			cur = max(cur, b.ill[l])
-		}
+	if span > 0 && cfg.MaxILL > 0 && !exists {
+		cur := b.crowdedBoundary(li, lj)
 		if cur >= cfg.MaxILL {
 			return infinity
 		}
-		st.soft = cur >= cfg.MaxILL-cfg.SoftILLMargin
+		soft = cur >= cfg.MaxILL-cfg.SoftILLMargin
 	}
-	if !st.exists && cfg.MaxSwitchSize > 0 {
+	if !exists && cfg.MaxSwitchSize > 0 {
 		out, in := b.out[i]+1, b.in[j]+1
 		if out > cfg.MaxSwitchSize || in > cfg.MaxSwitchSize {
 			return infinity
 		}
-		soft := cfg.MaxSwitchSize - softSwitchMargin
-		st.soft = st.soft || out > soft || in > soft
+		limit := cfg.MaxSwitchSize - softSwitchMargin
+		soft = soft || out > limit || in > limit
 	}
-	if !st.exists {
-		st.openJ = t.Lib.SwitchPortMarginalMW(b.in[j], t.FreqMHz)
-		st.openI = t.Lib.SwitchPortMarginalMW(b.out[i], t.FreqMHz)
+	var in, out float64
+	if !exists {
+		in = t.Lib.SwitchPortMarginalMW(b.in[j], t.FreqMHz)
+		out = t.Lib.SwitchPortMarginalMW(b.out[i], t.FreqMHz)
 	}
 	planar := geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
 	latency := 1 + float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
-	ft := r.terms(bw, make([]float64, len(r.ill)+1))
-	return arcCost(&arc{arcState: st, planar: planar, latency: latency, span: int32(span)}, &ft)
+	ft := r.terms(bw, make([]float64, span+1))
+	return arcCost(&arc{planar: planar, latency: latency, span: int32(span), exists: exists}, in, out, soft, &ft)
 }
 
 // TestIncrementalRoutingStaysDeadlockFree re-runs the deadlock test pattern

@@ -8,12 +8,13 @@ import (
 )
 
 // ComputePathsFullRebuild is the full-rebuild reference router: ComputePaths
-// with the arc table and the CDG rebuilt from the committed routes before
-// every flow (see rebuildFromRoutes), so no arc state it searches was ever
-// refreshed by router.applyCommit. Only a commit changes arc state, and a
-// commit ends the flow, so this routes exactly as a rebuild before every
-// attempt, the original CHECK_CONSTRAINTS loop, would. It routes every flow,
-// whatever cfg.StopAtFirstFailure says.
+// with all of its routing state — the arc table, the CDG, the switch
+// records and the max_ill table — derived afresh from the core attachments
+// and the committed routes before every flow (see rebuildFromRoutes), so no
+// price it searches rests on state that router.commit kept up to date. Only
+// a commit changes that state, and a commit ends the flow, so this routes
+// exactly as a rebuild before every attempt, the original CHECK_CONSTRAINTS
+// loop, would. It routes every flow, whatever cfg.StopAtFirstFailure says.
 func ComputePathsFullRebuild(t *topology.Topology, cfg Config) (Result, error) {
 	res, _, err := ComputePathsFullRebuildFirstFailure(t, cfg)
 	return res, err
@@ -73,16 +74,69 @@ func ComputePathsFullRebuildFirstFailure(t *topology.Topology, cfg Config) (Resu
 	return res, first, nil
 }
 
-// rebuildFromRoutes replaces the router's arc table and CDG with new ones.
-// Link existence and the CDG come from the topology's committed routes
-// alone, never from the table under test, so a refresh that loses a link or
-// a dependency cannot hide behind an identical read on both sides; only
-// then is every arc's geometry and state computed afresh.
+// rebuildFromRoutes replaces the router's routing state with new state
+// derived from the topology's core attachments and committed routes alone
+// (see deriveBookkeeping), never from the state under test: link existence
+// and the CDG; each switch's port counts, port-opening marginals,
+// max_sw_size verdicts and level; the boundary counts; and the max_ill
+// table. A commit that loses a link, a port, a dependency or a verdict
+// therefore cannot hide behind an identical read on both sides. The
+// thresholds are Algorithm 3's, written out here as in referenceArcCost.
 func (r *router) rebuildFromRoutes() {
-	n := r.top.NumSwitches()
-	r.arcs = newSquare(n, r.spareSwitches(), arc{vertex: -1})
+	t, cfg := r.top, r.cfg
+	b := deriveBookkeeping(t)
+	n := t.NumSwitches()
+	sizeVerdict := func(ports int) verdict {
+		switch limit := cfg.MaxSwitchSize; {
+		case limit > 0 && ports > limit:
+			return verdictHard
+		case limit > 0 && ports > limit-softSwitchMargin:
+			return verdictSoft
+		}
+		return verdictNone
+	}
+	lowest := 0
+	for _, s := range t.Switches {
+		lowest = min(lowest, s.Layer)
+	}
+	r.sw = make([]switchState, n, n+r.spareSwitches())
+	for s := range r.sw {
+		r.sw[s] = switchState{
+			inMarginal:  t.Lib.SwitchPortMarginalMW(b.in[s], t.FreqMHz),
+			inVerdict:   sizeVerdict(b.in[s] + 1),
+			outVerdict:  sizeVerdict(b.out[s] + 1),
+			level:       t.Switches[s].Layer - lowest,
+			outMarginal: t.Lib.SwitchPortMarginalMW(b.out[s], t.FreqMHz),
+			inPorts:     b.in[s],
+			outPorts:    b.out[s],
+		}
+	}
+	r.ill, r.lowest, r.levels = b.ill, lowest, len(b.ill)+1-lowest
+	r.illVerdict = make([]verdict, r.levels*r.levels)
+	for x := 0; x < r.levels; x++ {
+		for y := 0; y < r.levels; y++ {
+			if x == y || cfg.MaxILL <= 0 {
+				continue
+			}
+			switch cur := b.crowdedBoundary(lowest+x, lowest+y); {
+			case cur >= cfg.MaxILL:
+				r.illVerdict[x*r.levels+y] = verdictHard
+			case cur >= cfg.MaxILL-cfg.SoftILLMargin:
+				r.illVerdict[x*r.levels+y] = verdictSoft
+			}
+		}
+	}
+
+	r.arcs = newSquare(n, r.spareSwitches(), arc{})
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a := &r.arcs[i][j]
+			r.geometry(a, i, j)
+			a.blocked = i == j || cfg.AdjacentLayersOnly && a.span >= 2 || r.allowed != nil && !r.allowed[i][j]
+		}
+	}
 	r.cdg = cdg{}
-	for _, rt := range r.top.Routes {
+	for _, rt := range t.Routes {
 		prev := int32(-1)
 		for k := 1; k < len(rt.Switches); k++ {
 			from, to := rt.Switches[k-1], rt.Switches[k]
@@ -92,13 +146,6 @@ func (r *router) rebuildFromRoutes() {
 				r.cdg.addEdge(prev, v)
 			}
 			prev = v
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a := &r.arcs[i][j]
-			r.geometry(a, i, j)
-			a.arcState = r.arcState(i, j, a.exists)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package route_test
 
 // Fuzz harness for the path-computation step: randomized communication
 // graphs and switch assignments must never panic the router, the committed
-// paths must validate and stay deadlock free (acyclic CDG), the
-// incrementally refreshed arc table must return byte-identical results to
-// the test-only full-rebuild reference router, ComputePathsFullRebuild, and
-// a call with Config.StopAtFirstFailure must stop exactly where the full
-// call first fails.
+// paths must validate and stay deadlock free (acyclic CDG), the router,
+// which keeps its routing state up to date commit by commit, must return
+// byte-identical results to the test-only full-rebuild reference router,
+// ComputePathsFullRebuild, and a call with Config.StopAtFirstFailure must
+// stop exactly where the full call first fails.
 
 import (
 	"reflect"
@@ -131,9 +131,10 @@ func routesEqual(a, b *topology.Topology) bool {
 func FuzzComputePaths(f *testing.F) {
 	// Seed corpus: hand-picked shapes covering single-switch, multi-layer,
 	// constrained and dense scenarios. Of the committed corpus files,
-	// 0db140fa605cd308 fails when router.applyCommit skips its
-	// layer-boundary refresh, ca9e11b5915669a5 when it skips its column
-	// refresh, and 805902b3cafca686 (a deadlock retry) when
+	// 0db140fa605cd308 fails when router.commit opens a link across layers
+	// without recomputing the max_ill table, ca9e11b5915669a5 when
+	// router.updateMarginals leaves a switch's input-port verdict as it was
+	// before the commit, and 805902b3cafca686 (a deadlock retry) when
 	// router.deadlockArc keeps the CDG edges of a path it rejected.
 	f.Add([]byte{})
 	f.Add([]byte{4, 2, 3, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})

@@ -107,6 +107,14 @@ type router struct {
 	// ill[b] is the number of physical links crossing the boundary between
 	// layers b and b+1 (switch-to-switch and core-to-switch).
 	ill []int
+	// illVerdict[a*levels+b] is the max_ill verdict on opening a link from
+	// a switch of level a to one of level b (see switchState.level): the
+	// limit verdict of the most crowded boundary between the two layers.
+	// lowest is the lower of layer 0 and the lowest switch layer, and levels
+	// the number of layers from it up to the highest one, so every switch
+	// has a level; boundaries outside the design count no links.
+	illVerdict     []verdict
+	lowest, levels int
 	// cdg is the channel dependency graph of the committed routes, its
 	// vertices the arcs' vertex fields.
 	cdg      cdg
@@ -123,27 +131,27 @@ type router struct {
 
 	// Scratch space reused across flows: the search's unsettled switches in
 	// ascending order, the path it returns and the TSV term of each layer
-	// span; the CDG edges a path adds (tails, heads); the links a commit
-	// opens, and per layer boundary the number of them crossing it and
-	// whether that moved the boundary across an ILL threshold.
+	// span; the CDG edges a path adds (tails, heads).
 	open, path   []int
 	tsv          []float64
 	tails, heads []int32
-	opened       [][2]int
-	crossings    []int
-	boundary     []bool
 }
 
-// switchState is the router's bookkeeping of one switch.
+// switchState is the router's bookkeeping of one switch: everything a
+// commit changes that the price of an arc into or out of the switch reads.
+// What the search reads of an arc's head comes first.
 type switchState struct {
-	// inPorts and outPorts are the switch's port counts, and inMarginal and
-	// outMarginal the power of opening one more port of each kind
-	// (noclib.SwitchPortMarginalMW of the current count).
-	inPorts, outPorts       int
-	inMarginal, outMarginal float64
-	// dirtyRow and dirtyCol mark the rows and columns of arcs a commit must
-	// refresh.
-	dirtyRow, dirtyCol bool
+	// inMarginal and outMarginal are the power of opening one more input or
+	// output port (noclib.SwitchPortMarginalMW of the current count), and
+	// inVerdict and outVerdict the max_sw_size verdict on opening it.
+	inMarginal            float64
+	inVerdict, outVerdict verdict
+	// level is the switch's layer less the router's lowest layer: its row
+	// and column in illVerdict.
+	level       int
+	outMarginal float64
+	// inPorts and outPorts are the switch's port counts.
+	inPorts, outPorts int
 }
 
 // ComputePaths assigns a route to every flow of the topology. Switches and
@@ -250,9 +258,8 @@ func (r *router) init() {
 	tb := r.tb
 	layers := t.Design.NumLayers()
 	for _, s := range t.Switches {
-		if s.Layer+1 > layers {
-			layers = s.Layer + 1
-		}
+		layers = max(layers, s.Layer+1)
+		r.lowest = min(r.lowest, s.Layer)
 	}
 	if layers > 1 {
 		r.ill = make([]int, layers-1)
@@ -266,8 +273,12 @@ func (r *router) init() {
 		r.addBoundaryCrossings(t.Design.Cores[c].Layer, t.Switches[s].Layer, 1)
 	}
 	for s := range r.sw {
+		r.sw[s].level = t.Switches[s].Layer - r.lowest
 		r.updateMarginals(s, s)
 	}
+	r.levels = layers - r.lowest
+	r.illVerdict = make([]verdict, r.levels*r.levels)
+	r.fillILL()
 	for f := range t.Routes {
 		t.Routes[f] = topology.Route{Flow: f}
 	}
@@ -276,18 +287,16 @@ func (r *router) init() {
 	r.prev = resize(tb.prev, 0, n+spare)
 	r.open = resize(tb.open, 0, n+spare)
 	r.path = resize(tb.path, 0, n+spare)
-	r.tsv = make([]float64, len(r.ill)+1)
-	r.crossings = make([]int, len(r.ill))
-	r.boundary = make([]bool, len(r.ill))
+	r.tsv = make([]float64, r.levels)
 
-	// The arc table: the only full O(S^2) pass of a run; everything after
-	// is incremental.
+	// The arc table: the only full O(S^2) pass of a run. No commit changes
+	// an arc beyond its link's existence and CDG vertex.
 	stride := n + spare
 	tb.cells = resize(tb.cells, stride*stride, stride*stride)
 	tb.rows = resize(tb.rows, stride, stride)
 	r.arcs = squareRows(tb.cells, tb.rows, n, spare)
 	for i := 0; i < n; i++ {
-		r.arcs[i][i] = arc{arcState: arcState{forbidden: true}, vertex: -1}
+		r.arcs[i][i] = arc{blocked: true, vertex: -1}
 		for j := i + 1; j < n; j++ {
 			r.join(i, j)
 		}
@@ -364,14 +373,14 @@ func shrinkSquare[T comparable](rows [][]T) [][]T {
 }
 
 // addSwitch extends the router with one switch that has no ports and no
-// links (the router just appended it to the topology) and computes the arcs
-// to and from it.
+// links (the router just appended it to the topology, on a layer between
+// two of its switches) and computes the arcs to and from it.
 func (r *router) addSwitch() {
 	n := len(r.sw)
-	r.sw = append(r.sw, switchState{})
+	r.sw = append(r.sw, switchState{level: r.top.Switches[n].Layer - r.lowest})
 	r.updateMarginals(n, n)
 	r.arcs = growSquare(r.arcs, arc{})
-	r.arcs[n][n].forbidden = true
+	r.arcs[n][n].blocked = true
 	for i := 0; i < n; i++ {
 		r.join(i, n)
 	}
@@ -387,12 +396,16 @@ func (r *router) dropSwitch() {
 	r.arcs = shrinkSquare(r.arcs)
 }
 
-// updateMarginals recomputes the cached port-opening marginals of the output
-// ports of switch out and the input ports of switch in.
+// updateMarginals recomputes the port-opening marginal and max_sw_size
+// verdict of the output ports of switch out and the input ports of switch
+// in.
 func (r *router) updateMarginals(out, in int) {
-	lib, f := r.top.Lib, r.top.FreqMHz
-	r.sw[out].outMarginal = lib.SwitchPortMarginalMW(r.sw[out].outPorts, f)
-	r.sw[in].inMarginal = lib.SwitchPortMarginalMW(r.sw[in].inPorts, f)
+	lib, f, limit := r.top.Lib, r.top.FreqMHz, r.cfg.MaxSwitchSize
+	o, i := &r.sw[out], &r.sw[in]
+	o.outMarginal = lib.SwitchPortMarginalMW(o.outPorts, f)
+	o.outVerdict = limitVerdict(o.outPorts+1, limit, softSwitchMargin)
+	i.inMarginal = lib.SwitchPortMarginalMW(i.inPorts, f)
+	i.inVerdict = limitVerdict(i.inPorts+1, limit, softSwitchMargin)
 }
 
 // addBoundaryCrossings adds delta to every adjacent-layer boundary crossed
@@ -425,6 +438,25 @@ func (r *router) boundaryMax(a, b int) int {
 	return m
 }
 
+// fillILL recomputes illVerdict from the boundary counts: opening a link
+// between two layers crosses each boundary between them once more. A link
+// within one layer crosses none, and with max_ill unconstrained no link
+// has a verdict.
+func (r *router) fillILL() {
+	if r.cfg.MaxILL <= 0 {
+		return
+	}
+	for a := 0; a < r.levels; a++ {
+		for b := 0; b < r.levels; b++ {
+			v := verdictNone
+			if a != b {
+				v = limitVerdict(r.boundaryMax(r.lowest+a, r.lowest+b)+1, r.cfg.MaxILL, r.cfg.SoftILLMargin)
+			}
+			r.illVerdict[a*r.levels+b] = v
+		}
+	}
+}
+
 // maxFlowCost estimates the largest possible "reasonable" arc cost; SOFT_INF
 // is ten times this value, per the paper.
 func (r *router) maxFlowCost() float64 {
@@ -450,80 +482,9 @@ func (r *router) maxFlowCost() float64 {
 	return cost
 }
 
-// arcState is the mutable CHECK_CONSTRAINTS outcome of one arc: everything
-// arcCost needs beyond the (immutable) arc geometry. The router keeps one
-// arcState per arc and refreshes it only when a commit invalidates it.
-type arcState struct {
-	// forbidden marks arcs that violate a hard constraint (Infinity cost).
-	forbidden bool
-	// exists reports whether the physical link already carries traffic.
-	exists bool
-	// soft marks arcs inside a SOFT_INF threshold of Algorithm 3.
-	soft bool
-	// openJ and openI are the port-opening power marginals charged when the
-	// link does not exist yet: a new input port on j and a new output port
-	// on i.
-	openJ, openI float64
-}
-
-// arcState evaluates the CHECK_CONSTRAINTS thresholds of Algorithm 3 for the
-// arc (i, j) against the router's current bookkeeping. exists is the arc's
-// link-existence bit, which the returned state carries unchanged, forbidden
-// arcs included, so a refresh never drops it.
-func (r *router) arcState(i, j int, exists bool) arcState {
-	forbidden := arcState{forbidden: true, exists: exists}
-	if i == j || r.allowed != nil && !r.allowed[i][j] {
-		return forbidden
-	}
-	t := r.top
-	li, lj := t.Switches[i].Layer, t.Switches[j].Layer
-	span := li - lj
-	if span < 0 {
-		span = -span
-	}
-	st := arcState{exists: exists}
-
-	if span > 0 {
-		// Hard constraint: adjacency and max_ill.
-		if r.cfg.AdjacentLayersOnly && span >= 2 {
-			return forbidden
-		}
-		if r.cfg.MaxILL > 0 && !exists {
-			cur := r.boundaryMax(li, lj)
-			if cur >= r.cfg.MaxILL {
-				return forbidden
-			}
-			if cur >= r.cfg.MaxILL-r.cfg.SoftILLMargin {
-				st.soft = true
-			}
-		}
-	}
-	if exists {
-		return st
-	}
-	// Switch size constraints apply when a new link must be opened (a new
-	// output port on i and a new input port on j).
-	out, in := r.sw[i].outPorts+1, r.sw[j].inPorts+1
-	if limit := r.cfg.MaxSwitchSize; limit > 0 {
-		if out > limit || in > limit {
-			return forbidden
-		}
-		if out > limit-softSwitchMargin || in > limit-softSwitchMargin {
-			st.soft = true
-		}
-	}
-	// Opening a link costs the extra ports on both switches: a new input
-	// port on j and a new output port on i. The closed-form marginal depends
-	// only on its own dimension's count, so a commit that grows the other
-	// dimension of i or j cannot silently invalidate this arc.
-	st.openJ = r.sw[j].inMarginal
-	st.openI = r.sw[i].outMarginal
-	return st
-}
-
-// geometry fills in the immutable part of the arc (i, j): the planar
-// Manhattan length, the number of layers crossed and the pipeline-latency
-// term.
+// geometry writes the new arc (i, j) into a: its planar Manhattan length,
+// the number of layers it crosses and its pipeline-latency term, no link, no
+// CDG vertex yet and no block.
 func (r *router) geometry(a *arc, i, j int) {
 	t := r.top
 	a.planar = geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
@@ -533,6 +494,7 @@ func (r *router) geometry(a *arc, i, j int) {
 	}
 	a.span = int32(span)
 	a.latency = 1 + float64(t.Lib.LinkPipelineStages(a.planar, t.FreqMHz))
+	a.vertex, a.exists, a.blocked = -1, false, false
 }
 
 // terms returns the constants of arcCost for a flow of bandwidth bw,
@@ -627,10 +589,10 @@ func (r *router) linkVertex(i, j int) int32 {
 }
 
 // commit records the route and updates link, port and inter-layer-link
-// bookkeeping, then refreshes the arcs those updates invalidated.
+// bookkeeping, and the max_ill verdicts when a new link crossed layers.
 func (r *router) commit(f int, path []int) {
 	t := r.top
-	opened := r.opened[:0]
+	crossed := false
 	for i := 1; i < len(path); i++ {
 		from, to := path[i-1], path[i]
 		if a := &r.arcs[from][to]; !a.exists {
@@ -638,14 +600,15 @@ func (r *router) commit(f int, path []int) {
 			r.sw[from].outPorts++
 			r.sw[to].inPorts++
 			r.updateMarginals(from, to)
-			r.addBoundaryCrossings(t.Switches[from].Layer, t.Switches[to].Layer, 1)
-			opened = append(opened, [2]int{from, to})
+			if lf, lt := t.Switches[from].Layer, t.Switches[to].Layer; lf != lt {
+				r.addBoundaryCrossings(lf, lt, 1)
+				crossed = true
+			}
 		}
 	}
-	r.opened = opened
 	t.SetRoute(f, path)
-	if len(opened) > 0 {
-		r.applyCommit(opened)
+	if crossed {
+		r.fillILL()
 	}
 }
 

@@ -10,18 +10,17 @@ import (
 )
 
 // poisonedTables returns router tables with room for size switches whose
-// every cell holds what no router writes: NaN geometry and marginals, the
-// existence and soft flags set, the forbidden flag clear, CDG vertex 0 and
-// port counts of 99. A router that reads any of it before writing it
-// routes differently from one on new tables, or panics.
+// every cell holds what no router writes: arcs with NaN geometry, a layer
+// span past any TSV term, CDG vertex 0, the link marked as existing and no
+// block; switches with port counts of 99, NaN marginals, hard verdicts on
+// both sides and a level outside the max_ill table. A router that reads any
+// of it before writing it routes differently from one on new tables, or
+// panics.
 func poisonedTables(size int) *tables {
 	nan := math.NaN()
 	cells := make([]arc, size*size)
 	for i := range cells {
-		cells[i] = arc{
-			arcState: arcState{exists: true, soft: true, openJ: nan, openI: nan},
-			planar:   nan, latency: nan, vertex: 0,
-		}
+		cells[i] = arc{planar: nan, latency: nan, span: int32(size + 99), vertex: 0, exists: true, blocked: false}
 	}
 	junk := make([]arc, 1)
 	rows := make([][]arc, size)
@@ -35,7 +34,10 @@ func poisonedTables(size int) *tables {
 	tb.open = make([]int, size)
 	tb.path = make([]int, size)
 	for i := 0; i < size; i++ {
-		tb.sw[i] = switchState{inPorts: 99, outPorts: 99, inMarginal: nan, outMarginal: nan, dirtyRow: true, dirtyCol: true}
+		tb.sw[i] = switchState{
+			inMarginal: nan, inVerdict: verdictHard, outVerdict: verdictHard, level: size + 99,
+			outMarginal: nan, inPorts: 99, outPorts: 99,
+		}
 		tb.dist[i] = nan
 		tb.prev[i] = size + i
 		tb.open[i] = size - i
@@ -47,18 +49,16 @@ func poisonedTables(size int) *tables {
 // sameArc reports whether two arc records are equal bit for bit.
 func sameArc(a, b arc) bool {
 	bits := math.Float64bits
-	return a.forbidden == b.forbidden && a.exists == b.exists && a.soft == b.soft &&
-		bits(a.openJ) == bits(b.openJ) && bits(a.openI) == bits(b.openI) &&
-		bits(a.planar) == bits(b.planar) && bits(a.latency) == bits(b.latency) &&
-		a.span == b.span && a.vertex == b.vertex
+	return bits(a.planar) == bits(b.planar) && bits(a.latency) == bits(b.latency) &&
+		a.span == b.span && a.vertex == b.vertex && a.exists == b.exists && a.blocked == b.blocked
 }
 
 // sameSwitch reports whether two switch records are equal bit for bit.
 func sameSwitch(a, b switchState) bool {
 	bits := math.Float64bits
-	return a.inPorts == b.inPorts && a.outPorts == b.outPorts &&
-		bits(a.inMarginal) == bits(b.inMarginal) && bits(a.outMarginal) == bits(b.outMarginal) &&
-		a.dirtyRow == b.dirtyRow && a.dirtyCol == b.dirtyCol
+	return bits(a.inMarginal) == bits(b.inMarginal) && a.inVerdict == b.inVerdict &&
+		a.outVerdict == b.outVerdict && a.level == b.level &&
+		bits(a.outMarginal) == bits(b.outMarginal) && a.inPorts == b.inPorts && a.outPorts == b.outPorts
 }
 
 // TestReusedRouterTablesMatchFresh checks that a router on tables an

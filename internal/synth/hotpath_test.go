@@ -14,6 +14,7 @@ import (
 
 	"sunfloor3d/internal/bench"
 	"sunfloor3d/internal/geom"
+	"sunfloor3d/internal/model"
 	"sunfloor3d/internal/route"
 	"sunfloor3d/internal/topology"
 )
@@ -154,40 +155,28 @@ type routeDigest struct {
 // full-rebuild reference router's routes on every topology two small-design
 // sweeps build: each attempt an automatic-phase sweep and a Phase-2-only
 // sweep report to their progress streams is stripped back to its switches
-// and core attachments, routed once, and hashed against routeDigestsFile.
+// and core attachments, routed once as the sweep routed it (see
+// sweptAttempts), and hashed against routeDigestsFile.
 // (The automatic sweep's unmet counts are all decided before a retry, so it
 // builds Phase-1 topologies only; the Phase-2-only sweep supplies the
 // layer-by-layer ones.) The re-route must also reproduce the routes the
 // sweep committed.
 func TestFullRebuildRoutesSweepTopologies(t *testing.T) {
-	g := smallDesign(t)
 	opt := DefaultOptions()
 	opt.FrequenciesMHz = []float64{400, 600, 800}
 	opt.MaxILL = 6
-	var built []DesignPoint
-	opt.Progress = func(ev Event) {
-		if ev.Point.Topology != nil {
-			built = append(built, ev.Point)
-		}
-	}
-	if _, err := Synthesize(g, opt); err != nil {
-		t.Fatal(err)
-	}
 	phase2 := opt
 	phase2.Phase = Phase2Only
-	if _, err := Synthesize(g, phase2); err != nil {
-		t.Fatal(err)
-	}
-	if len(built) == 0 {
+	attempts := sweptAttempts(t, smallDesign(t), opt, phase2)
+	if len(attempts) == 0 {
 		t.Fatal("the sweep built no topology")
 	}
 	phases := map[int]int{}
-	got := make([]routeDigest, len(built))
-	for i, dp := range built {
+	got := make([]routeDigest, len(attempts))
+	for i, at := range attempts {
+		dp, top := at.point, at.top
 		phases[dp.Phase]++
-		top := unrouted(dp.Topology)
-		s := &sweep{opt: opt, freq: dp.FreqMHz}
-		res, err := route.ComputePaths(top, s.routeConfig(dp.Phase == 2))
+		res, err := route.ComputePaths(top, at.cfg)
 		if err != nil {
 			t.Fatalf("attempt %d: routing failed: %v", i, err)
 		}
@@ -255,6 +244,43 @@ func unrouted(top *topology.Topology) *topology.Topology {
 		u.AttachCore(c, sw)
 	}
 	return u
+}
+
+// sweptAttempt is one topology a sweep reported to its progress stream: the
+// reported point, its topology stripped back by unrouted, and the router
+// configuration the sweep routed it with.
+type sweptAttempt struct {
+	point DesignPoint
+	top   *topology.Topology
+	cfg   route.Config
+}
+
+// sweptAttempts runs Synthesize on g once per options value and returns every
+// topology the runs report, in the order of their progress streams. Each
+// attempt's configuration is the sweep's: routeConfig, with
+// StopAtFirstFailure set on the attempts the sweep retains only when valid
+// (the theta retries and, under PhaseAuto, the Phase-2 fallback steps; see
+// sweep.finish).
+func sweptAttempts(tb testing.TB, g *model.CommGraph, opts ...Options) []sweptAttempt {
+	tb.Helper()
+	var attempts []sweptAttempt
+	for _, opt := range opts {
+		var built []DesignPoint
+		opt.Progress = func(ev Event) {
+			if ev.Point.Topology != nil {
+				built = append(built, ev.Point)
+			}
+		}
+		if _, err := Synthesize(g, opt); err != nil {
+			tb.Fatal(err)
+		}
+		for _, dp := range built {
+			cfg := (&sweep{opt: opt, freq: dp.FreqMHz}).routeConfig(dp.Phase == 2)
+			cfg.StopAtFirstFailure = dp.Theta > 0 || dp.Phase == 2 && opt.Phase == PhaseAuto
+			attempts = append(attempts, sweptAttempt{dp, unrouted(dp.Topology), cfg})
+		}
+	}
+	return attempts
 }
 
 // TestRefineBestRejectsWorseningRefinement checks the LPOnBest fix: a
