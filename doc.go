@@ -40,15 +40,19 @@
 // once and shared read-only across all swept frequencies and workers
 // (Result.Cache reports the hit/miss counts). Inside the router, the
 // per-flow arc-cost graph of Algorithm 3 is one flat table holding each
-// switch pair's geometry and constraint state, which a committed path
-// refreshes only for the arcs whose port counts, inter-layer-link occupancy
-// or link existence it changed; the shortest-path search scans only the
-// switches it has not settled, and deadlock retries overlay forbidden arcs
-// on it instead of rebuilding anything. Algorithm 1 builds no attempt whose
-// outcome is decided before it runs (a theta retry that repeats a core
-// assignment already tried for its switch count, a Phase-2 fallback step
-// whose switch count no unmet count needs), so it retains exactly the
-// exhaustive sweep's points from fewer attempts. Every DesignPoint records
+// switch pair's geometry, link existence and a block bit; the search prices
+// each arc as it relaxes it from small per-switch port records and a
+// per-layer-pair max_ill verdict, so a committed path updates only those
+// records and refreshes no arc. The shortest-path search is goal-directed
+// (A*): a consistent lower bound read from the arc table's destination row,
+// a tie rule and a guard that falls back to plain Dijkstra make it return
+// exactly Dijkstra's paths and costs while settling fewer switches; it scans
+// only the switches it has not settled, and deadlock retries overlay
+// forbidden arcs on it instead of rebuilding anything. Algorithm 1 builds
+// no attempt whose outcome is decided before it runs (a theta retry that
+// repeats a core assignment already tried for its switch count, a Phase-2
+// fallback step whose switch count no unmet count needs), so it retains
+// exactly the exhaustive sweep's points from fewer attempts. Every DesignPoint records
 // its router statistics (Route) and wall-clock build time (Elapsed). The
 // repository's benchmark, `bash perf/run.sh` (see perf/README.md), times the
 // sweep end to end and per layer; BENCH_PR2.json is frozen history of the

@@ -279,17 +279,33 @@ func (l Library) TSVMacroAreaMM2() float64 {
 
 // LinkPipelineStages returns the number of pipeline stages required for a
 // planar link of the given length to sustain full throughput at freqMHz. A
-// link shorter than the per-cycle reach needs no extra stage (returns 0).
+// link shorter than the per-cycle reach needs no extra stage (returns 0). It
+// is PipelineStages of the length at LinkReachMM(freqMHz).
 func (l Library) LinkPipelineStages(lengthMM, freqMHz float64) int {
-	if lengthMM <= 0 || freqMHz <= 0 {
+	return PipelineStages(lengthMM, l.LinkReachMM(freqMHz))
+}
+
+// LinkReachMM returns the longest planar link a flit crosses in one cycle
+// at freqMHz: MaxUnrepeatedLinkMM, or less when the cycle is shorter than
+// that wire's delay. It is 0 when freqMHz is not positive.
+func (l Library) LinkReachMM(freqMHz float64) float64 {
+	if freqMHz <= 0 {
 		return 0
 	}
 	cyclePS := 1e6 / freqMHz
-	reachable := math.Min(l.MaxUnrepeatedLinkMM, cyclePS/l.WireDelayPSPerMM)
-	if reachable <= 0 {
+	return math.Min(l.MaxUnrepeatedLinkMM, cyclePS/l.WireDelayPSPerMM)
+}
+
+// PipelineStages returns the number of pipeline stages a planar link of
+// lengthMM needs when a flit crosses reachMM of wire per cycle: one fewer
+// than the cycles the link takes, and 0 when either argument is not
+// positive. Callers that price many links at one frequency read the reach
+// once (Library.LinkReachMM) and call this per link.
+func PipelineStages(lengthMM, reachMM float64) int {
+	if lengthMM <= 0 || reachMM <= 0 {
 		return 0
 	}
-	stages := int(math.Ceil(lengthMM/reachable)) - 1
+	stages := int(math.Ceil(lengthMM/reachMM)) - 1
 	if stages < 0 {
 		stages = 0
 	}

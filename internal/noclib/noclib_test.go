@@ -1,6 +1,7 @@
 package noclib
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +186,60 @@ func TestLinkPipelineStages(t *testing.T) {
 	}
 	if c := l.CyclesForLink(5, 400); c < 3 {
 		t.Errorf("CyclesForLink long = %v, want >= 3", c)
+	}
+}
+
+// linkPipelineStagesOneStep is LinkPipelineStages as one function, before
+// it was split into LinkReachMM and PipelineStages.
+func linkPipelineStagesOneStep(l Library, lengthMM, freqMHz float64) int {
+	if lengthMM <= 0 || freqMHz <= 0 {
+		return 0
+	}
+	cyclePS := 1e6 / freqMHz
+	reachable := math.Min(l.MaxUnrepeatedLinkMM, cyclePS/l.WireDelayPSPerMM)
+	if reachable <= 0 {
+		return 0
+	}
+	stages := int(math.Ceil(lengthMM/reachable)) - 1
+	if stages < 0 {
+		stages = 0
+	}
+	return stages
+}
+
+// TestPipelineStagesOfReachMatchOneStep checks that PipelineStages of the
+// length at LinkReachMM, and LinkPipelineStages, which composes them, equal
+// the one-step function on every length near a stage boundary (at it, one
+// ulp either side and 2^-30 below it), on degenerate lengths (0, negatives,
+// NaN, ±Inf, the smallest subnormal) and at frequencies that are not
+// positive or NaN, for the default library's wire-limited reach and a
+// delay-limited one.
+func TestPipelineStagesOfReachMatchOneStep(t *testing.T) {
+	l := DefaultLibrary()
+	freqs := []float64{400, 1000, 5000, 12345.6, 0, -400, math.Inf(-1), math.NaN()}
+	for _, f := range freqs {
+		lengths := []float64{0, math.Copysign(0, -1), -1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 0.1, 0.3}
+		if reach := l.LinkReachMM(f); reach > 0 {
+			for k := 1.0; k <= 6; k++ {
+				b := k * reach
+				lengths = append(lengths, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)), b*(1-0x1p-30), b-b*0x1p-30)
+			}
+		}
+		for _, x := range lengths {
+			want := linkPipelineStagesOneStep(l, x, f)
+			if got := PipelineStages(x, l.LinkReachMM(f)); got != want {
+				t.Errorf("PipelineStages(%v, LinkReachMM(%v)) = %d, one step %d", x, f, got, want)
+			}
+			if got := l.LinkPipelineStages(x, f); got != want {
+				t.Errorf("LinkPipelineStages(%v, %v) = %d, one step %d", x, f, got, want)
+			}
+		}
+	}
+	if r := l.LinkReachMM(400); r != 1.5 {
+		t.Errorf("LinkReachMM(400) = %v, want the 1.5 mm unrepeated length", r)
+	}
+	if r := l.LinkReachMM(0); r != 0 {
+		t.Errorf("LinkReachMM(0) = %v, want 0", r)
 	}
 }
 

@@ -7,6 +7,23 @@
 // deadlocks via a channel-dependency-graph acyclicity check. When the switch
 // size constraint cannot be met, indirect switches are inserted to connect
 // other switches together, as described at the end of Section VI.
+//
+// Each flow takes a minimum-cost path, found by a goal-directed (A*) search
+// that returns exactly the path and the bit-identical cost of a plain
+// Dijkstra that settles switches by ascending distance, ties to the lowest
+// index. Its lower bound on the cost from a switch to the destination is
+// read from the arc table's destination row: the wire and TSV power and the
+// latency of the direct link, with the latency of a link shorter by a
+// relative 2^-30 so that a rounded Manhattan sum cannot cross a
+// pipeline-stage boundary, scaled by 1−2^-20. The bound is consistent, and
+// the scaling leaves a slack of at least 2^-20·LatencyWeight along any path,
+// so every switch settles at Dijkstra's distance, after all of its
+// equal-cost predecessors and only when Dijkstra settles it too. A tie rule
+// keeps Dijkstra's predecessor among those predecessors. A guard, checked
+// once per routing call, zeroes the bound unless that slack exceeds the
+// rounding of every cost the search compares by a wide margin; the search
+// is then Dijkstra itself. shortestPath, lowerBounds and goalDirected hold
+// the derivation.
 package route
 
 import (
@@ -15,6 +32,7 @@ import (
 	"sync"
 
 	"sunfloor3d/internal/geom"
+	"sunfloor3d/internal/noclib"
 	"sunfloor3d/internal/topology"
 )
 
@@ -101,9 +119,10 @@ type router struct {
 	// sw[s] is the bookkeeping of switch s.
 	sw []switchState
 	// dist[s] and prev[s] are the search's distance to switch s and its
-	// predecessor on the shortest path.
-	dist []float64
-	prev []int
+	// predecessor on the shortest path, and h[s] its lower bound on the
+	// cost from s to the destination (see lowerBounds).
+	dist, h []float64
+	prev    []int
 	// ill[b] is the number of physical links crossing the boundary between
 	// layers b and b+1 (switch-to-switch and core-to-switch).
 	ill []int
@@ -122,6 +141,12 @@ type router struct {
 	// softInf is the SOFT_INF penalty of Algorithm 3, fixed for the whole
 	// run (it depends only on the design, library, frequency and weights).
 	softInf float64
+	// reach is the planar length a flit crosses per cycle at the
+	// topology's frequency, farthest the longest planar length in the arc
+	// table, and goal whether the search may use its lower bound (see
+	// goalDirected).
+	reach, farthest float64
+	goal            bool
 	// allowed, when non-nil, restricts routing to the directed arcs (i, j)
 	// with allowed[i][j] set. It is the repair-mode overlay: on a fabricated
 	// chip only the links that were actually built (minus the failed ones)
@@ -207,17 +232,17 @@ func computePaths(t *topology.Topology, cfg Config, tb *tables) (Result, error) 
 
 // tables is the memory a router's tables are carved from: the arc table's
 // backing array and row headers, the switch table, the search's distance,
-// predecessor and unsettled slices and its path buffer. ComputePaths and
-// RepairRoutes take one from tablePool and put it back when they finish, so
-// a worker that routes one topology after another reuses the previous
-// call's memory instead of allocating and zeroing an O(S^2) table per call.
-// A router built without one (the package's tests build some) gets a new
-// one.
+// lower-bound, predecessor and unsettled slices, its path buffer and its
+// TSV terms. ComputePaths and RepairRoutes take one from tablePool and put
+// it back when they finish, so a worker that routes one topology after
+// another reuses the previous call's memory instead of allocating and
+// zeroing an O(S^2) table per call. A router built without one (the
+// package's tests build some) gets a new one.
 type tables struct {
 	cells            []arc
 	rows             [][]arc
 	sw               []switchState
-	dist             []float64
+	dist, h, tsv     []float64
 	prev, open, path []int
 }
 
@@ -229,7 +254,7 @@ var tablePool = sync.Pool{New: func() any { return new(tables) }}
 // that outgrew them (indirect switches beyond the spare room) included.
 func (r *router) stash() {
 	tb := r.tb
-	tb.sw, tb.dist, tb.prev, tb.open, tb.path = r.sw, r.dist, r.prev, r.open, r.path
+	tb.sw, tb.dist, tb.h, tb.tsv, tb.prev, tb.open, tb.path = r.sw, r.dist, r.h, r.tsv, r.prev, r.open, r.path
 }
 
 // resize returns s with length n and room for capacity elements, reusing
@@ -283,11 +308,13 @@ func (r *router) init() {
 		t.Routes[f] = topology.Route{Flow: f}
 	}
 	r.softInf = 10 * r.maxFlowCost()
+	r.reach = t.Lib.LinkReachMM(t.FreqMHz)
 	r.dist = resize(tb.dist, 0, n+spare)
+	r.h = resize(tb.h, 0, n+spare)
 	r.prev = resize(tb.prev, 0, n+spare)
 	r.open = resize(tb.open, 0, n+spare)
 	r.path = resize(tb.path, 0, n+spare)
-	r.tsv = make([]float64, r.levels)
+	r.tsv = resize(tb.tsv, r.levels, r.levels)
 
 	// The arc table: the only full O(S^2) pass of a run. No commit changes
 	// an arc beyond its link's existence and CDG vertex.
@@ -301,6 +328,7 @@ func (r *router) init() {
 			r.join(i, j)
 		}
 	}
+	r.goal = r.goalDirected()
 }
 
 // spareSwitchCount is how many inserted indirect switches the router's
@@ -384,6 +412,7 @@ func (r *router) addSwitch() {
 	for i := 0; i < n; i++ {
 		r.join(i, n)
 	}
+	r.goal = r.goalDirected()
 }
 
 // dropSwitch drops the last switch from the router (rolling back a failed
@@ -483,8 +512,9 @@ func (r *router) maxFlowCost() float64 {
 }
 
 // geometry writes the new arc (i, j) into a: its planar Manhattan length,
-// the number of layers it crosses and its pipeline-latency term, no link, no
-// CDG vertex yet and no block.
+// the number of layers it crosses, its pipeline-latency term and whether
+// the stage floor is one stage lower (arc.fewer), no link, no CDG vertex yet
+// and no block.
 func (r *router) geometry(a *arc, i, j int) {
 	t := r.top
 	a.planar = geom.Manhattan(t.Switches[i].Pos, t.Switches[j].Pos)
@@ -493,14 +523,16 @@ func (r *router) geometry(a *arc, i, j int) {
 		span = -span
 	}
 	a.span = int32(span)
-	a.latency = 1 + float64(t.Lib.LinkPipelineStages(a.planar, t.FreqMHz))
+	stages := noclib.PipelineStages(a.planar, r.reach)
+	a.latency = 1 + float64(stages)
+	a.fewer = stages > 0 && noclib.PipelineStages(a.planar*shortened, r.reach) < stages
 	a.vertex, a.exists, a.blocked = -1, false, false
 }
 
 // terms returns the constants of arcCost for a flow of bandwidth bw,
 // filling tsv, which needs one entry per layer span, with the TSV terms.
 func (r *router) terms(bw float64, tsv []float64) flowTerms {
-	lib := r.top.Lib
+	lib := &r.top.Lib
 	for s := range tsv {
 		tsv[s] = float64(s) * lib.TSVPowerMWPerGBps * bw / 1000.0
 	}

@@ -17,8 +17,9 @@ import (
 // lowest index among equal distances, relaxation in ascending index order, a
 // forbidden-arc map and a reversed path buffer. Each arc cost comes from
 // router.cost, so the reference shares the arc formula but none of the
-// search's own bookkeeping.
-func referenceShortestPath(r *router, src, dst int, bw float64, forbidden map[[2]int]bool) ([]int, float64) {
+// search's own bookkeeping. It also returns the switches it settled before
+// reaching dst.
+func referenceShortestPath(r *router, src, dst int, bw float64, forbidden map[[2]int]bool) ([]int, float64, []bool) {
 	n := len(r.sw)
 	dist := make([]float64, n)
 	prev := make([]int, n)
@@ -58,7 +59,7 @@ func referenceShortestPath(r *router, src, dst int, bw float64, forbidden map[[2
 		}
 	}
 	if dist[dst] >= infinity {
-		return nil, infinity
+		return nil, infinity, settled
 	}
 	var rev []int
 	for v := dst; v != -1; v = prev[v] {
@@ -68,7 +69,7 @@ func referenceShortestPath(r *router, src, dst int, bw float64, forbidden map[[2
 	for i, v := range rev {
 		path[len(rev)-1-i] = v
 	}
-	return path, dist[dst]
+	return path, dist[dst], settled
 }
 
 // oracleCase builds a routed-case topology and router configuration from
@@ -79,6 +80,15 @@ func referenceShortestPath(r *router, src, dst int, bw float64, forbidden map[[2
 // sit on every other layer and links may join adjacent layers only, so the
 // flows between core layers need indirect switches, which the router keeps
 // when a flow routes through one and rolls back otherwise.
+//
+// Three variations, drawn last, probe the search's lower bound and its
+// guard. In one case of four the switches move onto multiples of the
+// library's 1.5 mm reach, so link lengths sit exactly on pipeline-stage
+// boundaries, and in another onto 0.1 mm steps, whose Manhattan sums round
+// across them. In one case of three some switches share their layer's first
+// switch's position, which makes an existing link between them cost nothing
+// when LatencyWeight is 0. In one case of two both objective weights are
+// drawn from {0, 1e-300, 1e-3, 0.1, 1, 1e6, 1e12}.
 func oracleCase(t *testing.T, rng *rand.Rand, grid bool) (*topology.Topology, Config) {
 	t.Helper()
 	layers := 1 + rng.Intn(3)
@@ -152,58 +162,144 @@ func oracleCase(t *testing.T, rng *rand.Rand, grid bool) (*topology.Topology, Co
 		cfg.MaxSwitchSize = 3 + rng.Intn(5)
 	}
 	cfg.AdjacentLayersOnly = step == 2 || rng.Intn(3) == 0
+
+	switch rng.Intn(4) {
+	case 0:
+		for s := range top.Switches {
+			top.Switches[s].Pos = geom.Point{X: 1.5 * float64(rng.Intn(5)), Y: 1.5 * float64(rng.Intn(4))}
+		}
+	case 1:
+		for s := range top.Switches {
+			top.Switches[s].Pos = geom.Point{X: 0.1 * float64(rng.Intn(70)), Y: 0.1 * float64(rng.Intn(50))}
+		}
+	}
+	if rng.Intn(3) == 0 {
+		for _, ids := range sw {
+			for _, id := range ids[1:] {
+				if rng.Intn(2) == 0 {
+					top.Switches[id].Pos = top.Switches[ids[0]].Pos
+				}
+			}
+		}
+	}
+	if rng.Intn(2) == 0 {
+		weights := []float64{0, 1e-300, 1e-3, 0.1, 1, 1e6, 1e12}
+		cfg.PowerWeight = weights[rng.Intn(len(weights))]
+		cfg.LatencyWeight = weights[rng.Intn(len(weights))]
+	}
 	return top, cfg
 }
 
 // FuzzShortestPathMatchesReference advances a router flow by flow over a
 // random routed case, inserting an indirect switch where a flow fails (so
 // the arc table grows and shrinks), and before every flow checks the
-// router's search against referenceShortestPath: the same path and a
-// Float64bits-equal cost, with no forbidden arc and then with up to four
-// arcs of the reference's own path forbidden one after another, as deadlock
-// retries forbid them.
+// router's search against referenceShortestPath (see checkSearch). Its
+// seeds are the first 32 cases of both layouts and three more. Among the
+// first 32, (7, true) and (10, false) fail a search without the tie rule,
+// and (7, false) and (10, false) one whose bound is not scaled by hScale.
+// (51, false) fails a search without the guard; (64, false) fails one that
+// keeps the bound where the guard rules it out but applies the tie rule
+// only where it allows it; and (228471, false), found in a scan of 1.4
+// million cases, fails a latency floor that is not shortened (a.fewer
+// ignored): it needs latency-dominated weights, 0.1 mm steps whose
+// rounded Manhattan sums close a stage, and a tie that the overestimate
+// hides.
 func FuzzShortestPathMatchesReference(f *testing.F) {
 	for seed := int64(1); seed <= 32; seed++ {
 		f.Add(seed, true)
 		f.Add(seed, false)
 	}
+	for _, seed := range []int64{51, 64, 228471} {
+		f.Add(seed, false)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, grid bool) {
-		rng := rand.New(rand.NewSource(seed))
-		top, cfg := oracleCase(t, rng, grid)
-		r := &router{top: top, cfg: cfg}
-		r.init()
-		for _, fl := range top.Design.FlowsByBandwidth() {
-			flow := top.Design.Flows[fl]
-			src, dst := top.CoreAttach[flow.Src], top.CoreAttach[flow.Dst]
-			if src != dst {
-				checkSearch(t, rng, r, src, dst, flow.BandwidthMBps)
-			}
-			if !r.routeFlow(fl) && cfg.AllowIndirectSwitches {
-				r.tryWithIndirectSwitch(fl)
-			}
-		}
+		searchOracleCase(t, seed, grid)
 	})
 }
 
+// searchOracleCase routes the oracle case of seed and grid flow by flow,
+// checks the search before every flow (see checkSearch) and returns how
+// many switches the search and the reference settled in all.
+func searchOracleCase(t *testing.T, seed int64, grid bool) (settled, refSettled int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	top, cfg := oracleCase(t, rng, grid)
+	r := &router{top: top, cfg: cfg}
+	r.init()
+	for _, fl := range top.Design.FlowsByBandwidth() {
+		flow := top.Design.Flows[fl]
+		src, dst := top.CoreAttach[flow.Src], top.CoreAttach[flow.Dst]
+		if src != dst {
+			s, rs := checkSearch(t, rng, r, src, dst, flow.BandwidthMBps)
+			settled, refSettled = settled+s, refSettled+rs
+		}
+		if !r.routeFlow(fl) && cfg.AllowIndirectSwitches {
+			r.tryWithIndirectSwitch(fl)
+		}
+	}
+	return settled, refSettled
+}
+
 // checkSearch compares the router's search with the reference for one
-// source and destination, forbidding a random arc of the reference's path
-// after each comparison, up to four arcs.
-func checkSearch(t *testing.T, rng *rand.Rand, r *router, src, dst int, bw float64) {
+// source and destination: the same path and a Float64bits-equal cost, and
+// every switch the search settled one that the reference settles before
+// dst. It compares with no forbidden arc and then with up to four arcs of
+// the reference's own path forbidden one after another, as deadlock retries
+// forbid them, and returns how many switches the search and the reference
+// settled over those searches.
+func checkSearch(t *testing.T, rng *rand.Rand, r *router, src, dst int, bw float64) (settled, refSettled int) {
 	t.Helper()
 	forbidden := make(map[[2]int]bool)
 	var list [][2]int
 	for k := 0; k <= 4; k++ {
-		want, wantCost := referenceShortestPath(r, src, dst, bw, forbidden)
+		want, wantCost, refDone := referenceShortestPath(r, src, dst, bw, forbidden)
 		got, gotCost := r.shortestPath(src, dst, bw, list)
 		if !slices.Equal(got, want) || math.Float64bits(gotCost) != math.Float64bits(wantCost) {
 			t.Fatalf("%d->%d bw=%v with %d forbidden arcs: got %v (cost %v), reference %v (cost %v)",
 				src, dst, bw, len(forbidden), got, gotCost, want, wantCost)
 		}
+		// The switches the search settled are those its scratch no longer
+		// lists as unsettled.
+		done := make([]bool, len(r.sw))
+		for v := range done {
+			done[v] = !slices.Contains(r.open, v)
+		}
+		for v := range done {
+			if done[v] && !refDone[v] {
+				t.Fatalf("%d->%d bw=%v with %d forbidden arcs: the search settled switch %d, which the reference does not settle",
+					src, dst, bw, len(forbidden), v)
+			}
+			if done[v] {
+				settled++
+			}
+			if refDone[v] {
+				refSettled++
+			}
+		}
 		if len(want) < 2 {
-			return
+			return settled, refSettled
 		}
 		hop := 1 + rng.Intn(len(want)-1)
 		forbidden[[2]int{want[hop-1], want[hop]}] = true
 		list = append(list, [2]int{want[hop-1], want[hop]})
+	}
+	return settled, refSettled
+}
+
+// TestSearchSettlesFewerSwitches runs the fuzz target's seed cases and
+// requires the goal-directed search to settle fewer switches in all than the
+// reference Dijkstra; checkSearch already requires each one to be a switch
+// the reference settles.
+func TestSearchSettlesFewerSwitches(t *testing.T) {
+	settled, refSettled := 0, 0
+	for seed := int64(1); seed <= 32; seed++ {
+		for _, grid := range []bool{true, false} {
+			s, rs := searchOracleCase(t, seed, grid)
+			settled, refSettled = settled+s, refSettled+rs
+		}
+	}
+	t.Logf("the search settled %d switches, the reference %d (ratio %.3f)", settled, refSettled, float64(settled)/float64(refSettled))
+	if settled >= refSettled {
+		t.Fatalf("the search settled %d switches, no fewer than the reference's %d", settled, refSettled)
 	}
 }

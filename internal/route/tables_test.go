@@ -5,14 +5,16 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"sunfloor3d/internal/topology"
 )
 
 // poisonedTables returns router tables with room for size switches whose
 // every cell holds what no router writes: arcs with NaN geometry, a layer
-// span past any TSV term, CDG vertex 0, the link marked as existing and no
-// block; switches with port counts of 99, NaN marginals, hard verdicts on
+// span past any TSV term, CDG vertex 0, the link marked as existing, no
+// block and a stage floor one below the latency; NaN distances, lower
+// bounds and TSV terms; switches with port counts of 99, NaN marginals, hard verdicts on
 // both sides and a level outside the max_ill table. A router that reads any
 // of it before writing it routes differently from one on new tables, or
 // panics.
@@ -20,7 +22,7 @@ func poisonedTables(size int) *tables {
 	nan := math.NaN()
 	cells := make([]arc, size*size)
 	for i := range cells {
-		cells[i] = arc{planar: nan, latency: nan, span: int32(size + 99), vertex: 0, exists: true, blocked: false}
+		cells[i] = arc{planar: nan, latency: nan, span: int32(size + 99), vertex: 0, exists: true, blocked: false, fewer: true}
 	}
 	junk := make([]arc, 1)
 	rows := make([][]arc, size)
@@ -30,6 +32,8 @@ func poisonedTables(size int) *tables {
 	tb := &tables{cells: cells, rows: rows}
 	tb.sw = make([]switchState, size)
 	tb.dist = make([]float64, size)
+	tb.h = make([]float64, size)
+	tb.tsv = make([]float64, size)
 	tb.prev = make([]int, size)
 	tb.open = make([]int, size)
 	tb.path = make([]int, size)
@@ -39,6 +43,8 @@ func poisonedTables(size int) *tables {
 			outMarginal: nan, inPorts: 99, outPorts: 99,
 		}
 		tb.dist[i] = nan
+		tb.h[i] = nan
+		tb.tsv[i] = nan
 		tb.prev[i] = size + i
 		tb.open[i] = size - i
 		tb.path[i] = size + i
@@ -50,7 +56,16 @@ func poisonedTables(size int) *tables {
 func sameArc(a, b arc) bool {
 	bits := math.Float64bits
 	return bits(a.planar) == bits(b.planar) && bits(a.latency) == bits(b.latency) &&
-		a.span == b.span && a.vertex == b.vertex && a.exists == b.exists && a.blocked == b.blocked
+		a.span == b.span && a.vertex == b.vertex && a.exists == b.exists && a.blocked == b.blocked &&
+		a.fewer == b.fewer
+}
+
+// TestArcRecordIs32Bytes pins the arc record's size: the search reads one
+// per relaxation, and the stage-floor flag lives in what was padding.
+func TestArcRecordIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(arc{}); size != 32 {
+		t.Fatalf("arc record is %d bytes, want 32", size)
+	}
 }
 
 // sameSwitch reports whether two switch records are equal bit for bit.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"sunfloor3d/internal/geom"
+	"sunfloor3d/internal/noclib"
 )
 
 // PowerBreakdown decomposes the NoC power consumption the way Figs. 10 and 11
@@ -205,18 +206,19 @@ func (t *Topology) FlowLatencyCycles(flow int) float64 {
 	}
 	lat := float64(len(r.Switches)) // one cycle of switch traversal each
 	f := t.Design.Flows[flow]
+	reach := t.Lib.LinkReachMM(t.FreqMHz)
 
 	// Source core to first switch.
 	planar, _ := t.coreSwitchDistance(f.Src, r.Switches[0])
-	lat += float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
+	lat += float64(noclib.PipelineStages(planar, reach))
 	// Inter-switch hops.
 	for i := 1; i < len(r.Switches); i++ {
 		planar, _ := t.switchDistance(r.Switches[i-1], r.Switches[i])
-		lat += float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
+		lat += float64(noclib.PipelineStages(planar, reach))
 	}
 	// Last switch to destination core.
 	planar, _ = t.coreSwitchDistance(f.Dst, r.Switches[len(r.Switches)-1])
-	lat += float64(t.Lib.LinkPipelineStages(planar, t.FreqMHz))
+	lat += float64(noclib.PipelineStages(planar, reach))
 	return lat
 }
 
