@@ -51,7 +51,9 @@ type ProgressEvent struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// job is one submitted synthesis request.
+// job is one submitted synthesis request. An asynchronous submission's job
+// is registered and queryable by its id; a ?wait=1 request's job has no id,
+// and only its handler waits on it.
 type job struct {
 	id  string
 	key string // memo fingerprint
@@ -88,7 +90,8 @@ func (j *job) progress(ev ProgressEvent) {
 }
 
 // finish records the terminal state: the result bytes and provenance on
-// success, the error string on failure. Only registry.finish calls it.
+// success, the error string on failure. A registered job finishes only
+// through registry.finish.
 func (j *job) finish(result []byte, prov memo.Provenance, err error) {
 	j.mu.Lock()
 	if err != nil {

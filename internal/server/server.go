@@ -5,6 +5,13 @@
 //     is fingerprinted, equal requests — across clients, processes and
 //     restarts — are answered from the cache or deduplicated onto one
 //     in-flight computation;
+//   - a request index in front of that cache: the SHA-256 of each request
+//     body that passed validation maps to the request's fingerprint, so a
+//     repeated body whose result either cache tier holds is answered without
+//     being decoded, parsed or fingerprinted again. The index keys on the
+//     bytes, not the request: a new spelling of a request (other whitespace,
+//     field order or number format) takes the full path once. It holds at
+//     most 1024 bodies and is reset when full;
 //   - a bounded job queue with request validation and graceful shutdown;
 //   - streaming progress over NDJSON or SSE, wired to the engine's
 //     per-design-point progress events;
@@ -19,13 +26,18 @@
 //	GET  /v1/jobs/{id}             job status
 //	GET  /v1/jobs/{id}/stream      progress events (NDJSON; SSE on Accept)
 //	GET  /v1/jobs/{id}/result      canonical serialised Result
-//	GET  /v1/cache/stats           cache, scheduler and queue statistics
+//	GET  /v1/cache/stats           cache, request index, scheduler and
+//	                               queue statistics
 //	GET  /healthz                  liveness probe
 //
 // A request (SynthesizeRequest) is a design source plus options. It is the
 // same value cmd/sunfloor3d builds from its flags: the CLI posts it with
 // -server and otherwise runs its Design and EngineOptions locally, so the
 // two paths cannot drift apart.
+//
+// A ?wait=1 submission is answered on its own connection and registers no
+// job, so it never takes a RetainJobs slot from the asynchronous jobs whose
+// clients still poll them.
 //
 // Result bodies are the engine's canonical serialisation: byte-identical to
 // a local Synthesize + WriteJSON of the same request, whatever mix of cache
@@ -35,6 +47,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -91,19 +104,8 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 
-	// genMu guards genCache, a memo of generator-built designs keyed by the
-	// raw gen string. Generation is deterministic and the engine treats
-	// designs as read-only, so sharing one instance across requests is sound
-	// — and skipping the ~tens-of-ms regeneration (the generator floorplans
-	// the design) is what keeps a warm cache hit in the sub-millisecond
-	// range.
-	genMu    sync.Mutex
-	genCache map[string]*sunfloor3d.Design
+	index requestIndex
 }
-
-// maxGenCache bounds the generated-design memo; past it the memo is reset
-// (designs are cheap to regenerate, the bound only guards memory).
-const maxGenCache = 128
 
 // queued pairs an accepted job with its parsed, validated work.
 type queued struct {
@@ -126,13 +128,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cache:    cache,
-		sched:    sunfloor3d.NewScheduler(cfg.Capacity),
-		reg:      newRegistry(cfg.RetainJobs),
-		baseCtx:  ctx,
-		cancel:   cancel,
-		queue:    make(chan queued, cfg.QueueDepth),
-		genCache: make(map[string]*sunfloor3d.Design),
+		cache:   cache,
+		sched:   sunfloor3d.NewScheduler(cfg.Capacity),
+		reg:     newRegistry(cfg.RetainJobs),
+		baseCtx: ctx,
+		cancel:  cancel,
+		queue:   make(chan queued, cfg.QueueDepth),
+		index:   requestIndex{keys: make(map[[sha256.Size]byte]string)},
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/synthesize", s.handleSubmit)
@@ -223,6 +225,11 @@ func (s *Server) run(q queued) {
 		return res.MarshalStable()
 	}
 	body, prov, err := s.cache.GetOrCompute(s.baseCtx, q.job.key, compute)
+	if q.job.id == "" {
+		// A ?wait=1 request's job: only its handler waits on it.
+		q.job.finish(body, prov, err)
+		return
+	}
 	s.reg.finish(q.job, body, prov, err)
 }
 
@@ -422,35 +429,57 @@ const maxRequestBody = 8 << 20
 // disconnected instead of holding a connection open indefinitely.
 var bodyReadTimeout = 30 * time.Second
 
-// design resolves the request's design. A gen-only request is answered
-// from the generated-design memo, so a warm cache hit skips regeneration.
-func (s *Server) design(req *SynthesizeRequest) (*sunfloor3d.Design, error) {
-	if req.Gen == "" || req.CoresSpec != "" || req.CommSpec != "" {
-		return req.Design()
-	}
-	s.genMu.Lock()
-	d, ok := s.genCache[req.Gen]
-	s.genMu.Unlock()
-	if ok {
-		return d, nil
-	}
-	d, err := req.Design()
-	if err != nil {
-		return nil, err
-	}
-	s.genMu.Lock()
-	if len(s.genCache) >= maxGenCache {
-		s.genCache = make(map[string]*sunfloor3d.Design)
-	}
-	s.genCache[req.Gen] = d
-	s.genMu.Unlock()
-	return d, nil
+// requestIndex maps the SHA-256 of each submit body that passed decoding,
+// Design, EngineOptions and Fingerprint to the request's fingerprint. Each of
+// those steps is a pure function of the body, so an indexed body's key is the
+// one the full path would compute, and a body whose result the cache holds is
+// answered without being decoded, parsed or fingerprinted again.
+type requestIndex struct {
+	mu   sync.Mutex
+	keys map[[sha256.Size]byte]string
+	hits uint64
 }
 
-// handleSubmit validates and enqueues a synthesis request. With ?wait=1 it
-// blocks and answers with the result body directly; otherwise it returns
-// 202 with the job view. Either way the fingerprint is exposed as
-// X-Sunfloor-Key, and terminal responses carry X-Sunfloor-Cache.
+// maxIndexEntries bounds the request index, an entry being a digest and a
+// fingerprint. A full index is reset; a body it forgot takes the full path
+// again, as a first-seen one does.
+const maxIndexEntries = 1024
+
+// lookup returns the fingerprint of an indexed body and counts the hit.
+func (x *requestIndex) lookup(digest [sha256.Size]byte) (string, bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	key, ok := x.keys[digest]
+	if ok {
+		x.hits++
+	}
+	return key, ok
+}
+
+// add indexes a validated body's fingerprint.
+func (x *requestIndex) add(digest [sha256.Size]byte, key string) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if _, ok := x.keys[digest]; !ok && len(x.keys) >= maxIndexEntries {
+		clear(x.keys)
+	}
+	x.keys[digest] = key
+}
+
+// stats returns the index's part of the stats view.
+func (x *requestIndex) stats() IndexStats {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return IndexStats{Entries: len(x.keys), Hits: x.hits}
+}
+
+// handleSubmit answers a synthesis request. A body the request index knows
+// is answered from the cache at once. Any other body, or one whose result
+// has left the cache or is still being computed, takes the full path, the
+// one place a request is validated and enqueued. With ?wait=1 the response
+// is the result body itself; otherwise it is 202 with the job view. Either
+// way the fingerprint is exposed as X-Sunfloor-Key, and result bodies carry
+// X-Sunfloor-Cache.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The whole body must arrive before the read deadline. Once it has, the
 	// deadline is cleared: a read error on the connection while a ?wait=1
@@ -472,6 +501,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = rc.SetReadDeadline(time.Time{})
+	waitArg := r.URL.Query().Get("wait")
+	wait := waitArg == "1" || waitArg == "true"
+
+	// The cache lookups, which can read and hash a disk entry, run before
+	// s.mu is taken, so they never hold up other submissions. A hit consumes
+	// no queue slot and no worker.
+	digest := sha256.Sum256(raw)
+	if key, ok := s.index.lookup(digest); ok {
+		if body, prov, hit := s.cache.Peek(key); hit {
+			s.answerHit(w, key, body, prov, wait)
+			return
+		}
+	}
 	var req SynthesizeRequest
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
@@ -479,7 +521,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing request body: %v", err))
 		return
 	}
-	design, err := s.design(&req)
+	design, err := req.Design()
 	var opts []sunfloor3d.Option
 	if err == nil {
 		opts, err = req.Options.EngineOptions()
@@ -492,26 +534,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	s.index.add(digest, key)
+	if body, prov, hit := s.cache.Peek(key); hit {
+		s.answerHit(w, key, body, prov, wait)
+		return
+	}
 	w.Header().Set("X-Sunfloor-Key", key)
-
 	opts = append(opts, sunfloor3d.WithScheduler(s.sched))
 
-	// Cache fast path: a fingerprint hit answers without consuming a queue
-	// slot or a worker. The lookup, which can read and hash a disk entry,
-	// runs before s.mu is taken, so it never holds up other submissions.
-	body, prov, hit := s.cache.Peek(key)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	if hit {
-		j := s.reg.add(key)
-		s.mu.Unlock()
-		j.setRunning()
-		s.reg.finish(j, body, prov, nil)
-		s.respondTerminal(w, r, j)
 		return
 	}
 	// Only submitters send on the queue, all under s.mu, so a free slot seen
@@ -523,34 +557,66 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "job queue is full, retry later")
 		return
 	}
-	j := s.reg.add(key)
+	// A ?wait=1 request's response carries no job ID, so nobody could query
+	// its job: it is left out of the registry.
+	j := newJob("", key)
+	if !wait {
+		j = s.reg.add(key)
+	}
 	s.queue <- queued{job: j, design: design, opts: opts}
 	s.mu.Unlock()
 
-	s.respondTerminal(w, r, j)
-}
-
-// respondTerminal finishes a submit response: waits for the job when ?wait
-// was requested, otherwise acknowledges with 202.
-func (s *Server) respondTerminal(w http.ResponseWriter, r *http.Request, j *job) {
-	if wait := r.URL.Query().Get("wait"); wait == "1" || wait == "true" {
-		status, body, prov, errMsg := j.wait(r.Context().Done())
-		if status == StatusFailed {
-			httpError(w, http.StatusUnprocessableEntity, errMsg)
-			return
-		}
-		if status != StatusDone {
-			// Client went away before the job finished; the job keeps running.
-			httpError(w, http.StatusRequestTimeout, "request cancelled while waiting")
-			return
-		}
-		w.Header().Set("X-Sunfloor-Cache", string(prov))
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+	if !wait {
+		accepted(w, j)
 		return
 	}
+	status, body, prov, errMsg := j.wait(r.Context().Done())
+	switch status {
+	case StatusDone:
+		writeResult(w, prov, body)
+	case StatusFailed:
+		httpError(w, http.StatusUnprocessableEntity, errMsg)
+	default:
+		// Client went away before the job finished; the job keeps running.
+		httpError(w, http.StatusRequestTimeout, "request cancelled while waiting")
+	}
+}
+
+// answerHit answers a submission whose result the cache holds, found by the
+// request index or by the fingerprint: with the result body under ?wait=1,
+// otherwise with 202 and a job registered already done, whose endpoints
+// serve the result.
+func (s *Server) answerHit(w http.ResponseWriter, key string, body []byte, prov memo.Provenance, wait bool) {
+	w.Header().Set("X-Sunfloor-Key", key)
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
+		return
+	}
+	if wait {
+		writeResult(w, prov, body)
+		return
+	}
+	j := s.reg.add(key)
+	s.reg.finish(j, body, prov, nil)
+	accepted(w, j)
+}
+
+// accepted acknowledges an asynchronous submission with 202, the job view
+// and the job's location.
+func accepted(w http.ResponseWriter, j *job) {
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, j.snapshot())
+}
+
+// writeResult answers with a canonical serialised Result and its cache
+// provenance.
+func writeResult(w http.ResponseWriter, prov memo.Provenance, body []byte) {
+	w.Header().Set("X-Sunfloor-Cache", string(prov))
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // handleStatus answers with the job view.
@@ -577,9 +643,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	switch status {
 	case StatusDone:
 		w.Header().Set("X-Sunfloor-Key", j.key)
-		w.Header().Set("X-Sunfloor-Cache", string(prov))
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		writeResult(w, prov, body)
 	case StatusFailed:
 		httpError(w, http.StatusUnprocessableEntity, errMsg)
 	default:
@@ -661,15 +725,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // StatsView is the body of GET /v1/cache/stats.
 type StatsView struct {
 	Cache     memo.Stats                `json:"cache"`
+	Index     IndexStats                `json:"request_index"`
 	Scheduler sunfloor3d.SchedulerStats `json:"scheduler"`
 	QueueLen  int                       `json:"queue_len"`
 	QueueCap  int                       `json:"queue_cap"`
 }
 
-// handleStats reports cache, scheduler and queue statistics.
+// IndexStats counts the request index's activity since the server started.
+type IndexStats struct {
+	// Entries is the number of request bodies the index maps to a
+	// fingerprint.
+	Entries int `json:"entries"`
+	// Hits counts submissions whose body the index knew, including those
+	// whose result had left the cache and was computed again.
+	Hits uint64 `json:"hits"`
+}
+
+// handleStats reports cache, request index, scheduler and queue statistics.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsView{
 		Cache:     s.cache.Stats(),
+		Index:     s.index.stats(),
 		Scheduler: s.sched.Stats(),
 		QueueLen:  len(s.queue),
 		QueueCap:  cap(s.queue),

@@ -640,50 +640,50 @@ func TestServerQueueFull(t *testing.T) {
 	}
 }
 
+// runJob submits a gen request asynchronously, polls the job to done and
+// returns its ID.
+func runJob(t *testing.T, ts *httptest.Server, gen string) string {
+	t.Helper()
+	resp := submit(t, ts, fmt.Sprintf(`{"gen":%q}`, gen), false)
+	ack, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, ack)
+	}
+	var view server.JobView
+	if err := json.Unmarshal(ack, &view); err != nil {
+		t.Fatalf("parsing ack %q: %v", ack, err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		r, err := http.Get(ts.URL + "/v1/jobs/" + view.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v server.JobView
+		json.NewDecoder(r.Body).Decode(&v)
+		r.Body.Close()
+		if v.Status == server.StatusDone {
+			return view.ID
+		}
+		if v.Status == server.StatusFailed {
+			t.Fatalf("job failed: %+v", v)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job not done in time: %+v", v)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestServerStreamAfterEviction: with -retain 1, finishing a second job
 // must evict the first terminal job immediately — its stream (and status)
 // endpoints 404 without waiting for a third submission to trigger the
 // retention sweep.
 func TestServerStreamAfterEviction(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{RetainJobs: 1})
-
-	// runJob submits asynchronously and polls the job to a terminal state.
-	runJob := func(gen string) string {
-		t.Helper()
-		resp := submit(t, ts, fmt.Sprintf(`{"gen":%q}`, gen), false)
-		ack, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit: status %d: %s", resp.StatusCode, ack)
-		}
-		var view server.JobView
-		if err := json.Unmarshal(ack, &view); err != nil {
-			t.Fatalf("parsing ack %q: %v", ack, err)
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			r, err := http.Get(ts.URL + "/v1/jobs/" + view.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v server.JobView
-			json.NewDecoder(r.Body).Decode(&v)
-			r.Body.Close()
-			if v.Status == server.StatusDone {
-				return view.ID
-			}
-			if v.Status == server.StatusFailed {
-				t.Fatalf("job failed: %+v", v)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job not done in time: %+v", v)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	first := runJob(fastGen)
-	second := runJob("shape=pipeline,cores=8,layers=2,seed=2")
+	first := runJob(t, ts, fastGen)
+	second := runJob(t, ts, "shape=pipeline,cores=8,layers=2,seed=2")
 
 	// The second finish overflows the retain=1 backlog and sweeps the first
 	// job out. The sweep runs just after the terminal transition the poll
@@ -717,5 +717,58 @@ func TestServerStreamAfterEviction(t *testing.T) {
 	}
 	if !strings.Contains(string(lines), `"done"`) {
 		t.Fatalf("retained job stream missing terminal event: %s", lines)
+	}
+}
+
+// TestServerWaitRequestsKeepAsyncJobs: ?wait=1 requests register no job, so
+// with RetainJobs 1 neither a ?wait=1 cache hit nor a computed ?wait=1
+// request evicts a finished async job: its status and result stay
+// queryable.
+func TestServerWaitRequestsKeepAsyncJobs(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{RetainJobs: 1})
+	id := runJob(t, ts, fastGen)
+
+	for _, tc := range []struct{ gen, prov string }{
+		{fastGen, "memory"},
+		{"shape=pipeline,cores=8,layers=2,seed=2", "computed"},
+	} {
+		resp := submit(t, ts, fmt.Sprintf(`{"gen":%q}`, tc.gen), true)
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Sunfloor-Cache") != tc.prov {
+			t.Fatalf("?wait=1 submission of %s: status %d, provenance %q, want 200 and %s: %s",
+				tc.gen, resp.StatusCode, resp.Header.Get("X-Sunfloor-Cache"), tc.prov, b)
+		}
+		if loc := resp.Header.Get("Location"); loc != "" {
+			t.Fatalf("?wait=1 response names a job: Location %q", loc)
+		}
+	}
+
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		r, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		b, _ := io.ReadAll(r.Body)
+		return r.StatusCode, b
+	}
+	if code, b := get("/v1/jobs/" + id); code != http.StatusOK {
+		t.Fatalf("async job %s after two ?wait=1 requests: status %d: %s", id, code, b)
+	}
+	code, got := get("/v1/jobs/" + id + "/result")
+	if code != http.StatusOK {
+		t.Fatalf("async job %s's result after two ?wait=1 requests: status %d: %s", id, code, got)
+	}
+	if !bytes.Equal(got, directResult(t, fastGen)) {
+		t.Fatal("async result differs from direct synthesis")
+	}
+	// Job IDs are sequential: had the ?wait=1 requests registered jobs,
+	// they would be the next two.
+	for i := 2; i <= 3; i++ {
+		if code, _ := get(fmt.Sprintf("/v1/jobs/j%08x", i)); code != http.StatusNotFound {
+			t.Fatalf("job j%08x exists (status %d): a ?wait=1 request registered a job", i, code)
+		}
 	}
 }
