@@ -20,6 +20,10 @@
 // communicating cores stacked, per-layer floorplans) and the corresponding
 // 2-D version (same cores and flows on a single die with its own floorplan)
 // are produced, which is exactly the comparison of Table I.
+//
+// Both design generators, this package's and internal/workload's, draw each
+// design as model cores and flows, layer it with AssignLayers (a balanced
+// min-cut of its bandwidth-weighted graph) and floorplan it with Assemble.
 package bench
 
 import (
@@ -98,27 +102,12 @@ func ByNameMust(name string, seed int64) Benchmark {
 	return b
 }
 
-// core under construction, before layering and floorplanning.
-type protoCore struct {
-	name   string
-	w, h   float64
-	memory bool
-}
-
-// protoFlow is a flow by core index.
-type protoFlow struct {
-	src, dst int
-	bw       float64
-	lat      float64
-	typ      model.MessageType
-}
-
 // D26Media builds the 26-core multimedia/wireless SoC case study on 3 layers.
 func D26Media(seed int64) Benchmark {
 	rng := rand.New(rand.NewSource(seed ^ 0x26))
-	var cores []protoCore
+	var cores []model.Core
 	add := func(name string, w, h float64, mem bool) int {
-		cores = append(cores, protoCore{name: name, w: w, h: h, memory: mem})
+		cores = append(cores, model.Core{Name: name, Width: w, Height: h, IsMemory: mem})
 		return len(cores) - 1
 	}
 
@@ -148,10 +137,10 @@ func D26Media(seed int64) Benchmark {
 	// 16 logic + 10 memories = 26 cores.
 
 	jitter := func(base float64) float64 { return base * (0.85 + 0.3*rng.Float64()) }
-	var flows []protoFlow
+	var flows []model.Flow
 	flow := func(s, d int, bw, lat float64) {
-		flows = append(flows, protoFlow{src: s, dst: d, bw: jitter(bw), lat: lat, typ: model.Request})
-		flows = append(flows, protoFlow{src: d, dst: s, bw: jitter(bw * 0.4), lat: lat, typ: model.Response})
+		flows = append(flows, model.Flow{Src: s, Dst: d, BandwidthMBps: jitter(bw), LatencyCycles: lat, Type: model.Request})
+		flows = append(flows, model.Flow{Src: d, Dst: s, BandwidthMBps: jitter(bw * 0.4), LatencyCycles: lat, Type: model.Response})
 	}
 	// Base-band pipeline: rf -> fft -> viterbi -> dsp1 -> mem.
 	flow(rf, fft, 800, 6)
@@ -195,26 +184,26 @@ func D36(flowsPerProc int, seed int64) Benchmark {
 	}
 	rng := rand.New(rand.NewSource(seed ^ int64(0x3600+flowsPerProc)))
 	const nProc, nMem = 18, 18
-	var cores []protoCore
+	var cores []model.Core
 	for i := 0; i < nProc; i++ {
-		cores = append(cores, protoCore{name: fmt.Sprintf("proc%d", i), w: 1.5, h: 1.4})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("proc%d", i), Width: 1.5, Height: 1.4})
 	}
 	for i := 0; i < nMem; i++ {
-		cores = append(cores, protoCore{name: fmt.Sprintf("mem%d", i), w: 1.2, h: 1.2, memory: true})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("mem%d", i), Width: 1.2, Height: 1.2, IsMemory: true})
 	}
 	// Total outgoing bandwidth per processor is fixed; it is split across its
 	// flows so the three variants move the same total traffic.
 	const totalPerProc = 1200.0
 	per := totalPerProc / float64(flowsPerProc)
-	var flows []protoFlow
+	var flows []model.Flow
 	for p := 0; p < nProc; p++ {
 		for k := 0; k < flowsPerProc; k++ {
 			// Spread targets: the k-th flow of processor p goes to memory
 			// (p + k*7) mod 18, giving a distributed, non-local pattern.
 			m := nProc + (p+k*7)%nMem
 			bw := per * (0.8 + 0.4*rng.Float64())
-			flows = append(flows, protoFlow{src: p, dst: m, bw: bw, lat: 6, typ: model.Request})
-			flows = append(flows, protoFlow{src: m, dst: p, bw: bw * 0.5, lat: 6, typ: model.Response})
+			flows = append(flows, model.Flow{Src: p, Dst: m, BandwidthMBps: bw, LatencyCycles: 6, Type: model.Request})
+			flows = append(flows, model.Flow{Src: m, Dst: p, BandwidthMBps: bw * 0.5, LatencyCycles: 6, Type: model.Response})
 		}
 	}
 	return assemble(fmt.Sprintf("D_36_%d", flowsPerProc), cores, flows, 2, seed)
@@ -225,27 +214,27 @@ func D36(flowsPerProc int, seed int64) Benchmark {
 func D35Bot(seed int64) Benchmark {
 	rng := rand.New(rand.NewSource(seed ^ 0x35))
 	const nProc = 16
-	var cores []protoCore
+	var cores []model.Core
 	for i := 0; i < nProc; i++ {
-		cores = append(cores, protoCore{name: fmt.Sprintf("proc%d", i), w: 1.5, h: 1.4})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("proc%d", i), Width: 1.5, Height: 1.4})
 	}
 	for i := 0; i < nProc; i++ {
-		cores = append(cores, protoCore{name: fmt.Sprintf("priv%d", i), w: 1.1, h: 1.1, memory: true})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("priv%d", i), Width: 1.1, Height: 1.1, IsMemory: true})
 	}
 	for i := 0; i < 3; i++ {
-		cores = append(cores, protoCore{name: fmt.Sprintf("shared%d", i), w: 1.6, h: 1.5, memory: true})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("shared%d", i), Width: 1.6, Height: 1.5, IsMemory: true})
 	}
-	var flows []protoFlow
+	var flows []model.Flow
 	for p := 0; p < nProc; p++ {
 		priv := nProc + p
 		bw := 900 * (0.85 + 0.3*rng.Float64())
-		flows = append(flows, protoFlow{src: p, dst: priv, bw: bw, lat: 4, typ: model.Request})
-		flows = append(flows, protoFlow{src: priv, dst: p, bw: bw * 0.5, lat: 4, typ: model.Response})
+		flows = append(flows, model.Flow{Src: p, Dst: priv, BandwidthMBps: bw, LatencyCycles: 4, Type: model.Request})
+		flows = append(flows, model.Flow{Src: priv, Dst: p, BandwidthMBps: bw * 0.5, LatencyCycles: 4, Type: model.Response})
 		for s := 0; s < 3; s++ {
 			shared := 2*nProc + s
 			sbw := 150 * (0.8 + 0.4*rng.Float64())
-			flows = append(flows, protoFlow{src: p, dst: shared, bw: sbw, lat: 8, typ: model.Request})
-			flows = append(flows, protoFlow{src: shared, dst: p, bw: sbw * 0.6, lat: 8, typ: model.Response})
+			flows = append(flows, model.Flow{Src: p, Dst: shared, BandwidthMBps: sbw, LatencyCycles: 8, Type: model.Request})
+			flows = append(flows, model.Flow{Src: shared, Dst: p, BandwidthMBps: sbw * 0.6, LatencyCycles: 8, Type: model.Response})
 		}
 	}
 	return assemble("D_35_bot", cores, flows, 2, seed)
@@ -256,19 +245,19 @@ func D35Bot(seed int64) Benchmark {
 func D65Pipe(seed int64) Benchmark {
 	rng := rand.New(rand.NewSource(seed ^ 0x65))
 	const n = 65
-	var cores []protoCore
+	var cores []model.Core
 	for i := 0; i < n; i++ {
 		w := 1.0 + 0.4*rng.Float64()
-		cores = append(cores, protoCore{name: fmt.Sprintf("stage%d", i), w: w, h: w * (0.8 + 0.3*rng.Float64())})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("stage%d", i), Width: w, Height: w * (0.8 + 0.3*rng.Float64())})
 	}
-	var flows []protoFlow
+	var flows []model.Flow
 	for i := 0; i+1 < n; i++ {
 		bw := 600 * (0.85 + 0.3*rng.Float64())
-		flows = append(flows, protoFlow{src: i, dst: i + 1, bw: bw, lat: 6, typ: model.Request})
+		flows = append(flows, model.Flow{Src: i, Dst: i + 1, BandwidthMBps: bw, LatencyCycles: 6, Type: model.Request})
 	}
 	// A few feedback paths, as pipelines typically have.
 	for i := 8; i < n; i += 16 {
-		flows = append(flows, protoFlow{src: i, dst: i - 8, bw: 120, lat: 10, typ: model.Response})
+		flows = append(flows, model.Flow{Src: i, Dst: i - 8, BandwidthMBps: 120, LatencyCycles: 10, Type: model.Response})
 	}
 	return assemble("D_65_pipe", cores, flows, 3, seed)
 }
@@ -278,46 +267,33 @@ func D65Pipe(seed int64) Benchmark {
 func D38TVOPD(seed int64) Benchmark {
 	rng := rand.New(rand.NewSource(seed ^ 0x38))
 	const n = 38
-	var cores []protoCore
+	var cores []model.Core
 	for i := 0; i < n; i++ {
 		w := 0.9 + 0.5*rng.Float64()
-		cores = append(cores, protoCore{name: fmt.Sprintf("pe%d", i), w: w, h: w * (0.8 + 0.4*rng.Float64())})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("pe%d", i), Width: w, Height: w * (0.8 + 0.4*rng.Float64())})
 	}
-	var flows []protoFlow
+	var flows []model.Flow
 	// Two parallel decoding pipelines of 19 stages each.
 	for p := 0; p < 2; p++ {
 		base := p * 19
 		for i := 0; i+1 < 19; i++ {
 			bw := 500 * (0.85 + 0.3*rng.Float64())
-			flows = append(flows, protoFlow{src: base + i, dst: base + i + 1, bw: bw, lat: 6, typ: model.Request})
+			flows = append(flows, model.Flow{Src: base + i, Dst: base + i + 1, BandwidthMBps: bw, LatencyCycles: 6, Type: model.Request})
 		}
 	}
 	// Cross links between the pipelines at a few points.
 	for _, i := range []int{4, 9, 14} {
-		flows = append(flows, protoFlow{src: i, dst: 19 + i, bw: 200, lat: 8, typ: model.Request})
-		flows = append(flows, protoFlow{src: 19 + i, dst: i, bw: 150, lat: 8, typ: model.Response})
+		flows = append(flows, model.Flow{Src: i, Dst: 19 + i, BandwidthMBps: 200, LatencyCycles: 8, Type: model.Request})
+		flows = append(flows, model.Flow{Src: 19 + i, Dst: i, BandwidthMBps: 150, LatencyCycles: 8, Type: model.Response})
 	}
 	return assemble("D_38_tvopd", cores, flows, 2, seed)
 }
 
-// assemble assigns the proto cores to layers (stacking highly communicating
-// cores) and hands the layered design to Assemble. The paper's designs are
-// fixed, so an error is a bug.
-func assemble(name string, protos []protoCore, flows []protoFlow, layers int, seed int64) Benchmark {
-	assignment := assignLayers(protos, flows, layers)
-	cores := make([]model.Core, len(protos))
-	for i, p := range protos {
-		cores[i] = model.Core{
-			Name: p.name, Width: p.w, Height: p.h,
-			Layer: assignment[i], IsMemory: p.memory,
-		}
-	}
-	mflows := make([]model.Flow, len(flows))
-	for i, f := range flows {
-		mflows[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
-			LatencyCycles: f.lat, Type: f.typ}
-	}
-	b, err := Assemble(name, cores, mflows, layers, seed)
+// assemble layers the design with AssignLayers and hands it to Assemble.
+// The paper's designs are fixed, so an error is a bug.
+func assemble(name string, cores []model.Core, flows []model.Flow, layers int, seed int64) Benchmark {
+	AssignLayers(cores, flows, layers)
+	b, err := Assemble(name, cores, flows, layers, seed)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s: %v", name, err))
 	}
@@ -361,45 +337,23 @@ func Assemble3D(cores []model.Core, flows []model.Flow, layers int, seed int64) 
 	return g, nil
 }
 
-// assignLayers distributes cores over the layers the way the paper's
-// benchmarks are "manually mapped": a balanced min-cut partition of the
+// AssignLayers sets the layer of every core the way the paper's benchmarks
+// are "manually mapped": a balanced min-cut partition of the
 // bandwidth-weighted communication graph, so that tightly coupled clusters
 // (a pipeline segment, a processor with its memories) share a layer and only
 // the unavoidable traffic crosses layer boundaries. Each layer then holds
-// roughly 1/layers of the cores, which is what shrinks the per-die footprint
-// and with it the wire lengths — the main source of the 3-D power savings the
-// paper reports.
-func assignLayers(protos []protoCore, flows []protoFlow, layers int) []int {
-	n := len(protos)
-	assign := make([]int, n)
-	if layers <= 1 || n == 0 {
-		return assign
-	}
-	cg := graph.New(n)
+// floor or ceil of n/layers cores, layer 0 a ceil-sized one, which is what
+// shrinks the per-die footprint and with it the wire lengths — the main
+// source of the 3-D power savings the paper reports. layers must lie between
+// 1 and len(cores), as graph.PartitionK requires.
+func AssignLayers(cores []model.Core, flows []model.Flow, layers int) {
+	cg := graph.New(len(cores))
 	for _, f := range flows {
-		cg.AddEdge(f.src, f.dst, f.bw)
+		cg.AddEdge(f.Src, f.Dst, f.BandwidthMBps)
 	}
-	copy(assign, graph.PartitionK(cg, layers))
-	// Keep layer 0 the most populated so the bottom die never ends up empty
-	// for tiny designs (purely cosmetic: PartitionK already balances counts).
-	sizes := graph.BlockSizes(assign, layers)
-	maxLayer := 0
-	for l, s := range sizes {
-		if s > sizes[maxLayer] {
-			maxLayer = l
-		}
+	for i, l := range graph.PartitionK(cg, layers) {
+		cores[i].Layer = l
 	}
-	if maxLayer != 0 {
-		for i, a := range assign {
-			switch a {
-			case maxLayer:
-				assign[i] = 0
-			case 0:
-				assign[i] = maxLayer
-			}
-		}
-	}
-	return assign
 }
 
 // FloorplanLayers computes initial core positions for every layer with the

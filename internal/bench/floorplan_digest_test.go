@@ -32,7 +32,7 @@ import (
 	"sunfloor3d/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/floorplan_digests.json")
+var update = flag.Bool("update", false, "rewrite the digest files in testdata")
 
 const floorplanDigestFile = "testdata/floorplan_digests.json"
 
@@ -87,22 +87,28 @@ func floorplanDigests(t *testing.T) map[string]string {
 }
 
 func TestFloorplanDigests(t *testing.T) {
-	got := floorplanDigests(t)
+	checkDigestFile(t, floorplanDigestFile, floorplanDigests(t))
+}
+
+// checkDigestFile compares got with the digests stored in file, key by key,
+// or rewrites the file under -update.
+func checkDigestFile(t *testing.T, file string, got map[string]string) {
+	t.Helper()
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(floorplanDigestFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(floorplanDigestFile, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d digests to %s", len(got), floorplanDigestFile)
+		t.Logf("wrote %d digests to %s", len(got), file)
 		return
 	}
-	data, err := os.ReadFile(floorplanDigestFile)
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
@@ -121,7 +127,7 @@ func TestFloorplanDigests(t *testing.T) {
 		}
 	}
 	if len(got) != len(want) {
-		t.Errorf("computed %d digests, %s holds %d", len(got), floorplanDigestFile, len(want))
+		t.Errorf("computed %d digests, %s holds %d", len(got), file, len(want))
 	}
 }
 

@@ -130,6 +130,18 @@ func TestPartitionKBalance(t *testing.T) {
 			if total != n {
 				t.Fatalf("n=%d k=%d sizes sum to %d", n, k, total)
 			}
+			// balancedSplit gives the extra vertex to the first n mod k
+			// blocks, so block 0 is never smaller than another block.
+			for b, s := range sizes {
+				want := lo
+				if b < n%k {
+					want = hi
+				}
+				if s != want {
+					t.Fatalf("n=%d k=%d block %d has size %d, want %d: the first n mod k blocks must be the ceil-sized ones (sizes=%v)",
+						n, k, b, s, want, sizes)
+				}
+			}
 		}
 	}
 }

@@ -10,11 +10,12 @@ import (
 	"sunfloor3d/internal/server"
 )
 
-// FuzzSynthesizeRequest decodes arbitrary bodies the way the submit handler
-// does. Decoding must never panic, and a request the daemon would accept
-// (its design, engine options and fingerprint all resolve) must survive
-// being marshalled and decoded again under the same fingerprint: that
-// round trip is the CLI's -server path.
+// FuzzSynthesizeRequest decodes arbitrary bodies with the submit handler's
+// decoder. Decoding must never panic; a body that decodes must not decode
+// once a byte other than whitespace follows it; and a request the daemon
+// would accept (its design, engine options and fingerprint all resolve)
+// must survive being marshalled and decoded again under the same
+// fingerprint: that round trip is the CLI's -server path.
 func FuzzSynthesizeRequest(f *testing.F) {
 	for _, body := range []string{
 		`{`,
@@ -38,13 +39,20 @@ func FuzzSynthesizeRequest(f *testing.F) {
 		fmt.Sprintf(`{"gen":%q,"options":{"space":{"axes":[{"name":"freq_mhz","values":[400,600]},{"name":"switch_count","values":[2,3]}],"no_prune":true}}}`, fastGen),
 		`{"gen":"shape=hotspot,cores=24,layers=3,seed=11,hubs=2","options":{"require_latency_met":true}}`,
 		specBody(f),
+		fmt.Sprintf(`{"gen":%q}{"gen":"shape=nosuch"} not json`, fastGen),
+		fmt.Sprintf(`{"gen":%q} x`, fastGen),
+		fmt.Sprintf(`{"gen":%q}}`, fastGen),
+		fmt.Sprintf("{\"gen\":%q}\n\t\r ", fastGen),
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeRequest(body)
+		req, err := server.DecodeRequest(body)
 		if err != nil {
 			return
+		}
+		if _, err := server.DecodeRequest(append(body[:len(body):len(body)], 'x')); err == nil {
+			t.Fatalf("%q decodes with a trailing x", body)
 		}
 		// Generating a large design takes seconds (the generator floorplans
 		// it), which would stall the fuzzer on the generator instead of the
@@ -60,7 +68,7 @@ func FuzzSynthesizeRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshalling an accepted request: %v", err)
 		}
-		again, err := decodeRequest(wire)
+		again, err := server.DecodeRequest(wire)
 		if err != nil {
 			t.Fatalf("re-decoding %s: %v", wire, err)
 		}
@@ -72,15 +80,6 @@ func FuzzSynthesizeRequest(f *testing.F) {
 
 // maxFuzzCores bounds the generated designs FuzzSynthesizeRequest builds.
 const maxFuzzCores = 24
-
-// decodeRequest decodes a body the way the submit handler does.
-func decodeRequest(body []byte) (server.SynthesizeRequest, error) {
-	var req server.SynthesizeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
-}
 
 // requestKey resolves a request the way the submit handler does and
 // reports its fingerprint, or false when the daemon would answer 400.

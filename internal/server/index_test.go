@@ -111,6 +111,7 @@ func TestRequestIndexSkipsRejectedBodies(t *testing.T) {
 		`{"cores_spec":"x","comm_spec":"y"}`,
 		fmt.Sprintf(`{"gen":%q,"options":{"nosuch":1}}`, fastGen),
 		fmt.Sprintf(`{"gen":%q,"options":{"phase":"phase9"}}`, fastGen),
+		fmt.Sprintf(`{"gen":%q} x`, fastGen),
 	} {
 		for i := 0; i < 2; i++ {
 			if a := post(t, ts, body); a.status != http.StatusBadRequest {

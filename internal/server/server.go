@@ -514,10 +514,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var req SynthesizeRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(raw)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing request body: %v", err))
 		return
 	}
@@ -580,6 +578,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Client went away before the job finished; the job keeps running.
 		httpError(w, http.StatusRequestTimeout, "request cancelled while waiting")
 	}
+}
+
+// decodeRequest decodes a submitted body: one JSON value, with no field
+// SynthesizeRequest lacks, followed by nothing but whitespace.
+func decodeRequest(body []byte) (SynthesizeRequest, error) {
+	var req SynthesizeRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("data after the top-level value at offset %d", end)
+	}
+	return req, nil
 }
 
 // answerHit answers a submission whose result the cache holds, found by the

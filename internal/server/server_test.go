@@ -333,6 +333,10 @@ func TestServerValidation(t *testing.T) {
 		// An integral axis value beyond the int range must be refused here,
 		// not become a switch count that panics a worker and the daemon.
 		{"switch count beyond int", fmt.Sprintf(`{"gen":%q,"options":{"space":{"axes":[{"name":"switch_count","values":[1e300]}]}}}`, fastGen)},
+		// A body is one request: a valid one followed by anything but
+		// whitespace is refused, not answered for its first value.
+		{"second value", fmt.Sprintf(`{"gen":%q}{"gen":"shape=nosuch"} not json`, fastGen)},
+		{"trailing bytes", fmt.Sprintf(`{"gen":%q} x`, fastGen)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -349,6 +353,17 @@ func TestServerValidation(t *testing.T) {
 				t.Fatalf("error body %q not of the {error} shape", b)
 			}
 		})
+	}
+
+	// Whitespace after the request is not data.
+	for _, trail := range []string{"\n", "   "} {
+		body := fmt.Sprintf(`{"gen":%q}`, fastGen) + trail
+		resp := submit(t, ts, body, true)
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d (%s), want 200", body, resp.StatusCode, b)
+		}
 	}
 
 	// Unknown job endpoints.

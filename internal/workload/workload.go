@@ -20,6 +20,10 @@
 //     model.NewCommGraph. Generation never returns a design the flow cannot
 //     in principle synthesize.
 //
+// Each generator draws its design as model cores and flows. Every shape but
+// Layered is then layered with bench.AssignLayers, the balanced min-cut the
+// paper's designs are layered with, and bench.Assemble floorplans it.
+//
 // Determinism contract: Generate is a pure function of its Spec. The same
 // Spec produces byte-identical core and communication specifications (and
 // therefore byte-identical synthesis results) on every run and platform.
@@ -242,23 +246,6 @@ func LatencyFloor(layers int) float64 {
 	return float64(8 + 2*layers)
 }
 
-// protoCore is a core under construction, before layering and floorplanning.
-type protoCore struct {
-	name   string
-	w, h   float64
-	memory bool
-	layer  int // explicit layer (Layered shape); -1 = assign by min-cut
-}
-
-// protoFlow is a flow by core index. lat < 0 marks "draw a constraint from
-// the distribution"; lat == 0 stays unconstrained.
-type protoFlow struct {
-	src, dst int
-	bw       float64
-	lat      float64
-	typ      model.MessageType
-}
-
 // Generate builds the benchmark described by the spec, named by
 // Spec.Name. It is deterministic: equal specs return byte-identical
 // benchmarks.
@@ -289,8 +276,9 @@ func Generate3D(spec Spec) (*model.CommGraph, error) {
 }
 
 // layered draws the design the spec describes and assigns its cores to
-// layers: everything of Generate before the floorplans. It returns the
-// spec with its defaults filled in.
+// layers, with bench.AssignLayers for every shape but Layered, whose
+// generator sets each core's layer itself: everything of Generate before the
+// floorplans. It returns the spec with its defaults filled in.
 func layered(spec Spec) (Spec, []model.Core, []model.Flow, error) {
 	if err := spec.Validate(); err != nil {
 		return spec, nil, nil, err
@@ -298,22 +286,24 @@ func layered(spec Spec) (Spec, []model.Core, []model.Flow, error) {
 	spec = spec.withDefaults()
 	rng := rand.New(rand.NewSource(spec.Seed ^ (int64(spec.Shape+1) << 32) ^ int64(spec.Cores)))
 
-	var protos []protoCore
-	var pflows []protoFlow
+	var cores []model.Core
+	var flows []model.Flow
 	switch spec.Shape {
 	case Pipeline:
-		protos, pflows = genPipeline(spec, rng)
+		cores, flows = genPipeline(spec, rng)
 	case Hotspot:
-		protos, pflows = genHotspot(spec, rng)
+		cores, flows = genHotspot(spec, rng)
 	case MultiApp:
-		protos, pflows = genMultiApp(spec, rng)
+		cores, flows = genMultiApp(spec, rng)
 	case Layered:
-		protos, pflows = genLayered(spec, rng)
+		cores, flows = genLayered(spec, rng)
 	}
 
-	pflows = bridgeComponents(len(protos), pflows, spec, rng)
-	resolveLatencies(pflows, spec, rng)
-	cores, flows := layerDesign(spec, protos, pflows)
+	flows = bridgeComponents(len(cores), flows, spec, rng)
+	resolveLatencies(flows, spec, rng)
+	if spec.Shape != Layered {
+		bench.AssignLayers(cores, flows, spec.Layers)
+	}
 	return spec, cores, flows, nil
 }
 
@@ -348,12 +338,14 @@ func bwDraw(spec Spec, rng *rand.Rand, scale float64) float64 {
 	return spec.MeanBandwidthMBps * scale * (lo + 2*spec.BandwidthSpread*rng.Float64())
 }
 
-// constrained marks a proto flow for latency-constraint resolution.
+// constrained, as a drawn flow's LatencyCycles, marks it for a constraint
+// from the spec's latency distribution (resolveLatencies); a flow drawn
+// with 0 stays unconstrained.
 const constrained = -1
 
 // genPipeline chains the logic cores into one pipeline with side memories and
 // periodic feedback.
-func genPipeline(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
+func genPipeline(spec Spec, rng *rand.Rand) ([]model.Core, []model.Flow) {
 	nMem := int(float64(spec.Cores) * spec.MemoryFraction)
 	if nMem < 1 {
 		nMem = 1
@@ -363,44 +355,44 @@ func genPipeline(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 		nLogic = 2
 		nMem = spec.Cores - nLogic
 	}
-	var cores []protoCore
+	var cores []model.Core
 	for i := 0; i < nLogic; i++ {
 		w, h := sizeDraw(rng, false)
-		cores = append(cores, protoCore{name: fmt.Sprintf("stage%d", i), w: w, h: h, layer: -1})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("stage%d", i), Width: w, Height: h})
 	}
 	for i := 0; i < nMem; i++ {
 		w, h := sizeDraw(rng, true)
-		cores = append(cores, protoCore{name: fmt.Sprintf("mem%d", i), w: w, h: h, memory: true, layer: -1})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("mem%d", i), Width: w, Height: h, IsMemory: true})
 	}
 
-	var flows []protoFlow
+	var flows []model.Flow
 	// The main chain carries the heaviest traffic.
 	for i := 0; i+1 < nLogic; i++ {
-		flows = append(flows, protoFlow{src: i, dst: i + 1, bw: bwDraw(spec, rng, 1), lat: constrained, typ: model.Request})
+		flows = append(flows, model.Flow{Src: i, Dst: i + 1, BandwidthMBps: bwDraw(spec, rng, 1), LatencyCycles: constrained, Type: model.Request})
 	}
 	// Each memory serves one pipeline stage (request + response).
 	for m := 0; m < nMem; m++ {
 		stage := rng.Intn(nLogic)
 		mem := nLogic + m
 		bw := bwDraw(spec, rng, 0.8)
-		flows = append(flows, protoFlow{src: stage, dst: mem, bw: bw, lat: constrained, typ: model.Request})
-		flows = append(flows, protoFlow{src: mem, dst: stage, bw: bw * 0.5, lat: constrained, typ: model.Response})
+		flows = append(flows, model.Flow{Src: stage, Dst: mem, BandwidthMBps: bw, LatencyCycles: constrained, Type: model.Request})
+		flows = append(flows, model.Flow{Src: mem, Dst: stage, BandwidthMBps: bw * 0.5, LatencyCycles: constrained, Type: model.Response})
 	}
 	// Feedback paths every ~8 stages, as real pipelines have.
 	for i := 8; i < nLogic; i += 8 {
-		flows = append(flows, protoFlow{src: i, dst: i - rng.Intn(7) - 1, bw: bwDraw(spec, rng, 0.2), lat: constrained, typ: model.Response})
+		flows = append(flows, model.Flow{Src: i, Dst: i - rng.Intn(7) - 1, BandwidthMBps: bwDraw(spec, rng, 0.2), LatencyCycles: constrained, Type: model.Response})
 	}
 	return cores, flows
 }
 
 // genHotspot concentrates traffic on a few hub memories.
-func genHotspot(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
+func genHotspot(spec Spec, rng *rand.Rand) ([]model.Core, []model.Flow) {
 	nHub := spec.Hubs
 	nPeer := spec.Cores - nHub
-	var cores []protoCore
+	var cores []model.Core
 	for i := 0; i < nHub; i++ {
 		w, h := sizeDraw(rng, true)
-		cores = append(cores, protoCore{name: fmt.Sprintf("hub%d", i), w: w * 1.2, h: h * 1.2, memory: true, layer: -1})
+		cores = append(cores, model.Core{Name: fmt.Sprintf("hub%d", i), Width: w * 1.2, Height: h * 1.2, IsMemory: true})
 	}
 	for i := 0; i < nPeer; i++ {
 		mem := rng.Float64() < spec.MemoryFraction
@@ -409,10 +401,10 @@ func genHotspot(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 		if mem {
 			name = fmt.Sprintf("mem%d", i)
 		}
-		cores = append(cores, protoCore{name: name, w: w, h: h, memory: mem, layer: -1})
+		cores = append(cores, model.Core{Name: name, Width: w, Height: h, IsMemory: mem})
 	}
 
-	var flows []protoFlow
+	var flows []model.Flow
 	for p := 0; p < nPeer; p++ {
 		core := nHub + p
 		// Hub 0 is the hottest: half the cores pick it, the rest spread.
@@ -421,8 +413,8 @@ func genHotspot(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 			hub = 1 + rng.Intn(nHub-1)
 		}
 		bw := bwDraw(spec, rng, 1)
-		flows = append(flows, protoFlow{src: core, dst: hub, bw: bw, lat: constrained, typ: model.Request})
-		flows = append(flows, protoFlow{src: hub, dst: core, bw: bw * 0.6, lat: constrained, typ: model.Response})
+		flows = append(flows, model.Flow{Src: core, Dst: hub, BandwidthMBps: bw, LatencyCycles: constrained, Type: model.Request})
+		flows = append(flows, model.Flow{Src: hub, Dst: core, BandwidthMBps: bw * 0.6, LatencyCycles: constrained, Type: model.Response})
 	}
 	// Light peer-to-peer traffic so the design is not a pure star.
 	for i := 0; i < nPeer/4; i++ {
@@ -430,15 +422,15 @@ func genHotspot(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 		if a == b {
 			continue
 		}
-		flows = append(flows, protoFlow{src: a, dst: b, bw: bwDraw(spec, rng, 0.15), lat: constrained, typ: model.Request})
+		flows = append(flows, model.Flow{Src: a, Dst: b, BandwidthMBps: bwDraw(spec, rng, 0.15), LatencyCycles: constrained, Type: model.Request})
 	}
 	return cores, flows
 }
 
 // genMultiApp partitions the cores into independent application clusters.
-func genMultiApp(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
-	var cores []protoCore
-	var flows []protoFlow
+func genMultiApp(spec Spec, rng *rand.Rand) ([]model.Core, []model.Flow) {
+	var cores []model.Core
+	var flows []model.Flow
 	// Contiguous blocks of near-equal size.
 	bounds := make([]int, spec.Apps+1)
 	for a := 0; a <= spec.Apps; a++ {
@@ -454,15 +446,15 @@ func genMultiApp(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 			if mem {
 				kind = "m"
 			}
-			cores = append(cores, protoCore{name: fmt.Sprintf("app%d_%s%d", a, kind, i-lo), w: w, h: h, memory: mem, layer: -1})
+			cores = append(cores, model.Core{Name: fmt.Sprintf("app%d_%s%d", a, kind, i-lo), Width: w, Height: h, IsMemory: mem})
 		}
 		// Spanning tree keeps each application connected...
 		for i := lo + 1; i < hi; i++ {
 			parent := lo + rng.Intn(i-lo)
 			bw := bwDraw(spec, rng, scale)
-			flows = append(flows, protoFlow{src: parent, dst: i, bw: bw, lat: constrained, typ: model.Request})
+			flows = append(flows, model.Flow{Src: parent, Dst: i, BandwidthMBps: bw, LatencyCycles: constrained, Type: model.Request})
 			if rng.Float64() < 0.5 {
-				flows = append(flows, protoFlow{src: i, dst: parent, bw: bw * 0.4, lat: constrained, typ: model.Response})
+				flows = append(flows, model.Flow{Src: i, Dst: parent, BandwidthMBps: bw * 0.4, LatencyCycles: constrained, Type: model.Response})
 			}
 		}
 		// ...plus extra intra-application edges for richer structure.
@@ -471,7 +463,7 @@ func genMultiApp(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 			if a1 == b1 {
 				continue
 			}
-			flows = append(flows, protoFlow{src: a1, dst: b1, bw: bwDraw(spec, rng, scale*0.4), lat: constrained, typ: model.Request})
+			flows = append(flows, model.Flow{Src: a1, Dst: b1, BandwidthMBps: bwDraw(spec, rng, scale*0.4), LatencyCycles: constrained, Type: model.Request})
 		}
 	}
 	// Low-bandwidth bridges between consecutive applications (shared
@@ -480,33 +472,29 @@ func genMultiApp(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 	for a := 0; a+1 < spec.Apps; a++ {
 		src := bounds[a] + rng.Intn(bounds[a+1]-bounds[a])
 		dst := bounds[a+1] + rng.Intn(bounds[a+2]-bounds[a+1])
-		flows = append(flows, protoFlow{src: src, dst: dst, bw: bwDraw(spec, rng, 0.1), lat: 0, typ: model.Request})
+		flows = append(flows, model.Flow{Src: src, Dst: dst, BandwidthMBps: bwDraw(spec, rng, 0.1), LatencyCycles: 0, Type: model.Request})
 	}
 	return cores, flows
 }
 
 // genLayered assigns cores to layers explicitly and mixes intra-layer with
 // vertical traffic.
-func genLayered(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
-	var cores []protoCore
-	layerOf := make([]int, spec.Cores)
+func genLayered(spec Spec, rng *rand.Rand) ([]model.Core, []model.Flow) {
+	var cores []model.Core
+	perLayer := make([][]int, spec.Layers)
 	for i := 0; i < spec.Cores; i++ {
 		l := i * spec.Layers / spec.Cores
-		layerOf[i] = l
+		perLayer[l] = append(perLayer[l], i)
 		mem := rng.Float64() < spec.MemoryFraction
 		w, h := sizeDraw(rng, mem)
 		kind := "p"
 		if mem {
 			kind = "m"
 		}
-		cores = append(cores, protoCore{name: fmt.Sprintf("l%d_%s%d", l, kind, i), w: w, h: h, memory: mem, layer: l})
-	}
-	perLayer := make([][]int, spec.Layers)
-	for i, l := range layerOf {
-		perLayer[l] = append(perLayer[l], i)
+		cores = append(cores, model.Core{Name: fmt.Sprintf("l%d_%s%d", l, kind, i), Width: w, Height: h, IsMemory: mem, Layer: l})
 	}
 
-	var flows []protoFlow
+	var flows []model.Flow
 	// Intra-layer: a ring per layer plus random chords.
 	for l := 0; l < spec.Layers; l++ {
 		members := perLayer[l]
@@ -515,14 +503,14 @@ func genLayered(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 		}
 		for i := range members {
 			next := members[(i+1)%len(members)]
-			flows = append(flows, protoFlow{src: members[i], dst: next, bw: bwDraw(spec, rng, 0.8), lat: constrained, typ: model.Request})
+			flows = append(flows, model.Flow{Src: members[i], Dst: next, BandwidthMBps: bwDraw(spec, rng, 0.8), LatencyCycles: constrained, Type: model.Request})
 		}
 		for k := 0; k < len(members)/3; k++ {
 			a, b := members[rng.Intn(len(members))], members[rng.Intn(len(members))]
 			if a == b {
 				continue
 			}
-			flows = append(flows, protoFlow{src: a, dst: b, bw: bwDraw(spec, rng, 0.4), lat: constrained, typ: model.Request})
+			flows = append(flows, model.Flow{Src: a, Dst: b, BandwidthMBps: bwDraw(spec, rng, 0.4), LatencyCycles: constrained, Type: model.Request})
 		}
 	}
 	// Vertical: every core on layer l>0 talks to one core on layer l-1.
@@ -534,9 +522,9 @@ func genLayered(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 		for _, c := range perLayer[l] {
 			partner := below[rng.Intn(len(below))]
 			bw := bwDraw(spec, rng, 0.6)
-			flows = append(flows, protoFlow{src: c, dst: partner, bw: bw, lat: constrained, typ: model.Request})
+			flows = append(flows, model.Flow{Src: c, Dst: partner, BandwidthMBps: bw, LatencyCycles: constrained, Type: model.Request})
 			if rng.Float64() < 0.4 {
-				flows = append(flows, protoFlow{src: partner, dst: c, bw: bw * 0.5, lat: constrained, typ: model.Response})
+				flows = append(flows, model.Flow{Src: partner, Dst: c, BandwidthMBps: bw * 0.5, LatencyCycles: constrained, Type: model.Response})
 			}
 		}
 	}
@@ -549,17 +537,17 @@ func genLayered(spec Spec, rng *rand.Rand) ([]protoCore, []protoFlow) {
 // between deterministic representatives until one component remains.
 // ConnectedComponents orders components by their smallest vertex, so the
 // bridging is deterministic.
-func bridgeComponents(nCores int, flows []protoFlow, spec Spec, rng *rand.Rand) []protoFlow {
+func bridgeComponents(nCores int, flows []model.Flow, spec Spec, rng *rand.Rand) []model.Flow {
 	cg := graph.New(nCores)
 	for _, f := range flows {
-		cg.AddEdge(f.src, f.dst, 1)
+		cg.AddEdge(f.Src, f.Dst, 1)
 	}
 	comps := cg.ConnectedComponents()
 	for i := 1; i < len(comps); i++ {
-		flows = append(flows, protoFlow{
-			src: comps[i-1][0], dst: comps[i][0],
-			bw:  spec.MeanBandwidthMBps * 0.05 * (0.5 + rng.Float64()),
-			lat: 0, typ: model.Request,
+		flows = append(flows, model.Flow{
+			Src: comps[i-1][0], Dst: comps[i][0],
+			BandwidthMBps: spec.MeanBandwidthMBps * 0.05 * (0.5 + rng.Float64()),
+			Type:          model.Request,
 		})
 	}
 	return flows
@@ -569,19 +557,19 @@ func bridgeComponents(nCores int, flows []protoFlow, spec Spec, rng *rand.Rand) 
 // spec's latency distribution, leaving UnconstrainedFraction of them at 0.
 // Every emitted constraint is >= LatencyFloor(spec.Layers)*LatencySlack,
 // which is the satisfiability guarantee.
-func resolveLatencies(flows []protoFlow, spec Spec, rng *rand.Rand) {
+func resolveLatencies(flows []model.Flow, spec Spec, rng *rand.Rand) {
 	floor := LatencyFloor(spec.Layers) * spec.LatencySlack
 	for i := range flows {
-		if flows[i].lat != constrained {
+		if flows[i].LatencyCycles != constrained {
 			continue
 		}
 		if rng.Float64() < spec.UnconstrainedFraction {
-			flows[i].lat = 0
+			flows[i].LatencyCycles = 0
 			continue
 		}
 		// Round to whole cycles: spec files stay tidy and satisfiability is
 		// unaffected (rounding up only).
-		flows[i].lat = float64(int(floor*(1+1.5*rng.Float64())) + 1)
+		flows[i].LatencyCycles = float64(int(floor*(1+1.5*rng.Float64())) + 1)
 	}
 }
 
@@ -594,52 +582,4 @@ func IsConnected(g *model.CommGraph) bool {
 		cg.AddEdge(f.Src, f.Dst, 1)
 	}
 	return len(cg.ConnectedComponents()) <= 1
-}
-
-// layerDesign assigns the proto cores to layers (explicit for Layered,
-// min-cut of the bandwidth-weighted graph otherwise, like internal/bench) and
-// returns the layered design, ready for bench.Assemble.
-func layerDesign(spec Spec, protos []protoCore, flows []protoFlow) ([]model.Core, []model.Flow) {
-	assignment := make([]int, len(protos))
-	explicit := true
-	for i, p := range protos {
-		if p.layer < 0 {
-			explicit = false
-			break
-		}
-		assignment[i] = p.layer
-	}
-	if !explicit {
-		assignment = assignLayers(protos, flows, spec.Layers)
-	}
-	cores := make([]model.Core, len(protos))
-	for i, p := range protos {
-		cores[i] = model.Core{
-			Name: p.name, Width: p.w, Height: p.h,
-			Layer: assignment[i], IsMemory: p.memory,
-		}
-	}
-	mflows := make([]model.Flow, len(flows))
-	for i, f := range flows {
-		mflows[i] = model.Flow{Src: f.src, Dst: f.dst, BandwidthMBps: f.bw,
-			LatencyCycles: f.lat, Type: f.typ}
-	}
-	return cores, mflows
-}
-
-// assignLayers distributes cores over layers with a balanced min-cut
-// partition of the bandwidth-weighted communication graph, the same policy
-// internal/bench uses for the paper's designs.
-func assignLayers(protos []protoCore, flows []protoFlow, layers int) []int {
-	n := len(protos)
-	assign := make([]int, n)
-	if layers <= 1 || n == 0 {
-		return assign
-	}
-	cg := graph.New(n)
-	for _, f := range flows {
-		cg.AddEdge(f.src, f.dst, f.bw)
-	}
-	copy(assign, graph.PartitionK(cg, layers))
-	return assign
 }
